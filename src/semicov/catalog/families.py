@@ -144,18 +144,6 @@ def _zero_matrix_check(mat: Matrix, witness_tag: str) -> ZeroCheck:
     return ZeroCheck("proved_zero", "exact")
 
 
-def _sampled_matrix_zero(
-    build: Callable[[Sequence], Matrix], dim_v: int, ctx: CheckContext, label: str
-) -> ZeroCheck:
-    rng = derive_rng(ctx.seed, label)
-    for _ in range(ctx.samples):
-        v = rand_vector(rng, dim_v, ctx.bound)
-        m = build(v)
-        if not m.is_zero():
-            return ZeroCheck("proved_nonzero", "sampled", trials=ctx.samples, witness=(v,))
-    return ZeroCheck("sampled_zero", "sampled", trials=ctx.samples)
-
-
 # -- adjoint family ----------------------------------------------------------
 
 

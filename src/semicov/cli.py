@@ -1,7 +1,8 @@
 """Command-line interface: run verification suites, list and show entries.
 
 Exit codes: 0 when no check failed (skips allowed), 1 when at least one
-check failed, 2 for usage errors such as an unknown entry id.
+check failed, 2 for usage errors: an unknown entry id, ``--samples`` or
+``--bound`` below 1, or a run in which every check was skipped.
 """
 from __future__ import annotations
 
@@ -76,17 +77,21 @@ def _cmd_run(args) -> int:
         val = getattr(args, key)
         if val is not None:
             overrides.append((key, val))
-    cfg = RunConfig(
-        entries=tuple(args.entry),
-        overrides=tuple(overrides),
-        seed=args.seed,
-        mode=args.mode,
-        samples=args.samples,
-        bound=args.bound,
-        jobs=args.jobs,
-        negative_controls=args.negative_controls,
-        timings=args.timings,
-    )
+    try:
+        cfg = RunConfig(
+            entries=tuple(args.entry),
+            overrides=tuple(overrides),
+            seed=args.seed,
+            mode=args.mode,
+            samples=args.samples,
+            bound=args.bound,
+            jobs=args.jobs,
+            negative_controls=args.negative_controls,
+            timings=args.timings,
+        )
+    except ValueError as err:
+        print("error: %s" % err.args[0], file=sys.stderr)
+        return 2
     try:
         report = run_suite(cfg)
     except (UnknownEntryError, KeyError) as err:
@@ -98,7 +103,12 @@ def _cmd_run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 1 if report.failed else 0
+    if report.failed:
+        return 1
+    if report.ran_nothing:
+        print("error: every check was skipped; nothing was verified", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_list(_args) -> int:

@@ -13,25 +13,26 @@ Every identity check comes in two flavours:
 ``mode="auto"`` resolves to exact whenever the identity's ring fits the
 cutoffs, and to sampled otherwise.  The resolution happens *before* any
 symbolic expansion, so oversized rings are never materialised by accident.
+
+Every ``*_check`` runs through ``poly.identity_check``: ``trials`` (at
+least 1) is the number of sampled points evaluated, drawn from the check's
+own ``derive_rng`` stream.  An exact failure carries ``(point, value)``,
+prefixed by the basis index ``a`` (equivariance) or the pair ``(i, j)``
+(poisson_commute).  Sampled witnesses: kernel_phi ``(v, phi(F)(v))``;
+equivariance ``(a, v, rows of (x_a*F)(v))``; weight, covariant_zero and
+covariant_match ``(v, rows of the residual)``; lift_invariance
+``((xi, v, zeta), change of the lift)``; poisson_commute
+``((i, j), (xi, v), bracket)``; invariant ``(a, v, derivative along x_a)``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .lie import Representation, stabiliser
 from .linalg import Matrix, SpanSolver, is_scalar, normalize_scalar, rank, solve
-from .poly import (
-    EXACT_MAX_DEGREE,
-    EXACT_MAX_VARS,
-    CutoffExceeded,
-    MultiPoly,
-    ZeroCheck,
-    poly_is_zero,
-)
+from .poly import MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
 from .sampling import derive_rng, rand_vector
 from .semidirect import SemidirectProduct, moment_map
 
@@ -42,32 +43,12 @@ def _as_poly(x, num_vars: int) -> MultiPoly:
     return MultiPoly.const(num_vars, x)
 
 
-def resolve_mode(mode: str, num_vars: int, degree) -> str:
-    """Resolve "auto" against the symbolic cutoffs before any expansion."""
-    if mode not in ("exact", "sampled", "auto"):
-        raise ValueError("mode must be exact, sampled, or auto")
-    if mode != "auto":
-        return mode
-    if degree is None:
-        return "sampled"
-    if num_vars <= EXACT_MAX_VARS and degree <= EXACT_MAX_DEGREE:
-        return "exact"
-    return "sampled"
+def _untagged(polys):
+    return ((None, p) for p in polys)
 
 
-def _require_exact(num_vars: int, degree) -> None:
-    if degree is None or num_vars > EXACT_MAX_VARS or degree > EXACT_MAX_DEGREE:
-        raise CutoffExceeded(
-            "exact identity refused: %d vars, degree %s" % (num_vars, degree)
-        )
-
-
-def _polys_zero_exact(polys) -> ZeroCheck:
-    """Termwise zero test over a list of already-expanded polynomials."""
-    for p in polys:
-        if not p.is_zero():
-            return poly_is_zero(p, "exact")
-    return ZeroCheck("proved_zero", "exact")
+def _matrix_witness(v, mat: Matrix):
+    return None if mat.is_zero() else (v, mat.rows)
 
 
 class Covariant:
@@ -280,19 +261,16 @@ def kernel_phi_check(
     """Does F(v) stabilise v identically, i.e. phi(F) = 0?"""
     nv = F.rep.dim_v
     deg = None if F.degree is None else F.degree + 1
-    m = resolve_mode(mode, nv, deg)
-    if m == "exact":
-        _require_exact(nv, deg)
-        return _polys_zero_exact(phi_polys(F))
     rng = derive_rng(seed, "kernel_phi", F.name)
-    t = trials if trials is not None else (deg or 1) + 3
-    for _ in range(t):
-        v = rand_vector(rng, nv, bound)
+
+    def residual(v):
         out = phi_at(F, v)
-        for val in out:
-            if val != 0:
-                return ZeroCheck("proved_nonzero", "sampled", trials=t, witness=(v, out))
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+        return (v, out) if any(val != 0 for val in out) else None
+
+    return identity_check(
+        mode, nv, deg, lambda: _untagged(phi_polys(F)),
+        lambda: rand_vector(rng, nv, bound), residual, trials, deg or 1,
+    )
 
 
 # -- equivariance ----------------------------------------------------------
@@ -312,25 +290,26 @@ def equivariance_check(
     algebra); None means the whole algebra.
     """
     nv = F.rep.dim_v
-    indices = list(basis_indices) if basis_indices is not None else list(range(F.rep.algebra.dim))
-    m = resolve_mode(mode, nv, F.degree)
-    if m == "exact":
-        _require_exact(nv, F.degree)
-        for a in indices:
-            mat = act_on_matrix_polys(F, _basis_coords(F.rep.algebra.dim, a))
-            verdict = _polys_zero_exact(p for row in mat.rows for p in row)
-            if verdict.verdict != "proved_zero":
-                return ZeroCheck(verdict.verdict, "exact", witness=(a, verdict.witness))
-        return ZeroCheck("proved_zero", "exact")
+    dim = F.rep.algebra.dim
+    indices = list(basis_indices) if basis_indices is not None else list(range(dim))
     rng = derive_rng(seed, "equivariance", F.name)
-    t = trials if trials is not None else (F.degree or 1) + 3
-    for _ in range(t):
-        v = rand_vector(rng, nv, bound)
+
+    def polys():
         for a in indices:
-            mat = act_on_matrix_at(F, _basis_coords(F.rep.algebra.dim, a), v)
+            for row in act_on_matrix_polys(F, _basis_coords(dim, a)).rows:
+                yield from ((a, p) for p in row)
+
+    def residual(v):
+        for a in indices:
+            mat = act_on_matrix_at(F, _basis_coords(dim, a), v)
             if not mat.is_zero():
-                return ZeroCheck("proved_nonzero", "sampled", trials=t, witness=(a, v, mat.rows))
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+                return (a, v, mat.rows)
+        return None
+
+    return identity_check(
+        mode, nv, F.degree, polys, lambda: rand_vector(rng, nv, bound), residual,
+        trials, F.degree or 1,
+    )
 
 
 def weight_check(
@@ -344,21 +323,17 @@ def weight_check(
 ) -> ZeroCheck:
     """x*F = weight * F for a fixed algebra element x (coordinates)."""
     nv = F.rep.dim_v
-    m = resolve_mode(mode, nv, F.degree)
-    if m == "exact":
-        _require_exact(nv, F.degree)
-        vs = MultiPoly.variables(nv)
-        acted = act_on_matrix_polys(F, x)
-        target = F.matrix_at(vs).map(lambda e: _as_poly(e, nv) * weight)
-        return _polys_zero_exact(p for row in (acted - target).rows for p in row)
     rng = derive_rng(seed, "weight", F.name)
-    t = trials if trials is not None else (F.degree or 1) + 3
-    for _ in range(t):
-        v = rand_vector(rng, nv, bound)
-        resid = act_on_matrix_at(F, x, v) - F.matrix_at(v) * weight
-        if not resid.is_zero():
-            return ZeroCheck("proved_nonzero", "sampled", trials=t, witness=(v, resid.rows))
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+
+    def polys():
+        target = F.matrix_at(MultiPoly.variables(nv)).map(lambda e: _as_poly(e, nv) * weight)
+        return _untagged(p for row in (act_on_matrix_polys(F, x) - target).rows for p in row)
+
+    return identity_check(
+        mode, nv, F.degree, polys, lambda: rand_vector(rng, nv, bound),
+        lambda v: _matrix_witness(v, act_on_matrix_at(F, x, v) - F.matrix_at(v) * weight),
+        trials, F.degree or 1,
+    )
 
 
 # -- vanishing and coincidence of covariants ------------------------------
@@ -373,18 +348,11 @@ def covariant_zero_check(
 ) -> ZeroCheck:
     """F = 0 identically."""
     nv = F.rep.dim_v
-    m = resolve_mode(mode, nv, F.degree)
-    if m == "exact":
-        _require_exact(nv, F.degree)
-        return _polys_zero_exact(F.components)
     rng = derive_rng(seed, "vanishing", F.name)
-    t = trials if trials is not None else (F.degree or 1) + 3
-    for _ in range(t):
-        v = rand_vector(rng, nv, bound)
-        mat = F.matrix_at(v)
-        if not mat.is_zero():
-            return ZeroCheck("proved_nonzero", "sampled", trials=t, witness=(v, mat.rows))
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+    return identity_check(
+        mode, nv, F.degree, lambda: _untagged(F.components), lambda: rand_vector(rng, nv, bound),
+        lambda v: _matrix_witness(v, F.matrix_at(v)), trials, F.degree or 1,
+    )
 
 
 def covariant_match_check(
@@ -401,19 +369,14 @@ def covariant_match_check(
     deg = None
     if F.degree is not None and G.degree is not None:
         deg = max(F.degree, G.degree)
-    m = resolve_mode(mode, nv, deg)
-    if m == "exact":
-        _require_exact(nv, deg)
-        diff = [a - b * coeff for a, b in zip(F.components, G.components)]
-        return _polys_zero_exact(diff)
     rng = derive_rng(seed, "match", F.name, G.name)
-    t = trials if trials is not None else (deg or 1) + 3
-    for _ in range(t):
-        v = rand_vector(rng, nv, bound)
-        resid = F.matrix_at(v) - G.matrix_at(v) * coeff
-        if not resid.is_zero():
-            return ZeroCheck("proved_nonzero", "sampled", trials=t, witness=(v, resid.rows))
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+    return identity_check(
+        mode, nv, deg,
+        lambda: _untagged(a - b * coeff for a, b in zip(F.components, G.components)),
+        lambda: rand_vector(rng, nv, bound),
+        lambda v: _matrix_witness(v, F.matrix_at(v) - G.matrix_at(v) * coeff),
+        trials, deg or 1,
+    )
 
 
 # -- linear span of a family ----------------------------------------------
@@ -594,29 +557,26 @@ def lift_invariance_check(
     dg, dv = q.dim_g, q.dim_v
     n = dg + 2 * dv
     deg = None if F.degree is None else F.degree + 2
-    m = resolve_mode(mode, n, deg)
-    if m == "exact":
-        _require_exact(n, deg)
+    rng = derive_rng(seed, "lift_invariance", F.name)
+
+    def polys():
         hat = lift_polynomial(F).extend(n)
         images = [MultiPoly.variable(n, i) for i in range(n)]
         for a in range(dg):
             images[a] = images[a] + _moment_poly(q, a, n, dg, dv)
-        shifted = hat.substitute(images, n)
-        return _polys_zero_exact([shifted - hat])
-    rng = derive_rng(seed, "lift_invariance", F.name)
-    t = trials if trials is not None else ((F.degree or 1) + 2) + 3
-    for _ in range(t):
-        xi = rand_vector(rng, dg, bound)
-        v = rand_vector(rng, dv, bound)
-        zeta = rand_vector(rng, dv, bound)
+        return [(None, hat.substitute(images, n) - hat)]
+
+    def sample():
+        return (rand_vector(rng, dg, bound), rand_vector(rng, dv, bound), rand_vector(rng, dv, bound))
+
+    def residual(point):
+        xi, v, zeta = point
         mu = moment_map(q, v, zeta)
         before = lift_value(F, xi, v)
         after = lift_value(F, [x + m_ for x, m_ in zip(xi, mu)], v)
-        if after != before:
-            return ZeroCheck(
-                "proved_nonzero", "sampled", trials=t, witness=((xi, v, zeta), after - before)
-            )
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+        return (point, after - before) if after != before else None
+
+    return identity_check(mode, n, deg, polys, sample, residual, trials, (F.degree or 1) + 2)
 
 
 def _moment_poly(q: SemidirectProduct, a: int, n: int, dg: int, dv: int) -> MultiPoly:
@@ -726,7 +686,6 @@ def poisson_commute_check(
     bound: int = 10,
 ) -> ZeroCheck:
     """All pairwise Poisson brackets of the lifted family vanish."""
-    n = q.dim
     degs = [F.degree for F in family]
     deg = None
     if all(d is not None for d in degs) and len(family) >= 2:
@@ -734,32 +693,27 @@ def poisson_commute_check(
         deg = top[0] + top[1] + 1
     elif len(family) < 2:
         deg = 0
-    m = resolve_mode(mode, n, deg)
-    if m == "exact":
-        _require_exact(n, deg)
-        lifts = [lift_polynomial(F) for F in family]
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                br = poisson_bracket_polys(q.lie, lifts[i], lifts[j])
-                if not br.is_zero():
-                    inner = poly_is_zero(br, "exact")
-                    return ZeroCheck(
-                        "proved_nonzero", "exact", witness=((i, j), inner.witness)
-                    )
-        return ZeroCheck("proved_zero", "exact")
+    pairs = [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))]
     rng = derive_rng(seed, "poisson", *(F.name for F in family))
-    t = trials if trials is not None else (max((d or 1) for d in degs) + 4 if degs else 3)
-    for _ in range(t):
-        xi = rand_vector(rng, q.dim_g, bound)
-        v = rand_vector(rng, q.dim_v, bound)
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                val = poisson_pair_at(q, family[i], family[j], xi, v)
-                if val != 0:
-                    return ZeroCheck(
-                        "proved_nonzero", "sampled", trials=t, witness=((i, j), (xi, v), val)
-                    )
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+
+    def polys():
+        lifts = [lift_polynomial(F) for F in family]
+        for i, j in pairs:
+            yield (i, j), poisson_bracket_polys(q.lie, lifts[i], lifts[j])
+
+    def residual(point):
+        xi, v = point
+        for i, j in pairs:
+            val = poisson_pair_at(q, family[i], family[j], xi, v)
+            if val != 0:
+                return ((i, j), (xi, v), val)
+        return None
+
+    return identity_check(
+        mode, q.dim, deg, polys,
+        lambda: (rand_vector(rng, q.dim_g, bound), rand_vector(rng, q.dim_v, bound)),
+        residual, trials, max((d or 1) for d in degs) + 1 if degs else 0,
+    )
 
 
 # -- parameter families -----------------------------------------------------
@@ -900,34 +854,29 @@ def invariant_check(
     """
     nv = rep.dim_v
     deg = poly.degree()
-    m = resolve_mode(mode, nv, deg)
-    if m == "exact":
-        _require_exact(nv, deg)
-        vs = MultiPoly.variables(nv)
-        derivs = []
-        for a in range(rep.algebra.dim):
-            field = rep.act_basis(a, vs)
-            d = MultiPoly.zero(nv)
-            for j, fj in enumerate(field):
-                if _is_zero_entry(fj):
-                    continue
-                d = d + _as_poly(fj, nv) * poly.partial(j)
-            derivs.append(d)
-        return _polys_zero_exact(derivs)
     rng = derive_rng(seed, "invariant", name)
-    t = trials if trials is not None else deg + 3
-    for _ in range(t):
-        v = rand_vector(rng, nv, bound)
+
+    def polys():
+        vs = MultiPoly.variables(nv)
+        for a in range(rep.algebra.dim):
+            d = MultiPoly.zero(nv)
+            for j, fj in enumerate(rep.act_basis(a, vs)):
+                if not _is_zero_entry(fj):
+                    d = d + _as_poly(fj, nv) * poly.partial(j)
+            yield None, d
+
+    def residual(v):
         for a in range(rep.algebra.dim):
             w = rep.act_basis(a, v)
-            duals = [_Dual(vi, wi) for vi, wi in zip(v, w)]
-            val = poly.evaluate(duals)
+            val = poly.evaluate([_Dual(vi, wi) for vi, wi in zip(v, w)])
             d = val.b if isinstance(val, _Dual) else 0
             if d != 0:
-                return ZeroCheck(
-                    "proved_nonzero", "sampled", trials=t, witness=(a, v, d)
-                )
-    return ZeroCheck("sampled_zero", "sampled", trials=t)
+                return (a, v, d)
+        return None
+
+    return identity_check(
+        mode, nv, deg, polys, lambda: rand_vector(rng, nv, bound), residual, trials, max(deg, 0)
+    )
 
 
 def bihomogeneous_degrees(p: MultiPoly, n_first: int):

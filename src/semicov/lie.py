@@ -159,10 +159,6 @@ class LieAlgebra:
                 return False, (a, b, c)
         return True, None
 
-    def factor_projection(self, x: Sequence, idx: int) -> list:
-        f = self.factors[idx]
-        return list(x[f.basis_offset : f.basis_offset + f.algebra.dim])
-
     def factor_basis_range(self, idx: int) -> range:
         f = self.factors[idx]
         return range(f.basis_offset, f.basis_offset + f.algebra.dim)

@@ -252,6 +252,40 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def _rref(rows: list[list], ncols: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row-echelon form over the first
+    ``ncols`` columns and return the pivot columns.
+
+    Later columns (a right-hand side, an identity block) are carried along
+    through the same row operations.  Pivots are the first nonzero entry
+    below the current row, so the result is deterministic.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        if p != 1:
+            inv = Fraction(1, 1) / as_fraction(p)
+            rows[r] = [normalize_scalar(a * inv) for a in rows[r]]
+        rr = rows[r]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [normalize_scalar(a - f * b) for a, b in zip(rows[i], rr)]
+        pivots.append(c)
+    return pivots
+
+
+# Bareiss stays separate from _rref: fraction-free integer rows avoid the gcd
+# work of Fraction reduction, and rank is the hottest elimination (2.07 s of
+# a 2.72 s traced small-sweep pass in bench/baseline/seed-commit.json).
 def rank(m: Matrix) -> int:
     """Exact rank via fraction-free (Bareiss) elimination on integer rows."""
     rows = _int_rows(m.rows)
@@ -285,76 +319,27 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:
     Kernel vectors come out in the canonical reduced-echelon form: one vector
     per free column, with entry 1 in that column's slot.  Deterministic.
     """
-    nrows, ncols = m.nrows, m.ncols
     rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            inv = Fraction(1, 1) / as_fraction(p)
-            rows[r] = [normalize_scalar(a * inv) for a in rows[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != 0:
-                rr = rows[r]
-                rows[i] = [normalize_scalar(a - f * b) for a, b in zip(rows[i], rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots = _rref(rows, m.ncols)
     kernel = []
-    for fc in free:
-        v = [0] * ncols
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        v = [0] * m.ncols
         v[fc] = 1
         for ri, pc in enumerate(pivots):
             v[pc] = normalize_scalar(-rows[ri][fc])
         kernel.append(v)
-    return r, kernel
+    return len(pivots), kernel
 
 
 def solve(m: Matrix, b: Sequence):
     """One exact solution of m x = b, or None if inconsistent."""
-    nrows, ncols = m.nrows, m.ncols
+    ncols = m.ncols
     rows = [list(r) + [bv] for r, bv in zip(m.rows, b)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            inv = Fraction(1, 1) / as_fraction(p)
-            rows[r] = [normalize_scalar(a * inv) for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rr = rows[r]
-                rows[i] = [normalize_scalar(a - f * bb) for a, bb in zip(rows[i], rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return None
+    pivots = _rref(rows, ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
     x = [0] * ncols
     for ri, pc in enumerate(pivots):
         x[pc] = rows[ri][ncols]
@@ -375,40 +360,11 @@ class SpanSolver:
         self.basis = [list(v) for v in basis_vectors]
         self.k = len(self.basis)
         self.m = len(self.basis[0]) if self.basis else 0
-        rows = [list(v) for v in self.basis]
-        transform = [[1 if i == j else 0 for j in range(self.k)] for i in range(self.k)]
-        pivots = []
-        r = 0
-        for c in range(self.m):
-            piv = None
-            for i in range(r, self.k):
-                if rows[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            transform[r], transform[piv] = transform[piv], transform[r]
-            p = rows[r][c]
-            if p != 1:
-                inv = Fraction(1, 1) / as_fraction(p)
-                rows[r] = [normalize_scalar(a * inv) for a in rows[r]]
-                transform[r] = [normalize_scalar(a * inv) for a in transform[r]]
-            for i in range(self.k):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [normalize_scalar(a - f * bb) for a, bb in zip(rows[i], rows[r])]
-                    transform[i] = [
-                        normalize_scalar(a - f * bb) for a, bb in zip(transform[i], transform[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == self.k:
-                break
-        if r != self.k:
+        rows = [v + [1 if i == j else 0 for j in range(self.k)] for i, v in enumerate(self.basis)]
+        self.pivots = _rref(rows, self.m)
+        if len(self.pivots) != self.k:
             raise ValueError("basis vectors are linearly dependent")
-        self.pivots = pivots
-        self.transform = transform  # reduced = transform @ basis
+        self.transform = [row[self.m :] for row in rows]  # reduced = transform @ basis
 
     def coords(self, w: Sequence, check: bool = True):
         """Coefficients of w in the basis, or None if not in the span."""
@@ -632,7 +588,8 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("inverse of non-square matrix")
     if not all(is_scalar(a) for r in m.rows for a in r):
         raise ValueError("inverse needs scalar entries")
-    d = det(m)
-    if d == 0:
+    n = m.nrows
+    rows = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
+    if len(_rref(rows, n)) < n:
         raise ValueError("matrix is singular")
-    return adjugate(m) * Fraction(1, as_fraction(d))
+    return Matrix([row[n:] for row in rows])

@@ -2,15 +2,28 @@
 
 Terms are stored as a dict mapping exponent tuples to nonzero coefficients
 (``int`` or ``Fraction``).  The representation is canonical, so equality and
-zero-testing are exact.  ``poly_is_zero`` adds the documented sampled mode
-(Schwartz-Zippel over integer points) next to the exact one.
+zero-testing are exact.
+
+Every identity check (``poly_is_zero`` and the ``covariants`` checks) runs
+through ``identity_check``, the one exact-or-sampled driver.  ``"auto"``
+resolves to exact when the identity's ring fits the cutoffs (at most 40
+variables, total degree at most 8), before anything is expanded; an explicit
+``"exact"`` past them raises ``CutoffExceeded``.
+
+* exact: stops at the first nonzero polynomial.  ``proved_nonzero`` carries
+  the witness ``(point, value)``, an integer point and the nonzero value
+  there, prefixed as ``(tag, (point, value))`` when the polynomial's tag is
+  not None.  ``trials`` is 0.
+* sampled (Schwartz-Zippel): ``trials``, at least 1, is the number of points
+  evaluated, up to and including the failing one for ``proved_nonzero``.
+  The witness is what the check's residual function returned there.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import is_scalar, normalize_scalar
 
@@ -286,10 +299,6 @@ class MultiPoly:
             out.append(p)
         return out
 
-    def drop_zero_vars_check(self, index: int) -> bool:
-        """True when the polynomial does not involve variable `index`."""
-        return all(e[index] == 0 for e in self.terms)
-
     # -- display ----------------------------------------------------------
 
     def __repr__(self):
@@ -333,7 +342,7 @@ class ZeroCheck:
         self.verdict = verdict  # proved_zero | proved_nonzero | sampled_zero
         self.mode = mode
         self.trials = trials
-        self.witness = witness  # (point, value) for proved_nonzero
+        self.witness = witness  # proved_nonzero only; shapes in the module docstring
 
     @property
     def is_zero(self) -> bool:
@@ -343,18 +352,60 @@ class ZeroCheck:
         return "ZeroCheck(%s, %s, trials=%d)" % (self.verdict, self.mode, self.trials)
 
 
-def default_trials(p: MultiPoly) -> int:
-    d = p.degree()
-    if d is NEG_INF:
-        d = 0
-    return int(d) + 3
+def _within_cutoffs(num_vars: int, degree) -> bool:
+    return degree is not None and num_vars <= EXACT_MAX_VARS and degree <= EXACT_MAX_DEGREE
 
 
-def exact_allowed(p: MultiPoly) -> bool:
-    d = p.degree()
-    if d is NEG_INF:
-        d = 0
-    return p.num_vars <= EXACT_MAX_VARS and d <= EXACT_MAX_DEGREE
+def resolve_mode(mode: str, num_vars: int, degree) -> str:
+    """Resolve "auto" against the symbolic cutoffs before any expansion."""
+    if mode not in ("exact", "sampled", "auto"):
+        raise ValueError("mode must be exact, sampled, or auto")
+    if mode != "auto":
+        return mode
+    return "exact" if _within_cutoffs(num_vars, degree) else "sampled"
+
+
+def identity_check(
+    mode: str,
+    num_vars: int,
+    degree,
+    exact: Callable[[], Iterable[tuple[object, MultiPoly]]],
+    sample: Callable[[], object],
+    residual: Callable[[object], object],
+    trials: int | None,
+    sample_degree: int,
+    rng: random.Random | None = None,
+) -> ZeroCheck:
+    """Decide one polynomial identity exactly or by sampling.
+
+    ``num_vars`` and ``degree`` (None when unknown) size the identity's ring.
+    Exact mode iterates ``exact()``, the lazily expanded ``(tag, polynomial)``
+    pairs; ``rng`` seeds its witness search.  Sampled mode evaluates
+    ``residual(sample())``, a witness or None, at ``trials`` points (default
+    ``sample_degree + 3``).  Results follow the module docstring.
+    """
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
+    if resolve_mode(mode, num_vars, degree) == "exact":
+        if not _within_cutoffs(num_vars, degree):
+            raise CutoffExceeded(
+                "exact identity refused: %d vars, degree %s" % (num_vars, degree)
+            )
+        for tag, p in exact():
+            if not p.is_zero():
+                point = _nonzero_point(p, rng)
+                witness = (point, p.evaluate(point))
+                return ZeroCheck(
+                    "proved_nonzero", "exact", witness=witness if tag is None else (tag, witness)
+                )
+        return ZeroCheck("proved_zero", "exact")
+    if trials is None:
+        trials = sample_degree + 3
+    for t in range(trials):
+        witness = residual(sample())
+        if witness is not None:
+            return ZeroCheck("proved_nonzero", "sampled", trials=t + 1, witness=witness)
+    return ZeroCheck("sampled_zero", "sampled", trials=trials)
 
 
 def poly_is_zero(
@@ -364,43 +415,28 @@ def poly_is_zero(
     trials: int | None = None,
     bound: int = SAMPLE_BOUND,
 ) -> ZeroCheck:
-    """Exact or sampled zero test.
+    """Exact or sampled zero test of one polynomial.
 
-    Exact mode inspects the canonical expansion and returns proved_zero or
-    proved_nonzero; it is refused (CutoffExceeded) when the polynomial lives
-    past the symbolic cutoffs (more than 40 variables or total degree above
-    8).  Sampled mode evaluates at uniform integer points in [-bound, bound];
-    `trials` defaults to total degree + 3.  A nonzero sample upgrades the
-    verdict to proved_nonzero with the witness point.
+    Sampled mode evaluates at uniform integer points in [-bound, bound];
+    ``trials`` defaults to total degree + 3.  The witness is (point, value).
     """
-    if mode == "auto":
-        mode = "exact" if exact_allowed(p) else "sampled"
-    if mode == "exact":
-        if not exact_allowed(p):
-            raise CutoffExceeded(
-                "exact zero test refused: %d vars, degree %s" % (p.num_vars, p.degree())
-            )
-        if p.is_zero():
-            return ZeroCheck("proved_zero", "exact")
-        point = _nonzero_point(p, rng)
-        value = p.evaluate(point) if point is not None else None
-        return ZeroCheck("proved_nonzero", "exact", witness=(point, value))
-    if mode != "sampled":
-        raise ValueError("mode must be exact, sampled, or auto")
-    if rng is None:
-        rng = random.Random(0)
-    if trials is None:
-        trials = default_trials(p)
-    for t in range(trials):
-        point = [rng.randint(-bound, bound) for _ in range(p.num_vars)]
+    deg = max(p.degree(), 0)
+    draw = rng if rng is not None else random.Random(0)
+
+    def sample():
+        return [draw.randint(-bound, bound) for _ in range(p.num_vars)]
+
+    def residual(point):
         val = p.evaluate(point)
-        if val != 0:
-            return ZeroCheck("proved_nonzero", "sampled", trials=t + 1, witness=(point, val))
-    return ZeroCheck("sampled_zero", "sampled", trials=trials)
+        return (point, val) if val != 0 else None
+
+    return identity_check(
+        mode, p.num_vars, deg, lambda: [(None, p)], sample, residual, trials, deg, rng=rng
+    )
 
 
-def _nonzero_point(p: MultiPoly, rng: random.Random | None):
-    """A concrete integer point where p does not vanish (exists for p != 0)."""
+def _nonzero_point(p: MultiPoly, rng: random.Random | None) -> list:
+    """A concrete integer point where p (nonzero) does not vanish."""
     if rng is None:
         rng = random.Random(1)
     for bound in (SAMPLE_BOUND, 50, 500, 5000):
@@ -408,16 +444,18 @@ def _nonzero_point(p: MultiPoly, rng: random.Random | None):
             point = [rng.randint(-bound, bound) for _ in range(p.num_vars)]
             if p.evaluate(point) != 0:
                 return point
-    return None
+    return _nonvanishing_point(p)
 
 
-def vanishes_on_samples(polys, rng, trials, bound=SAMPLE_BOUND):
-    """Joint sampled zero test for a list of polynomials at shared points."""
-    nv = polys[0].num_vars if polys else 0
-    for t in range(trials):
-        point = [rng.randint(-bound, bound) for _ in range(nv)]
-        for p in polys:
-            val = p.evaluate(point)
-            if val != 0:
-                return ZeroCheck("proved_nonzero", "sampled", trials=t + 1, witness=(point, val))
-    return ZeroCheck("sampled_zero", "sampled", trials=trials)
+def _nonvanishing_point(p: MultiPoly) -> list:
+    """Deterministic point of {0, ..., deg}^n where the nonzero p does not vanish.
+
+    Recursively find a point where the top coefficient c_k of the last
+    variable is nonzero; p is then a nonzero univariate polynomial of degree
+    k in the last variable, so one of t = 0, ..., k is not a root.
+    """
+    if p.num_vars == 0:
+        return []
+    coeffs = p.coefficients_in_last_var()
+    head = _nonvanishing_point(coeffs[-1])
+    return next(head + [t] for t in range(len(coeffs)) if p.evaluate(head + [t]) != 0)

@@ -20,9 +20,3 @@ def derive_rng(seed: int, *labels: str) -> random.Random:
 def rand_vector(rng: random.Random, n: int, bound: int = 10) -> list:
     return [rng.randint(-bound, bound) for _ in range(n)]
 
-
-def rand_nonzero_vector(rng: random.Random, n: int, bound: int = 10) -> list:
-    while True:
-        v = rand_vector(rng, n, bound)
-        if any(x != 0 for x in v):
-            return v

@@ -59,6 +59,11 @@ class RunConfig:
     negative_controls: bool = False
     timings: bool = False
 
+    def __post_init__(self):
+        for knob in ("samples", "bound"):
+            if getattr(self, knob) < 1:
+                raise ValueError("%s must be at least 1, got %d" % (knob, getattr(self, knob)))
+
     def override_dict(self) -> dict:
         return dict(self.overrides)
 
@@ -72,6 +77,13 @@ class Report:
     def failed(self) -> bool:
         return any(
             check["verdict"] == "fail" for entry in self.entries for check in entry["checks"]
+        )
+
+    @property
+    def ran_nothing(self) -> bool:
+        """True when every check row was skipped, so nothing was verified."""
+        return all(
+            check["verdict"] == "skipped" for entry in self.entries for check in entry["checks"]
         )
 
 
@@ -373,31 +385,30 @@ def _check_kirillov_even(q: SemidirectProduct, cfg: RunConfig, entry_id: str) ->
     )
 
 
-def _check_index(q: SemidirectProduct, cons: Construction, cfg: RunConfig) -> tuple[dict, dict]:
-    est = index_estimate(q.lie, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+def _check_index(est) -> dict:
     if est.stabilised:
-        idx_row = _row(
+        return _row(
             "index_stabilized",
             "sampled-pass",
             detail="ind q = %d, stable across two disjoint batches" % est.index,
         )
-    else:
-        idx_row = _row(
-            "index_stabilized",
-            "fail",
-            detail="index estimate did not stabilise (max rank %d)" % est.max_rank,
-        )
+    return _row(
+        "index_stabilized",
+        "fail",
+        detail="index estimate did not stabilise (max rank %d)" % est.max_rank,
+    )
+
+
+def _check_b_of_q(q: SemidirectProduct, cons: Construction, est) -> dict:
     b = Fraction(q.dim + est.index, 2)
     want = cons.expected.dim_v + cons.expected.rank
     if b != want:
-        b_row = _row(
+        return _row(
             "b_of_q",
             "fail",
             detail="(dim q + ind q)/2 = %s != dim V + l = %d" % (b, want),
         )
-    else:
-        b_row = _row("b_of_q", "sampled-pass", detail="(dim q + ind q)/2 = %s = dim V + l" % b)
-    return idx_row, b_row
+    return _row("b_of_q", "sampled-pass", detail="(dim q + ind q)/2 = %s = dim V + l" % b)
 
 
 def _check_rais(q: SemidirectProduct, cfg: RunConfig) -> dict:
@@ -485,17 +496,12 @@ def _param_str(params: dict) -> str:
     return ", ".join("%s=%s" % (k, params[k]) for k in sorted(params)) or "-"
 
 
-def _timed(cfg: RunConfig, fn, *args, **kw):
+def _timed(cfg: RunConfig, fn, *args, **kw) -> dict:
     if not cfg.timings:
         return fn(*args, **kw)
-    t0 = time.monotonic()
+    t0 = time.perf_counter_ns()
     out = fn(*args, **kw)
-    ms = int((time.monotonic() - t0) * 1000)
-    if isinstance(out, dict):
-        out["runtime_ms"] = ms
-    elif isinstance(out, tuple):
-        for o in out:
-            o["runtime_ms"] = ms
+    out["runtime_ms"] = round((time.perf_counter_ns() - t0) / 1e6, 3)
     return out
 
 
@@ -616,9 +622,15 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     checks.append(_timed(cfg, poisson))
     checks.append(_timed(cfg, _check_kirillov_even, q, cfg, entry_id))
-    idx_row, b_row = _timed(cfg, _check_index, q, cons, cfg)
-    checks.append(idx_row)
-    checks.append(b_row)
+    est = None
+
+    def index_stabilized():
+        nonlocal est
+        est = index_estimate(q.lie, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+        return _check_index(est)
+
+    checks.append(_timed(cfg, index_stabilized))
+    checks.append(_timed(cfg, _check_b_of_q, q, cons, est))
     checks.append(_timed(cfg, _check_rais, q, cfg))
     checks.append(_timed(cfg, _check_bookkeeping, cons, q))
 
@@ -795,7 +807,7 @@ def to_text(report: Report) -> str:
             suffix = "  - %s" % detail if detail else ""
             ms = check.get("runtime_ms")
             if ms is not None:
-                suffix += "  [%d ms]" % ms
+                suffix += "  [%.3f ms]" % ms
             lines.append("  [%5s] %-32s%s" % (mark, check["name"], suffix))
         for item in entry.get("table_row_comparison", []):
             if item["status"] == "match":

@@ -9,8 +9,10 @@ regresses past its budget.
 
 from __future__ import annotations
 
+import gzip
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from semicov.catalog import (
     CheckContext,
@@ -60,6 +62,11 @@ def _extra(cons, name):
         if e.name == name:
             return e
     raise AssertionError("missing extra: %s" % name)
+
+
+# The default seed-0 report (RunConfig()), frozen from earlier sources: the
+# byte-for-byte oracle that refactors must keep.
+GOLDEN_SUITE = Path(__file__).parent / "data" / "suite-seed-0.json.gz"
 
 
 def _announce(num, ok, detail):
@@ -298,12 +305,14 @@ def test_acceptance_09_structural_suite_over_all_targets():
             ok = ok and comp["status"] in ("match", "skipped")
     ok = ok and n_entries == 11
     ok = ok and len(report.entries) == 40
+    ok = ok and to_json(report).encode() == gzip.decompress(GOLDEN_SUITE.read_bytes())
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 900.0
     _announce(9, ok, "structural sweep over all 11 constructions and 29 "
                      "table rows: Jacobi, even orbit dimensions, index "
                      "consistency, b(q) bookkeeping, printed-value "
-                     "comparisons (%.2fs < 900s)" % elapsed)
+                     "comparisons, report equal to the frozen seed-0 "
+                     "golden (%.2fs < 900s)" % elapsed)
 
 
 def test_acceptance_10_fixed_seed_reports_are_byte_identical():

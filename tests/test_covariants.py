@@ -155,6 +155,38 @@ def test_phi_detects_non_kernel():
     assert phi_at(G, v) == out
 
 
+def _zero_first_draws(monkeypatch, count):
+    """Make the first `count` sampled points of covariant checks the origin;
+    returns the list of every point drawn."""
+    import semicov.covariants as cov
+
+    real = cov.rand_vector
+    drawn = []
+
+    def draw(rng, n, bound=10):
+        drawn.append([0] * n if len(drawn) < count else real(rng, n, bound))
+        return drawn[-1]
+
+    monkeypatch.setattr(cov, "rand_vector", draw)
+    return drawn
+
+
+@pytest.mark.parametrize("check", [kernel_phi_check, equivariance_check])
+def test_sampled_failure_reports_points_evaluated(monkeypatch, check):
+    # G is homogeneous of degree 2, so both identities hold at the origin
+    drawn = _zero_first_draws(monkeypatch, 2)
+    res = check(bad_covariant(), mode="sampled", seed=11, trials=20)
+    assert res.verdict == "proved_nonzero"
+    assert 3 <= res.trials == len(drawn) < 20
+
+
+@pytest.mark.parametrize("check", [kernel_phi_check, equivariance_check])
+def test_zero_trials_raise(check):
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            check(moment_covariant(), mode="sampled", trials=bad)
+
+
 def test_equivariance_exact_and_sampled():
     F = moment_covariant()
     assert equivariance_check(F, mode="exact").verdict == "proved_zero"

@@ -252,3 +252,45 @@ def test_inverse_small_and_fl_path():
         inverse(Matrix([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         inverse(Matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def _sym(m: Matrix):
+    import sympy
+
+    return sympy.Matrix(m.nrows, m.ncols, lambda i, j: sympy.Rational(m.rows[i][j]))
+
+
+def _frac(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_elimination_against_sympy(data):
+    """rank, rank_and_kernel, solve and inverse agree with sympy.Matrix."""
+    sympy = pytest.importorskip("sympy")
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    cell = st.one_of(st.just(Fraction(0)), small_rationals)
+    m = Matrix(data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows)))
+    sm = _sym(m)
+    r, kern = rank_and_kernel(m)
+    assert r == rank(m) == sm.rank()
+    # both sides give the reduced-echelon kernel basis: 1 in each free column
+    assert kern == [[_frac(x) for x in v] for v in sm.nullspace()]
+    b = data.draw(st.lists(small_rationals, min_size=nrows, max_size=nrows))
+    x = solve(m, b)
+    consistent = sm.rank() == sm.row_join(sympy.Matrix(b)).rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert m.apply(x) == b
+    if nrows == ncols:
+        if sm.det() == 0:
+            with pytest.raises(ValueError):
+                inverse(m)
+        else:
+            assert inverse(m) == Matrix([[_frac(e) for e in row] for row in sm.inv().tolist()])

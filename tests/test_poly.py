@@ -12,7 +12,6 @@ from semicov.poly import (
     NEG_INF,
     CutoffExceeded,
     MultiPoly,
-    default_trials,
     poly_is_zero,
 )
 
@@ -110,7 +109,7 @@ def test_poly_is_zero_sampled():
     rng = random.Random(42)
     res = poly_is_zero(p, mode="sampled", rng=rng)
     assert res.verdict == "sampled_zero"
-    assert res.trials == default_trials(p) == 3
+    assert res.trials == 3  # default: total degree (0 for the zero polynomial) + 3
     q = x**2 - y
     res2 = poly_is_zero(q, mode="sampled", rng=random.Random(1))
     assert res2.verdict == "proved_nonzero"
@@ -124,6 +123,40 @@ def test_poly_is_zero_deterministic():
     r1 = poly_is_zero(q, mode="sampled", rng=random.Random(9))
     r2 = poly_is_zero(q, mode="sampled", rng=random.Random(9))
     assert r1.witness == r2.witness
+
+
+class _ScriptedRng:
+    """randint stand-in that returns a fixed script of values, then zeros."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randint(self, lo, hi):
+        return self.values.pop(0) if self.values else 0
+
+
+def test_sampled_trials_count_points_evaluated():
+    (x,) = MultiPoly.variables(1)
+    res = poly_is_zero(x, mode="sampled", rng=_ScriptedRng(0, 0, 5), trials=10)
+    assert res.verdict == "proved_nonzero"
+    assert res.trials == 3
+    assert res.witness == ([5], 5)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            poly_is_zero(x, mode="sampled", trials=bad)
+
+
+def test_exact_failure_always_has_a_witness():
+    # the random search only ever draws the origin, where v0 vanishes; the
+    # deterministic fallback still finds a point
+    v0, _ = MultiPoly.variables(2)
+    res = poly_is_zero(v0, mode="exact", rng=_ScriptedRng())
+    assert res.verdict == "proved_nonzero"
+    assert res.witness == ([1, 0], 1)
+    x, y = MultiPoly.variables(2)
+    for p in (y * (y - 1) * (y - 2), (x - 1) * x * y**2 - y, x**3 * (y - 3) + 7):
+        point, value = poly_is_zero(p, mode="exact", rng=_ScriptedRng()).witness
+        assert value == p.evaluate(point) != 0
 
 
 def test_exact_cutoff_refusal():

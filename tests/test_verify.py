@@ -12,8 +12,9 @@ Covered here:
 * table rows: metadata-only rows report one skipped row, bare-module rows
   get their dimension/stabiliser checks;
 * the command line resolves aliases, prints one line per catalog entry or
-  table row, emits parseable JSON, and uses exit codes 0 (green),
-  1 (some check failed) and 2 (unknown identifier).
+  table row, emits parseable JSON (text is the default), and uses exit
+  codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
+  identifier, --samples or --bound below 1, nothing verified).
 """
 
 from __future__ import annotations
@@ -50,8 +51,13 @@ def test_suite_json_is_deterministic_for_fixed_seed():
 
 def test_timings_are_opt_in():
     cfg = RunConfig(entries=("ex5.2",), timings=True)
-    payload = to_json(run_suite(cfg))
-    assert "runtime_ms" in payload
+    report = run_suite(cfg)
+    assert "runtime_ms" in to_json(report)
+    rows = _checks_by_name(report.entries[0])
+    ms = {name: row["runtime_ms"] for name, row in rows.items() if "runtime_ms" in row}
+    assert all(isinstance(v, float) and v == round(v, 3) for v in ms.values())
+    # b_of_q only compares numbers; the index estimate does the elimination
+    assert 0 < ms["b_of_q"] < ms["index_stabilized"]
 
 
 def test_report_failed_property():
@@ -174,3 +180,25 @@ def test_cli_reports_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", lambda cfg: _Red())
     assert cli.main(["run", "--entry", "ex5.2", "--format", "json"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("knob", [("--samples", "0"), ("--samples", "-1"), ("--bound", "0")])
+def test_cli_bad_knob_is_usage_error(knob, capsys):
+    assert cli.main(["run", "--entry", "ex5.2", *knob]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s must be at least 1" % knob[0][2:])
+    with pytest.raises(ValueError):
+        RunConfig(**{knob[0][2:]: int(knob[1])})
+
+
+def test_cli_run_that_verifies_nothing_exits_2(capsys):
+    assert cli.main(["run", "--entry", "ex6.4", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "skip" in captured.out
+    assert captured.err.startswith("error: every check was skipped")
+
+
+def test_cli_run_default_format_is_text(capsys):
+    assert cli.main(["run", "--entry", "ex5.2"]) == 0
+    assert capsys.readouterr().out.startswith("verification run: seed 0")
