@@ -23,6 +23,18 @@ equivariance ``(a, v, rows of (x_a*F)(v))``; weight, covariant_zero and
 covariant_match ``(v, rows of the residual)``; lift_invariance
 ``((xi, v, zeta), change of the lift)``; poisson_commute
 ``((i, j), (xi, v), bracket)``; invariant ``(a, v, derivative along x_a)``.
+
+Sampled checks evaluate each covariant once per point.  Directional
+derivatives come from one evaluation at dual numbers ``v + eps w`` (``_Dual``,
+exact int/Fraction parts).  The sampled Poisson bracket of two lifts
+``F_hat(xi, v) = <xi, F(v)>`` uses the closed form
+
+    {F_hat, G_hat}(xi, v) = <xi, [F(v), G(v)] - DG_v(F(v).v) + DF_v(G(v).v)>,
+
+which follows from the bracket ``[e_a, zeta_j] = -sum_i rho_a[j, i] zeta_i``
+of ``semidirect.SemidirectProduct``: the gradient of a lift is
+``F(v) + d<xi, F>_v`` and ``<(xi, v), [x, beta]> = -beta(x.v)`` for x in g
+and beta in V*.  Exact equivariance expands F symbolically once per check.
 """
 
 from __future__ import annotations
@@ -143,9 +155,69 @@ class Covariant:
 
 
 def _is_zero_entry(c) -> bool:
-    if is_scalar(c):
-        return c == 0
-    return c.is_zero()
+    return c.is_zero() if isinstance(c, MultiPoly) else c == 0
+
+
+class _Dual:
+    """Dual number a + b*eps with eps^2 = 0; carries one derivative.
+
+    Parts are exact scalars (int or Fraction), so a covariant formula or
+    component evaluated at ``[_Dual(v_i, w_i)]`` yields F(v) in the a-parts
+    and the directional derivative DF_v(w) in the b-parts.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.a + other.a, self.b + other.b)
+        return _Dual(self.a + other, self.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+        return _Dual(self.a * other, self.b * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        out = _Dual(1)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, _Dual):
+            return self.a == other.a and self.b == other.b
+        return self.b == 0 and self.a == other
+
+
+def _dual_point(v: Sequence, w: Sequence) -> list:
+    return [_Dual(vi, wi) for vi, wi in zip(v, w)]
+
+
+def _eps(x):
+    """The eps-part of a value computed at a dual point (0 for a constant)."""
+    return normalize_scalar(x.b) if isinstance(x, _Dual) else 0
 
 
 def _eval_component(p: MultiPoly, v: Sequence):
@@ -158,34 +230,38 @@ def _eval_component(p: MultiPoly, v: Sequence):
 
 
 def directional_derivative(F: Covariant, v: Sequence, w: Sequence) -> Matrix:
-    """DF_v(w) at a numeric point: the t-coefficient of F(v + t w)."""
-    line = [MultiPoly(1, {(1,): wi, (0,): vi} if wi != 0 else ({(0,): vi} if vi != 0 else {}))
-            for vi, wi in zip(v, w)]
-    mat = F.matrix_at(line)
-    return mat.map(lambda e: _t_coefficient(e, 1))
+    """DF_v(w) at a numeric point: the eps-part of F(v + eps w)."""
+    return F.matrix_at(_dual_point(v, w)).map(_eps)
 
 
-def _t_coefficient(entry, k: int):
-    if is_scalar(entry):
-        return 0 if k > 0 else entry
-    return entry.terms.get((k,), 0)
+def _derivative_coords(F: Covariant, v: Sequence, w: Sequence) -> list:
+    """DF_v(w) at a numeric point, in g's basis coordinates."""
+    return [_eps(c) for c in F.coords_at(_dual_point(v, w))]
 
 
-def act_on_matrix_polys(F: Covariant, x: Sequence) -> Matrix:
-    """(x*F)(v) = [X, F(v)] - DF_v(x.v), symbolically, as a polynomial matrix."""
+def _symbolic_matrix(F: Covariant) -> Matrix:
+    """F(v) expanded in the polynomial ring on V (one full expansion)."""
     nv = F.rep.dim_v
-    vs = MultiPoly.variables(nv)
-    fmat = F.matrix_at(vs).map(lambda e: _as_poly(e, nv))
+    return F.matrix_at(MultiPoly.variables(nv)).map(lambda e: _as_poly(e, nv))
+
+
+def act_on_matrix_polys(F: Covariant, x: Sequence, fmat: Matrix) -> Matrix:
+    """(x*F)(v) = [X, F(v)] - DF_v(x.v), symbolically, as a polynomial matrix.
+
+    ``fmat`` is F's symbolic matrix (``_symbolic_matrix``), so that a caller
+    acting with many x expands F once.
+    """
+    nv = F.rep.dim_v
     xmat = _algebra_matrix(F.rep.algebra, x)
     bracket = xmat * fmat - fmat * xmat
-    w = F.rep.act(x, vs)
-    deriv = fmat.map(lambda e: _directional_poly(e, w))
-    return bracket.map(lambda e: _as_poly(e, nv)) - deriv
+    op = F.rep.operator(x)
+    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(e, op))
 
 
-def act_on_matrix_at(F: Covariant, x: Sequence, v: Sequence) -> Matrix:
-    """(x*F)(v) at a numeric point."""
-    fmat = F.matrix_at(v)
+def act_on_matrix_at(F: Covariant, x: Sequence, v: Sequence, fmat: Matrix | None = None) -> Matrix:
+    """(x*F)(v) at a numeric point; ``fmat`` is F(v) when the caller has it."""
+    if fmat is None:
+        fmat = F.matrix_at(v)
     xmat = _algebra_matrix(F.rep.algebra, x)
     return xmat * fmat - fmat * xmat - directional_derivative(F, v, F.rep.act(x, v))
 
@@ -193,27 +269,34 @@ def act_on_matrix_at(F: Covariant, x: Sequence, v: Sequence) -> Matrix:
 def act_on_components(F: Covariant, x: Sequence) -> list[MultiPoly]:
     """(x*F) in g's basis coordinates, one polynomial per basis element."""
     nv = F.rep.dim_v
-    vs = MultiPoly.variables(nv)
     comps = F.components
     bracket = F.rep.algebra.bracket_coords(list(x), comps)
-    w = F.rep.act(x, vs)
-    out = []
-    for br, comp in zip(bracket, comps):
-        out.append(_as_poly(br, nv) - _directional_poly(comp, w))
-    return out
+    op = F.rep.operator(x)
+    return [_as_poly(br, nv) - _derivative_along(comp, op) for br, comp in zip(bracket, comps)]
 
 
-def _directional_poly(entry, w: Sequence) -> MultiPoly:
-    nv = len(w)
-    p = _as_poly(entry, nv)
-    acc = MultiPoly.zero(nv)
-    for j, wj in enumerate(w):
-        if _is_zero_entry(wj):
-            continue
-        dj = p.partial(j)
-        if not dj.is_zero():
-            acc = acc + dj * wj
-    return acc
+def _derivative_along(p: MultiPoly, op: Matrix) -> MultiPoly:
+    """Derivative of p along the linear vector field v -> op.v.
+
+    Computed term by term: sum_j d_j(p) (op.v)_j sends c v^e to
+    sum_{j, i} c e_j op[j, i] v^(e - u_j + u_i), with no polynomial products.
+    """
+    nonzero = [[(i, normalize_scalar(c)) for i, c in enumerate(row) if c != 0] for row in op.rows]
+    out: dict = {}
+    for e, c in p.terms.items():
+        exp = list(e)
+        for j, k in enumerate(e):
+            if not k or not nonzero[j]:
+                continue
+            ck = c * k
+            exp[j] = k - 1
+            for i, a in nonzero[j]:
+                exp[i] += 1
+                key = tuple(exp)
+                exp[i] -= 1
+                out[key] = out.get(key, 0) + ck * a
+            exp[j] = k
+    return MultiPoly(p.num_vars, out)
 
 
 def _algebra_matrix(algebra, x: Sequence) -> Matrix:
@@ -295,13 +378,15 @@ def equivariance_check(
     rng = derive_rng(seed, "equivariance", F.name)
 
     def polys():
+        fmat = _symbolic_matrix(F)
         for a in indices:
-            for row in act_on_matrix_polys(F, _basis_coords(dim, a)).rows:
+            for row in act_on_matrix_polys(F, _basis_coords(dim, a), fmat).rows:
                 yield from ((a, p) for p in row)
 
     def residual(v):
+        fmat = F.matrix_at(v)
         for a in indices:
-            mat = act_on_matrix_at(F, _basis_coords(dim, a), v)
+            mat = act_on_matrix_at(F, _basis_coords(dim, a), v, fmat)
             if not mat.is_zero():
                 return (a, v, mat.rows)
         return None
@@ -326,12 +411,16 @@ def weight_check(
     rng = derive_rng(seed, "weight", F.name)
 
     def polys():
-        target = F.matrix_at(MultiPoly.variables(nv)).map(lambda e: _as_poly(e, nv) * weight)
-        return _untagged(p for row in (act_on_matrix_polys(F, x) - target).rows for p in row)
+        fmat = _symbolic_matrix(F)
+        diff = act_on_matrix_polys(F, x, fmat) - fmat * weight
+        return _untagged(p for row in diff.rows for p in row)
+
+    def residual(v):
+        fmat = F.matrix_at(v)
+        return _matrix_witness(v, act_on_matrix_at(F, x, v, fmat) - fmat * weight)
 
     return identity_check(
-        mode, nv, F.degree, polys, lambda: rand_vector(rng, nv, bound),
-        lambda v: _matrix_witness(v, act_on_matrix_at(F, x, v) - F.matrix_at(v) * weight),
+        mode, nv, F.degree, polys, lambda: rand_vector(rng, nv, bound), residual,
         trials, F.degree or 1,
     )
 
@@ -643,37 +732,45 @@ def poisson_bracket_at(lie, f: MultiPoly, g: MultiPoly, eta: Sequence):
 def lift_gradient_at(F: Covariant, xi: Sequence, v: Sequence) -> list:
     """Gradient of the lift at a numeric point, without symbolic components.
 
-    The xi-partials are the coordinates F_a(v); the v-partials come from the
-    t-coefficient of F(v + t e_i) paired with xi.
+    The xi-partials are the coordinates F_a(v); the v_i-partial is xi paired
+    with DF_v(e_i), one dual-number evaluation per coordinate of V.
     """
     dv = F.rep.dim_v
     grad = list(F.coords_at(v))
     for i in range(dv):
-        line = [
-            MultiPoly(1, ({(0,): vj} if vj != 0 else {})) if j != i
-            else MultiPoly(1, {(1,): 1, (0,): vj} if vj != 0 else {(1,): 1})
-            for j, vj in enumerate(v)
-        ]
-        coords_t = F.coords_at(line)
-        acc = 0
-        for x, c in zip(xi, coords_t):
-            acc = acc + x * _t_coefficient(c, 1)
-        grad.append(normalize_scalar(acc) if is_scalar(acc) else acc)
+        d = _derivative_coords(F, v, _basis_coords(dv, i))
+        grad.append(normalize_scalar(sum(x * c for x, c in zip(xi, d))))
     return grad
 
 
-def poisson_pair_at(q: SemidirectProduct, F: Covariant, G: Covariant, xi: Sequence, v: Sequence):
-    """{F_hat, G_hat} at the dual point (xi, v), fully numerically."""
-    eta = list(xi) + list(v)
-    gf = lift_gradient_at(F, xi, v)
-    gg = lift_gradient_at(G, xi, v)
+def _lift_data(q: SemidirectProduct, F: Covariant, v: Sequence) -> tuple:
+    """F(v) in coordinates and F(v).v: what every bracket of F_hat needs at v."""
+    coords = F.coords_at(v)
+    return coords, q.rep.act(coords, v)
+
+
+def poisson_pair_at(
+    q: SemidirectProduct, F: Covariant, G: Covariant, xi: Sequence, v: Sequence, lifted=None
+):
+    """{F_hat, G_hat} at the dual point (xi, v), fully numerically.
+
+    Closed form: <xi, [F(v), G(v)] - DG_v(F(v).v) + DF_v(G(v).v)>.  The signs
+    follow q's bracket [e_a, zeta_j] = -sum_i rho_a[j, i] zeta_i, under which
+    <(xi, v), [x, beta]> = -beta(x.v) for x in g and beta in V*.  Costs one
+    evaluation of each covariant at v and two dual-number derivatives;
+    ``lifted`` is the pair of ``_lift_data`` of F and G at v when the caller
+    has already evaluated them.
+    """
+    if lifted is None:
+        lifted = (_lift_data(q, F, v), _lift_data(q, G, v))
+    (f_coords, f_moved), (g_coords, g_moved) = lifted
+    bracket = q.g.bracket_coords(f_coords, g_coords)
+    dg = _derivative_coords(G, v, f_moved)
+    df = _derivative_coords(F, v, g_moved)
     acc = 0
-    for (u, w), entry in q.lie.brackets.items():
-        cross = gf[u] * gg[w] - gf[w] * gg[u]
-        if cross == 0:
-            continue
-        lin = sum(coeff * eta[c] for c, coeff in entry.items())
-        acc = acc + lin * cross
+    for x, b, d_g, d_f in zip(xi, bracket, dg, df):
+        if x != 0:
+            acc = acc + x * (b - d_g + d_f)
     return normalize_scalar(acc)
 
 
@@ -703,8 +800,9 @@ def poisson_commute_check(
 
     def residual(point):
         xi, v = point
+        data = [_lift_data(q, F, v) for F in family] if pairs else []
         for i, j in pairs:
-            val = poisson_pair_at(q, family[i], family[j], xi, v)
+            val = poisson_pair_at(q, family[i], family[j], xi, v, (data[i], data[j]))
             if val != 0:
                 return ((i, j), (xi, v), val)
         return None
@@ -803,40 +901,6 @@ def degree_audit(degrees: Sequence[int], dim_v: int, q_quotient: int) -> DegreeA
     return DegreeAudit(degs, total, codim, surplus, books, verdict)
 
 
-class _Dual:
-    """Dual number a + b*eps with eps^2 = 0; carries one derivative."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.a + other.a, self.b + other.b)
-        return _Dual(self.a + other, self.b)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-        return _Dual(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        out = _Dual(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-
 def invariant_check(
     rep: Representation,
     poly: MultiPoly,
@@ -857,18 +921,12 @@ def invariant_check(
     rng = derive_rng(seed, "invariant", name)
 
     def polys():
-        vs = MultiPoly.variables(nv)
         for a in range(rep.algebra.dim):
-            d = MultiPoly.zero(nv)
-            for j, fj in enumerate(rep.act_basis(a, vs)):
-                if not _is_zero_entry(fj):
-                    d = d + _as_poly(fj, nv) * poly.partial(j)
-            yield None, d
+            yield None, _derivative_along(poly, rep.action[a])
 
     def residual(v):
         for a in range(rep.algebra.dim):
-            w = rep.act_basis(a, v)
-            val = poly.evaluate([_Dual(vi, wi) for vi, wi in zip(v, w)])
+            val = poly.evaluate(_dual_point(v, rep.act_basis(a, v)))
             d = val.b if isinstance(val, _Dual) else 0
             if d != 0:
                 return (a, v, d)

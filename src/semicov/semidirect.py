@@ -168,13 +168,19 @@ class RaisReport:
 
 
 def rais_consistency(
-    q: SemidirectProduct, seed: int = 0, samples: int = 20, bound: int = 10
+    q: SemidirectProduct,
+    seed: int = 0,
+    samples: int = 20,
+    bound: int = 10,
+    est: IndexEstimate | None = None,
 ) -> RaisReport:
     """Check ind(q) = dim V - dim g + dim g_x + ind g_x at a generic x in V.
 
     The generic point is the sampled minimiser of the stabiliser dimension;
     its stabiliser is extracted exactly and its own index is sampled inside
-    the subalgebra.
+    the subalgebra.  ``est`` is ``index_estimate(q.lie, seed, samples,
+    bound)`` when the caller already has it; both index estimates use
+    ``bound``.
     """
     rng = derive_rng(seed, "rais")
     best_x = None
@@ -190,9 +196,10 @@ def rais_consistency(
         stab_abelian = True
     else:
         sub = subalgebra(q.g, stab)
-        stab_index = index_estimate(sub, seed=seed, samples=samples).index
+        stab_index = index_estimate(sub, seed=seed, samples=samples, bound=bound).index
         stab_abelian = is_abelian(q.g, stab)
-    est = index_estimate(q.lie, seed=seed, samples=samples)
+    if est is None:
+        est = index_estimate(q.lie, seed=seed, samples=samples, bound=bound)
     expected = q.dim_v - q.dim_g + stab.dim + stab_index
     return RaisReport(
         dim_v=q.dim_v,

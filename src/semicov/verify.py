@@ -220,18 +220,12 @@ def _check_jacobi(q: SemidirectProduct, cfg: RunConfig, entry_id: str) -> dict:
 def _check_gs(cons: Construction, cfg: RunConfig, entry_id: str) -> dict:
     rep = cons.module
     rng = derive_rng(cfg.seed, "gs", entry_id)
-    best = None
     abelian_ok = True
     witness = None
-    points = []
-    for _ in range(cfg.samples):
-        v = rand_vector(rng, rep.dim_v, cfg.bound)
-        points.append(v)
-        s = stabiliser(rep, v)
-        if best is None or s.dim < best:
-            best = s.dim
-    for v in points:
-        s = stabiliser(rep, v)
+    points = [rand_vector(rng, rep.dim_v, cfg.bound) for _ in range(cfg.samples)]
+    stabs = [stabiliser(rep, v) for v in points]
+    best = min(s.dim for s in stabs)
+    for v, s in zip(points, stabs):
         if s.dim != best:
             continue
         try:
@@ -411,8 +405,8 @@ def _check_b_of_q(q: SemidirectProduct, cons: Construction, est) -> dict:
     return _row("b_of_q", "sampled-pass", detail="(dim q + ind q)/2 = %s = dim V + l" % b)
 
 
-def _check_rais(q: SemidirectProduct, cfg: RunConfig) -> dict:
-    rep = rais_consistency(q, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+def _check_rais(q: SemidirectProduct, cfg: RunConfig, est) -> dict:
+    rep = rais_consistency(q, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound, est=est)
     if not rep.consistent:
         return _row(
             "rais_consistency",
@@ -631,7 +625,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     checks.append(_timed(cfg, index_stabilized))
     checks.append(_timed(cfg, _check_b_of_q, q, cons, est))
-    checks.append(_timed(cfg, _check_rais, q, cfg))
+    checks.append(_timed(cfg, _check_rais, q, cfg, est))
     checks.append(_timed(cfg, _check_bookkeeping, cons, q))
 
     comparisons, table_check = _table_comparison(cons, entry_id, cons.params)

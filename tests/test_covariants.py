@@ -9,11 +9,16 @@ Oracles used here:
   the infinitesimal action (weights 4, 2, 0, -2, -4);
 * the conjugation-equivariant pair X and X^2 - (tr X^2 / 3) I on the adjoint
   sl3 module, whose lifts Poisson-commute and whose values span the
-  centraliser of a regular element.
+  centraliser of a regular element;
+* for the sampled layer: the exact ``poisson_bracket_at`` of the symbolic
+  lifts and the gradient form built from ``lift_gradient_at`` (closed-form
+  bracket), and ``sympy.diff`` of the components (dual-number derivatives),
+  on catalog modules with random non-kernel component covariants.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +41,7 @@ from semicov.covariants import (
     invariant_check,
     kernel_phi_check,
     kernel_span_check,
+    lift_gradient_at,
     lift_invariance_check,
     lift_polynomial,
     lift_value,
@@ -44,10 +50,12 @@ from semicov.covariants import (
     poisson_bracket_at,
     poisson_bracket_polys,
     poisson_commute_check,
+    poisson_pair_at,
     resolve_mode,
     weight_check,
     weight_under,
 )
+from semicov.catalog import build_construction, get_entry
 from semicov.lie import adjoint_rep, defining, direct_sum, sl
 from semicov.linalg import Matrix
 from semicov.poly import CutoffExceeded, MultiPoly
@@ -456,3 +464,131 @@ def test_bihomogeneous_degrees():
     q = MultiPoly(4, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
     assert bihomogeneous_degrees(q, 2) is None
     assert bihomogeneous_degrees(MultiPoly.zero(4), 2) == (0, 0)
+
+
+# -- the sampled layer against independent oracles -------------------------
+
+ORACLE_ENTRIES = (("ex5.1", {}), ("ex6.3/iii", {"m": 1}), ("ex-adjoint", {}))
+
+
+def random_covariant(rep, rng, name, max_degree=3):
+    """A component covariant with a few random terms per component; almost
+    surely outside the kernel and not equivariant."""
+    nv = rep.dim_v
+    comps = []
+    for _ in range(rep.algebra.dim):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exp = [0] * nv
+            for _ in range(rng.randint(1, max_degree)):
+                exp[rng.randrange(nv)] += 1
+            coeff = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+            terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
+        comps.append(MultiPoly(nv, terms))
+    return Covariant(rep, components=comps, name=name)
+
+
+def formula_view(F: Covariant) -> Covariant:
+    """The same map as F, given by a matrix formula instead of components."""
+    return Covariant(F.rep, matrix_formula=F.matrix_at, name=F.name + "-formula", degree=F.degree)
+
+
+def bracket_from_gradients(q, F, G, xi, v):
+    """{F_hat, G_hat}(xi, v) from the full gradients of both lifts."""
+    eta = list(xi) + list(v)
+    gf = lift_gradient_at(F, xi, v)
+    gg = lift_gradient_at(G, xi, v)
+    acc = 0
+    for (u, w), entry in q.lie.brackets.items():
+        lin = sum(coeff * eta[c] for c, coeff in entry.items())
+        acc += lin * (gf[u] * gg[w] - gf[w] * gg[u])
+    return acc
+
+
+@pytest.mark.parametrize("entry_id,overrides", ORACLE_ENTRIES)
+def test_poisson_pair_at_matches_exact_bracket(entry_id, overrides):
+    cons = build_construction(get_entry(entry_id), overrides)
+    rep = cons.module
+    q = SemidirectProduct(rep)
+    rng = random.Random(entry_id)
+    randoms = [random_covariant(rep, rng, "R%d" % k) for k in range(3)]
+    # random pairs, one through a matrix formula, and catalog members against
+    # randoms (the lifts of kernel covariants are Casimirs, so those are zero)
+    pairs = [(randoms[0], randoms[1]), (randoms[2], formula_view(randoms[0]))]
+    pairs += [(F, randoms[k % 3]) for k, F in enumerate(cons.family)]
+    nonzero = 0
+    for F, G in pairs:
+        lifts = (lift_polynomial(F), lift_polynomial(G))
+        for _ in range(2):
+            xi = [rng.randint(-5, 5) for _ in range(q.dim_g)]
+            v = [rng.randint(-5, 5) for _ in range(q.dim_v)]
+            got = poisson_pair_at(q, F, G, xi, v)
+            assert got == poisson_bracket_at(q.lie, *lifts, xi + v)
+            assert got == bracket_from_gradients(q, F, G, xi, v)
+            assert got == -poisson_pair_at(q, G, F, xi, v)
+            nonzero += got != 0
+    assert nonzero > 0  # the oracle saw nonzero brackets, not only zeros
+
+
+def _to_sympy(p: MultiPoly, syms):
+    import sympy
+
+    return sum(
+        (sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+         * sympy.Mul(*(s**k for s, k in zip(syms, e))) for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def test_directional_derivative_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    cases = [moment_covariant(), sl3_pair()[2]]
+    for entry_id, overrides in ORACLE_ENTRIES + (("ex5.3", {}),):
+        cons = build_construction(get_entry(entry_id), overrides)
+        R = random_covariant(cons.module, rng, "R")
+        cases += [cons.family[-1], R, formula_view(R)]
+    for F in cases:
+        nv = F.rep.dim_v
+        syms = sympy.symbols("x0:%d" % nv)
+        v = [rng.randint(-5, 5) for _ in range(nv)]
+        w = [rng.randint(-5, 5) for _ in range(nv)]
+        at_v = dict(zip(syms, v))
+        want = Matrix.zeros(F.rep.algebra.basis[0].nrows, F.rep.algebra.basis[0].ncols)
+        for comp, b in zip(F.components, F.rep.algebra.basis):
+            expr = _to_sympy(comp, syms)
+            d = sum((wj * sympy.diff(expr, s) for s, wj in zip(syms, w)), sympy.Integer(0))
+            d = sympy.Rational(d.subs(at_v))
+            want = want + b * Fraction(int(d.p), int(d.q))
+        assert directional_derivative(F, v, w) == want, F.name
+
+
+def test_sampled_poisson_witness_reevaluates():
+    cons = build_construction(get_entry("ex-adjoint"), {})
+    q = SemidirectProduct(cons.module)
+    rng = random.Random(3)
+    family = [formula_view(random_covariant(cons.module, rng, "R0")),
+              random_covariant(cons.module, rng, "R1")]
+    check = poisson_commute_check(q, family, mode="sampled", seed=2, trials=5)
+    assert check.verdict == "proved_nonzero" and check.mode == "sampled"
+    (i, j), (xi, v), value = check.witness
+    assert (i, j) == (0, 1) and value != 0
+    lifts = [lift_polynomial(F) for F in family]
+    assert poisson_bracket_at(q.lie, lifts[i], lifts[j], list(xi) + list(v)) == value
+
+
+@pytest.mark.parametrize("indices", [None, [0], [0, 3, 5]])
+def test_exact_equivariance_expands_once(monkeypatch, indices):
+    _, _, F = sl3_pair()
+    inner = Covariant.matrix_at
+    symbolic = []
+
+    def counting(self, v):
+        if v and isinstance(v[0], MultiPoly):
+            symbolic.append(len(v))
+        return inner(self, v)
+
+    monkeypatch.setattr(Covariant, "matrix_at", counting)
+    check = equivariance_check(F, basis_indices=indices, mode="exact")
+    assert check.verdict == "proved_zero"
+    assert len(symbolic) == 1

@@ -100,6 +100,26 @@ def test_rais_consistency():
         assert rep.stab_abelian
 
 
+def test_rais_consistency_takes_the_index_estimate(monkeypatch):
+    import semicov.semidirect as semidirect
+
+    q = q_adjoint_sl2()
+    inner = semidirect.index_estimate
+    bounds = []
+
+    def recording(lie, seed=0, samples=20, bound=10):
+        bounds.append(bound)
+        return inner(lie, seed=seed, samples=samples, bound=bound)
+
+    monkeypatch.setattr(semidirect, "index_estimate", recording)
+    fresh = rais_consistency(q, seed=0, bound=5)
+    assert bounds == [5, 5]  # the stabiliser's index, then ind q
+    est = inner(q.lie, seed=0, bound=5)
+    bounds.clear()
+    reused = rais_consistency(q, seed=0, bound=5, est=est)
+    assert bounds == [5] and reused == fresh
+
+
 def test_index_of_simple_algebra_is_rank():
     est = index_estimate(sl(3), seed=1)
     assert est.index == 2

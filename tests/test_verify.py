@@ -11,6 +11,8 @@ Covered here:
   instead of raising;
 * table rows: metadata-only rows report one skipped row, bare-module rows
   get their dimension/stabiliser checks;
+* the gs row computes each sampled stabiliser once, and the rais row reuses
+  the index_stabilized estimate and passes --bound to every index estimate;
 * the command line resolves aliases, prints one line per catalog entry or
   table row, emits parseable JSON (text is the default), and uses exit
   codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
@@ -58,6 +60,46 @@ def test_timings_are_opt_in():
     assert all(isinstance(v, float) and v == round(v, 3) for v in ms.values())
     # b_of_q only compares numbers; the index estimate does the elimination
     assert 0 < ms["b_of_q"] < ms["index_stabilized"]
+
+
+def test_gs_row_computes_each_stabiliser_once(monkeypatch):
+    import semicov.verify as verify
+
+    inner = verify.stabiliser
+    points = []
+
+    def counting(rep, v):
+        points.append(tuple(v))
+        return inner(rep, v)
+
+    monkeypatch.setattr(verify, "stabiliser", counting)
+    cfg = RunConfig(samples=7)
+    row = _checks_by_name(run_entry("ex5.2", cfg))["gs_dimension_toral"]
+    assert row["verdict"] == "sampled-pass"
+    assert len(points) == cfg.samples == len(set(points))
+
+
+@pytest.mark.parametrize("bound", [5, 10])
+def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
+    import semicov.semidirect as semidirect
+    import semicov.verify as verify
+
+    inner = semidirect.index_estimate
+    calls = []
+
+    def recording(lie, seed=0, samples=20, bound=10):
+        calls.append((lie.dim, bound))
+        return inner(lie, seed=seed, samples=samples, bound=bound)
+
+    monkeypatch.setattr(semidirect, "index_estimate", recording)
+    monkeypatch.setattr(verify, "index_estimate", recording)
+    report = run_entry("ex5.2", RunConfig(bound=bound))
+    rows = _checks_by_name(report)
+    assert rows["index_stabilized"]["verdict"] == "sampled-pass"
+    assert rows["rais_consistency"]["verdict"] == "sampled-pass"
+    # one estimate of ind q (shared by both rows) and one inside the stabiliser
+    assert len(calls) == 2 and calls[0][0] > calls[1][0]
+    assert all(b == bound for _, b in calls)
 
 
 def test_report_failed_property():
