@@ -10,7 +10,6 @@ from semicov.lie import (
     adjoint_rep,
     defining,
     ext_power,
-    generic_stabiliser_dim,
     gl,
     is_abelian,
     lift_factor,
@@ -19,9 +18,11 @@ from semicov.lie import (
     so,
     sp,
     stabiliser,
+    stabiliser_sample,
     tensor,
 )
 from semicov.linalg import Matrix
+from semicov.sampling import derive_rng
 
 
 def main() -> None:
@@ -57,7 +58,9 @@ def main() -> None:
     s = stabiliser(adj, v)
     print("stabiliser dimension at a regular point:", s.dim)
     print("abelian:", is_abelian(sl(3), s))
-    print("generic stabiliser dimension (sampled):", generic_stabiliser_dim(adj, seed=1))
+    sample = stabiliser_sample(adj, derive_rng(1, "demo"), samples=20)
+    print("generic stabiliser dimension (min over 20 sampled points):",
+          min(s.dim for _, s in sample))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ and the consistency identity relating ind q to stabilisers on the module
 side.
 """
 
-from semicov.lie import adjoint_rep, sl, stabiliser
+from semicov.lie import adjoint_rep, sl, stabiliser, stabiliser_sample
 from semicov.semidirect import (
     DualPoint,
     SemidirectProduct,
@@ -19,6 +19,7 @@ from semicov.semidirect import (
     moment_map,
     rais_consistency,
 )
+from semicov.sampling import derive_rng
 
 
 def main() -> None:
@@ -49,7 +50,8 @@ def main() -> None:
 
     print()
     print("== index consistency against the module side ==")
-    report = rais_consistency(q, seed=0)
+    sample = stabiliser_sample(rep, derive_rng(0, "demo"), samples=20)
+    report = rais_consistency(q, sample, est, seed=0)
     predicted = report.dim_v - report.dim_g + report.stab_dim + report.stab_index
     print("ind q =", report.index_q)
     print("dim V - dim g + dim g_x + ind g_x =", predicted)

@@ -19,7 +19,7 @@ least 1) is the number of sampled points evaluated, drawn from the check's
 own ``derive_rng`` stream.  An exact failure carries ``(point, value)``,
 prefixed by the basis index ``a`` (equivariance) or the pair ``(i, j)``
 (poisson_commute).  Sampled witnesses: kernel_phi ``(v, phi(F)(v))``;
-equivariance ``(a, v, rows of (x_a*F)(v))``; weight, covariant_zero and
+equivariance ``(a, v, rows of (x_a*F)(v))``; covariant_zero and
 covariant_match ``(v, rows of the residual)``; lift_invariance
 ``((xi, v, zeta), change of the lift)``; poisson_commute
 ``((i, j), (xi, v), bracket)``; invariant ``(a, v, derivative along x_a)``.
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .lie import Representation, stabiliser
+from .lie import Representation, Subspace
 from .linalg import Matrix, SpanSolver, is_scalar, normalize_scalar, rank, solve
 from .poly import MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
 from .sampling import derive_rng, rand_vector
@@ -148,10 +148,6 @@ class Covariant:
                 degs = [p.degree() for p in self._components if not p.is_zero()]
                 self.degree = max(int(d) for d in degs) if degs else 0
         return self._components
-
-    @staticmethod
-    def from_components(rep: Representation, comps: Sequence[MultiPoly], name: str = "") -> "Covariant":
-        return Covariant(rep, components=comps, name=name)
 
 
 def _is_zero_entry(c) -> bool:
@@ -397,34 +393,6 @@ def equivariance_check(
     )
 
 
-def weight_check(
-    F: Covariant,
-    x: Sequence,
-    weight,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 10,
-) -> ZeroCheck:
-    """x*F = weight * F for a fixed algebra element x (coordinates)."""
-    nv = F.rep.dim_v
-    rng = derive_rng(seed, "weight", F.name)
-
-    def polys():
-        fmat = _symbolic_matrix(F)
-        diff = act_on_matrix_polys(F, x, fmat) - fmat * weight
-        return _untagged(p for row in diff.rows for p in row)
-
-    def residual(v):
-        fmat = F.matrix_at(v)
-        return _matrix_witness(v, act_on_matrix_at(F, x, v, fmat) - fmat * weight)
-
-    return identity_check(
-        mode, nv, F.degree, polys, lambda: rand_vector(rng, nv, bound), residual,
-        trials, F.degree or 1,
-    )
-
-
 # -- vanishing and coincidence of covariants ------------------------------
 
 
@@ -531,32 +499,6 @@ def values_matrix_at(family: Sequence[Covariant], v: Sequence) -> Matrix:
     return Matrix.from_cols([F.coords_at(v) for F in family])
 
 
-def independence_witness(
-    family: Sequence[Covariant],
-    seed: int = 0,
-    trials: int = 25,
-    bound: int = 10,
-):
-    """A point where the values F_i(v) are linearly independent.
-
-    Returns (point, rank); a rank equal to len(family) at any single point
-    proves independence of the covariants over the function field.
-    """
-    if not family:
-        return ([], 0)
-    rng = derive_rng(seed, "independence", *(F.name for F in family))
-    nv = family[0].rep.dim_v
-    best = ([], -1)
-    for _ in range(trials):
-        v = rand_vector(rng, nv, bound)
-        r = rank(values_matrix_at(family, v))
-        if r == len(family):
-            return (v, r)
-        if r > best[1]:
-            best = (v, r)
-    return best
-
-
 @dataclass
 class KernelSpanReport:
     """Pointwise comparison of span{F_i(v)} with the stabiliser of v."""
@@ -569,22 +511,16 @@ class KernelSpanReport:
 
 
 def kernel_span_check(
-    family: Sequence[Covariant],
-    seed: int = 0,
-    trials: int = 8,
-    bound: int = 10,
+    family: Sequence[Covariant], sample: Sequence[tuple[list, Subspace]]
 ) -> KernelSpanReport:
-    """At sampled points: every F_i(v) lies in the stabiliser of v, and at
-    points where the stabiliser has its generic (minimal sampled) dimension
-    the values span it."""
-    rep = family[0].rep
-    rng = derive_rng(seed, "kernel_span", *(F.name for F in family))
+    """At each (point, stabiliser) pair of ``sample`` (as drawn by
+    ``lie.stabiliser_sample``): every F_i(v) lies in the stabiliser of v, and
+    at points where the stabiliser has its generic (minimal sampled)
+    dimension the values span it."""
     samples = []
     contained = True
     witness = None
-    for _ in range(trials):
-        v = rand_vector(rng, rep.dim_v, bound)
-        stab = stabiliser(rep, v)
+    for v, stab in sample:
         vals = values_matrix_at(family, v)
         for j, F in enumerate(family):
             if not stab.contains(vals.col(j)):
@@ -935,19 +871,3 @@ def invariant_check(
     return identity_check(
         mode, nv, deg, polys, lambda: rand_vector(rng, nv, bound), residual, trials, max(deg, 0)
     )
-
-
-def bihomogeneous_degrees(p: MultiPoly, n_first: int):
-    """Bidegree of p under the split (first n_first variables, the rest).
-
-    Returns the pair (d1, d2) when every monomial has the same split
-    degrees, (0, 0) for the zero polynomial, and None otherwise.
-    """
-    got = None
-    for exp in p.terms:
-        pair = (sum(exp[:n_first]), sum(exp[n_first:]))
-        if got is None:
-            got = pair
-        elif got != pair:
-            return None
-    return got if got is not None else (0, 0)

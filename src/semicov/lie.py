@@ -21,6 +21,7 @@ from .linalg import (
     rank,
     rank_and_kernel,
 )
+from .sampling import rand_vector
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,6 @@ class LieAlgebra:
                     for c, v in entry.items():
                         out[c] = out[c] + f * v
         return [normalize_scalar(v) for v in out]
-
-    def is_abelian_algebra(self) -> bool:
-        return not self.brackets
 
     def check_jacobi(
         self, rng: random.Random | None = None, exhaustive_limit: int = 40, samples: int = 200
@@ -229,18 +227,6 @@ def sp(n: int, form: Matrix | None = None) -> LieAlgebra:
     if g.dim != n * (n + 1) // 2:
         raise AssertionError("unexpected sp dimension")
     return g
-
-
-def classical(kind: str, n: int, form: Matrix | None = None) -> LieAlgebra:
-    if kind == "gl":
-        return gl(n)
-    if kind == "sl":
-        return sl(n)
-    if kind == "so":
-        return so(n, form)
-    if kind == "sp":
-        return sp(n, form)
-    raise ValueError("unknown classical kind %r" % kind)
 
 
 def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
@@ -488,54 +474,21 @@ def stabiliser(r: Representation, v: Sequence) -> Subspace:
     return Subspace(r.algebra.dim, kern)
 
 
-def generic_stabiliser_dim(
-    r: Representation,
-    seed: int = 0,
-    samples: int = 20,
-    bound: int = 10,
-    stable_run: int = 5,
-    rng: random.Random | None = None,
-) -> int:
-    """Sampled estimate of the stabiliser dimension at a generic point.
+def stabiliser_sample(
+    r: Representation, rng: random.Random, samples: int = 20, bound: int = 10
+) -> list[tuple[list, Subspace]]:
+    """`samples` integer points of V in [-bound, bound], each paired with its
+    exact stabiliser.
 
-    Draws integer points in [-bound, bound]; keeps the running minimum and
-    only stops once the minimum has been re-attained `stable_run` times in a
-    row past the requested sample count.
+    This is the one sample of generic points per module: the generic
+    stabiliser dimension is the minimum over the pairs, and every check
+    about g_x at a generic x reads the same pairs.
     """
-    if rng is None:
-        rng = random.Random(seed)
-    best = None
-    run = 0
-    attempts = 0
-    cap = samples + 60
-    while attempts < cap:
-        v = [rng.randint(-bound, bound) for _ in range(r.dim_v)]
-        attempts += 1
-        d = r.algebra.dim - rank(action_matrix_at(r, v))
-        if best is None or d < best:
-            best = d
-            run = 1
-        elif d == best:
-            run += 1
-        else:
-            run = 0
-        if attempts >= samples and run >= stable_run:
-            break
-    return best
-
-
-def generic_point(
-    r: Representation, seed: int = 0, samples: int = 20, bound: int = 10
-) -> tuple[list, Subspace]:
-    """A sampled point whose stabiliser dimension attains the running minimum,
-    together with its exact stabiliser."""
-    target = generic_stabiliser_dim(r, samples=samples, bound=bound, rng=random.Random(seed))
-    rng = random.Random(seed)
-    while True:
-        v = [rng.randint(-bound, bound) for _ in range(r.dim_v)]
-        s = stabiliser(r, v)
-        if s.dim == target:
-            return v, s
+    out = []
+    for _ in range(samples):
+        v = rand_vector(rng, r.dim_v, bound)
+        out.append((v, stabiliser(r, v)))
+    return out
 
 
 def is_abelian(g: LieAlgebra, s: Subspace) -> bool:

@@ -3,8 +3,8 @@
 Matrices store their entries as plain ``int``, ``fractions.Fraction``, or any
 ring element supporting ``+``, ``-``, ``*`` (polynomials).  Every routine here
 is exact: no floating point anywhere.  Rank and kernel computations require
-scalar (rational) entries; determinants, adjugates, characteristic polynomials
-and pfaffians also accept symbolic entries.
+scalar (rational) entries; determinants, adjugates and characteristic
+polynomials also accept symbolic entries.
 """
 
 from __future__ import annotations
@@ -532,51 +532,6 @@ def adjugate(m: Matrix) -> Matrix:
     if (n - 1) % 2:
         M = -M
     return M
-
-
-def pfaffian(m: Matrix):
-    """Pfaffian of a skew-symmetric matrix via first-row expansion.
-
-    Raises ValueError when the matrix is not skew-symmetric.  pf(m)^2 equals
-    det(m); odd orders give 0.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("pfaffian of non-square matrix")
-    for i in range(n):
-        if not _ring_is_zero(m.rows[i][i]):
-            raise ValueError("pfaffian needs zero diagonal")
-        for j in range(i + 1, n):
-            s = m.rows[i][j] + m.rows[j][i]
-            if not _ring_is_zero(s):
-                raise ValueError("pfaffian needs a skew-symmetric matrix")
-    if n % 2:
-        return 0
-    rows = m.rows
-    cache: dict[tuple[int, ...], object] = {}
-
-    def pf(idx: tuple[int, ...]):
-        if not idx:
-            return 1
-        got = cache.get(idx)
-        if got is not None:
-            return got
-        i0 = idx[0]
-        rest = idx[1:]
-        acc = 0
-        for k, j in enumerate(rest):
-            a = rows[i0][j]
-            if _ring_is_zero(a):
-                continue
-            sub = tuple(x for x in rest if x != j)
-            term = a * pf(sub)
-            if k % 2:
-                term = -term
-            acc = acc + term
-        cache[idx] = acc
-        return acc
-
-    return pf(tuple(range(n)))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -100,10 +100,6 @@ class MultiPoly:
             return False
         return d is None or degs == {d}
 
-    def constant_value(self):
-        """The coefficient of the constant term."""
-        return self.terms.get((0,) * self.num_vars, 0)
-
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.num_vars == other.num_vars and self.terms == other.terms

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lie import LieAlgebra, Representation, Subspace, stabiliser, subalgebra, is_abelian
+from .lie import LieAlgebra, Representation, Subspace, subalgebra, is_abelian
 from .linalg import Matrix, normalize_scalar, rank
 from .sampling import derive_rng, rand_vector
 
@@ -169,37 +169,27 @@ class RaisReport:
 
 def rais_consistency(
     q: SemidirectProduct,
+    sample: Sequence[tuple[list, Subspace]],
+    est: IndexEstimate,
     seed: int = 0,
-    samples: int = 20,
     bound: int = 10,
-    est: IndexEstimate | None = None,
 ) -> RaisReport:
     """Check ind(q) = dim V - dim g + dim g_x + ind g_x at a generic x in V.
 
-    The generic point is the sampled minimiser of the stabiliser dimension;
-    its stabiliser is extracted exactly and its own index is sampled inside
-    the subalgebra.  ``est`` is ``index_estimate(q.lie, seed, samples,
-    bound)`` when the caller already has it; both index estimates use
-    ``bound``.
+    ``sample`` holds (point, stabiliser) pairs of V, as drawn by
+    ``lie.stabiliser_sample``; x is its first point of minimal stabiliser
+    dimension.  The index of g_x is sampled inside the subalgebra, with as
+    many points as ``sample`` holds and within ``bound``.  ``est`` is the
+    estimate of ind q, ``index_estimate(q.lie, seed, samples, bound)``.
     """
-    rng = derive_rng(seed, "rais")
-    best_x = None
-    best: Subspace | None = None
-    for _ in range(samples):
-        x = rand_vector(rng, q.dim_v, bound)
-        s = stabiliser(q.rep, x)
-        if best is None or s.dim < best.dim:
-            best, best_x = s, x
-    stab = best
+    stab = min((s for _, s in sample), key=lambda s: s.dim)
     if stab.dim == 0:
         stab_index = 0
         stab_abelian = True
     else:
         sub = subalgebra(q.g, stab)
-        stab_index = index_estimate(sub, seed=seed, samples=samples, bound=bound).index
+        stab_index = index_estimate(sub, seed=seed, samples=len(sample), bound=bound).index
         stab_abelian = is_abelian(q.g, stab)
-    if est is None:
-        est = index_estimate(q.lie, seed=seed, samples=samples, bound=bound)
     expected = q.dim_v - q.dim_g + stab.dim + stab_index
     return RaisReport(
         dim_v=q.dim_v,

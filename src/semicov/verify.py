@@ -38,7 +38,7 @@ from .covariants import (
     poisson_commute_check,
     values_matrix_at,
 )
-from .lie import generic_stabiliser_dim, is_abelian, stabiliser
+from .lie import is_abelian, stabiliser_sample
 from .linalg import Matrix, rank
 from .poly import MultiPoly, ZeroCheck
 from .sampling import derive_rng, rand_vector
@@ -217,24 +217,17 @@ def _check_jacobi(q: SemidirectProduct, cfg: RunConfig, entry_id: str) -> dict:
     return _row("jacobi", "sampled-pass", detail="200 random basis triples, exact each")
 
 
-def _check_gs(cons: Construction, cfg: RunConfig, entry_id: str) -> dict:
-    rep = cons.module
-    rng = derive_rng(cfg.seed, "gs", entry_id)
-    abelian_ok = True
+def _check_gs(cons: Construction, sample: list) -> dict:
+    best = min(s.dim for _, s in sample)
     witness = None
-    points = [rand_vector(rng, rep.dim_v, cfg.bound) for _ in range(cfg.samples)]
-    stabs = [stabiliser(rep, v) for v in points]
-    best = min(s.dim for s in stabs)
-    for v, s in zip(points, stabs):
+    for v, s in sample:
         if s.dim != best:
             continue
         try:
-            if not is_abelian(rep.algebra, s):
-                abelian_ok = False
+            if not is_abelian(cons.module.algebra, s):
                 witness = ("non-abelian stabiliser", v)
                 break
         except ValueError:
-            abelian_ok = False
             witness = ("stabiliser not closed under bracket", v)
             break
     if best != cons.expected.rank:
@@ -242,19 +235,21 @@ def _check_gs(cons: Construction, cfg: RunConfig, entry_id: str) -> dict:
             "gs_dimension_toral",
             "fail",
             detail="sampled generic stabiliser dim %s != %d" % (best, cons.expected.rank),
-            witness=points[0],
+            witness=sample[0][0],
         )
-    if not abelian_ok:
+    if witness is not None:
         return _row("gs_dimension_toral", "fail", witness=witness)
     return _row(
         "gs_dimension_toral",
         "sampled-pass",
-        detail="dim %d, abelian at all %d minimal-dimension samples" % (best, cfg.samples),
+        detail="dim %d, abelian at all %d minimal-dimension samples" % (best, len(sample)),
     )
 
 
-def _check_quotient_estimate(cons: Construction, cfg: RunConfig) -> dict:
-    est = quotient_dim_estimate(cons.module, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+def _check_quotient_estimate(cons: Construction, sample: list) -> dict:
+    # dim V - max orbit rank, where the orbit rank at v is dim g - dim g_v
+    rep = cons.module
+    est = rep.dim_v - rep.algebra.dim + min(s.dim for _, s in sample)
     if est != cons.expected.quotient_dim:
         return _row(
             "quotient_dim_estimate",
@@ -264,18 +259,14 @@ def _check_quotient_estimate(cons: Construction, cfg: RunConfig) -> dict:
     return _row(
         "quotient_dim_estimate",
         "sampled-pass",
-        detail="dim V - max orbit rank = %d over %d samples" % (est, cfg.samples),
+        detail="dim V - max orbit rank = %d over %d samples" % (est, len(sample)),
     )
 
 
-def _check_independence(cons: Construction, cfg: RunConfig, entry_id: str) -> dict:
-    rng = derive_rng(cfg.seed, "independence", entry_id)
+def _check_independence(cons: Construction, sample: list) -> dict:
     want = len(cons.family)
-    last = None
-    for _ in range(cfg.samples):
-        v = rand_vector(rng, cons.module.dim_v, cfg.bound)
+    for v, _ in sample:
         r = independence_rank_at(cons.family, v)
-        last = (v, r)
         if r == want:
             return _row(
                 "independence_generic",
@@ -285,8 +276,8 @@ def _check_independence(cons: Construction, cfg: RunConfig, entry_id: str) -> di
     return _row(
         "independence_generic",
         "fail",
-        detail="rank %s < %d at every sampled point" % (last[1], want),
-        witness=last[0],
+        detail="rank %s < %d at every sampled point" % (r, want),
+        witness=v,
     )
 
 
@@ -307,8 +298,8 @@ def _check_witness_exact(cons: Construction) -> dict:
     )
 
 
-def _check_kernel_span(cons: Construction, cfg: RunConfig) -> dict:
-    rep_report = kernel_span_check(cons.family, seed=cfg.seed, trials=cfg.samples, bound=cfg.bound)
+def _check_kernel_span(cons: Construction, sample: list) -> dict:
+    rep_report = kernel_span_check(cons.family, sample)
     if not rep_report.contained:
         return _row("kernel_span", "fail", detail="value outside the stabiliser", witness=rep_report.witness)
     if not rep_report.spans_generically:
@@ -322,7 +313,7 @@ def _check_kernel_span(cons: Construction, cfg: RunConfig) -> dict:
         "kernel_span",
         "sampled-pass",
         detail="values span the %d-dim stabiliser at all %d generic samples"
-        % (rep_report.generic_stab_dim, cfg.samples),
+        % (rep_report.generic_stab_dim, len(sample)),
     )
 
 
@@ -405,8 +396,8 @@ def _check_b_of_q(q: SemidirectProduct, cons: Construction, est) -> dict:
     return _row("b_of_q", "sampled-pass", detail="(dim q + ind q)/2 = %s = dim V + l" % b)
 
 
-def _check_rais(q: SemidirectProduct, cfg: RunConfig, est) -> dict:
-    rep = rais_consistency(q, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound, est=est)
+def _check_rais(q: SemidirectProduct, cfg: RunConfig, sample: list, est) -> dict:
+    rep = rais_consistency(q, sample, est, seed=cfg.seed, bound=cfg.bound)
     if not rep.consistent:
         return _row(
             "rais_consistency",
@@ -525,8 +516,17 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     checks.append(_timed(cfg, _check_construction_audit, cons, entry_id, cons.params))
     checks.append(_timed(cfg, _check_jacobi, q, cfg, entry_id))
-    checks.append(_timed(cfg, _check_gs, cons, cfg, entry_id))
-    checks.append(_timed(cfg, _check_quotient_estimate, cons, cfg))
+    sample = None
+
+    def gs():
+        # the one sample of V that every row about the generic stabiliser reads
+        nonlocal sample
+        rng = derive_rng(cfg.seed, "gs", entry_id)
+        sample = stabiliser_sample(cons.module, rng, cfg.samples, cfg.bound)
+        return _check_gs(cons, sample)
+
+    checks.append(_timed(cfg, gs))
+    checks.append(_timed(cfg, _check_quotient_estimate, cons, sample))
 
     def kernel_all():
         results = [
@@ -587,11 +587,11 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
     for extra in cons.extras:
         checks.append(_timed(cfg, lambda e=extra: _from_zero_check(e.name, e.run(ctx))))
 
-    checks.append(_timed(cfg, _check_independence, cons, cfg, entry_id))
+    checks.append(_timed(cfg, _check_independence, cons, sample))
     if cons.witness is not None:
         checks.append(_timed(cfg, _check_witness_exact, cons))
     if cons.kernel_span:
-        checks.append(_timed(cfg, _check_kernel_span, cons, cfg))
+        checks.append(_timed(cfg, _check_kernel_span, cons, sample))
     checks.append(_timed(cfg, _check_degree_audit, cons))
 
     def lift_all():
@@ -625,7 +625,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     checks.append(_timed(cfg, index_stabilized))
     checks.append(_timed(cfg, _check_b_of_q, q, cons, est))
-    checks.append(_timed(cfg, _check_rais, q, cfg, est))
+    checks.append(_timed(cfg, _check_rais, q, cfg, sample, est))
     checks.append(_timed(cfg, _check_bookkeeping, cons, q))
 
     comparisons, table_check = _table_comparison(cons, entry_id, cons.params)
@@ -686,8 +686,10 @@ def run_table_row(row_id: str, cfg: RunConfig) -> dict:
     checks.append(
         _row("construction_audit", "pass", detail="dim V = %d; %s" % (rep.dim_v, frozen_note))
     )
-    rng = derive_rng(cfg.seed, "table-gs", row.id)
-    gs = generic_stabiliser_dim(rep, samples=cfg.samples, bound=cfg.bound, rng=rng)
+    # one orbit-map rank per sampled point: the orbit rank at v is
+    # dim g - dim g_v, so the quotient estimate also gives the generic gs
+    est = quotient_dim_estimate(rep, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+    gs = rep.algebra.dim - rep.dim_v + est
     if gs != expected["gs"]:
         checks.append(
             _row(
@@ -701,7 +703,6 @@ def run_table_row(row_id: str, cfg: RunConfig) -> dict:
             _row("gs_dimension_toral", "sampled-pass", detail="generic stabiliser dim %d" % gs)
         )
     if "quotient_dim" in expected:
-        est = quotient_dim_estimate(rep, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
         if est != expected["quotient_dim"]:
             checks.append(
                 _row(

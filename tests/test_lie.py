@@ -11,13 +11,10 @@ from semicov.lie import (
     LieAlgebra,
     Matrix,
     adjoint_rep,
-    classical,
     defining,
     direct_sum,
     dual,
     ext_power,
-    generic_point,
-    generic_stabiliser_dim,
     gl,
     is_abelian,
     lift_factor,
@@ -26,6 +23,7 @@ from semicov.lie import (
     so,
     sp,
     stabiliser,
+    stabiliser_sample,
     subalgebra,
     subrepresentation,
     sym_power,
@@ -131,7 +129,7 @@ def test_tensor_over_product_factors():
     ok, _ = v.check_homomorphism()
     assert ok
     # generic stabiliser is a twisted diagonal copy of sl2
-    assert generic_stabiliser_dim(v, seed=3) == 3
+    assert _generic_dim(v, seed=3) == 3
 
 
 def test_subrepresentation_primitive_ext2_sp4():
@@ -176,23 +174,34 @@ def test_stabiliser_adjoint():
     assert not s.contains([1, 0, 0])
 
 
+def _generic_dim(r, seed, samples=20):
+    return min(s.dim for _, s in stabiliser_sample(r, random.Random(seed), samples))
+
+
 def test_generic_stabiliser_dim_adjoint():
-    assert generic_stabiliser_dim(adjoint_rep(sl(2)), seed=0) == 1
-    assert generic_stabiliser_dim(adjoint_rep(sl(3)), seed=0) == 2
-    assert generic_stabiliser_dim(adjoint_rep(so(5)), seed=0) == 2
+    assert _generic_dim(adjoint_rep(sl(2)), seed=0) == 1
+    assert _generic_dim(adjoint_rep(sl(3)), seed=0) == 2
+    assert _generic_dim(adjoint_rep(so(5)), seed=0) == 2
 
 
 def test_generic_stabiliser_stable_across_seeds():
     r = adjoint_rep(sl(3))
-    dims = {generic_stabiliser_dim(r, seed=s) for s in (1, 2, 3, 4)}
+    dims = {_generic_dim(r, seed=s) for s in (1, 2, 3, 4)}
     assert dims == {2}
 
 
 def test_generic_point_matches_estimate():
+    # the sample pairs each drawn point, in [-bound, bound], with its exact
+    # stabiliser; one stream gives one sample
     r = adjoint_rep(sl(3))
-    v, s = generic_point(r, seed=5)
-    assert s.dim == 2
-    assert len(v) == 8
+    sample = stabiliser_sample(r, random.Random(5), samples=6, bound=3)
+    assert len(sample) == 6
+    assert sample == stabiliser_sample(r, random.Random(5), samples=6, bound=3)
+    for v, s in sample:
+        assert len(v) == 8 and all(-3 <= x <= 3 for x in v)
+        assert s.dim == stabiliser(r, v).dim
+        assert all(x == 0 for k in s.vectors for x in r.act(k, v))
+    assert min(s.dim for _, s in sample) == 2
 
 
 def test_is_abelian_and_subalgebra():
@@ -205,7 +214,7 @@ def test_is_abelian_and_subalgebra():
     cartan = Subspace(8, [h1, h2])
     assert is_abelian(g, cartan)
     sub = subalgebra(g, cartan)
-    assert sub.dim == 2 and sub.is_abelian_algebra()
+    assert sub.dim == 2 and not sub.brackets
 
     # e, h span of sl2 inside sl3 is closed but not abelian
     g2 = sl(2)

@@ -17,7 +17,6 @@ from semicov.linalg import (
     block_diag,
     char_poly,
     det,
-    pfaffian,
     rank,
     rank_and_kernel,
     solve,
@@ -159,32 +158,6 @@ def test_char_poly_symbolic():
     assert one == 1
     assert c1 == -(xs[0] + xs[3])
     assert c0 == xs[0] * xs[3] - xs[1] * xs[2]
-
-
-def test_pfaffian_frozen_and_square():
-    a = MultiPoly.variable(1, 0)
-    m = Matrix([[MultiPoly.zero(1), a], [-a, MultiPoly.zero(1)]])
-    assert pfaffian(m) == a
-    rng = random.Random(13)
-    for n in (2, 4, 6, 8):
-        raw = rand_matrix(rng, n, n)
-        skew = raw - raw.transpose()
-        pf = pfaffian(skew)
-        assert pf * pf == det(skew)
-
-
-def test_pfaffian_odd_order_zero():
-    rng = random.Random(3)
-    raw = rand_matrix(rng, 5, 5)
-    skew = raw - raw.transpose()
-    assert pfaffian(skew) == 0
-
-
-def test_pfaffian_rejects_non_skew():
-    with pytest.raises(ValueError):
-        pfaffian(Matrix([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError):
-        pfaffian(Matrix([[1, 1], [-1, 0]]))
 
 
 def test_solve_and_span_solver():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from semicov.lie import adjoint_rep, defining, sl
+from semicov.lie import adjoint_rep, defining, sl, stabiliser, stabiliser_sample
 from semicov.semidirect import (
     DualPoint,
     SemidirectProduct,
@@ -93,7 +93,8 @@ def test_index_defining_sl2():
 
 def test_rais_consistency():
     for q, stab_dim in ((q_adjoint_sl2(), 1), (q_defining_sl2(), 1)):
-        rep = rais_consistency(q, seed=0)
+        sample = stabiliser_sample(q.rep, derive_rng(0, "gs"))
+        rep = rais_consistency(q, sample, index_estimate(q.lie, seed=0), seed=0)
         assert rep.consistent
         assert rep.stabilised
         assert rep.stab_dim == stab_dim
@@ -101,23 +102,31 @@ def test_rais_consistency():
 
 
 def test_rais_consistency_takes_the_index_estimate(monkeypatch):
+    import semicov.lie as lie
     import semicov.semidirect as semidirect
 
     q = q_adjoint_sl2()
+    est = index_estimate(q.lie, seed=0, bound=5)
+    # the zero point first: x is the first point of minimal stabiliser dimension
+    points = [[0, 0, 0], [1, 0, 0], [2, 3, -1], [0, 0, 1]]
+    sample = [(v, stabiliser(q.rep, v)) for v in points]
     inner = semidirect.index_estimate
-    bounds = []
+    calls = []
 
-    def recording(lie, seed=0, samples=20, bound=10):
-        bounds.append(bound)
-        return inner(lie, seed=seed, samples=samples, bound=bound)
+    def recording(lie_alg, seed=0, samples=20, bound=10):
+        calls.append((lie_alg.dim, samples, bound))
+        return inner(lie_alg, seed=seed, samples=samples, bound=bound)
+
+    def no_stabiliser(rep, v):
+        raise AssertionError("rais_consistency must read the sample, not redraw it")
 
     monkeypatch.setattr(semidirect, "index_estimate", recording)
-    fresh = rais_consistency(q, seed=0, bound=5)
-    assert bounds == [5, 5]  # the stabiliser's index, then ind q
-    est = inner(q.lie, seed=0, bound=5)
-    bounds.clear()
-    reused = rais_consistency(q, seed=0, bound=5, est=est)
-    assert bounds == [5] and reused == fresh
+    monkeypatch.setattr(lie, "stabiliser", no_stabiliser)
+    rep = rais_consistency(q, sample, est, seed=0, bound=5)
+    # only the stabiliser's own index is estimated, over len(sample) points
+    assert calls == [(1, 4, 5)]
+    assert rep.stab_dim == 1 and rep.index_q == est.index == 2 and rep.consistent
+    assert rep.stabilised == est.stabilised
 
 
 def test_index_of_simple_algebra_is_rank():

@@ -11,8 +11,10 @@ Covered here:
   instead of raising;
 * table rows: metadata-only rows report one skipped row, bare-module rows
   get their dimension/stabiliser checks;
-* the gs row computes each sampled stabiliser once, and the rais row reuses
-  the index_stabilized estimate and passes --bound to every index estimate;
+* an entry draws one sample of V, in the gs row, and computes each sampled
+  stabiliser once for all five rows that read it; a table row makes one
+  orbit-map rank per sampled point; the rais row reuses the
+  index_stabilized estimate and passes --bound to every index estimate;
 * the command line resolves aliases, prints one line per catalog entry or
   table row, emits parseable JSON (text is the default), and uses exit
   codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
@@ -63,20 +65,43 @@ def test_timings_are_opt_in():
 
 
 def test_gs_row_computes_each_stabiliser_once(monkeypatch):
-    import semicov.verify as verify
+    import semicov.lie as lie
 
-    inner = verify.stabiliser
+    inner = lie.stabiliser
     points = []
 
     def counting(rep, v):
         points.append(tuple(v))
         return inner(rep, v)
 
-    monkeypatch.setattr(verify, "stabiliser", counting)
+    monkeypatch.setattr(lie, "stabiliser", counting)
     cfg = RunConfig(samples=7)
-    row = _checks_by_name(run_entry("ex5.2", cfg))["gs_dimension_toral"]
-    assert row["verdict"] == "sampled-pass"
+    rows = _checks_by_name(run_entry("ex-adjoint", cfg))
+    # ex-adjoint runs every row that reads the sample
+    for name in ("gs_dimension_toral", "quotient_dim_estimate", "independence_generic",
+                 "kernel_span", "rais_consistency"):
+        assert rows[name]["verdict"] == "sampled-pass", name
     assert len(points) == cfg.samples == len(set(points))
+
+
+def test_table_row_ranks_each_point_once(monkeypatch):
+    import semicov.catalog.support as support
+
+    inner = support.rank
+    shapes = []
+
+    def counting(m):
+        shapes.append((m.nrows, m.ncols))
+        return inner(m)
+
+    monkeypatch.setattr(support, "rank", counting)
+    cfg = RunConfig(samples=6)
+    report = run_table_row("table1/1a", cfg)
+    rows = _checks_by_name(report)
+    assert rows["gs_dimension_toral"]["verdict"] == "sampled-pass"
+    assert rows["quotient_dim_estimate"]["verdict"] == "sampled-pass"
+    # one orbit-map matrix (dim V rows, dim g columns) per sampled point
+    assert len(shapes) == cfg.samples and len(set(shapes)) == 1
 
 
 @pytest.mark.parametrize("bound", [5, 10])
