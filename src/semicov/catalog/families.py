@@ -672,12 +672,18 @@ def sym_skewdual_construction(n: int) -> Construction:
         coords = MultiPoly.variables(mod.dim_v)
         A, B = mod.decode(coords)
         ab = A * B
-        power = ab
+        odd, square = ab, None  # odd = (AB)^(2i-3) once i > 1
         for i in range(1, k + 1):
-            tr = power.trace()
-            if not tr.is_zero():
+            if i == 1:
+                tr = ab.trace()
+            else:
+                if square is None:
+                    square = ab * ab
+                tr = odd.trace_product(square)
+                if i < k:
+                    odd = odd * square
+            if tr != 0:
                 return ZeroCheck("proved_nonzero", "exact", witness=("trace", 2 * i - 1))
-            power = power * ab * ab
         return ZeroCheck("proved_zero", "exact")
 
     d_block = Matrix.identity(k)

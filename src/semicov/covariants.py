@@ -607,12 +607,8 @@ def lift_invariance_check(
 def _moment_poly(q: SemidirectProduct, a: int, n: int, dg: int, dv: int) -> MultiPoly:
     """mu_a(v, zeta) = <zeta, e_a . v> in the (xi, v, zeta) ring."""
     terms = {}
-    rho = q.rep.action[a]
-    for j in range(dv):
-        for i in range(dv):
-            cij = rho[j, i]
-            if cij == 0:
-                continue
+    for j, row in q.rep.nonzero_rows[a]:
+        for i, cij in row:
             exp = [0] * n
             exp[dg + i] += 1
             exp[dg + dv + j] += 1

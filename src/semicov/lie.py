@@ -89,11 +89,18 @@ class LieAlgebra:
         dim = len(mats)
         size = mats[0].nrows if mats else 0
         solver = SpanSolver([m.vec() for m in mats]) if mats else None
+        # nonzero entries of each basis matrix, by row and as (i, j, value)
+        by_row = [dict(_nonzero_rows(m)) for m in mats]
+        entries = [[(i, j, x) for i, r in rows.items() for j, x in r] for rows in by_row]
         brackets: dict = {}
         for a in range(dim):
             for b in range(a + 1, dim):
-                comm = mats[a] * mats[b] - mats[b] * mats[a]
-                coords = solver.coords(comm.vec())
+                comm = [0] * (size * size)
+                for left, right, sign in ((a, b, 1), (b, a, -1)):
+                    for i, j, x in entries[left]:
+                        for k, y in by_row[right].get(j, ()):
+                            comm[i * size + k] += sign * x * y
+                coords = solver.coords(comm)
                 if coords is None:
                     raise ValueError("matrix basis is not closed under commutator")
                 entry = {c: v for c, v in enumerate(coords) if v != 0}
@@ -132,14 +139,13 @@ class LieAlgebra:
         n = self.dim
 
         def jac(a, b, c):
-            ea = [0] * n
-            eb = [0] * n
-            ec = [0] * n
-            ea[a] = eb[b] = ec[c] = 1
-            t1 = self.bracket_coords(ea, self.bracket_coords(eb, ec))
-            t2 = self.bracket_coords(eb, self.bracket_coords(ec, ea))
-            t3 = self.bracket_coords(ec, self.bracket_coords(ea, eb))
-            return all(x + y + z == 0 for x, y, z in zip(t1, t2, t3))
+            # [e_a, [e_b, e_c]] + cyclic, composed from the sparse brackets
+            total: dict = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for d, s in self.bracket_basis(y, z).items():
+                    for e, t in self.bracket_basis(x, d).items():
+                        total[e] = total.get(e, 0) + s * t
+            return all(v == 0 for v in total.values())
 
         if n <= exhaustive_limit:
             triples = (
@@ -160,6 +166,12 @@ class LieAlgebra:
     def factor_basis_range(self, idx: int) -> range:
         f = self.factors[idx]
         return range(f.basis_offset, f.basis_offset + f.algebra.dim)
+
+
+def _nonzero_rows(m: Matrix) -> list:
+    """The nonzero rows of m as (i, [(j, m_ij), ...]), zero entries left out."""
+    rows = ((i, [(j, x) for j, x in enumerate(r) if x != 0]) for i, r in enumerate(m.rows))
+    return [(i, row) for i, row in rows if row]
 
 
 def _matrix_unit_basis(n: int):
@@ -259,7 +271,12 @@ def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
 
 
 class Representation:
-    """A module given by one action matrix per algebra basis element."""
+    """A module given by one action matrix per algebra basis element.
+
+    Nothing mutates ``action`` after construction, so ``nonzero_rows[a]``
+    (the nonzero rows of ``action[a]`` as (i, [(j, entry), ...])) is read
+    once here, and every action on a vector uses it.
+    """
 
     def __init__(self, algebra: LieAlgebra, action: Sequence[Matrix], label: str = ""):
         self.algebra = algebra
@@ -271,20 +288,35 @@ class Representation:
             if m.nrows != self.dim_v or m.ncols != self.dim_v:
                 raise ValueError("action matrices must be square of equal size")
         self.label = label
+        self.nonzero_rows = [_nonzero_rows(m) for m in self.action]
 
     def __repr__(self):
         return "Representation(%s on %s, dim=%d)" % (self.label or "V", self.algebra.name, self.dim_v)
 
+    def _row_values(self, a: int, v: Sequence):
+        """(i, (rho_a v)_i) over the nonzero rows i of rho_a."""
+        for i, row in self.nonzero_rows[a]:
+            acc = 0
+            for j, m in row:
+                b = v[j]
+                if b != 0:
+                    acc = acc + m * b
+            yield i, acc
+
     def act_basis(self, a: int, v: Sequence) -> list:
-        return self.action[a].apply(v)
+        """rho_a(v), the same values as ``self.action[a].apply(v)``."""
+        out = [0] * self.dim_v
+        for i, w in self._row_values(a, v):
+            out[i] = w
+        return out
 
     def act(self, x: Sequence, v: Sequence) -> list:
         out = [0] * self.dim_v
         for a, xa in enumerate(x):
             if xa == 0:
                 continue
-            av = self.action[a].apply(v)
-            out = [o + xa * w for o, w in zip(out, av)]
+            for i, w in self._row_values(a, v):
+                out[i] = out[i] + xa * w
         return [normalize_scalar(o) for o in out]
 
     def operator(self, x: Sequence) -> Matrix:

@@ -4,7 +4,9 @@ Matrices store their entries as plain ``int``, ``fractions.Fraction``, or any
 ring element supporting ``+``, ``-``, ``*`` (polynomials).  Every routine here
 is exact: no floating point anywhere.  Rank and kernel computations require
 scalar (rational) entries; determinants, adjugates and characteristic
-polynomials also accept symbolic entries.
+polynomials also accept symbolic entries.  Both eliminations update only the
+live columns: left of the pivot column every row below (and, in RREF, the
+pivot row) is already zero.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Sequence
 
 def normalize_scalar(x):
     """Collapse a Fraction with denominator 1 to a plain int."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # type() rather than isinstance: Fraction's ABC check is slow on hot paths
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -175,6 +178,17 @@ class Matrix:
             acc = acc + self.rows[i][i]
         return acc
 
+    def trace_product(self, other: "Matrix"):
+        """tr(self * other) from the entries, without forming the product."""
+        if self.nrows != other.ncols or self.ncols != other.nrows:
+            raise ValueError("shape mismatch in trace of product")
+        acc = 0
+        for row, col in zip(self.rows, zip(*other.rows)):
+            for a, b in zip(row, col):
+                if a != 0 and b != 0:
+                    acc = acc + a * b
+        return acc
+
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "Matrix":
         return Matrix([[self.rows[i][j] for j in keep_cols] for i in keep_rows])
 
@@ -234,13 +248,13 @@ def _int_rows(rows):
     for r in rows:
         lcm = 1
         for a in r:
-            if isinstance(a, Fraction):
+            if type(a) is Fraction:
                 d = a.denominator
                 if d != 1:
                     g = _gcd(lcm, d)
                     lcm = lcm // g * d
         if lcm == 1:
-            out.append([int(a) if isinstance(a, Fraction) else a for a in r])
+            out.append([int(a) if type(a) is Fraction else a for a in r])
         else:
             out.append([int(a * lcm) for a in r])
     return out
@@ -270,15 +284,17 @@ def _rref(rows: list[list], ncols: int) -> list[int]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
+        rr = rows[r]
+        p = rr[c]
         if p != 1:
             inv = Fraction(1, 1) / as_fraction(p)
-            rows[r] = [normalize_scalar(a * inv) for a in rows[r]]
-        rr = rows[r]
+            rr[c:] = [normalize_scalar(a * inv) for a in rr[c:]]
+        tail = rr[c:]
         for i in range(nrows):
-            f = rows[i][c]
+            ri = rows[i]
+            f = ri[c]
             if i != r and f != 0:
-                rows[i] = [normalize_scalar(a - f * b) for a, b in zip(rows[i], rr)]
+                ri[c:] = [normalize_scalar(a - f * b) for a, b in zip(ri[c:], tail)]
         pivots.append(c)
     return pivots
 
@@ -302,10 +318,11 @@ def rank(m: Matrix) -> int:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         p = rows[r][c]
+        tail = rows[r][c + 1 :]
         for i in range(r + 1, nrows):
-            xi = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            rows[i] = [(p * ri[j] - xi * rr[j]) // prev for j in range(ncols)]
+            ri = rows[i]
+            xi = ri[c]
+            ri[c + 1 :] = [(p * a - xi * b) // prev for a, b in zip(ri[c + 1 :], tail)]
         prev = p
         r += 1
         if r == nrows:
@@ -365,29 +382,37 @@ class SpanSolver:
         if len(self.pivots) != self.k:
             raise ValueError("basis vectors are linearly dependent")
         self.transform = [row[self.m :] for row in rows]  # reduced = transform @ basis
+        # Nonzeros only: column j of transform, and each basis vector off the
+        # pivots.  At a pivot the residual below vanishes by construction.
+        self._tcols = [
+            [(i, t[j]) for i, t in enumerate(self.transform) if t[j] != 0] for j in range(self.k)
+        ]
+        on_pivot = set(self.pivots)
+        self._free = [i for i in range(self.m) if i not in on_pivot]
+        self._off_pivot = [
+            [(i, b) for i, b in enumerate(v) if b != 0 and i not in on_pivot] for v in self.basis
+        ]
 
     def coords(self, w: Sequence, check: bool = True):
         """Coefficients of w in the basis, or None if not in the span."""
         c_red = [w[p] for p in self.pivots]
         # coefficients on the original basis: c = c_red @ transform
         out = []
-        for j in range(self.k):
+        for col in self._tcols:
             acc = 0
-            for i in range(self.k):
-                t = self.transform[i][j]
-                if t != 0:
-                    acc = acc + t * c_red[i]
+            for i, t in col:
+                acc = acc + t * c_red[i]
             out.append(acc)
         if check:
             residual = list(w)
-            for j, cj in enumerate(out):
+            for cj, nonzero in zip(out, self._off_pivot):
                 if cj == 0:
                     continue
-                bj = self.basis[j]
-                residual = [a - cj * b for a, b in zip(residual, bj)]
-            for a in residual:
-                if not _ring_is_zero(a):
-                    return None
+                for i, b in nonzero:
+                    residual[i] = residual[i] - cj * b
+            free = self._free if self.k else range(len(w))
+            if not all(_ring_is_zero(residual[i]) for i in free):
+                return None
         return [normalize_scalar(x) if is_scalar(x) else x for x in out]
 
 

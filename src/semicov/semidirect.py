@@ -9,7 +9,7 @@ for the estimate to count as stabilised).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,15 +44,8 @@ class SemidirectProduct:
         # [e_a, zeta_j] = - sum_i rho_a[j, i] zeta_i  (contragredient action)
         dg = self.dim_g
         for a in range(dg):
-            rho = rep.action[a]
-            for j in range(self.dim_v):
-                entry = {}
-                for i in range(self.dim_v):
-                    c = rho[j, i]
-                    if c != 0:
-                        entry[dg + i] = -c
-                if entry:
-                    brackets[(a, dg + j)] = entry
+            for j, row in rep.nonzero_rows[a]:
+                brackets[(a, dg + j)] = {dg + i: -c for i, c in row}
         self.lie = LieAlgebra(
             name or "%s |x V*" % self.g.name, self.dim, brackets
         )
@@ -120,6 +113,8 @@ class IndexEstimate:
     max_rank: int
     stabilised: bool
     samples: int
+    # (eta, rank of the Kirillov form at eta) for every point drawn, in order
+    ranks: list = field(default_factory=list, repr=False)
 
 
 def index_estimate(
@@ -128,24 +123,27 @@ def index_estimate(
     """ind(lie) = dim - max rank of the Kirillov form over sampled points.
 
     Runs two disjoint batches; the estimate is flagged stabilised only when
-    both batches attain the same maximal rank.
+    both batches attain the same maximal rank.  Every rank is recorded, so a
+    check on the form (its rank is even) reads the same points; an odd rank
+    is left for that check to report.
     """
     best = [0, 0]
+    ranks = []
     for batch in range(2):
         rng = derive_rng(seed, "kirillov", "batch%d" % batch)
         for _ in range(max(1, samples // 2)):
             eta = rand_vector(rng, lie.dim, bound)
             r = rank(kirillov_form(lie, eta))
+            ranks.append((eta, r))
             if r > best[batch]:
                 best[batch] = r
     max_rank = max(best)
-    if max_rank % 2:
-        raise AssertionError("Kirillov form rank must be even")
     return IndexEstimate(
         index=lie.dim - max_rank,
         max_rank=max_rank,
         stabilised=best[0] == best[1],
         samples=samples,
+        ranks=ranks,
     )
 
 

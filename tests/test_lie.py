@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -253,3 +254,109 @@ def test_stabiliser_dim_constant_along_orbit_directions():
         if stabiliser(r, shifted).dim == base:
             moved += 1
     assert moved >= 2
+
+
+# -- sparse kernels against dense references kept here ----------------------
+
+
+def _dense_jacobi(g, rng=None, exhaustive_limit=40, samples=200):
+    """check_jacobi as it was first written: dense coordinate vectors."""
+    n = g.dim
+
+    def jac(a, b, c):
+        ea, eb, ec = ([1 if i == k else 0 for i in range(n)] for k in (a, b, c))
+        t1 = g.bracket_coords(ea, g.bracket_coords(eb, ec))
+        t2 = g.bracket_coords(eb, g.bracket_coords(ec, ea))
+        t3 = g.bracket_coords(ec, g.bracket_coords(ea, eb))
+        return all(x + y + z == 0 for x, y, z in zip(t1, t2, t3))
+
+    if n <= exhaustive_limit:
+        for a in range(n):
+            for b in range(a + 1, n):
+                for c in range(b + 1, n):
+                    if not jac(a, b, c):
+                        return False, (a, b, c)
+        return True, None
+    rng = rng or random.Random(0)
+    for _ in range(samples):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        if not jac(a, b, c):
+            return False, (a, b, c)
+    return True, None
+
+
+def _random_algebra(rng, n, density):
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            entry = {c: rng.choice([-2, -1, 1, 2, Fraction(1, 2)]) for c in range(n)
+                     if rng.random() < density}
+            if entry:
+                brackets[(a, b)] = entry
+    return LieAlgebra("random", n, brackets)
+
+
+def _broken(g, rng):
+    """g with one structure constant nudged."""
+    brackets = {k: dict(v) for k, v in g.brackets.items()}
+    key = rng.choice(sorted(brackets))
+    c = rng.choice(sorted(brackets[key]))
+    brackets[key][c] = brackets[key][c] + 1
+    return LieAlgebra("broken", g.dim, brackets)
+
+
+def test_sparse_jacobi_matches_dense_reference():
+    rng = random.Random(5)
+    algebras = [sl(3), so(4), sp(4), gl(3)]
+    algebras += [_broken(g, rng) for g in (sl(3), so(4), sp(4), sl(4))]
+    algebras += [_random_algebra(rng, n, d) for n in (3, 4, 6) for d in (0.1, 0.3)]
+    verdicts = set()
+    for g in algebras:
+        want = _dense_jacobi(g)
+        assert g.check_jacobi() == want
+        verdicts.add(want[0])
+        # sampled triples above the limit: same rng draws, same first witness
+        assert g.check_jacobi(random.Random(7), 0, 50) == _dense_jacobi(g, random.Random(7), 0, 50)
+    assert verdicts == {True, False}
+
+
+def _dense_brackets(mats):
+    """Structure constants from dense commutators and a dense solve."""
+    from semicov.linalg import solve
+
+    cols = Matrix.from_cols([m.vec() for m in mats])
+    out = {}
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            comm = mats[a] * mats[b] - mats[b] * mats[a]
+            x = solve(cols, comm.vec())
+            entry = {c: v for c, v in enumerate(x) if v != 0}
+            if entry:
+                out[(a, b)] = entry
+    return out
+
+
+def test_from_matrices_matches_dense_reference():
+    algebras = [f(n) for f in (gl, sl, so) for n in (2, 3, 4)] + [sp(2), sp(4)]
+    algebras.append(so(3, Matrix([[0, 0, 1], [0, 2, 0], [1, 0, 0]])))
+    algebras.append(so(4, Matrix.diagonal([1, 2, -1, Fraction(1, 3)])))
+    for g in algebras:
+        assert g.brackets == _dense_brackets(g.basis), g
+        assert LieAlgebra.from_matrices("again", g.basis).brackets == g.brackets
+
+
+def test_act_matches_dense_apply():
+    rng = random.Random(11)
+    g = sl(3)
+    reps = [adjoint_rep(g), defining(g), dual(defining(g)), sym_power(defining(g), 2),
+            ext_power(defining(sp(4)), 2), direct_sum(defining(g), adjoint_rep(g))]
+    for r in reps:
+        for _ in range(5):
+            v = [rng.choice([0, 0, 1, -3, 5, Fraction(2, 3)]) for _ in range(r.dim_v)]
+            x = [rng.choice([0, 0, 2, -1, Fraction(-1, 2)]) for _ in range(r.algebra.dim)]
+            for a in range(r.algebra.dim):
+                assert r.act_basis(a, v) == r.action[a].apply(v)
+            dense = [0] * r.dim_v
+            for a, xa in enumerate(x):
+                dense = [o + xa * w for o, w in zip(dense, r.action[a].apply(v))]
+            assert r.act(x, v) == dense

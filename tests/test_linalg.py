@@ -243,13 +243,24 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_elimination_against_sympy(data):
-    """rank, rank_and_kernel, solve and inverse agree with sympy.Matrix."""
+    """rank, rank_and_kernel, solve and inverse agree with sympy.Matrix.
+
+    Shapes include zero columns and rows that repeat a combination of
+    earlier rows, so the eliminations skip columns and stop short.
+    """
     sympy = pytest.importorskip("sympy")
-    nrows = data.draw(st.integers(1, 4))
-    ncols = data.draw(st.integers(1, 4))
-    cell = st.one_of(st.just(Fraction(0)), small_rationals)
-    m = Matrix(data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
-                                  min_size=nrows, max_size=nrows)))
+    nrows = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 5))
+    cell = st.one_of(st.just(Fraction(0)), st.just(0), st.integers(-3, 3), small_rationals)
+    rows = data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[j] = 0
+    if nrows > 2 and data.draw(st.booleans()):
+        c = data.draw(small_rationals)
+        rows[-1] = [a * c + b for a, b in zip(rows[0], rows[1])]
+    m = Matrix(rows)
     sm = _sym(m)
     r, kern = rank_and_kernel(m)
     assert r == rank(m) == sm.rank()
@@ -267,3 +278,56 @@ def test_elimination_against_sympy(data):
                 inverse(m)
         else:
             assert inverse(m) == Matrix([[_frac(e) for e in row] for row in sm.inv().tolist()])
+
+
+def _dense_coords(ss: SpanSolver, w):
+    """SpanSolver.coords as it was first written: dense transform and residual."""
+    c_red = [w[p] for p in ss.pivots]
+    out = [sum((ss.transform[i][j] * c_red[i] for i in range(ss.k)), 0) for j in range(ss.k)]
+    residual = list(w)
+    for cj, bj in zip(out, ss.basis):
+        residual = [a - cj * b for a, b in zip(residual, bj)]
+    if any(a != 0 for a in residual):
+        return None
+    return out
+
+
+def test_span_solver_matches_dense_reference():
+    rng = random.Random(3)
+    xs = MultiPoly.variables(2)
+    cell = [0, 0, 0, 1, -2, 3, Fraction(1, 2)]
+    inside = outside = 0
+    for _ in range(40):
+        m = rng.randint(2, 7)
+        k = rng.randint(1, m)
+        basis = [[rng.choice(cell) for _ in range(m)] for _ in range(k)]
+        if rank(Matrix(basis)) < k:
+            continue
+        ss = SpanSolver(basis)
+        coeffs = [rng.choice([0, 2, -1, Fraction(3, 4), xs[0], xs[0] * xs[1] - 1]) for _ in range(k)]
+        w = [sum((c * b[i] for c, b in zip(coeffs, basis)), 0) for i in range(m)]
+        got = ss.coords(w)
+        assert got == _dense_coords(ss, w) == coeffs
+        inside += 1
+        other = [rng.choice(cell) for _ in range(m)]
+        for target in (other, [a + xs[1] * b for a, b in zip(w, other)]):
+            want = _dense_coords(ss, target)
+            assert ss.coords(target) == want
+            if rank(Matrix(basis + [other])) > k:
+                assert want is None
+                outside += 1
+    assert inside > 20 and outside > 10
+    assert SpanSolver([]).coords([0, 0]) == [] and SpanSolver([]).coords([0, 1]) is None
+
+
+def test_trace_product_from_entries():
+    rng = random.Random(9)
+    xs = MultiPoly.variables(3)
+    cell = [0, 0, 1, -2, Fraction(2, 3), xs[0], xs[1] * xs[2] - 1]
+    for n, m in ((1, 1), (2, 3), (4, 4), (3, 5)):
+        x = Matrix([[rng.choice(cell) for _ in range(m)] for _ in range(n)])
+        y = Matrix([[rng.choice(cell) for _ in range(n)] for _ in range(m)])
+        assert x.trace_product(y) == (x * y).trace()
+    assert Matrix.zeros(2, 2).trace_product(Matrix.identity(2)) == 0
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3).trace_product(Matrix.zeros(2, 3))

@@ -127,6 +127,44 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
     assert all(b == bound for _, b in calls)
 
 
+@pytest.mark.parametrize("samples", [20, 7])
+def test_kirillov_even_reads_the_index_sample(monkeypatch, samples):
+    import semicov.semidirect as semidirect
+
+    inner = semidirect.rank
+    shapes = []
+
+    def counting(m):
+        shapes.append(m.nrows)
+        return inner(m)
+
+    monkeypatch.setattr(semidirect, "rank", counting)
+    report = run_entry("ex5.2", RunConfig(samples=samples))
+    names = [c["name"] for c in report["checks"]]
+    assert names.index("kirillov_even") + 1 == names.index("index_stabilized")
+    row = _checks_by_name(report)["kirillov_even"]
+    ranked = 2 * max(1, samples // 2)
+    assert row == {"name": "kirillov_even", "verdict": "sampled-pass",
+                   "detail": "form rank even at %d sampled points" % ranked}
+    # Kirillov forms of q are ranked only by the index estimate
+    dim_q = max(shapes)
+    assert shapes.count(dim_q) == ranked
+
+
+def test_kirillov_even_fails_on_an_odd_rank_with_its_point():
+    from semicov.catalog import build_construction, get_entry
+    from semicov.semidirect import IndexEstimate, SemidirectProduct
+    from semicov.verify import _check_kirillov_even
+
+    q = SemidirectProduct(build_construction(get_entry("ex5.2"), {}).module)
+    eta = list(range(q.dim))
+    ranks = [([1] * q.dim, 4), (eta, 3), ([2] * q.dim, 5)]
+    est = IndexEstimate(index=0, max_rank=5, stabilised=True, samples=3, ranks=ranks)
+    row = _check_kirillov_even(q, est)
+    assert row["verdict"] == "fail"
+    assert row["witness"] == {"xi": eta[: q.dim_g], "v": eta[q.dim_g :]}
+
+
 def test_report_failed_property():
     green = Report(config={}, entries=[{"checks": [{"verdict": "pass"}, {"verdict": "skipped"}]}])
     assert not green.failed
