@@ -17,7 +17,7 @@ symbolic expansion, so oversized rings are never materialised by accident.
 Every ``*_check`` runs through ``poly.identity_check``: ``trials`` (at
 least 1) is the number of sampled points evaluated, drawn from the check's
 own ``derive_rng`` stream.  An exact failure carries ``(point, value)``,
-prefixed by the basis index ``a`` (equivariance) or the pair ``(i, j)``
+prefixed by the basis index ``a`` (equivariance) or by ``((i, j), a)``
 (poisson_commute).  Sampled witnesses: kernel_phi ``(v, phi(F)(v))``;
 equivariance ``(a, v, rows of (x_a*F)(v))``; covariant_zero and
 covariant_match ``(v, rows of the residual)``; lift_invariance
@@ -26,15 +26,22 @@ covariant_match ``(v, rows of the residual)``; lift_invariance
 
 Sampled checks evaluate each covariant once per point.  Directional
 derivatives come from one evaluation at dual numbers ``v + eps w`` (``_Dual``,
-exact int/Fraction parts).  The sampled Poisson bracket of two lifts
-``F_hat(xi, v) = <xi, F(v)>`` uses the closed form
+exact int/Fraction parts).  Both rows about the lifts
+``F_hat(xi, v) = <xi, F(v)>`` use one closed form each, in both modes:
 
-    {F_hat, G_hat}(xi, v) = <xi, [F(v), G(v)] - DG_v(F(v).v) + DF_v(G(v).v)>,
+    F_hat(xi + mu(v, zeta), v) - F_hat(xi, v) = <zeta, phi(F)(v)>,
+    {F_hat, G_hat}(xi, v) = <xi, [F(v), G(v)] - DG_v(phi(F)(v)) + DF_v(phi(G)(v))>,
 
-which follows from the bracket ``[e_a, zeta_j] = -sum_i rho_a[j, i] zeta_i``
-of ``semidirect.SemidirectProduct``: the gradient of a lift is
-``F(v) + d<xi, F>_v`` and ``<(xi, v), [x, beta]> = -beta(x.v)`` for x in g
-and beta in V*.  Exact equivariance expands F symbolically once per check.
+with ``mu_a(v, zeta) = <zeta, e_a.v>`` and ``phi(F)(v) = F(v).v``; the signs
+follow ``[e_a, zeta_j] = -sum_i rho_a[j, i] zeta_i`` in ``semidirect``.  So
+exact lift invariance expands ``phi(F)`` (witness ``(v, value)``, a
+coordinate of ``phi(F)(v)``), and exact poisson_commute expands the bracket's
+xi_a coefficients on V (witness ``(((i, j), a), (v, value))``).  ``auto``
+still sizes the rows by the rings of the lifts (dim g + 2 dim V variables,
+and dim q): the expansions on V have fewer variables and no higher degree,
+so every row resolves as before and no exact row is refused.  ``phi_polys``
+and ``components`` are cached on the covariant and shared by kernel_phi, the
+lift rows and Poisson; exact equivariance expands F's matrix once per check.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .lie import Representation, Subspace
-from .linalg import Matrix, SpanSolver, is_scalar, normalize_scalar, rank, solve
+from .linalg import Matrix, SpanSolver, normalize_scalar, rank, solve
 from .poly import MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
 from .sampling import derive_rng, rand_vector
-from .semidirect import SemidirectProduct, moment_map
+from .semidirect import SemidirectProduct
 
 
 def _as_poly(x, num_vars: int) -> MultiPoly:
@@ -68,9 +75,10 @@ class Covariant:
 
     Exactly one of ``matrix_formula`` (coords of V, in any commutative ring,
     to a matrix in g's realisation) or ``components`` (one polynomial per
-    basis element of g) must describe the map; the other view is derived on
-    demand.  ``degree`` is the stated polynomial degree, used to budget
-    exact checks before anything is expanded.
+    basis element of g) must describe the map.  Components are derived on
+    demand and cached for symbolic work; a formula, when given, is what every
+    evaluation runs.  ``degree`` is the stated polynomial degree, used to
+    budget exact checks before anything is expanded.
     """
 
     def __init__(
@@ -95,6 +103,7 @@ class Covariant:
                 degree = max(int(d) for d in degs) if degs else 0
         self.degree = degree
         self._solver: SpanSolver | None = None
+        self._phi: list[MultiPoly] | None = None
 
     def __repr__(self):
         return "Covariant(%s: %s -> %s)" % (
@@ -117,19 +126,11 @@ class Covariant:
         """F(v) in the algebra's matrix realisation; v in any ring."""
         if self._formula is not None:
             return self._formula(list(v))
-        basis = self.rep.algebra.basis
-        if basis is None:
-            raise ValueError("algebra has no matrix realisation")
-        out = Matrix.zeros(basis[0].nrows, basis[0].ncols)
-        for c, b in zip(self.coords_at(v), basis):
-            if _is_zero_entry(c):
-                continue
-            out = out + b * c
-        return out
+        return _algebra_matrix(self.rep.algebra, self.coords_at(v))
 
     def coords_at(self, v: Sequence) -> list:
         """F(v) in g's basis coordinates; entries live in v's ring."""
-        if self._components is not None:
+        if self._formula is None:
             return [_eval_component(p, v) for p in self._components]
         mat = self._formula(list(v))
         coords = self._basis_solver().coords(mat.vec())
@@ -148,10 +149,6 @@ class Covariant:
                 degs = [p.degree() for p in self._components if not p.is_zero()]
                 self.degree = max(int(d) for d in degs) if degs else 0
         return self._components
-
-
-def _is_zero_entry(c) -> bool:
-    return c.is_zero() if isinstance(c, MultiPoly) else c == 0
 
 
 class _Dual:
@@ -250,8 +247,8 @@ def act_on_matrix_polys(F: Covariant, x: Sequence, fmat: Matrix) -> Matrix:
     nv = F.rep.dim_v
     xmat = _algebra_matrix(F.rep.algebra, x)
     bracket = xmat * fmat - fmat * xmat
-    op = F.rep.operator(x)
-    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(e, op))
+    rows = _operator_rows(F.rep, x)
+    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(e, rows))
 
 
 def act_on_matrix_at(F: Covariant, x: Sequence, v: Sequence, fmat: Matrix | None = None) -> Matrix:
@@ -267,26 +264,40 @@ def act_on_components(F: Covariant, x: Sequence) -> list[MultiPoly]:
     nv = F.rep.dim_v
     comps = F.components
     bracket = F.rep.algebra.bracket_coords(list(x), comps)
-    op = F.rep.operator(x)
-    return [_as_poly(br, nv) - _derivative_along(comp, op) for br, comp in zip(bracket, comps)]
+    rows = _operator_rows(F.rep, x)
+    return [_as_poly(br, nv) - _derivative_along(comp, rows) for br, comp in zip(bracket, comps)]
 
 
-def _derivative_along(p: MultiPoly, op: Matrix) -> MultiPoly:
+def _operator_rows(rep: Representation, x: Sequence) -> list:
+    """The rows of rho(x) = sum_a x_a rho_a, shaped like ``rep.nonzero_rows[a]``."""
+    rows: dict = {}
+    for a, xa in enumerate(x):
+        if xa != 0:
+            for j, row in rep.nonzero_rows[a]:
+                acc = rows.setdefault(j, {})
+                for i, c in row:
+                    acc[i] = normalize_scalar(acc.get(i, 0) + xa * c)
+    return [(j, [(i, c) for i, c in acc.items() if c != 0]) for j, acc in sorted(rows.items())]
+
+
+def _derivative_along(p: MultiPoly, rows: list) -> MultiPoly:
     """Derivative of p along the linear vector field v -> op.v.
 
-    Computed term by term: sum_j d_j(p) (op.v)_j sends c v^e to
-    sum_{j, i} c e_j op[j, i] v^(e - u_j + u_i), with no polynomial products.
+    ``rows`` are the nonzero rows of op, shaped like
+    ``Representation.nonzero_rows[a]``.  Computed term by term:
+    sum_j d_j(p) (op.v)_j sends c v^e to sum_{j, i} c e_j op[j, i]
+    v^(e - u_j + u_i), with no polynomial products.
     """
-    nonzero = [[(i, normalize_scalar(c)) for i, c in enumerate(row) if c != 0] for row in op.rows]
     out: dict = {}
     for e, c in p.terms.items():
         exp = list(e)
-        for j, k in enumerate(e):
-            if not k or not nonzero[j]:
+        for j, row in rows:
+            k = e[j]
+            if not k:
                 continue
             ck = c * k
             exp[j] = k - 1
-            for i, a in nonzero[j]:
+            for i, a in row:
                 exp[i] += 1
                 key = tuple(exp)
                 exp[i] -= 1
@@ -295,15 +306,23 @@ def _derivative_along(p: MultiPoly, op: Matrix) -> MultiPoly:
     return MultiPoly(p.num_vars, out)
 
 
+def _along_field(p: MultiPoly, field: Sequence[MultiPoly]) -> MultiPoly:
+    """Derivative of p along the polynomial vector field v -> field(v)."""
+    acc = MultiPoly.zero(p.num_vars)
+    for k, f in enumerate(field):
+        if not f.is_zero():
+            acc = acc + f * p.partial(k)
+    return acc
+
+
 def _algebra_matrix(algebra, x: Sequence) -> Matrix:
     basis = algebra.basis
     if basis is None:
         raise ValueError("algebra has no matrix realisation")
     out = Matrix.zeros(basis[0].nrows, basis[0].ncols)
     for c, b in zip(x, basis):
-        if _is_zero_entry(c):
-            continue
-        out = out + b * c
+        if c != 0:
+            out = out + b * c
     return out
 
 
@@ -317,12 +336,13 @@ def _basis_coords(dim: int, a: int) -> list:
 
 
 def phi_polys(F: Covariant) -> list[MultiPoly]:
-    """phi(F)(v) = F(v).v as coordinate polynomials on V."""
-    nv = F.rep.dim_v
-    vs = MultiPoly.variables(nv)
-    coords = F.coords_at(vs)
-    out = F.rep.act(coords, vs)
-    return [_as_poly(o, nv) for o in out]
+    """phi(F)(v) = F(v).v as coordinate polynomials on V (built once from
+    ``F.components``, cached on F)."""
+    if F._phi is None:
+        nv = F.rep.dim_v
+        out = F.rep.act(F.components, MultiPoly.variables(nv))
+        F._phi = [_as_poly(o, nv) for o in out]
+    return F._phi
 
 
 def phi_at(F: Covariant, v: Sequence) -> list:
@@ -536,32 +556,6 @@ def kernel_span_check(
 # -- lifts to the semidirect product ---------------------------------------
 
 
-def lift_polynomial(F: Covariant) -> MultiPoly:
-    """The lift (xi, v) -> <xi, F(v)> on the dual of g x V*.
-
-    Variables: xi (dim g, first) then v (dim V), matching the combined
-    coordinate order of the semidirect product's dual.
-    """
-    dg = F.rep.algebra.dim
-    dv = F.rep.dim_v
-    n = dg + dv
-    acc = MultiPoly.zero(n)
-    for a, comp in enumerate(F.components):
-        if comp.is_zero():
-            continue
-        xi_a = MultiPoly.variable(n, a)
-        acc = acc + xi_a * comp.shift(dg, n)
-    return acc
-
-
-def lift_value(F: Covariant, xi: Sequence, v: Sequence):
-    """<xi, F(v)> at a numeric point, straight from the formula."""
-    acc = 0
-    for x, c in zip(xi, F.coords_at(v)):
-        acc = acc + x * c
-    return normalize_scalar(acc) if is_scalar(acc) else acc
-
-
 def lift_invariance_check(
     q: SemidirectProduct,
     F: Covariant,
@@ -570,95 +564,46 @@ def lift_invariance_check(
     trials: int | None = None,
     bound: int = 10,
 ) -> ZeroCheck:
-    """Invariance of the lift under the unipotent coadjoint substitution:
+    """F_hat(xi + mu(v, zeta), v) = F_hat(xi, v) for all zeta, i.e. phi(F) = 0.
 
-        F_hat(xi + mu(v, zeta), v) = F_hat(xi, v)   for all zeta.
-
-    Exact mode works in the ring with variables xi, v, zeta; sampled mode
-    evaluates both sides at random integer points.
+    The change of the lift is <zeta, phi(F)(v)>.  Exact mode expands
+    ``phi_polys(F)`` (witness ``(v, value)``, value a coordinate of
+    phi(F)(v)); sampled mode draws (xi, v, zeta) and evaluates the change.
+    ``auto`` sizes the identity by the (xi, v, zeta) ring of the lift.
     """
     if q.rep is not F.rep:
         raise ValueError("covariant and semidirect product use different modules")
     dg, dv = q.dim_g, q.dim_v
-    n = dg + 2 * dv
     deg = None if F.degree is None else F.degree + 2
     rng = derive_rng(seed, "lift_invariance", F.name)
-
-    def polys():
-        hat = lift_polynomial(F).extend(n)
-        images = [MultiPoly.variable(n, i) for i in range(n)]
-        for a in range(dg):
-            images[a] = images[a] + _moment_poly(q, a, n, dg, dv)
-        return [(None, hat.substitute(images, n) - hat)]
 
     def sample():
         return (rand_vector(rng, dg, bound), rand_vector(rng, dv, bound), rand_vector(rng, dv, bound))
 
     def residual(point):
-        xi, v, zeta = point
-        mu = moment_map(q, v, zeta)
-        before = lift_value(F, xi, v)
-        after = lift_value(F, [x + m_ for x, m_ in zip(xi, mu)], v)
-        return (point, after - before) if after != before else None
+        _, v, zeta = point
+        change = normalize_scalar(sum(z * p for z, p in zip(zeta, phi_at(F, v)) if z != 0))
+        return (point, change) if change != 0 else None
 
-    return identity_check(mode, n, deg, polys, sample, residual, trials, (F.degree or 1) + 2)
-
-
-def _moment_poly(q: SemidirectProduct, a: int, n: int, dg: int, dv: int) -> MultiPoly:
-    """mu_a(v, zeta) = <zeta, e_a . v> in the (xi, v, zeta) ring."""
-    terms = {}
-    for j, row in q.rep.nonzero_rows[a]:
-        for i, cij in row:
-            exp = [0] * n
-            exp[dg + i] += 1
-            exp[dg + dv + j] += 1
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0) + cij
-    return MultiPoly(n, {k: c for k, c in terms.items() if c != 0})
+    return identity_check(
+        mode, dg + 2 * dv, deg, lambda: _untagged(phi_polys(F)), sample, residual, trials,
+        (F.degree or 1) + 2,
+    )
 
 
-# -- Poisson brackets on the dual ------------------------------------------
+def poisson_coords(F: Covariant, G: Covariant) -> list[MultiPoly]:
+    """{F_hat, G_hat} as polynomials on V, one per basis element of g.
 
-
-def poisson_bracket_polys(lie, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """{f, g} on the dual of a Lie algebra, as a polynomial.
-
-    Both arguments live in the coordinate ring of the dual (one variable per
-    basis element, in basis order)."""
-    n = lie.dim
-    if f.num_vars != n or g.num_vars != n:
-        raise ValueError("polynomials must live on the dual of the algebra")
-    df = [f.partial(u) for u in range(n)]
-    dg = [g.partial(u) for u in range(n)]
-    acc = MultiPoly.zero(n)
-    for (u, w), entry in lie.brackets.items():
-        cross = df[u] * dg[w] - df[w] * dg[u]
-        if cross.is_zero():
-            continue
-        lin = MultiPoly(n, {_unit_exp(n, c): coeff for c, coeff in entry.items()})
-        acc = acc + lin * cross
-    return acc
-
-
-def _unit_exp(n: int, c: int) -> tuple:
-    e = [0] * n
-    e[c] = 1
-    return tuple(e)
-
-
-def poisson_bracket_at(lie, f: MultiPoly, g: MultiPoly, eta: Sequence):
-    """{f, g} evaluated at a point of the dual."""
-    n = lie.dim
-    df = [f.partial(u).evaluate(eta) for u in range(n)]
-    dg = [g.partial(u).evaluate(eta) for u in range(n)]
-    acc = 0
-    for (u, w), entry in lie.brackets.items():
-        cross = df[u] * dg[w] - df[w] * dg[u]
-        if cross == 0:
-            continue
-        lin = sum(coeff * eta[c] for c, coeff in entry.items())
-        acc = acc + lin * cross
-    return normalize_scalar(acc)
+    Coordinate a is the coefficient of xi_a in the closed form of the module
+    docstring: [F, G]_a - D_{phi(F)} G_a + D_{phi(G)} F_a.  The D-terms
+    vanish where phi does, so a kernel family costs one bracket per pair.
+    """
+    nv = F.rep.dim_v
+    fc, gc = F.components, G.components
+    bracket = F.rep.algebra.bracket_coords(fc, gc)
+    phi_f, phi_g = phi_polys(F), phi_polys(G)
+    return [_as_poly(b, nv) - _along_field(g, phi_f) + _along_field(f, phi_g)
+            for b, f, g in zip(bracket, fc, gc)]
 
 
 def lift_gradient_at(F: Covariant, xi: Sequence, v: Sequence) -> list:
@@ -684,14 +629,12 @@ def _lift_data(q: SemidirectProduct, F: Covariant, v: Sequence) -> tuple:
 def poisson_pair_at(
     q: SemidirectProduct, F: Covariant, G: Covariant, xi: Sequence, v: Sequence, lifted=None
 ):
-    """{F_hat, G_hat} at the dual point (xi, v), fully numerically.
+    """{F_hat, G_hat} at the dual point (xi, v), by the module docstring's
+    closed form <xi, [F(v), G(v)] - DG_v(F(v).v) + DF_v(G(v).v)>.
 
-    Closed form: <xi, [F(v), G(v)] - DG_v(F(v).v) + DF_v(G(v).v)>.  The signs
-    follow q's bracket [e_a, zeta_j] = -sum_i rho_a[j, i] zeta_i, under which
-    <(xi, v), [x, beta]> = -beta(x.v) for x in g and beta in V*.  Costs one
-    evaluation of each covariant at v and two dual-number derivatives;
-    ``lifted`` is the pair of ``_lift_data`` of F and G at v when the caller
-    has already evaluated them.
+    Costs one evaluation of each covariant at v and two dual-number
+    derivatives; ``lifted`` is the pair of ``_lift_data`` of F and G at v
+    when the caller has already evaluated them.
     """
     if lifted is None:
         lifted = (_lift_data(q, F, v), _lift_data(q, G, v))
@@ -714,7 +657,13 @@ def poisson_commute_check(
     trials: int | None = None,
     bound: int = 10,
 ) -> ZeroCheck:
-    """All pairwise Poisson brackets of the lifted family vanish."""
+    """All pairwise Poisson brackets of the lifted family vanish.
+
+    Exact mode expands ``poisson_coords`` of each pair, tagged ``((i, j), a)``;
+    a failure's value is ``poisson_pair_at(q, F_i, F_j, e_a, v)``.  Sampled
+    mode evaluates the bracket at random (xi, v).  ``auto`` sizes the
+    identity by dim q, as the module docstring says.
+    """
     degs = [F.degree for F in family]
     deg = None
     if all(d is not None for d in degs) and len(family) >= 2:
@@ -726,9 +675,9 @@ def poisson_commute_check(
     rng = derive_rng(seed, "poisson", *(F.name for F in family))
 
     def polys():
-        lifts = [lift_polynomial(F) for F in family]
         for i, j in pairs:
-            yield (i, j), poisson_bracket_polys(q.lie, lifts[i], lifts[j])
+            for a, p in enumerate(poisson_coords(family[i], family[j])):
+                yield ((i, j), a), p
 
     def residual(point):
         xi, v = point
@@ -854,7 +803,7 @@ def invariant_check(
 
     def polys():
         for a in range(rep.algebra.dim):
-            yield None, _derivative_along(poly, rep.action[a])
+            yield None, _derivative_along(poly, rep.nonzero_rows[a])
 
     def residual(v):
         for a in range(rep.algebra.dim):

@@ -319,14 +319,6 @@ class Representation:
                 out[i] = out[i] + xa * w
         return [normalize_scalar(o) for o in out]
 
-    def operator(self, x: Sequence) -> Matrix:
-        out = Matrix.zeros(self.dim_v, self.dim_v)
-        for a, xa in enumerate(x):
-            if xa == 0:
-                continue
-            out = out + self.action[a] * xa
-        return out
-
     def check_homomorphism(self, pairs: Sequence[tuple[int, int]] | None = None):
         """rho([e_a, e_b]) == [rho_a, rho_b], exactly.
 

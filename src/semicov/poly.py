@@ -257,25 +257,6 @@ class MultiPoly:
             acc = acc + t
         return acc
 
-    def extend(self, num_vars_new: int) -> "MultiPoly":
-        """Embed into a ring with extra trailing variables."""
-        if num_vars_new < self.num_vars:
-            raise ValueError("cannot shrink the ring")
-        pad = (0,) * (num_vars_new - self.num_vars)
-        p = MultiPoly(num_vars_new)
-        p.terms = {e + pad: c for e, c in self.terms.items()}
-        return p
-
-    def shift(self, offset: int, num_vars_new: int) -> "MultiPoly":
-        """Embed with all variable indices moved up by offset."""
-        if offset + self.num_vars > num_vars_new:
-            raise ValueError("shifted ring too small")
-        lead = (0,) * offset
-        tail = (0,) * (num_vars_new - offset - self.num_vars)
-        p = MultiPoly(num_vars_new)
-        p.terms = {lead + e + tail: c for e, c in self.terms.items()}
-        return p
-
     def coefficients_in_last_var(self) -> list["MultiPoly"]:
         """Coefficients of powers of the last variable, as polynomials in the
         remaining variables.  Index i of the result is the coefficient of

@@ -10,10 +10,12 @@ Oracles used here:
 * the conjugation-equivariant pair X and X^2 - (tr X^2 / 3) I on the adjoint
   sl3 module, whose lifts Poisson-commute and whose values span the
   centraliser of a regular element;
-* for the sampled layer: the exact ``poisson_bracket_at`` of the symbolic
-  lifts and the gradient form built from ``lift_gradient_at`` (closed-form
-  bracket), and ``sympy.diff`` of the components (dual-number derivatives),
-  on catalog modules with random non-kernel component covariants.
+* for the lift rows: the symbolic lifts of ``lift_oracles`` on q*, their
+  unipotent substitution and their Lie-Poisson bracket, against the closed
+  forms on V that both modes use; the gradient form built from
+  ``lift_gradient_at``; and ``sympy.diff`` of the components (dual-number
+  derivatives), on catalog modules with random non-kernel component
+  covariants.
 """
 
 from __future__ import annotations
@@ -41,22 +43,29 @@ from semicov.covariants import (
     kernel_span_check,
     lift_gradient_at,
     lift_invariance_check,
-    lift_polynomial,
-    lift_value,
     parameter_coefficients,
     phi_at,
-    poisson_bracket_at,
-    poisson_bracket_polys,
+    phi_polys,
     poisson_commute_check,
+    poisson_coords,
     poisson_pair_at,
     resolve_mode,
     weight_under,
 )
 from semicov.catalog import build_construction, get_entry
-from semicov.lie import adjoint_rep, defining, direct_sum, sl, stabiliser_sample
+from semicov.lie import Representation, adjoint_rep, defining, direct_sum, sl, stabiliser_sample
 from semicov.linalg import Matrix
 from semicov.poly import CutoffExceeded, MultiPoly
 from semicov.semidirect import SemidirectProduct
+
+from lift_oracles import (
+    lift_change_polynomial,
+    lift_polynomial,
+    lift_value,
+    poisson_bracket_at,
+    poisson_bracket_polys,
+    shift,
+)
 
 # basis order of sl(2): E01 (index 0), E10 (index 1), H (index 2)
 E_IDX, F_IDX, H_IDX = 0, 1, 2
@@ -584,3 +593,92 @@ def test_exact_equivariance_expands_once(monkeypatch, indices):
     check = equivariance_check(F, basis_indices=indices, mode="exact")
     assert check.verdict == "proved_zero"
     assert len(symbolic) == 1
+
+
+# -- the exact lift rows against the symbolic lifts on q* ------------------
+
+EXACT_ORACLE_ENTRIES = (("ex5.1", {}), ("ex5.2", {}), ("ex6.3/iii", {"m": 1}), ("ex-adjoint", {}))
+
+
+def _oracle_family(entry_id, overrides):
+    """The catalog family, random non-kernel covariants and a formula view."""
+    cons = build_construction(get_entry(entry_id), overrides)
+    rng = random.Random("exact-" + entry_id)
+    randoms = [random_covariant(cons.module, rng, "R%d" % k, max_degree=2) for k in range(2)]
+    return SemidirectProduct(cons.module), list(cons.family) + randoms + [formula_view(randoms[0])]
+
+
+@pytest.mark.parametrize("entry_id,overrides", EXACT_ORACLE_ENTRIES)
+def test_exact_poisson_coords_match_symbolic_lifts(entry_id, overrides):
+    q, family = _oracle_family(entry_id, overrides)
+    dg, n = q.dim_g, q.dim
+    xis = MultiPoly.variables(n)[:dg]
+    lifts = [lift_polynomial(F) for F in family]
+    nonzero = 0
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            coords = poisson_coords(family[i], family[j])
+            weighted = MultiPoly.zero(n)
+            for xi_a, p in zip(xis, coords):
+                weighted = weighted + xi_a * shift(p, dg, n)
+            assert weighted == poisson_bracket_polys(q.lie, lifts[i], lifts[j]), (i, j)
+            nonzero += not weighted.is_zero()
+    assert nonzero > 0  # the D-terms and brackets were exercised, not only zeros
+
+
+@pytest.mark.parametrize("entry_id,overrides", EXACT_ORACLE_ENTRIES)
+def test_exact_lift_invariance_matches_substitution(entry_id, overrides):
+    q, family = _oracle_family(entry_id, overrides)
+    dg, dv = q.dim_g, q.dim_v
+    n = dg + 2 * dv
+    zetas = MultiPoly.variables(n)[dg + dv:]
+    nonzero = 0
+    for F in family:
+        change = MultiPoly.zero(n)
+        for zeta_j, p in zip(zetas, phi_polys(F)):
+            change = change + zeta_j * shift(p, dg, n)
+        assert change == lift_change_polynomial(q, F), F.name
+        nonzero += not change.is_zero()
+    assert nonzero > 0
+
+
+def test_exact_failure_witnesses_reevaluate():
+    cons = build_construction(get_entry("ex-adjoint"), {})
+    q = SemidirectProduct(cons.module)
+    rng = random.Random(5)
+    family = [formula_view(random_covariant(cons.module, rng, "R0")),
+              random_covariant(cons.module, rng, "R1")]
+    check = poisson_commute_check(q, family, mode="exact")
+    assert check.verdict == "proved_nonzero" and check.mode == "exact"
+    ((i, j), a), (v, value) = check.witness
+    e_a = [int(b == a) for b in range(q.dim_g)]
+    assert value != 0
+    assert poisson_pair_at(q, family[i], family[j], e_a, v) == value
+    for F in family + [bad_covariant()]:
+        qf = SemidirectProduct(F.rep)
+        check = lift_invariance_check(qf, F, mode="exact")
+        assert check.verdict == "proved_nonzero" and check.mode == "exact"
+        v, value = check.witness
+        assert len(v) == F.rep.dim_v and value != 0
+        assert value in phi_at(F, v)
+
+
+def test_phi_expanded_once_per_covariant(monkeypatch):
+    rep, F1, F2 = sl3_pair()
+    q = SemidirectProduct(rep)
+    R = random_covariant(rep, random.Random(8), "R")
+    family = [F1, F2, formula_view(R)]
+    inner = Representation.act
+    symbolic = []
+
+    def counting(self, x, v):
+        if v and isinstance(v[0], MultiPoly):
+            symbolic.append(len(v))
+        return inner(self, x, v)
+
+    monkeypatch.setattr(Representation, "act", counting)
+    for F in family:
+        assert kernel_phi_check(F, mode="exact").mode == "exact"
+        assert lift_invariance_check(q, F, mode="exact").mode == "exact"
+    assert poisson_commute_check(q, family, mode="exact").mode == "exact"
+    assert len(symbolic) == len(family)
