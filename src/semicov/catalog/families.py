@@ -457,8 +457,8 @@ def _quiver_algebra(n: int, k: int, variant: str) -> LieAlgebra:
     for i in range(k - 1):
         m = Matrix.zeros(n * k, n * k)
         for r in range(n):
-            m.rows[i * n + r][i * n + r] = Fraction(1)
-            m.rows[(i + 1) * n + r][(i + 1) * n + r] = Fraction(-1)
+            m.rows[i * n + r][i * n + r] = 1
+            m.rows[(i + 1) * n + r][(i + 1) * n + r] = -1
         mats.append(m)
     return LieAlgebra.from_matrices("s(gl(%d)^%d)" % (n, k), mats)
 
@@ -474,9 +474,9 @@ def _quiver_module(galg: LieAlgebra, n: int, k: int) -> Representation:
         s_left = s.submatrix(range(blk * n, blk * n + n), range(blk * n, blk * n + n))
         s_right = s.submatrix(range(nxt * n, nxt * n + n), range(nxt * n, nxt * n + n))
         unit = Matrix.zeros(n, n)
-        unit.rows[r][c] = Fraction(1)
+        unit.rows[r][c] = 1
         img = s_left * unit - unit * s_right
-        out = [Fraction(0)] * (k * nn)
+        out = [0] * (k * nn)
         for rr in range(n):
             for cc in range(n):
                 out[blk * nn + rr * n + cc] = img.rows[rr][cc]

@@ -117,8 +117,8 @@ class MatrixPairModule:
         return out
 
     def _act_vec(self, a: int, j: int) -> list:
-        base = [Fraction(0)] * self.dim_v
-        base[j] = Fraction(1)
+        base = [0] * self.dim_v
+        base[j] = 1
         images = self.fields(self.algebra.basis[a], self.decode(base))
         return self.encode(images)
 
@@ -174,8 +174,8 @@ class SymSkewPairModule:
         return out
 
     def _act_vec(self, a: int, j: int) -> list:
-        base = [Fraction(0)] * self.dim_v
-        base[j] = Fraction(1)
+        base = [0] * self.dim_v
+        base[j] = 1
         A, B = self.decode(base)
         iA, iB = self.fields(self.algebra.basis[a], A, B)
         return self.encode(iA, iB)

@@ -14,14 +14,20 @@ Every identity check comes in two flavours:
 cutoffs, and to sampled otherwise.  The resolution happens *before* any
 symbolic expansion, so oversized rings are never materialised by accident.
 
+Every check reads F in g's basis coordinates (the cached ``components`` in
+exact mode, ``coords_at`` at sampled points); g's matrix realisation is
+faithful, so a value vanishes exactly when its coordinates do.  The action
+(x*F)(v) = [x, F(v)] - DF_v(x.v) is ``act_on_components``; its matrix form
+``act_on_matrix_polys`` is the oracle that tests compare it against.
+
 Every ``*_check`` runs through ``poly.identity_check``: ``trials`` (at
 least 1) is the number of sampled points evaluated, drawn from the check's
 own ``derive_rng`` stream.  An exact failure carries ``(point, value)``,
-prefixed by the basis index ``a`` (equivariance) or by ``((i, j), a)``
-(poisson_commute).  Sampled witnesses: kernel_phi ``(v, phi(F)(v))``;
-equivariance ``(a, v, rows of (x_a*F)(v))``; covariant_zero and
-covariant_match ``(v, rows of the residual)``; lift_invariance
-``((xi, v, zeta), change of the lift)``; poisson_commute
+value a coordinate, prefixed by the basis index ``a`` (equivariance) or by
+``((i, j), a)`` (poisson_commute).  Sampled witnesses: kernel_phi
+``(v, phi(F)(v))``; equivariance ``(a, v, coordinates of (e_a*F)(v))``;
+covariant_zero and covariant_match ``(v, coordinates of the residual)``;
+lift_invariance ``((xi, v, zeta), change of the lift)``; poisson_commute
 ``((i, j), (xi, v), bracket)``; invariant ``(a, v, derivative along x_a)``.
 
 Sampled checks evaluate each covariant once per point.  Directional
@@ -39,9 +45,9 @@ coordinate of ``phi(F)(v)``), and exact poisson_commute expands the bracket's
 xi_a coefficients on V (witness ``(((i, j), a), (v, value))``).  ``auto``
 still sizes the rows by the rings of the lifts (dim g + 2 dim V variables,
 and dim q): the expansions on V have fewer variables and no higher degree,
-so every row resolves as before and no exact row is refused.  ``phi_polys``
-and ``components`` are cached on the covariant and shared by kernel_phi, the
-lift rows and Poisson; exact equivariance expands F's matrix once per check.
+so every row resolves as before and no exact row is refused.  ``components``
+and ``phi_polys`` are cached on the covariant, so kernel_phi, equivariance,
+the lift rows and Poisson share one expansion of each covariant.
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ def _untagged(polys):
     return ((None, p) for p in polys)
 
 
-def _matrix_witness(v, mat: Matrix):
-    return None if mat.is_zero() else (v, mat.rows)
+def _coords_witness(v, coords: list):
+    return (v, coords) if any(c != 0 for c in coords) else None
 
 
 class Covariant:
@@ -223,7 +229,7 @@ def _eval_component(p: MultiPoly, v: Sequence):
 
 
 def directional_derivative(F: Covariant, v: Sequence, w: Sequence) -> Matrix:
-    """DF_v(w) at a numeric point: the eps-part of F(v + eps w)."""
+    """DF_v(w) at a numeric point, as a matrix: the eps-part of F(v + eps w)."""
     return F.matrix_at(_dual_point(v, w)).map(_eps)
 
 
@@ -232,31 +238,18 @@ def _derivative_coords(F: Covariant, v: Sequence, w: Sequence) -> list:
     return [_eps(c) for c in F.coords_at(_dual_point(v, w))]
 
 
-def _symbolic_matrix(F: Covariant) -> Matrix:
-    """F(v) expanded in the polynomial ring on V (one full expansion)."""
-    nv = F.rep.dim_v
-    return F.matrix_at(MultiPoly.variables(nv)).map(lambda e: _as_poly(e, nv))
-
-
-def act_on_matrix_polys(F: Covariant, x: Sequence, fmat: Matrix) -> Matrix:
+def act_on_matrix_polys(F: Covariant, x: Sequence) -> Matrix:
     """(x*F)(v) = [X, F(v)] - DF_v(x.v), symbolically, as a polynomial matrix.
 
-    ``fmat`` is F's symbolic matrix (``_symbolic_matrix``), so that a caller
-    acting with many x expands F once.
+    The matrix form of ``act_on_components``, kept as the oracle that tests
+    compare the coordinate action against; it expands F's matrix itself.
     """
     nv = F.rep.dim_v
+    fmat = F.matrix_at(MultiPoly.variables(nv)).map(lambda e: _as_poly(e, nv))
     xmat = _algebra_matrix(F.rep.algebra, x)
     bracket = xmat * fmat - fmat * xmat
     rows = _operator_rows(F.rep, x)
     return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(e, rows))
-
-
-def act_on_matrix_at(F: Covariant, x: Sequence, v: Sequence, fmat: Matrix | None = None) -> Matrix:
-    """(x*F)(v) at a numeric point; ``fmat`` is F(v) when the caller has it."""
-    if fmat is None:
-        fmat = F.matrix_at(v)
-    xmat = _algebra_matrix(F.rep.algebra, x)
-    return xmat * fmat - fmat * xmat - directional_derivative(F, v, F.rep.act(x, v))
 
 
 def act_on_components(F: Covariant, x: Sequence) -> list[MultiPoly]:
@@ -362,13 +355,9 @@ def kernel_phi_check(
     deg = None if F.degree is None else F.degree + 1
     rng = derive_rng(seed, "kernel_phi", F.name)
 
-    def residual(v):
-        out = phi_at(F, v)
-        return (v, out) if any(val != 0 for val in out) else None
-
     return identity_check(
-        mode, nv, deg, lambda: _untagged(phi_polys(F)),
-        lambda: rand_vector(rng, nv, bound), residual, trials, deg or 1,
+        mode, nv, deg, lambda: _untagged(phi_polys(F)), lambda: rand_vector(rng, nv, bound),
+        lambda v: _coords_witness(v, phi_at(F, v)), trials, deg or 1,
     )
 
 
@@ -386,25 +375,27 @@ def equivariance_check(
     """x*F = 0 for every basis element x in the given index range.
 
     ``basis_indices`` restricts the scope (e.g. to one factor of a product
-    algebra); None means the whole algebra.
+    algebra); None means the whole algebra.  Exact mode expands
+    ``act_on_components(F, e_a)`` from the cached components; sampled mode
+    evaluates F once per point, then [e_a, F(v)] - DF_v(e_a.v) for each a.
     """
     nv = F.rep.dim_v
-    dim = F.rep.algebra.dim
-    indices = list(basis_indices) if basis_indices is not None else list(range(dim))
+    g = F.rep.algebra
+    indices = list(basis_indices) if basis_indices is not None else list(range(g.dim))
     rng = derive_rng(seed, "equivariance", F.name)
 
     def polys():
-        fmat = _symbolic_matrix(F)
         for a in indices:
-            for row in act_on_matrix_polys(F, _basis_coords(dim, a), fmat).rows:
-                yield from ((a, p) for p in row)
+            yield from ((a, p) for p in act_on_components(F, _basis_coords(g.dim, a)))
 
     def residual(v):
-        fmat = F.matrix_at(v)
+        coords = F.coords_at(v)
         for a in indices:
-            mat = act_on_matrix_at(F, _basis_coords(dim, a), v, fmat)
-            if not mat.is_zero():
-                return (a, v, mat.rows)
+            bracket = g.bracket_coords(_basis_coords(g.dim, a), coords)
+            moved = _derivative_coords(F, v, F.rep.act_basis(a, v))
+            out = [normalize_scalar(b - d) for b, d in zip(bracket, moved)]
+            if any(c != 0 for c in out):
+                return (a, v, out)
         return None
 
     return identity_check(
@@ -428,7 +419,7 @@ def covariant_zero_check(
     rng = derive_rng(seed, "vanishing", F.name)
     return identity_check(
         mode, nv, F.degree, lambda: _untagged(F.components), lambda: rand_vector(rng, nv, bound),
-        lambda v: _matrix_witness(v, F.matrix_at(v)), trials, F.degree or 1,
+        lambda v: _coords_witness(v, F.coords_at(v)), trials, F.degree or 1,
     )
 
 
@@ -447,12 +438,15 @@ def covariant_match_check(
     if F.degree is not None and G.degree is not None:
         deg = max(F.degree, G.degree)
     rng = derive_rng(seed, "match", F.name, G.name)
+
+    def residual(v):
+        diff = [normalize_scalar(f - g * coeff) for f, g in zip(F.coords_at(v), G.coords_at(v))]
+        return _coords_witness(v, diff)
+
     return identity_check(
         mode, nv, deg,
         lambda: _untagged(a - b * coeff for a, b in zip(F.components, G.components)),
-        lambda: rand_vector(rng, nv, bound),
-        lambda v: _matrix_witness(v, F.matrix_at(v) - G.matrix_at(v) * coeff),
-        trials, deg or 1,
+        lambda: rand_vector(rng, nv, bound), residual, trials, deg or 1,
     )
 
 

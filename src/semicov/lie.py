@@ -131,11 +131,9 @@ class LieAlgebra:
                         out[c] = out[c] + f * v
         return [normalize_scalar(v) for v in out]
 
-    def check_jacobi(
-        self, rng: random.Random | None = None, exhaustive_limit: int = 40, samples: int = 200
-    ):
-        """Exact Jacobi identity; all basis triples for small dimensions,
-        random triples above the limit.  Returns (ok, witness_triple)."""
+    def check_jacobi(self):
+        """Exact Jacobi identity over all basis triples.  Returns (ok,
+        witness_triple)."""
         n = self.dim
 
         def jac(a, b, c):
@@ -147,20 +145,11 @@ class LieAlgebra:
                         total[e] = total.get(e, 0) + s * t
             return all(v == 0 for v in total.values())
 
-        if n <= exhaustive_limit:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
-            )
-            for a, b, c in triples:
-                if not jac(a, b, c):
-                    return False, (a, b, c)
-            return True, None
-        if rng is None:
-            rng = random.Random(0)
-        for _ in range(samples):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if not jac(a, b, c):
-                return False, (a, b, c)
+        for a in range(n):
+            for b in range(a + 1, n):
+                for c in range(b + 1, n):
+                    if not jac(a, b, c):
+                        return False, (a, b, c)
         return True, None
 
     def factor_basis_range(self, idx: int) -> range:

@@ -53,14 +53,6 @@ class SemidirectProduct:
     def __repr__(self):
         return "SemidirectProduct(%s, dim=%d+%d)" % (self.g.name, self.dim_g, self.dim_v)
 
-    def pair(self, eta: DualPoint, z: Sequence):
-        """<eta, z> for z in q (combined coordinates)."""
-        acc = 0
-        for c, zc in zip(eta.combined(), z):
-            if c != 0 and zc != 0:
-                acc = acc + c * zc
-        return normalize_scalar(acc)
-
 
 def moment_map(q: SemidirectProduct, v: Sequence, zeta: Sequence) -> list:
     """mu(v, zeta) in g*: a |-> <zeta, a . v>."""

@@ -41,6 +41,7 @@ from semicov.catalog import (
     UnknownEntryError,
     adjoint_construction,
     all_entries,
+    all_rows,
     build_construction,
     cubic_construction,
     embed_blocks,
@@ -404,6 +405,20 @@ def test_build_construction_parameter_validation():
         build_construction(get_entry("ex5.2"), {"n": 3})
     with pytest.raises(ParameterError):
         build_construction(get_entry("ex5.3"), {"j": 1})
+
+
+def test_action_entries_are_normalised():
+    """No module of the catalog or the tables stores an integer action entry
+    as a Fraction: the action, its derivatives and the sampled directions
+    then stay in int arithmetic."""
+    modules = [(e.id, build_construction(e, {}).module) for e in all_entries()]
+    modules += [(r.id, r.module_spec.build(dict(r.module_spec.default_params)))
+                for r in all_rows() if r.module_spec is not None]
+    assert len(modules) > len(all_entries())
+    for label, rep in modules:
+        entries = [c for rows in rep.nonzero_rows for _, row in rows for _, c in row]
+        assert entries, label
+        assert not [c for c in entries if type(c) is Fraction and c.denominator == 1], label
 
 
 def test_manifest_check_lines_match_fresh_constructions():

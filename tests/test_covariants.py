@@ -10,6 +10,8 @@ Oracles used here:
 * the conjugation-equivariant pair X and X^2 - (tr X^2 / 3) I on the adjoint
   sl3 module, whose lifts Poisson-commute and whose values span the
   centraliser of a regular element;
+* for the infinitesimal action: ``act_on_matrix_polys``, the same action on
+  F's matrix, against the coordinates that both equivariance modes read;
 * for the lift rows: the symbolic lifts of ``lift_oracles`` on q*, their
   unipotent substitution and their Lie-Poisson bracket, against the closed
   forms on V that both modes use; the gradient form built from
@@ -27,8 +29,9 @@ import pytest
 
 from semicov.covariants import (
     Covariant,
+    _algebra_matrix,
     act_on_components,
-    act_on_matrix_at,
+    act_on_matrix_polys,
     action_matrix_on_span,
     covariant_match_check,
     covariant_zero_check,
@@ -401,15 +404,6 @@ def test_parameter_coefficients():
     assert fam[0].name == "P0" and fam[2].name == "P2"
 
 
-def test_act_on_matrix_at_matches_polys():
-    F = moment_covariant()
-    # numeric evaluation of the infinitesimal action agrees with zero
-    for a in range(3):
-        x = [0, 0, 0]
-        x[a] = 1
-        assert act_on_matrix_at(F, x, [2, 7]).is_zero()
-
-
 def test_weight_under():
     fam = highest_weight_family()
     h = [0, 0, 1]
@@ -492,6 +486,55 @@ def random_covariant(rep, rng, name, max_degree=3):
 def formula_view(F: Covariant) -> Covariant:
     """The same map as F, given by a matrix formula instead of components."""
     return Covariant(F.rep, matrix_formula=F.matrix_at, name=F.name + "-formula", degree=F.degree)
+
+
+def _unit(dim: int, a: int) -> list:
+    return [int(b == a) for b in range(dim)]
+
+
+ACTION_ORACLE_ENTRIES = ORACLE_ENTRIES + (("ex5.3/gl", {}),)
+
+
+@pytest.mark.parametrize("entry_id,overrides", ACTION_ORACLE_ENTRIES)
+def test_act_on_components_matches_matrix_oracle(entry_id, overrides):
+    cons = build_construction(get_entry(entry_id), overrides)
+    rep, g = cons.module, cons.module.algebra
+    rng = random.Random("action-" + entry_id)
+    randoms = [random_covariant(rep, rng, "R%d" % k, max_degree=2) for k in range(2)]
+    family = list(cons.family) + randoms + [formula_view(randoms[0])]
+    nonzero = 0
+    for F in family:
+        for a in range(g.dim):
+            coords = act_on_components(F, _unit(g.dim, a))
+            assert _algebra_matrix(g, coords) == act_on_matrix_polys(F, _unit(g.dim, a)), (F.name, a)
+            nonzero += any(not p.is_zero() for p in coords)
+    assert nonzero > 0  # the bracket and the D-term were exercised, not only zeros
+
+
+def test_moment_covariant_action_vanishes_in_both_forms():
+    F = moment_covariant()
+    for a in range(3):
+        assert all(p.is_zero() for p in act_on_components(F, _unit(3, a)))
+        assert all(p.is_zero() for row in act_on_matrix_polys(F, _unit(3, a)).rows for p in row)
+
+
+@pytest.mark.parametrize("entry_id,overrides", ACTION_ORACLE_ENTRIES)
+def test_sampled_equivariance_witness_reevaluates(entry_id, overrides):
+    cons = build_construction(get_entry(entry_id), overrides)
+    rep, g = cons.module, cons.module.algebra
+    R = random_covariant(rep, random.Random("witness-" + entry_id), "R")
+    for F in (R, formula_view(R)):
+        check = equivariance_check(F, mode="sampled", seed=4, trials=3)
+        assert check.verdict == "proved_nonzero" and check.mode == "sampled"
+        a, v, out = check.witness
+        assert any(c != 0 for c in out)
+        want = act_on_matrix_polys(F, _unit(g.dim, a)).map(lambda p: p.evaluate(v))
+        assert _algebra_matrix(g, out) == want
+        check = equivariance_check(F, mode="exact")
+        assert check.verdict == "proved_nonzero" and check.mode == "exact"
+        a, (point, value) = check.witness
+        assert value != 0
+        assert value in [p.evaluate(point) for p in act_on_components(F, _unit(g.dim, a))]
 
 
 def bracket_from_gradients(q, F, G, xi, v):
@@ -578,21 +621,31 @@ def test_sampled_poisson_witness_reevaluates():
     assert poisson_bracket_at(q.lie, lifts[i], lifts[j], list(xi) + list(v)) == value
 
 
+def _counted(F: Covariant, calls: dict) -> Covariant:
+    """F with its formula wrapped to count calls at polynomial arguments."""
+
+    def formula(v):
+        if isinstance(v[0], MultiPoly):
+            calls[F.name] = calls.get(F.name, 0) + 1
+        return F.matrix_at(v)
+
+    return Covariant(F.rep, matrix_formula=formula, name=F.name, degree=F.degree)
+
+
 @pytest.mark.parametrize("indices", [None, [0], [0, 3, 5]])
-def test_exact_equivariance_expands_once(monkeypatch, indices):
-    _, _, F = sl3_pair()
-    inner = Covariant.matrix_at
-    symbolic = []
-
-    def counting(self, v):
-        if v and isinstance(v[0], MultiPoly):
-            symbolic.append(len(v))
-        return inner(self, v)
-
-    monkeypatch.setattr(Covariant, "matrix_at", counting)
-    check = equivariance_check(F, basis_indices=indices, mode="exact")
-    assert check.verdict == "proved_zero"
-    assert len(symbolic) == 1
+def test_exact_equivariance_expands_once(indices):
+    # equivariance shares the one expansion with kernel_phi, lift and Poisson
+    rep, F1, F2 = sl3_pair()
+    q = SemidirectProduct(rep)
+    calls: dict = {}
+    R = formula_view(random_covariant(rep, random.Random(8), "R"))
+    family = [_counted(F, calls) for F in (F1, F2, R)]
+    for F in family:
+        assert kernel_phi_check(F, mode="exact").mode == "exact"
+        assert equivariance_check(F, basis_indices=indices, mode="exact").mode == "exact"
+        assert lift_invariance_check(q, F, mode="exact").mode == "exact"
+    assert poisson_commute_check(q, family, mode="exact").mode == "exact"
+    assert calls == {F.name: 1 for F in family}
 
 
 # -- the exact lift rows against the symbolic lifts on q* ------------------
