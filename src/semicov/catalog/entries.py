@@ -6,7 +6,7 @@ and aliases are part of the command-line contract.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .families import (

@@ -17,6 +17,7 @@ from .linalg import (
     Matrix,
     SpanSolver,
     block_diag,
+    int_rows,
     normalize_scalar,
     rank,
     rank_and_kernel,
@@ -125,10 +126,8 @@ class LieAlgebra:
         for a, xa in nz_x:
             for b, yb in nz_y:
                 entry = self.bracket_basis(a, b)
-                if entry:
-                    f = xa * yb
-                    for c, v in entry.items():
-                        out[c] = out[c] + f * v
+                for c, v in entry.items():
+                    out[c] = out[c] + (xa * v) * yb
         return [normalize_scalar(v) for v in out]
 
     def check_jacobi(self):
@@ -507,10 +506,13 @@ def stabiliser_sample(
 def is_abelian(g: LieAlgebra, s: Subspace) -> bool:
     """True when the subspace is an abelian subalgebra; raises ValueError if
     it is not closed under the bracket."""
+    # integer multiples of the basis: a bracket vanishes, or leaves the span,
+    # exactly when it does for the basis itself
+    vecs = int_rows(s.vectors)[0]
     abelian = True
     for i in range(s.dim):
         for j in range(i + 1, s.dim):
-            br = g.bracket_coords(s.vectors[i], s.vectors[j])
+            br = g.bracket_coords(vecs[i], vecs[j])
             if any(x != 0 for x in br):
                 abelian = False
                 if not s.contains(br):

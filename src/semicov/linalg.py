@@ -4,13 +4,15 @@ Matrices store their entries as plain ``int``, ``fractions.Fraction``, or any
 ring element supporting ``+``, ``-``, ``*`` (polynomials).  Every routine here
 is exact: no floating point anywhere.  Rank and kernel computations require
 scalar (rational) entries; determinants, adjugates and characteristic
-polynomials also accept symbolic entries.  Both eliminations update only the
-live columns: left of the pivot column every row below (and, in RREF, the
-pivot row) is already zero.
+polynomials also accept symbolic entries.  Rank, kernel, solve, span
+coordinates, inverse and scalar determinant share one fraction-free
+elimination on integer rows; a Fraction appears only when a pivot row is
+finally divided by its pivot.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,12 +23,6 @@ def normalize_scalar(x):
     if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
-
-
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 def is_scalar(x) -> bool:
@@ -242,37 +238,36 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     return out
 
 
-def _int_rows(rows):
-    """Scale rows by denominator lcms so all entries are ints (rank-safe)."""
+def int_rows(rows):
+    """Scale each row by the lcm of its denominators so all entries are ints.
+
+    A scaled row has the same reduced echelon form.  Also returns the product
+    of the scales, which a determinant divides back out.
+    """
     out = []
+    scale = 1
     for r in rows:
-        lcm = 1
-        for a in r:
-            if type(a) is Fraction:
-                d = a.denominator
-                if d != 1:
-                    g = _gcd(lcm, d)
-                    lcm = lcm // g * d
-        if lcm == 1:
-            out.append([int(a) if type(a) is Fraction else a for a in r])
-        else:
-            out.append([int(a * lcm) for a in r])
-    return out
+        lcm = math.lcm(*[a.denominator for a in r if type(a) is Fraction])
+        out.append([a.numerator * (lcm // a.denominator) if type(a) is Fraction else a * lcm
+                    for a in r])
+        scale *= lcm
+    return out, scale
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> list[int]:
+    """Fraction-free elimination (Bareiss 1968) of int ``rows`` in place over
+    the first ``ncols`` columns; returns the pivot columns.
 
-
-def _rref(rows: list[list], ncols: int) -> list[int]:
-    """Reduce ``rows`` in place to reduced row-echelon form over the first
-    ``ncols`` columns and return the pivot columns.
-
-    Later columns (a right-hand side, an identity block) are carried along
-    through the same row operations.  Pivots are the first nonzero entry
-    below the current row, so the result is deterministic.
+    The one row operation is ``r_i <- p r_i - x r_piv``, after which the row is
+    divided by the gcd of its entries.  Rows with 0 in the pivot column are
+    skipped.  Pivots are the first nonzero entry at or below the current row,
+    so the result is deterministic.  Forward only, rows end in echelon form
+    and ``factors`` (if given) collects ``(g, p)`` for each operation and
+    ``(-1, 1)`` for each swap, so det(rows before) = det(rows after) * prod g
+    / prod p.  With ``full``, rows above each pivot are cleared too, and each
+    pivot row is then divided by its pivot: the unique reduced echelon form,
+    int wherever integral.  Later columns (a right-hand side, an identity
+    block) are carried along through the same row operations.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -280,54 +275,40 @@ def _rref(rows: list[list], ncols: int) -> list[int]:
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            if factors is not None:
+                factors.append((-1, 1))
         rr = rows[r]
         p = rr[c]
-        if p != 1:
-            inv = Fraction(1, 1) / as_fraction(p)
-            rr[c:] = [normalize_scalar(a * inv) for a in rr[c:]]
-        tail = rr[c:]
-        for i in range(nrows):
+        for i in range(nrows) if full else range(r + 1, nrows):
             ri = rows[i]
-            f = ri[c]
-            if i != r and f != 0:
-                ri[c:] = [normalize_scalar(a - f * b) for a, b in zip(ri[c:], tail)]
+            x = ri[c]
+            if not x or i == r:
+                continue
+            start = pivots[i] if i < r else c
+            new = [p * a - x * b for a, b in zip(ri[start:], rr[start:])]
+            g = math.gcd(*new)
+            if g > 1:
+                new = [a // g for a in new]
+            ri[start:] = new
+            if factors is not None:
+                factors.append((g, p))
         pivots.append(c)
+    if full:
+        for rr, c in zip(rows, pivots):
+            p = rr[c]
+            if p != 1:
+                rr[c:] = [a // p if a % p == 0 else Fraction(a, p) for a in rr[c:]]
     return pivots
 
 
-# Bareiss stays separate from _rref: fraction-free integer rows avoid the gcd
-# work of Fraction reduction, and rank is the hottest elimination (2.07 s of
-# a 2.72 s traced small-sweep pass in bench/baseline/seed-commit.json).
 def rank(m: Matrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination on integer rows."""
-    rows = _int_rows(m.rows)
-    nrows, ncols = len(rows), m.ncols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        tail = rows[r][c + 1 :]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            xi = ri[c]
-            ri[c + 1 :] = [(p * a - xi * b) // prev for a, b in zip(ri[c + 1 :], tail)]
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Exact rank by forward fraction-free elimination on integer rows."""
+    return len(_eliminate(int_rows(m.rows)[0], m.ncols, False))
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:
@@ -336,8 +317,8 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:
     Kernel vectors come out in the canonical reduced-echelon form: one vector
     per free column, with entry 1 in that column's slot.  Deterministic.
     """
-    rows = [list(r) for r in m.rows]
-    pivots = _rref(rows, m.ncols)
+    rows = int_rows(m.rows)[0]
+    pivots = _eliminate(rows, m.ncols, True)
     kernel = []
     for fc in range(m.ncols):
         if fc in pivots:
@@ -345,7 +326,7 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:
         v = [0] * m.ncols
         v[fc] = 1
         for ri, pc in enumerate(pivots):
-            v[pc] = normalize_scalar(-rows[ri][fc])
+            v[pc] = -rows[ri][fc]
         kernel.append(v)
     return len(pivots), kernel
 
@@ -353,8 +334,8 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:
 def solve(m: Matrix, b: Sequence):
     """One exact solution of m x = b, or None if inconsistent."""
     ncols = m.ncols
-    rows = [list(r) + [bv] for r, bv in zip(m.rows, b)]
-    pivots = _rref(rows, ncols)
+    rows = int_rows([list(r) + [bv] for r, bv in zip(m.rows, b)])[0]
+    pivots = _eliminate(rows, ncols, True)
     if any(row[ncols] != 0 for row in rows[len(pivots):]):
         return None
     x = [0] * ncols
@@ -377,8 +358,9 @@ class SpanSolver:
         self.basis = [list(v) for v in basis_vectors]
         self.k = len(self.basis)
         self.m = len(self.basis[0]) if self.basis else 0
-        rows = [v + [1 if i == j else 0 for j in range(self.k)] for i, v in enumerate(self.basis)]
-        self.pivots = _rref(rows, self.m)
+        eye = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
+        rows = int_rows([v + e for v, e in zip(self.basis, eye)])[0]
+        self.pivots = _eliminate(rows, self.m, True)
         if len(self.pivots) != self.k:
             raise ValueError("basis vectors are linearly dependent")
         self.transform = [row[self.m :] for row in rows]  # reduced = transform @ basis
@@ -426,43 +408,21 @@ def _ring_is_zero(a) -> bool:
 
 
 def det(m: Matrix):
-    """Exact determinant; Gaussian elimination for scalars, minor expansion
-    with memoisation for symbolic entries."""
+    """Exact determinant; fraction-free elimination for scalars, minor
+    expansion with memoisation for symbolic entries."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of non-square matrix")
     n = m.nrows
     if n == 0:
         return 1
-    if all(is_scalar(a) for r in m.rows for a in r):
-        return _det_scalar(m)
-    return _det_symbolic(m)
-
-
-def _det_scalar(m: Matrix):
-    n = m.nrows
-    rows = [list(r) for r in m.rows]
-    sign = 1
-    acc = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        acc *= as_fraction(p)
-        inv = Fraction(1, 1) / as_fraction(p)
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f != 0:
-                f = f * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return normalize_scalar(sign * acc)
+    if not all(is_scalar(a) for r in m.rows for a in r):
+        return _det_symbolic(m)
+    rows, scale = int_rows(m.rows)
+    factors: list[tuple[int, int]] = []
+    if len(_eliminate(rows, n, False, factors)) < n:
+        return 0
+    num = math.prod(rows[i][i] for i in range(n)) * math.prod(g for g, _ in factors)
+    return normalize_scalar(Fraction(num, scale * math.prod(p for _, p in factors)))
 
 
 def _det_symbolic(m: Matrix):
@@ -569,7 +529,7 @@ def inverse(m: Matrix) -> Matrix:
     if not all(is_scalar(a) for r in m.rows for a in r):
         raise ValueError("inverse needs scalar entries")
     n = m.nrows
-    rows = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
-    if len(_rref(rows, n)) < n:
+    rows = int_rows([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)])[0]
+    if len(_eliminate(rows, n, True)) < n:
         raise ValueError("matrix is singular")
     return Matrix([row[n:] for row in rows])

@@ -1,0 +1,65 @@
+"""Gauss-Jordan elimination in Fraction arithmetic: the oracle for the
+fraction-free elimination core of ``semicov.linalg``.
+
+``rref`` normalises each pivot row by its pivot and clears its column with
+Fraction row operations, the textbook way.  The library scales rows to
+integers, eliminates without fractions and divides by the pivot only at the
+end.  Both pick the first nonzero entry at or below the current row as the
+pivot, so they do the same row operations up to a nonzero scale per row and
+must agree on the pivots and on every pivot row.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from semicov.linalg import Matrix, normalize_scalar
+
+
+def rref(rows: list[list], ncols: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row-echelon form over the first
+    ``ncols`` columns and return the pivot columns.
+
+    Later columns (a right-hand side, an identity block) are carried along
+    through the same row operations.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rr = rows[r]
+        p = rr[c]
+        if p != 1:
+            inv = 1 / Fraction(p)
+            rr[c:] = [normalize_scalar(a * inv) for a in rr[c:]]
+        tail = rr[c:]
+        for i in range(nrows):
+            ri = rows[i]
+            f = ri[c]
+            if i != r and f != 0:
+                ri[c:] = [normalize_scalar(a - f * b) for a, b in zip(ri[c:], tail)]
+        pivots.append(c)
+    return pivots
+
+
+def kernel(m: Matrix) -> list[list]:
+    """Reduced-echelon basis of {x : m x = 0}: one vector per free column,
+    with entry 1 in that column's slot."""
+    rows = [list(r) for r in m.rows]
+    pivots = rref(rows, m.ncols)
+    out = []
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        v = [0] * m.ncols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = normalize_scalar(-rows[ri][fc])
+        out.append(v)
+    return out

@@ -37,7 +37,7 @@ from semicov.covariants import (
 )
 from semicov.linalg import rank
 from semicov.semidirect import SemidirectProduct
-from semicov.verify import Report, RunConfig, run_entry, run_suite, to_json
+from semicov.verify import RunConfig, run_entry, run_suite, to_json
 
 
 def _no_failures(report_dict):

@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linalg_oracles import kernel as oracle_kernel, rref as oracle_rref
+from semicov.catalog import build_construction, get_entry
+from semicov.lie import action_matrix_at, stabiliser_sample
 from semicov.linalg import (
     inverse,
     Matrix,
     SpanSolver,
+    _eliminate,
+    int_rows,
     adjugate,
     block_diag,
     char_poly,
     det,
+    normalize_scalar,
     rank,
     rank_and_kernel,
     solve,
@@ -243,7 +250,8 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_elimination_against_sympy(data):
-    """rank, rank_and_kernel, solve and inverse agree with sympy.Matrix.
+    """rank, rank_and_kernel, solve, inverse, det and SpanSolver.transform
+    agree with sympy.Matrix.
 
     Shapes include zero columns and rows that repeat a combination of
     earlier rows, so the eliminations skip columns and stop short.
@@ -273,11 +281,21 @@ def test_elimination_against_sympy(data):
     if x is not None:
         assert m.apply(x) == b
     if nrows == ncols:
+        d = det(m)
+        assert d == _frac(sm.det()) and type(d) is (int if d.denominator == 1 else Fraction)
         if sm.det() == 0:
             with pytest.raises(ValueError):
                 inverse(m)
         else:
             assert inverse(m) == Matrix([[_frac(e) for e in row] for row in sm.inv().tolist()])
+    if r == nrows:
+        # independent rows: SpanSolver's transform is the identity block of
+        # the reduced [rows | I], whose pivots all fall in the rows' columns
+        ss = SpanSolver(rows)
+        reduced, sym_pivots = sm.row_join(sympy.eye(nrows)).rref()
+        assert ss.pivots == list(sym_pivots)
+        assert ss.transform == [[_frac(e) for e in reduced.row(i)[ncols:]] for i in range(nrows)]
+        assert all(type(t) is int or t.denominator > 1 for row in ss.transform for t in row)
 
 
 def _dense_coords(ss: SpanSolver, w):
@@ -331,3 +349,98 @@ def test_trace_product_from_entries():
     assert Matrix.zeros(2, 2).trace_product(Matrix.identity(2)) == 0
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3).trace_product(Matrix.zeros(2, 3))
+
+
+# Normalised scalars, as the library builds them: ints, and Fractions only
+# where the value is not integral.
+scalars = st.one_of(
+    st.just(0), st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4).map(normalize_scalar)
+)
+
+
+def _same_entries(got: list, want: list) -> bool:
+    return got == want and all(type(a) is type(b) for a, b in zip(got, want))
+
+
+def _proportional(got: list, want: list) -> bool:
+    """got = c * want for a nonzero rational c (both may be zero)."""
+    lead = next((j for j, a in enumerate(want) if a != 0), None)
+    if lead is None:
+        return all(a == 0 for a in got)
+    c = Fraction(got[lead]) / Fraction(want[lead])
+    return c != 0 and all(a == c * b for a, b in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_elimination_core_matches_fraction_oracle(data):
+    """The fraction-free core returns the Fraction oracle's pivots and pivot
+    rows entry by entry, types included; other rows agree up to scale.
+
+    Shapes: wide and tall, zero columns, a row that repeats a combination of
+    earlier ones, and a block carried to the right of the eliminated columns
+    (a right-hand side as in solve, an identity as in SpanSolver and inverse).
+    """
+    nrows = data.draw(st.integers(1, 7))
+    ncols = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.lists(scalars, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[j] = 0
+    if nrows > 2 and data.draw(st.booleans()):
+        c = data.draw(scalars)
+        rows[-1] = [normalize_scalar(a * c + b) for a, b in zip(rows[0], rows[1])]
+    block = data.draw(st.sampled_from(["none", "rhs", "identity"]))
+    if block == "rhs":
+        width = data.draw(st.integers(1, 3))
+        rows = [row + data.draw(st.lists(scalars, min_size=width, max_size=width)) for row in rows]
+    elif block == "identity":
+        rows = [row + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(rows)]
+    want = [list(r) for r in rows]
+    want_pivots = oracle_rref(want, ncols)
+    got = int_rows(rows)[0]
+    assert _eliminate(got, ncols, True) == want_pivots
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i < len(want_pivots):
+            assert _same_entries(g, w), (i, g, w)
+        else:
+            assert _proportional(g, w), (i, g, w)
+    # forward only: echelon form on the same pivots, the same rows below them
+    forward = int_rows(rows)[0]
+    assert _eliminate(forward, ncols, False) == want_pivots
+    for i, (f, w) in enumerate(zip(forward, want)):
+        if i < len(want_pivots):
+            c = want_pivots[i]
+            assert f[c] != 0 and not any(f[:c]) and all(type(a) is int for a in f)
+        else:
+            assert _proportional(f, w), (i, f, w)
+    assert rank(Matrix([r[:ncols] for r in rows])) == len(want_pivots)
+
+
+@pytest.mark.parametrize("entry, params", [("ex6.1", {"n": 4}), ("ex6.3/iii", {"m": 1})])
+def test_stabilisers_match_fraction_oracle(entry, params):
+    """Exact stabilisers at sampled points of real orbit matrices equal the
+    oracle's kernels, entry by entry and type by type."""
+    rep = build_construction(get_entry(entry), params).module
+    nonint = 0
+    for v, stab in stabiliser_sample(rep, random.Random(7), samples=10):
+        want = oracle_kernel(action_matrix_at(rep, v))
+        assert len(stab.vectors) == len(want) > 0
+        for got_v, want_v in zip(stab.vectors, want):
+            assert _same_entries(got_v, want_v)
+        nonint += sum(type(a) is Fraction for vec in want for a in vec)
+    assert nonint > 0  # the kernels exercise the final division by the pivot
+
+
+def test_core_entries_stay_within_hadamard_bound():
+    """Each eliminated row is divided by its gcd, so it is the primitive form
+    of a row of minors and no entry outgrows Hadamard's bound.  Without the
+    division the entries square at every step."""
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(5, 8)
+        rows = int_rows(rand_matrix(rng, n, n, bound=9).rows)[0]
+        bound = math.prod(max(1, math.isqrt(sum(a * a for a in r)) + 1) for r in rows)
+        _eliminate(rows, n, False)
+        assert max(abs(a) for r in rows for a in r) <= bound
