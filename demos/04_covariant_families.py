@@ -26,6 +26,7 @@ from semicov.covariants import (
     poisson_commute_check,
     weight_under,
 )
+from semicov.poly import CheckContext
 from semicov.semidirect import SemidirectProduct
 
 
@@ -35,16 +36,16 @@ def main() -> None:
     rep = cons.module
     for coeffs in [(1, -1, 0), (0, 1, -1), (2, -1, -1), (1, 1, 1), (1, 0, 0)]:
         f = cubic_combination(rep, *coeffs, name="F%s" % (coeffs,))
-        res = kernel_phi_check(f, mode="exact")
+        res = kernel_phi_check(f, CheckContext("exact"))
         print("  coefficients %-12s kernel: %s" % (coeffs, res.verdict))
     print("(membership holds exactly when the coefficients sum to zero)")
 
     print()
     print("== equivariance and commuting lifts ==")
     f1, f2 = cons.family
-    print("full equivariance of F1:", equivariance_check(f1, mode="exact").verdict)
+    print("full equivariance of F1:", equivariance_check(f1, ctx=CheckContext("exact")).verdict)
     q = SemidirectProduct(rep, name="cube")
-    pb = poisson_commute_check(q, [f1, f2], seed=0, trials=20)
+    pb = poisson_commute_check(q, [f1, f2], CheckContext(samples=20))
     print("lifted brackets {F1-hat, F2-hat} at 20 sampled dual points:", pb.verdict)
 
     print()
@@ -62,8 +63,8 @@ def main() -> None:
     print("f * F1 in terms of F0:", express_in_span(act_on_components(f1, fv), [f0.components]))
     print("f * F0 vanishes:", all(p.is_zero() for p in act_on_components(f0, fv)))
     print("equivariance over the two big factors:",
-          equivariance_check(f0, basis_indices=tri.scope, mode="exact").verdict)
-    broken = equivariance_check(f0, basis_indices=tri.complement, mode="exact")
+          equivariance_check(f0, tri.scope, CheckContext("exact")).verdict)
+    broken = equivariance_check(f0, tri.complement, CheckContext("exact"))
     print("equivariance over the mixing sl2:", broken.verdict, "(a witness direction exists)")
 
 

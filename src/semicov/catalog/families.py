@@ -7,7 +7,7 @@ and the family-specific extra checks and negative controls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -44,16 +44,16 @@ from ..linalg import (
     inverse,
     rank,
 )
-from ..poly import MultiPoly, identity_check
+from ..poly import CheckContext, MultiPoly, identity_check
 from ..sampling import derive_rng, rand_vector
 from ..semidirect import SemidirectProduct, coadjoint_unipotent, DualPoint
 from .support import (
+    MatrixPairModule,
+    SymSkewPairModule,
     embed_blocks,
-    matrix_pair_module,
     minor_skew_by_columns,
     minor_skew_by_rows,
     module_from_fields,
-    sym_skew_pair_module,
     traceless_part,
     unvec,
 )
@@ -85,17 +85,6 @@ class Expected:
     degrees: tuple[int, ...]
     audit_verdict: str  # "equality" | "surplus"
     quotient_dim: int  # dim V//G
-
-
-@dataclass
-class CheckContext:
-    """Runtime knobs handed to family-specific checks."""
-
-    q: SemidirectProduct
-    mode: str = "auto"
-    seed: int = 0
-    samples: int = 20
-    bound: int = 10
 
 
 @dataclass(frozen=True)
@@ -335,7 +324,7 @@ def tri_sl_construction(n: int) -> Construction:
         cons.params = {"n": 2}
         return cons
     galg = _tri_algebra(n)
-    mod = matrix_pair_module(galg, [(n, n), (n, n)], _tri_fields(galg, n), label="pairs(%d)" % n)
+    mod = MatrixPairModule(galg, [(n, n), (n, n)], _tri_fields(galg, n), label="pairs(%d)" % n)
     rep = mod.rep
     widths = _tri_lambda_covariants(galg, mod, n)
     family = widths[: n - 1]
@@ -354,12 +343,10 @@ def tri_sl_construction(n: int) -> Construction:
     companion = Covariant(rep, matrix_formula=companion_formula, name="swapped", degree=n)
 
     def check_vanishing(ctx: CheckContext) -> ZeroCheck:
-        return covariant_zero_check(top, mode=ctx.mode, seed=ctx.seed)
+        return covariant_zero_check(top, ctx)
 
     def check_companion(ctx: CheckContext) -> ZeroCheck:
-        return covariant_match_check(
-            companion, family[n - 2], Fraction(-1), mode=ctx.mode, seed=ctx.seed
-        )
+        return covariant_match_check(companion, family[n - 2], Fraction(-1), ctx)
 
     def check_weights(ctx: CheckContext) -> ZeroCheck:
         h = [0] * galg.dim
@@ -569,27 +556,25 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
                 return ZeroCheck(
                     "proved_nonzero", "exact", witness=(name, "degree", poly.degree())
                 )
-            res = invariant_check(rep, poly, mode=ctx.mode, seed=ctx.seed, name=name)
+            res = invariant_check(rep, poly, name, ctx)
             if res.verdict == "proved_nonzero":
                 return res
+        q = SemidirectProduct(rep)
         rng = derive_rng(ctx.seed, "unipotent-invariance")
-        dg = ctx.q.dim_g
-        for _ in range(ctx.samples):
-            xi = rand_vector(rng, dg, ctx.bound)
-            v = rand_vector(rng, rep.dim_v, ctx.bound)
-            zeta = rand_vector(rng, rep.dim_v, ctx.bound)
-            moved = coadjoint_unipotent(ctx.q, zeta, DualPoint(xi, v))
+
+        def draw():
+            return tuple(rand_vector(rng, d, ctx.bound) for d in (q.dim_g, q.dim_v, q.dim_v))
+
+        def moved_value(point):
+            xi, v, zeta = point
+            moved = coadjoint_unipotent(q, zeta, DualPoint(xi, v))
             for name, poly, _ in invariants:
-                before = poly.evaluate(v)
-                after = poly.evaluate(moved.v)
-                if before != after:
-                    return ZeroCheck(
-                        "proved_nonzero",
-                        "sampled",
-                        trials=ctx.samples,
-                        witness=(name, v, zeta),
-                    )
-        return ZeroCheck("sampled_zero", "sampled", trials=ctx.samples)
+                if poly.evaluate(v) != poly.evaluate(moved.v):
+                    return (name, v, zeta)
+            return None
+
+        # sampled whatever the mode: the invariants are compared at points
+        return identity_check(replace(ctx, mode="sampled"), q.dim, None, None, draw, moved_value)
 
     def check_plane(ctx: CheckContext) -> ZeroCheck:
         rng = derive_rng(ctx.seed, "witness-plane")
@@ -612,8 +597,10 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
             r = rank(Matrix.from_cols([p.vec() for p in powers]))
             return None if r == n else (str(alpha), str(beta), r)
 
-        # a sampled-only check on the plane: there is no exact form to expand
-        return identity_check("sampled", 2, None, None, draw, rank_defect, 10, 0)
+        # a sampled-only check on the plane: there is no exact form to expand.
+        # It keeps 10 points whatever ctx.samples says, as the frozen reports do
+        plane = replace(ctx, mode="sampled", samples=10)
+        return identity_check(plane, 2, None, None, draw, rank_defect)
 
     degrees = tuple(k * i for i in range(low, n))
     expected = Expected(
@@ -649,7 +636,7 @@ def sym_skewdual_construction(n: int) -> Construction:
     def fields(s: Matrix, A: Matrix, B: Matrix):
         return s * A + A * s.transpose(), -(s.transpose() * B) - B * s
 
-    mod = sym_skew_pair_module(g, n, fields, label="sym+skew*(%d)" % n)
+    mod = SymSkewPairModule(g, n, fields, label="sym+skew*(%d)" % n)
     rep = mod.rep
     k = n // 2
 
@@ -733,10 +720,10 @@ def sym_skew_construction(n: int) -> Construction:
     def fields(s: Matrix, A: Matrix, B: Matrix):
         return s * A + A * s.transpose(), s * B + B * s.transpose()
 
-    mod = sym_skew_pair_module(g, n, fields, label="sym+skew(%d)" % n)
+    mod = SymSkewPairModule(g, n, fields, label="sym+skew(%d)" % n)
     rep = mod.rep
     twin = gl(n)
-    gl_mod = sym_skew_pair_module(twin, n, fields, label="sym+skew-gl(%d)" % n)
+    gl_mod = SymSkewPairModule(twin, n, fields, label="sym+skew-gl(%d)" % n)
 
     def lam_formula(coords):
         lam = coords[-1]
@@ -769,7 +756,7 @@ def sym_skew_construction(n: int) -> Construction:
         top = widths[n - 1]
 
         def check_top(ctx: CheckContext) -> ZeroCheck:
-            return covariant_zero_check(top, mode=ctx.mode, seed=ctx.seed)
+            return covariant_zero_check(top, ctx)
 
         extras.append(ExtraCheck("vanishing_top_coefficient", check_top))
 
@@ -829,7 +816,7 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
         s2 = s.submatrix(range(2 * m, 2 * m + n), range(2 * m, 2 * m + n))
         return [s1 * M - M * s2]
 
-    mod = matrix_pair_module(galg, [(2 * m, n)], fields, label="sp-so(%d;%s)" % (m, case))
+    mod = MatrixPairModule(galg, [(2 * m, n)], fields, label="sp-so(%d;%s)" % (m, case))
     rep = mod.rep
 
     def power_formula(i: int):
@@ -913,7 +900,7 @@ def so_copies_construction(n: int) -> Construction:
     def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
         return [s * mats[0]]
 
-    mod = matrix_pair_module(galg, [(n + 2, n)], fields, label="columns(%d)" % n)
+    mod = MatrixPairModule(galg, [(n + 2, n)], fields, label="columns(%d)" % n)
     rep = mod.rep
 
     def formula(coords):

@@ -17,8 +17,8 @@ from ..sampling import derive_rng, rand_vector
 __all__ = [
     "module_from_fields",
     "quotient_dim_estimate",
-    "matrix_pair_module",
-    "sym_skew_pair_module",
+    "MatrixPairModule",
+    "SymSkewPairModule",
     "unvec",
     "embed_blocks",
     "traceless_part",
@@ -123,15 +123,6 @@ class MatrixPairModule:
         return self.encode(images)
 
 
-def matrix_pair_module(
-    algebra: LieAlgebra,
-    shapes: Sequence[tuple[int, int]],
-    fields: Callable[[Matrix, list[Matrix]], list[Matrix]],
-    label: str = "",
-) -> MatrixPairModule:
-    return MatrixPairModule(algebra, shapes, fields, label=label)
-
-
 class SymSkewPairModule:
     """Pairs (A, B) with A symmetric and B skew-symmetric, n by n.
 
@@ -179,15 +170,6 @@ class SymSkewPairModule:
         A, B = self.decode(base)
         iA, iB = self.fields(self.algebra.basis[a], A, B)
         return self.encode(iA, iB)
-
-
-def sym_skew_pair_module(
-    algebra: LieAlgebra,
-    n: int,
-    fields: Callable[[Matrix, Matrix, Matrix], tuple[Matrix, Matrix]],
-    label: str = "",
-) -> SymSkewPairModule:
-    return SymSkewPairModule(algebra, n, fields, label=label)
 
 
 # -- minor covariants --------------------------------------------------------

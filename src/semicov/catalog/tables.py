@@ -31,7 +31,7 @@ from ..lie import (
     tensor,
 )
 from ..linalg import Matrix
-from .support import matrix_pair_module
+from .support import MatrixPairModule
 
 __all__ = [
     "TableRow",
@@ -101,7 +101,7 @@ def _left_right_pair(galg: LieAlgebra, rows: int, cols: int) -> Representation:
         s2 = s.submatrix(range(r0, r0 + r1), range(r0, r0 + r1))
         return [s1 * M - M * s2]
 
-    return matrix_pair_module(galg, [(rows, cols)], fields, label="%dx%d" % (rows, cols)).rep
+    return MatrixPairModule(galg, [(rows, cols)], fields, label="%dx%d" % (rows, cols)).rep
 
 
 def _so_pair_module(params: dict) -> Representation:
@@ -118,7 +118,7 @@ def _two_factor_pairs_module(params: dict) -> Representation:
         s2 = s.submatrix(range(n, 2 * n), range(n, 2 * n))
         return [s1 * m - m * s2 for m in mats]
 
-    return matrix_pair_module(galg, [(n, n), (n, n)], fields, label="pairs(%d)" % n).rep
+    return MatrixPairModule(galg, [(n, n), (n, n)], fields, label="pairs(%d)" % n).rep
 
 
 def _sl6_ext2() -> Representation:

@@ -20,9 +20,11 @@ faithful, so a value vanishes exactly when its coordinates do.  The action
 (x*F)(v) = [x, F(v)] - DF_v(x.v) is ``act_on_components``; its matrix form
 ``act_on_matrix_polys`` is the oracle that tests compare it against.
 
-Every ``*_check`` runs through ``poly.identity_check``: ``trials`` (at
-least 1) is the number of sampled points evaluated, drawn from the check's
-own ``derive_rng`` stream.  An exact failure carries ``(point, value)``,
+Every ``*_check`` takes the run's ``poly.CheckContext`` as its last
+argument and runs through ``poly.identity_check``: a sampled check evaluates
+``ctx.samples`` points in ``[-ctx.bound, ctx.bound]``, drawn from the
+check's own ``derive_rng(ctx.seed, ...)`` stream, and ``trials`` is the
+number it evaluated.  An exact failure carries ``(point, value)``,
 value a coordinate, prefixed by the basis index ``a`` (equivariance) or by
 ``((i, j), a)`` (poisson_commute).  Sampled witnesses: kernel_phi
 ``(v, phi(F)(v))``; equivariance ``(a, v, coordinates of (e_a*F)(v))``;
@@ -57,7 +59,7 @@ from typing import Callable, Sequence
 
 from .lie import Representation, Subspace
 from .linalg import Matrix, SpanSolver, normalize_scalar, rank, solve
-from .poly import MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
+from .poly import CheckContext, MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
 from .sampling import derive_rng, rand_vector
 from .semidirect import SemidirectProduct
 
@@ -343,21 +345,14 @@ def phi_at(F: Covariant, v: Sequence) -> list:
     return F.rep.act(F.coords_at(v), list(v))
 
 
-def kernel_phi_check(
-    F: Covariant,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 10,
-) -> ZeroCheck:
+def kernel_phi_check(F: Covariant, ctx: CheckContext = CheckContext()) -> ZeroCheck:
     """Does F(v) stabilise v identically, i.e. phi(F) = 0?"""
     nv = F.rep.dim_v
     deg = None if F.degree is None else F.degree + 1
-    rng = derive_rng(seed, "kernel_phi", F.name)
-
+    rng = derive_rng(ctx.seed, "kernel_phi", F.name)
     return identity_check(
-        mode, nv, deg, lambda: _untagged(phi_polys(F)), lambda: rand_vector(rng, nv, bound),
-        lambda v: _coords_witness(v, phi_at(F, v)), trials, deg or 1,
+        ctx, nv, deg, lambda: _untagged(phi_polys(F)), lambda: rand_vector(rng, nv, ctx.bound),
+        lambda v: _coords_witness(v, phi_at(F, v)),
     )
 
 
@@ -365,12 +360,7 @@ def kernel_phi_check(
 
 
 def equivariance_check(
-    F: Covariant,
-    basis_indices: Sequence[int] | None = None,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 10,
+    F: Covariant, basis_indices: Sequence[int] | None = None, ctx: CheckContext = CheckContext()
 ) -> ZeroCheck:
     """x*F = 0 for every basis element x in the given index range.
 
@@ -382,7 +372,7 @@ def equivariance_check(
     nv = F.rep.dim_v
     g = F.rep.algebra
     indices = list(basis_indices) if basis_indices is not None else list(range(g.dim))
-    rng = derive_rng(seed, "equivariance", F.name)
+    rng = derive_rng(ctx.seed, "equivariance", F.name)
 
     def polys():
         for a in indices:
@@ -398,55 +388,40 @@ def equivariance_check(
                 return (a, v, out)
         return None
 
-    return identity_check(
-        mode, nv, F.degree, polys, lambda: rand_vector(rng, nv, bound), residual,
-        trials, F.degree or 1,
-    )
+    return identity_check(ctx, nv, F.degree, polys, lambda: rand_vector(rng, nv, ctx.bound), residual)
 
 
 # -- vanishing and coincidence of covariants ------------------------------
 
 
-def covariant_zero_check(
-    F: Covariant,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 10,
-) -> ZeroCheck:
+def covariant_zero_check(F: Covariant, ctx: CheckContext = CheckContext()) -> ZeroCheck:
     """F = 0 identically."""
     nv = F.rep.dim_v
-    rng = derive_rng(seed, "vanishing", F.name)
+    rng = derive_rng(ctx.seed, "vanishing", F.name)
     return identity_check(
-        mode, nv, F.degree, lambda: _untagged(F.components), lambda: rand_vector(rng, nv, bound),
-        lambda v: _coords_witness(v, F.coords_at(v)), trials, F.degree or 1,
+        ctx, nv, F.degree, lambda: _untagged(F.components),
+        lambda: rand_vector(rng, nv, ctx.bound), lambda v: _coords_witness(v, F.coords_at(v)),
     )
 
 
 def covariant_match_check(
-    F: Covariant,
-    G: Covariant,
-    coeff=1,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 10,
+    F: Covariant, G: Covariant, coeff=1, ctx: CheckContext = CheckContext()
 ) -> ZeroCheck:
     """F = coeff * G as polynomial maps."""
     nv = F.rep.dim_v
     deg = None
     if F.degree is not None and G.degree is not None:
         deg = max(F.degree, G.degree)
-    rng = derive_rng(seed, "match", F.name, G.name)
+    rng = derive_rng(ctx.seed, "match", F.name, G.name)
 
     def residual(v):
         diff = [normalize_scalar(f - g * coeff) for f, g in zip(F.coords_at(v), G.coords_at(v))]
         return _coords_witness(v, diff)
 
     return identity_check(
-        mode, nv, deg,
+        ctx, nv, deg,
         lambda: _untagged(a - b * coeff for a, b in zip(F.components, G.components)),
-        lambda: rand_vector(rng, nv, bound), residual, trials, deg or 1,
+        lambda: rand_vector(rng, nv, ctx.bound), residual,
     )
 
 
@@ -551,12 +526,7 @@ def kernel_span_check(
 
 
 def lift_invariance_check(
-    q: SemidirectProduct,
-    F: Covariant,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 10,
+    q: SemidirectProduct, F: Covariant, ctx: CheckContext = CheckContext()
 ) -> ZeroCheck:
     """F_hat(xi + mu(v, zeta), v) = F_hat(xi, v) for all zeta, i.e. phi(F) = 0.
 
@@ -569,20 +539,17 @@ def lift_invariance_check(
         raise ValueError("covariant and semidirect product use different modules")
     dg, dv = q.dim_g, q.dim_v
     deg = None if F.degree is None else F.degree + 2
-    rng = derive_rng(seed, "lift_invariance", F.name)
+    rng = derive_rng(ctx.seed, "lift_invariance", F.name)
 
     def sample():
-        return (rand_vector(rng, dg, bound), rand_vector(rng, dv, bound), rand_vector(rng, dv, bound))
+        return tuple(rand_vector(rng, n, ctx.bound) for n in (dg, dv, dv))
 
     def residual(point):
         _, v, zeta = point
         change = normalize_scalar(sum(z * p for z, p in zip(zeta, phi_at(F, v)) if z != 0))
         return (point, change) if change != 0 else None
 
-    return identity_check(
-        mode, dg + 2 * dv, deg, lambda: _untagged(phi_polys(F)), sample, residual, trials,
-        (F.degree or 1) + 2,
-    )
+    return identity_check(ctx, dg + 2 * dv, deg, lambda: _untagged(phi_polys(F)), sample, residual)
 
 
 def poisson_coords(F: Covariant, G: Covariant) -> list[MultiPoly]:
@@ -644,12 +611,7 @@ def poisson_pair_at(
 
 
 def poisson_commute_check(
-    q: SemidirectProduct,
-    family: Sequence[Covariant],
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 10,
+    q: SemidirectProduct, family: Sequence[Covariant], ctx: CheckContext = CheckContext()
 ) -> ZeroCheck:
     """All pairwise Poisson brackets of the lifted family vanish.
 
@@ -666,7 +628,7 @@ def poisson_commute_check(
     elif len(family) < 2:
         deg = 0
     pairs = [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))]
-    rng = derive_rng(seed, "poisson", *(F.name for F in family))
+    rng = derive_rng(ctx.seed, "poisson", *(F.name for F in family))
 
     def polys():
         for i, j in pairs:
@@ -683,9 +645,9 @@ def poisson_commute_check(
         return None
 
     return identity_check(
-        mode, q.dim, deg, polys,
-        lambda: (rand_vector(rng, q.dim_g, bound), rand_vector(rng, q.dim_v, bound)),
-        residual, trials, max((d or 1) for d in degs) + 1 if degs else 0,
+        ctx, q.dim, deg, polys,
+        lambda: (rand_vector(rng, q.dim_g, ctx.bound), rand_vector(rng, q.dim_v, ctx.bound)),
+        residual,
     )
 
 
@@ -777,13 +739,7 @@ def degree_audit(degrees: Sequence[int], dim_v: int, q_quotient: int) -> DegreeA
 
 
 def invariant_check(
-    rep: Representation,
-    poly: MultiPoly,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int | None = None,
-    bound: int = 25,
-    name: str = "",
+    rep: Representation, poly: MultiPoly, name: str = "", ctx: CheckContext = CheckContext()
 ) -> ZeroCheck:
     """Check that a polynomial on V is an algebra invariant.
 
@@ -793,7 +749,7 @@ def invariant_check(
     """
     nv = rep.dim_v
     deg = poly.degree()
-    rng = derive_rng(seed, "invariant", name)
+    rng = derive_rng(ctx.seed, "invariant", name)
 
     def polys():
         for a in range(rep.algebra.dim):
@@ -807,6 +763,4 @@ def invariant_check(
                 return (a, v, d)
         return None
 
-    return identity_check(
-        mode, nv, deg, polys, lambda: rand_vector(rng, nv, bound), residual, trials, max(deg, 0)
-    )
+    return identity_check(ctx, nv, deg, polys, lambda: rand_vector(rng, nv, ctx.bound), residual)

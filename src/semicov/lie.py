@@ -61,7 +61,13 @@ class Factor:
 
 
 class LieAlgebra:
-    """Lie algebra given by structure constants on a fixed basis."""
+    """Lie algebra given by structure constants on a fixed basis.
+
+    ``brackets`` maps (a, b) with a < b to the sparse coordinates of
+    [e_a, e_b]; missing keys mean zero.  ``bracket_basis`` reads a table of
+    both orientations built at construction, so ``brackets`` must not be
+    mutated afterwards: build a new algebra instead.
+    """
 
     def __init__(
         self,
@@ -74,8 +80,10 @@ class LieAlgebra:
     ):
         self.name = name
         self.dim = dim
-        # brackets: {(a, b) with a < b: {c: coeff}}; missing keys mean zero
         self.brackets = brackets
+        self._table = dict(brackets)
+        for (a, b), entry in brackets.items():
+            self._table[(b, a)] = {c: -v for c, v in entry.items()}
         self.basis = basis
         self.matrix_size = matrix_size
         self.factors = factors or []
@@ -110,13 +118,8 @@ class LieAlgebra:
         return LieAlgebra(name, dim, brackets, basis=mats, matrix_size=size)
 
     def bracket_basis(self, a: int, b: int) -> dict:
-        """[e_a, e_b] as a sparse coordinate dict."""
-        if a == b:
-            return {}
-        if a < b:
-            return self.brackets.get((a, b), {})
-        entry = self.brackets.get((b, a), {})
-        return {c: -v for c, v in entry.items()}
+        """[e_a, e_b] as a sparse coordinate dict (shared: do not mutate)."""
+        return self._table.get((a, b), {})
 
     def bracket_coords(self, x: Sequence, y: Sequence) -> list:
         """[x, y] for coordinate vectors x, y."""

@@ -5,23 +5,26 @@ Terms are stored as a dict mapping exponent tuples to nonzero coefficients
 zero-testing are exact.
 
 Every identity check (``poly_is_zero`` and the ``covariants`` checks) runs
-through ``identity_check``, the one exact-or-sampled driver.  ``"auto"``
-resolves to exact when the identity's ring fits the cutoffs (at most 40
-variables, total degree at most 8), before anything is expanded; an explicit
-``"exact"`` past them raises ``CutoffExceeded``.
+through ``identity_check``, the one exact-or-sampled driver, under a
+``CheckContext``: the run's ``mode``, ``seed``, ``samples`` and ``bound``,
+validated once.  ``"auto"`` resolves to exact when the identity's ring fits
+the cutoffs (at most 40 variables, total degree at most 8), before anything
+is expanded; an explicit ``"exact"`` past them raises ``CutoffExceeded``.
 
 * exact: stops at the first nonzero polynomial.  ``proved_nonzero`` carries
   the witness ``(point, value)``, an integer point and the nonzero value
   there, prefixed as ``(tag, (point, value))`` when the polynomial's tag is
   not None.  ``trials`` is 0.
-* sampled (Schwartz-Zippel): ``trials``, at least 1, is the number of points
-  evaluated, up to and including the failing one for ``proved_nonzero``.
-  The witness is what the check's residual function returned there.
+* sampled (Schwartz-Zippel): ``ctx.samples`` points are evaluated; ``trials``
+  is the number evaluated, up to and including the failing one for
+  ``proved_nonzero``.  The witness is what the check's residual function
+  returned there.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -334,23 +337,40 @@ def _within_cutoffs(num_vars: int, degree) -> bool:
 
 
 def resolve_mode(mode: str, num_vars: int, degree) -> str:
-    """Resolve "auto" against the symbolic cutoffs before any expansion."""
-    if mode not in ("exact", "sampled", "auto"):
-        raise ValueError("mode must be exact, sampled, or auto")
+    """Resolve "auto" against the symbolic cutoffs before any expansion;
+    ``mode`` is a ``CheckContext`` mode, already validated."""
     if mode != "auto":
         return mode
     return "exact" if _within_cutoffs(num_vars, degree) else "sampled"
 
 
+@dataclass(frozen=True)
+class CheckContext:
+    """The knobs of every identity check: exact, sampled or auto ``mode``;
+    the ``seed`` of each check's rng stream; ``samples``, the points a
+    sampled check evaluates; and ``bound``, the integer range of those
+    points.  Bad knobs raise ValueError here, before any check runs."""
+
+    mode: str = "auto"
+    seed: int = 0
+    samples: int = 20
+    bound: int = 10
+
+    def __post_init__(self):
+        if self.mode not in ("exact", "sampled", "auto"):
+            raise ValueError("mode must be exact, sampled, or auto")
+        for knob in ("samples", "bound"):
+            if getattr(self, knob) < 1:
+                raise ValueError("%s must be at least 1, got %d" % (knob, getattr(self, knob)))
+
+
 def identity_check(
-    mode: str,
+    ctx: CheckContext,
     num_vars: int,
     degree,
-    exact: Callable[[], Iterable[tuple[object, MultiPoly]]],
+    exact: Callable[[], Iterable[tuple[object, MultiPoly]]] | None,
     sample: Callable[[], object],
     residual: Callable[[object], object],
-    trials: int | None,
-    sample_degree: int,
     rng: random.Random | None = None,
 ) -> ZeroCheck:
     """Decide one polynomial identity exactly or by sampling.
@@ -358,12 +378,10 @@ def identity_check(
     ``num_vars`` and ``degree`` (None when unknown) size the identity's ring.
     Exact mode iterates ``exact()``, the lazily expanded ``(tag, polynomial)``
     pairs; ``rng`` seeds its witness search.  Sampled mode evaluates
-    ``residual(sample())``, a witness or None, at ``trials`` points (default
-    ``sample_degree + 3``).  Results follow the module docstring.
+    ``residual(sample())``, a witness or None, at ``ctx.samples`` points.
+    Results follow the module docstring.
     """
-    if trials is not None and trials < 1:
-        raise ValueError("trials must be at least 1, got %d" % trials)
-    if resolve_mode(mode, num_vars, degree) == "exact":
+    if resolve_mode(ctx.mode, num_vars, degree) == "exact":
         if not _within_cutoffs(num_vars, degree):
             raise CutoffExceeded(
                 "exact identity refused: %d vars, degree %s" % (num_vars, degree)
@@ -376,13 +394,11 @@ def identity_check(
                     "proved_nonzero", "exact", witness=witness if tag is None else (tag, witness)
                 )
         return ZeroCheck("proved_zero", "exact")
-    if trials is None:
-        trials = sample_degree + 3
-    for t in range(trials):
+    for t in range(ctx.samples):
         witness = residual(sample())
         if witness is not None:
             return ZeroCheck("proved_nonzero", "sampled", trials=t + 1, witness=witness)
-    return ZeroCheck("sampled_zero", "sampled", trials=trials)
+    return ZeroCheck("sampled_zero", "sampled", trials=ctx.samples)
 
 
 def poly_is_zero(
@@ -398,6 +414,7 @@ def poly_is_zero(
     ``trials`` defaults to total degree + 3.  The witness is (point, value).
     """
     deg = max(p.degree(), 0)
+    ctx = CheckContext(mode, samples=deg + 3 if trials is None else trials, bound=bound)
     draw = rng if rng is not None else random.Random(0)
 
     def sample():
@@ -407,9 +424,7 @@ def poly_is_zero(
         val = p.evaluate(point)
         return (point, val) if val != 0 else None
 
-    return identity_check(
-        mode, p.num_vars, deg, lambda: [(None, p)], sample, residual, trials, deg, rng=rng
-    )
+    return identity_check(ctx, p.num_vars, deg, lambda: [(None, p)], sample, residual, rng=rng)
 
 
 def _nonzero_point(p: MultiPoly, rng: random.Random | None) -> list:

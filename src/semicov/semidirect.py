@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .lie import LieAlgebra, Representation, Subspace, subalgebra, is_abelian
+from .lie import LieAlgebra, Representation, Subspace, subalgebra
 from .linalg import Matrix, normalize_scalar, rank
 from .sampling import derive_rng, rand_vector
 
@@ -179,7 +179,7 @@ def rais_consistency(
     else:
         sub = subalgebra(q.g, stab)
         stab_index = index_estimate(sub, seed=seed, samples=len(sample), bound=bound).index
-        stab_abelian = is_abelian(q.g, stab)
+        stab_abelian = not sub.brackets
     expected = q.dim_v - q.dim_g + stab.dim + stab_index
     return RaisReport(
         dim_v=q.dim_v,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import (
-    CheckContext,
     Construction,
     ParameterError,
     TABLE_CAPTIONS,
@@ -40,7 +39,7 @@ from .covariants import (
 )
 from .lie import is_abelian, stabiliser_sample
 from .linalg import Matrix, rank
-from .poly import MultiPoly, ZeroCheck
+from .poly import CheckContext, MultiPoly, ZeroCheck
 from .sampling import derive_rng
 from .semidirect import DualPoint, SemidirectProduct, index_estimate, rais_consistency
 
@@ -60,9 +59,12 @@ class RunConfig:
     timings: bool = False
 
     def __post_init__(self):
-        for knob in ("samples", "bound"):
-            if getattr(self, knob) < 1:
-                raise ValueError("%s must be at least 1, got %d" % (knob, getattr(self, knob)))
+        self.ctx  # bad knobs raise here, before any target runs
+
+    @property
+    def ctx(self) -> CheckContext:
+        """The knobs every identity check of the run reads."""
+        return CheckContext(self.mode, self.seed, self.samples, self.bound)
 
     def override_dict(self) -> dict:
         return dict(self.overrides)
@@ -140,8 +142,9 @@ def _from_zero_check(name: str, res: ZeroCheck, detail: str = "", invert: bool =
     return _row(name, verdict, detail=d, witness=res.witness if verdict == "fail" else None)
 
 
-def _aggregate(name: str, results: list[tuple[str, ZeroCheck]], detail_extra: str = "") -> dict:
-    """One report row for a per-covariant family of zero checks."""
+def _aggregate(name: str, family, check, detail_extra: str = "") -> dict:
+    """One report row for ``check`` run on each covariant of the family."""
+    results = [(F.name, check(F)) for F in family]
     for label, res in results:
         if res.verdict == "proved_nonzero":
             return _row(name, "fail", detail="fails at %s" % label, witness=res.witness)
@@ -502,7 +505,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
         report["checks"].append(_row("construction_audit", "skipped", detail=str(err)))
         return report
     q = SemidirectProduct(cons.module, name=entry_id)
-    ctx = CheckContext(q=q, mode=cfg.mode, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+    ctx = cfg.ctx
     checks = report["checks"]
 
     checks.append(_timed(cfg, _check_construction_audit, cons, entry_id, cons.params))
@@ -518,48 +521,18 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     checks.append(_timed(cfg, gs))
     checks.append(_timed(cfg, _check_quotient_estimate, cons, sample))
-
-    def kernel_all():
-        results = [
-            (F.name, kernel_phi_check(F, mode=cfg.mode, seed=cfg.seed, trials=cfg.samples, bound=cfg.bound))
-            for F in cons.family
-        ]
-        return _aggregate("kernel_phi", results)
-
-    checks.append(_timed(cfg, kernel_all))
-
-    def equivariance_all():
-        results = [
-            (
-                F.name,
-                equivariance_check(
-                    F,
-                    basis_indices=cons.scope,
-                    mode=cfg.mode,
-                    seed=cfg.seed,
-                    trials=cfg.samples,
-                    bound=cfg.bound,
-                ),
-            )
-            for F in cons.family
-        ]
-        return _aggregate("equivariance_scope", results, detail_extra="scope: " + cons.scope_label)
-
-    checks.append(_timed(cfg, equivariance_all))
+    family = cons.family
+    checks.append(_timed(cfg, _aggregate, "kernel_phi", family, lambda F: kernel_phi_check(F, ctx)))
+    checks.append(_timed(
+        cfg, _aggregate, "equivariance_scope", family,
+        lambda F: equivariance_check(F, cons.scope, ctx), "scope: " + cons.scope_label,
+    ))
 
     if cons.complement is not None:
 
         def complement_fails():
-            for F in cons.family:
-                res = equivariance_check(
-                    F,
-                    basis_indices=cons.complement,
-                    mode=cfg.mode,
-                    seed=cfg.seed,
-                    trials=cfg.samples,
-                    bound=cfg.bound,
-                )
-                if res.verdict != "proved_nonzero":
+            for F in family:
+                if equivariance_check(F, cons.complement, ctx).verdict != "proved_nonzero":
                     return _row(
                         "equivariance_complement_fails",
                         "fail",
@@ -585,27 +558,12 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
         checks.append(_timed(cfg, _check_kernel_span, cons, sample))
     checks.append(_timed(cfg, _check_degree_audit, cons))
 
-    def lift_all():
-        results = [
-            (
-                F.name,
-                lift_invariance_check(
-                    q, F, mode=cfg.mode, seed=cfg.seed, trials=cfg.samples, bound=cfg.bound
-                ),
-            )
-            for F in cons.family
-        ]
-        return _aggregate("lift_invariance", results)
-
-    checks.append(_timed(cfg, lift_all))
-
-    def poisson():
-        res = poisson_commute_check(
-            q, cons.family, mode=cfg.mode, seed=cfg.seed, trials=cfg.samples, bound=cfg.bound
-        )
-        return _from_zero_check("poisson_commute", res)
-
-    checks.append(_timed(cfg, poisson))
+    checks.append(_timed(
+        cfg, _aggregate, "lift_invariance", family, lambda F: lift_invariance_check(q, F, ctx)
+    ))
+    checks.append(_timed(
+        cfg, lambda: _from_zero_check("poisson_commute", poisson_commute_check(q, family, ctx))
+    ))
     est = None
 
     def index_stabilized():
@@ -628,9 +586,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     if cfg.negative_controls:
         for control in cons.controls:
-            res = kernel_phi_check(
-                control.covariant, mode=cfg.mode, seed=cfg.seed, trials=cfg.samples, bound=cfg.bound
-            )
+            res = kernel_phi_check(control.covariant, ctx)
             checks.append(
                 _from_zero_check(control.name, res, detail=control.reason, invert=True)
             )

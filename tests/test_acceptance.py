@@ -36,7 +36,6 @@ from semicov.covariants import (
     weight_under,
 )
 from semicov.linalg import rank
-from semicov.semidirect import SemidirectProduct
 from semicov.verify import RunConfig, run_entry, run_suite, to_json
 
 
@@ -50,11 +49,6 @@ def _row(report_dict, name):
         if c["name"] == name:
             return c
     raise AssertionError("missing check row: %s" % name)
-
-
-def _ctx(cons, **kw):
-    q = SemidirectProduct(cons.module, name=cons.entry_id)
-    return CheckContext(q=q, **kw)
 
 
 def _extra(cons, name):
@@ -84,10 +78,10 @@ def test_acceptance_01_cube_exact_kernel_equivariance_brackets():
     for coeffs, want in [((1, -1, 0), "proved_zero"), ((0, 1, -1), "proved_zero"),
                          ((1, 1, 1), "proved_nonzero"), ((1, 0, 0), "proved_nonzero")]:
         f = cubic_combination(rep, *coeffs, name="acc")
-        ok = ok and kernel_phi_check(f, mode="exact").verdict == want
+        ok = ok and kernel_phi_check(f, CheckContext("exact")).verdict == want
     # full equivariance of both family members, exact
     for f in cons.family:
-        ok = ok and equivariance_check(f, mode="exact").verdict == "proved_zero"
+        ok = ok and equivariance_check(f, ctx=CheckContext("exact")).verdict == "proved_zero"
     # degree audit 2 + 2 = 8 - 4
     audit = degree_audit([f.degree for f in cons.family], 8, 4)
     ok = ok and audit.total == 4 and audit.codim == 4 and audit.verdict == "equality"
@@ -113,15 +107,16 @@ def test_acceptance_02_triple_product_exact_ladder_and_scope():
     f0, f1 = cons.family
     ok = True
     # the coefficient above the top degree vanishes identically
-    top = _extra(cons, "vanishing_top_coefficient").run(_ctx(cons, mode="exact"))
+    top = _extra(cons, "vanishing_top_coefficient").run(CheckContext("exact"))
     ok = ok and top.verdict == "proved_zero"
     # exact kernel membership for both members
     for f in (f0, f1):
-        ok = ok and kernel_phi_check(f, mode="exact").verdict == "proved_zero"
+        ok = ok and kernel_phi_check(f, CheckContext("exact")).verdict == "proved_zero"
     # equivariance holds on the product part, fails on the mixing sl_2
     for f in (f0, f1):
-        ok = ok and equivariance_check(f, basis_indices=cons.scope, mode="exact").verdict == "proved_zero"
-    broken = equivariance_check(f0, basis_indices=cons.complement, mode="exact")
+        res = equivariance_check(f, cons.scope, CheckContext("exact"))
+        ok = ok and res.verdict == "proved_zero"
+    broken = equivariance_check(f0, cons.complement, CheckContext("exact"))
     ok = ok and broken.verdict == "proved_nonzero" and broken.witness is not None
     # ladder structure: h-weights (-1, +1), f kills F0, e kills F1,
     # e and f swap the members up to sign -- a 2-dimensional irreducible
@@ -174,20 +169,20 @@ def test_acceptance_04_sym_dual_skew_pairs_exact_and_sampled():
     ok = True
     # n = 4: everything exact
     c4 = sym_skewdual_construction(4)
-    tz = _extra(c4, "trace_zero").run(_ctx(c4, mode="exact"))
+    tz = _extra(c4, "trace_zero").run(CheckContext("exact"))
     ok = ok and tz.verdict == "proved_zero"
     for f in c4.family:
-        ok = ok and kernel_phi_check(f, mode="exact").verdict == "proved_zero"
+        ok = ok and kernel_phi_check(f, CheckContext("exact")).verdict == "proved_zero"
     ok = ok and rank(values_matrix_at(c4.family, c4.witness)) == len(c4.family)
     a4 = degree_audit([f.degree for f in c4.family], c4.expected.dim_v,
                       c4.expected.quotient_degree)
     ok = ok and a4.verdict == "surplus" and a4.surplus == 2
     # n = 5: kernel sampled with at least degree+3 trials
     c5 = sym_skewdual_construction(5)
-    tz5 = _extra(c5, "trace_zero").run(_ctx(c5, mode="exact"))
+    tz5 = _extra(c5, "trace_zero").run(CheckContext("exact"))
     ok = ok and tz5.verdict == "proved_zero"
     for f in c5.family:
-        res = kernel_phi_check(f, mode="sampled", seed=11)
+        res = kernel_phi_check(f, CheckContext("sampled", seed=11))
         ok = ok and res.verdict == "sampled_zero" and res.trials >= f.degree + 3
     ok = ok and rank(values_matrix_at(c5.family, c5.witness)) == len(c5.family)
     a5 = degree_audit([f.degree for f in c5.family], c5.expected.dim_v,
@@ -206,18 +201,18 @@ def test_acceptance_05_symmetric_pairs_even_coefficients():
     ok = True
     for n in (3, 4, 5):
         cons = sym_skew_construction(n)
-        ev = _extra(cons, "det_even").run(_ctx(cons, mode="exact"))
+        ev = _extra(cons, "det_even").run(CheckContext("exact"))
         ok = ok and ev.verdict == "proved_zero"
         for f in cons.family:
             # landing in the trace-zero algebra is part of the construction;
             # the component count must match the algebra dimension
             assert len(f.components) == cons.algebra.dim
-            ok = ok and kernel_phi_check(f, mode="exact").verdict == "proved_zero"
-            ok = ok and equivariance_check(f, mode="exact").verdict == "proved_zero"
+            ok = ok and kernel_phi_check(f, CheckContext("exact")).verdict == "proved_zero"
+            ok = ok and equivariance_check(f, ctx=CheckContext("exact")).verdict == "proved_zero"
     # odd-coefficient control fails the kernel condition at n = 3
     c3 = sym_skew_construction(3)
     control = next(c for c in c3.controls if c.name == "kernel_phi_control_odd")
-    ok = ok and kernel_phi_check(control.covariant, mode="exact").verdict == "proved_nonzero"
+    ok = ok and kernel_phi_check(control.covariant, CheckContext("exact")).verdict == "proved_nonzero"
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 120.0
     _announce(5, ok, "symmetric pairs n=3,4,5: determinant even in the "

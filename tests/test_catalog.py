@@ -76,7 +76,7 @@ from semicov.covariants import (
     weight_under,
 )
 from semicov.linalg import Matrix, adjugate, det, rank
-from semicov.poly import MultiPoly
+from semicov.poly import CheckContext, MultiPoly
 
 
 # -- 2x2x2 cube -------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_cube_factor_solutions_fully_equivariant():
     for fac in range(3):
         coeffs = [1 if t == fac else 0 for t in range(3)]
         g = cubic_combination(rep, *coeffs, name="G%d" % fac)
-        assert equivariance_check(g, mode="exact").verdict == "proved_zero"
+        assert equivariance_check(g, ctx=CheckContext("exact")).verdict == "proved_zero"
 
 
 def test_cube_phi_agrees_across_factors():
@@ -138,10 +138,10 @@ def test_cube_kernel_iff_coefficients_sum_to_zero():
     zero_sum = [(1, -1, 0), (0, 1, -1), (2, -1, -1), (1, 1, -2)]
     for lam, mu, nu in zero_sum:
         f = cubic_combination(rep, lam, mu, nu, name="t")
-        assert kernel_phi_check(f, mode="exact").verdict == "proved_zero"
+        assert kernel_phi_check(f, CheckContext("exact")).verdict == "proved_zero"
     for lam, mu, nu in [(1, 1, 1), (1, 0, 0), (2, -1, 0)]:
         f = cubic_combination(rep, lam, mu, nu, name="t")
-        assert kernel_phi_check(f, mode="exact").verdict == "proved_nonzero"
+        assert kernel_phi_check(f, CheckContext("exact")).verdict == "proved_nonzero"
 
 
 def test_cube_construction_family_and_control():
@@ -153,7 +153,7 @@ def test_cube_construction_family_and_control():
     names = [c.name for c in cons.controls]
     assert "kernel_phi_control_mixed" in names
     control = cons.controls[names.index("kernel_phi_control_mixed")]
-    assert kernel_phi_check(control.covariant, mode="exact").verdict == "proved_nonzero"
+    assert kernel_phi_check(control.covariant, CheckContext("exact")).verdict == "proved_nonzero"
 
 
 # -- adjoint family ----------------------------------------------------------
@@ -164,7 +164,7 @@ def test_adjoint_degree_one_member_is_minus_x(n):
     cons = adjoint_construction(n)
     rep = cons.module
     ident = Covariant(rep, components=list(MultiPoly.variables(rep.dim_v)), name="id", degree=1)
-    res = covariant_match_check(cons.family[0], ident, coeff=Fraction(-1), mode="exact")
+    res = covariant_match_check(cons.family[0], ident, Fraction(-1), CheckContext("exact"))
     assert res.verdict == "proved_zero"
 
 
@@ -180,7 +180,7 @@ def test_adjoint_degree_two_member_is_minus_traceless_adjugate():
     adj_tl = adj - Matrix.identity(3).map(lambda e: tr * Fraction(1, 3) * e)
     coords = SpanSolver([b.vec() for b in rep.algebra.basis]).coords(adj_tl.vec())
     target = Covariant(rep, components=list(coords), name="adj0", degree=2)
-    res = covariant_match_check(cons.family[1], target, coeff=Fraction(-1), mode="exact")
+    res = covariant_match_check(cons.family[1], target, Fraction(-1), CheckContext("exact"))
     assert res.verdict == "proved_zero"
 
 
@@ -199,7 +199,7 @@ def test_tri_sl_lambda0_matches_direct_assembly():
     )
     coords = SpanSolver([x.vec() for x in rep.algebra.basis]).coords(direct.vec())
     target = Covariant(rep, components=list(coords), name="direct", degree=3)
-    assert covariant_match_check(cons.family[0], target, mode="exact").verdict == "proved_zero"
+    assert covariant_match_check(cons.family[0], target, ctx=CheckContext("exact")).verdict == "proved_zero"
 
 
 def test_tri_sl_ladder_action_of_distinguished_sl2():
@@ -322,13 +322,13 @@ def test_sym_skew_odd_control_fails_kernel():
     names = [c.name for c in cons.controls]
     assert "kernel_phi_control_odd" in names
     control = cons.controls[names.index("kernel_phi_control_odd")]
-    assert kernel_phi_check(control.covariant, mode="exact").verdict == "proved_nonzero"
+    assert kernel_phi_check(control.covariant, CheckContext("exact")).verdict == "proved_nonzero"
 
 
 def test_sym_skew_family_members_in_kernel_exactly():
     cons = sym_skew_construction(3)
     assert len(cons.family) == 1
-    assert kernel_phi_check(cons.family[0], mode="exact").verdict == "proved_zero"
+    assert kernel_phi_check(cons.family[0], CheckContext("exact")).verdict == "proved_zero"
 
 
 # -- skew minor matrices ------------------------------------------------------

@@ -58,7 +58,7 @@ from semicov.covariants import (
 from semicov.catalog import build_construction, get_entry
 from semicov.lie import Representation, adjoint_rep, defining, direct_sum, sl, stabiliser_sample
 from semicov.linalg import Matrix
-from semicov.poly import CutoffExceeded, MultiPoly
+from semicov.poly import CheckContext, CutoffExceeded, MultiPoly
 from semicov.semidirect import SemidirectProduct
 
 from lift_oracles import (
@@ -156,17 +156,17 @@ def test_directional_derivative_frozen():
 def test_phi_vanishes_for_moment_covariant():
     F = moment_covariant()
     assert phi_at(F, [5, 7]) == [0, 0]
-    check = kernel_phi_check(F, mode="exact")
+    check = kernel_phi_check(F, CheckContext("exact"))
     assert check.verdict == "proved_zero"
-    check = kernel_phi_check(F, mode="sampled", seed=11)
+    check = kernel_phi_check(F, CheckContext("sampled", seed=11))
     assert check.verdict == "sampled_zero"
 
 
 def test_phi_detects_non_kernel():
     G = bad_covariant()
-    check = kernel_phi_check(G, mode="exact")
+    check = kernel_phi_check(G, CheckContext("exact"))
     assert check.verdict == "proved_nonzero"
-    check = kernel_phi_check(G, mode="sampled", seed=11)
+    check = kernel_phi_check(G, CheckContext("sampled", seed=11))
     assert check.verdict == "proved_nonzero"
     v, out = check.witness
     assert phi_at(G, v) == out
@@ -192,31 +192,32 @@ def _zero_first_draws(monkeypatch, count):
 def test_sampled_failure_reports_points_evaluated(monkeypatch, check):
     # G is homogeneous of degree 2, so both identities hold at the origin
     drawn = _zero_first_draws(monkeypatch, 2)
-    res = check(bad_covariant(), mode="sampled", seed=11, trials=20)
+    res = check(bad_covariant(), ctx=CheckContext("sampled", seed=11, samples=20))
     assert res.verdict == "proved_nonzero"
     assert 3 <= res.trials == len(drawn) < 20
 
 
 @pytest.mark.parametrize("check", [kernel_phi_check, equivariance_check])
 def test_zero_trials_raise(check):
+    # a sample count below 1 is refused when the check's context is built
     for bad in (0, -1):
-        with pytest.raises(ValueError):
-            check(moment_covariant(), mode="sampled", trials=bad)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check(moment_covariant(), ctx=CheckContext("sampled", samples=bad))
 
 
 def test_equivariance_exact_and_sampled():
     F = moment_covariant()
-    assert equivariance_check(F, mode="exact").verdict == "proved_zero"
-    assert equivariance_check(F, mode="sampled", seed=5).verdict == "sampled_zero"
+    assert equivariance_check(F, ctx=CheckContext("exact")).verdict == "proved_zero"
+    assert equivariance_check(F, ctx=CheckContext("sampled", seed=5)).verdict == "sampled_zero"
     G = bad_covariant()
-    bad = equivariance_check(G, mode="exact")
+    bad = equivariance_check(G, ctx=CheckContext("exact"))
     assert bad.verdict == "proved_nonzero"
-    bad = equivariance_check(G, mode="sampled", seed=5)
+    bad = equivariance_check(G, ctx=CheckContext("sampled", seed=5))
     assert bad.verdict == "proved_nonzero"
     # scope restriction: G is e-equivariant (e*G = -2 v0 v1 E01 != 0 actually
     # fails too), but restricting to an index where it does vanish passes;
     # h*G = 0 as computed by hand.
-    assert equivariance_check(G, basis_indices=[H_IDX], mode="exact").verdict == "proved_zero"
+    assert equivariance_check(G, [H_IDX], CheckContext("exact")).verdict == "proved_zero"
 
 
 def test_weight_ladder():
@@ -282,10 +283,10 @@ def test_independence_witness():
 
 def test_sl3_kernel_and_equivariance():
     _, F1, F2 = sl3_pair()
-    assert kernel_phi_check(F1, mode="exact").verdict == "proved_zero"
-    assert kernel_phi_check(F2, mode="exact").verdict == "proved_zero"
-    assert equivariance_check(F1, mode="exact").verdict == "proved_zero"
-    assert equivariance_check(F2, mode="exact").verdict == "proved_zero"
+    assert kernel_phi_check(F1, CheckContext("exact")).verdict == "proved_zero"
+    assert kernel_phi_check(F2, CheckContext("exact")).verdict == "proved_zero"
+    assert equivariance_check(F1, ctx=CheckContext("exact")).verdict == "proved_zero"
+    assert equivariance_check(F2, ctx=CheckContext("exact")).verdict == "proved_zero"
 
 
 def test_kernel_span_sl3():
@@ -319,13 +320,13 @@ def test_lift_polynomial_and_value():
 def test_lift_invariance():
     F = moment_covariant()
     q = SemidirectProduct(F.rep)
-    assert lift_invariance_check(q, F, mode="exact").verdict == "proved_zero"
-    assert lift_invariance_check(q, F, mode="sampled", seed=9).verdict == "sampled_zero"
+    assert lift_invariance_check(q, F, CheckContext("exact")).verdict == "proved_zero"
+    assert lift_invariance_check(q, F, CheckContext("sampled", seed=9)).verdict == "sampled_zero"
     G = bad_covariant()
     qg = SemidirectProduct(G.rep)
-    bad = lift_invariance_check(qg, G, mode="exact")
+    bad = lift_invariance_check(qg, G, CheckContext("exact"))
     assert bad.verdict == "proved_nonzero"
-    bad = lift_invariance_check(qg, G, mode="sampled", seed=9)
+    bad = lift_invariance_check(qg, G, CheckContext("sampled", seed=9))
     assert bad.verdict == "proved_nonzero"
     with pytest.raises(ValueError):
         lift_invariance_check(q, G)
@@ -334,9 +335,9 @@ def test_lift_invariance():
 def test_poisson_brackets_sl3():
     rep, F1, F2 = sl3_pair()
     q = SemidirectProduct(rep)
-    check = poisson_commute_check(q, [F1, F2], mode="exact")
+    check = poisson_commute_check(q, [F1, F2], CheckContext("exact"))
     assert check.verdict == "proved_zero"
-    check = poisson_commute_check(q, [F1, F2], mode="sampled", seed=4, trials=3)
+    check = poisson_commute_check(q, [F1, F2], CheckContext("sampled", seed=4, samples=3))
     assert check.verdict == "sampled_zero"
 
 
@@ -368,21 +369,22 @@ def test_resolve_mode_and_cutoffs():
         degree=9,
     )
     with pytest.raises(CutoffExceeded):
-        kernel_phi_check(big, mode="exact")
+        kernel_phi_check(big, CheckContext("exact"))
     # auto falls back to sampling instead
-    assert kernel_phi_check(big, mode="auto", seed=1).verdict == "proved_nonzero"
+    assert kernel_phi_check(big, CheckContext("auto", seed=1)).verdict == "proved_nonzero"
 
 
 def test_zero_and_match_checks():
     rep = defining(sl(2))
     zero = Covariant(rep, components=[MultiPoly.zero(2)] * 3, name="0")
-    assert covariant_zero_check(zero, mode="exact").verdict == "proved_zero"
+    assert covariant_zero_check(zero, CheckContext("exact")).verdict == "proved_zero"
     F = moment_covariant()
-    assert covariant_zero_check(F, mode="exact").verdict == "proved_nonzero"
+    assert covariant_zero_check(F, CheckContext("exact")).verdict == "proved_nonzero"
     half = Covariant(rep, components=[p * Fraction(1, 2) for p in F.components], name="F/2")
-    assert covariant_match_check(F, half, coeff=2, mode="exact").verdict == "proved_zero"
-    assert covariant_match_check(F, half, coeff=1, mode="exact").verdict == "proved_nonzero"
-    assert covariant_match_check(F, half, coeff=2, mode="sampled", seed=2).verdict == "sampled_zero"
+    assert covariant_match_check(F, half, 2, CheckContext("exact")).verdict == "proved_zero"
+    assert covariant_match_check(F, half, 1, CheckContext("exact")).verdict == "proved_nonzero"
+    smp = covariant_match_check(F, half, 2, CheckContext("sampled", seed=2))
+    assert smp.verdict == "sampled_zero"
 
 
 def test_parameter_coefficients():
@@ -444,12 +446,12 @@ def test_invariant_check_adjoint_determinant():
     rep = adjoint_rep(sl(2))
     p = MultiPoly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
     assert invariant_check(rep, p).verdict == "proved_zero"
-    smp = invariant_check(rep, p, mode="sampled", seed=3)
+    smp = invariant_check(rep, p, ctx=CheckContext("sampled", seed=3))
     assert smp.verdict == "sampled_zero"
 
     bad = MultiPoly(3, {(2, 0, 0): 1})
     assert invariant_check(rep, bad).verdict == "proved_nonzero"
-    sbad = invariant_check(rep, bad, mode="sampled", seed=3)
+    sbad = invariant_check(rep, bad, ctx=CheckContext("sampled", seed=3))
     assert sbad.verdict == "proved_nonzero" and sbad.witness is not None
 
 
@@ -524,13 +526,13 @@ def test_sampled_equivariance_witness_reevaluates(entry_id, overrides):
     rep, g = cons.module, cons.module.algebra
     R = random_covariant(rep, random.Random("witness-" + entry_id), "R")
     for F in (R, formula_view(R)):
-        check = equivariance_check(F, mode="sampled", seed=4, trials=3)
+        check = equivariance_check(F, ctx=CheckContext("sampled", seed=4, samples=3))
         assert check.verdict == "proved_nonzero" and check.mode == "sampled"
         a, v, out = check.witness
         assert any(c != 0 for c in out)
         want = act_on_matrix_polys(F, _unit(g.dim, a)).map(lambda p: p.evaluate(v))
         assert _algebra_matrix(g, out) == want
-        check = equivariance_check(F, mode="exact")
+        check = equivariance_check(F, ctx=CheckContext("exact"))
         assert check.verdict == "proved_nonzero" and check.mode == "exact"
         a, (point, value) = check.witness
         assert value != 0
@@ -613,7 +615,7 @@ def test_sampled_poisson_witness_reevaluates():
     rng = random.Random(3)
     family = [formula_view(random_covariant(cons.module, rng, "R0")),
               random_covariant(cons.module, rng, "R1")]
-    check = poisson_commute_check(q, family, mode="sampled", seed=2, trials=5)
+    check = poisson_commute_check(q, family, CheckContext("sampled", seed=2, samples=5))
     assert check.verdict == "proved_nonzero" and check.mode == "sampled"
     (i, j), (xi, v), value = check.witness
     assert (i, j) == (0, 1) and value != 0
@@ -641,10 +643,10 @@ def test_exact_equivariance_expands_once(indices):
     R = formula_view(random_covariant(rep, random.Random(8), "R"))
     family = [_counted(F, calls) for F in (F1, F2, R)]
     for F in family:
-        assert kernel_phi_check(F, mode="exact").mode == "exact"
-        assert equivariance_check(F, basis_indices=indices, mode="exact").mode == "exact"
-        assert lift_invariance_check(q, F, mode="exact").mode == "exact"
-    assert poisson_commute_check(q, family, mode="exact").mode == "exact"
+        assert kernel_phi_check(F, CheckContext("exact")).mode == "exact"
+        assert equivariance_check(F, indices, CheckContext("exact")).mode == "exact"
+        assert lift_invariance_check(q, F, CheckContext("exact")).mode == "exact"
+    assert poisson_commute_check(q, family, CheckContext("exact")).mode == "exact"
     assert calls == {F.name: 1 for F in family}
 
 
@@ -701,7 +703,7 @@ def test_exact_failure_witnesses_reevaluate():
     rng = random.Random(5)
     family = [formula_view(random_covariant(cons.module, rng, "R0")),
               random_covariant(cons.module, rng, "R1")]
-    check = poisson_commute_check(q, family, mode="exact")
+    check = poisson_commute_check(q, family, CheckContext("exact"))
     assert check.verdict == "proved_nonzero" and check.mode == "exact"
     ((i, j), a), (v, value) = check.witness
     e_a = [int(b == a) for b in range(q.dim_g)]
@@ -709,7 +711,7 @@ def test_exact_failure_witnesses_reevaluate():
     assert poisson_pair_at(q, family[i], family[j], e_a, v) == value
     for F in family + [bad_covariant()]:
         qf = SemidirectProduct(F.rep)
-        check = lift_invariance_check(qf, F, mode="exact")
+        check = lift_invariance_check(qf, F, CheckContext("exact"))
         assert check.verdict == "proved_nonzero" and check.mode == "exact"
         v, value = check.witness
         assert len(v) == F.rep.dim_v and value != 0
@@ -731,7 +733,7 @@ def test_phi_expanded_once_per_covariant(monkeypatch):
 
     monkeypatch.setattr(Representation, "act", counting)
     for F in family:
-        assert kernel_phi_check(F, mode="exact").mode == "exact"
-        assert lift_invariance_check(q, F, mode="exact").mode == "exact"
-    assert poisson_commute_check(q, family, mode="exact").mode == "exact"
+        assert kernel_phi_check(F, CheckContext("exact")).mode == "exact"
+        assert lift_invariance_check(q, F, CheckContext("exact")).mode == "exact"
+    assert poisson_commute_check(q, family, CheckContext("exact")).mode == "exact"
     assert len(symbolic) == len(family)

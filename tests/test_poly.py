@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from semicov.poly import (
     NEG_INF,
+    CheckContext,
     CutoffExceeded,
     MultiPoly,
     poly_is_zero,
@@ -134,9 +135,15 @@ def test_sampled_trials_count_points_evaluated():
     assert res.verdict == "proved_nonzero"
     assert res.trials == 3
     assert res.witness == ([5], 5)
+
+
+def test_check_context_rejects_bad_knobs():
     for bad in (0, -1):
-        with pytest.raises(ValueError):
-            poly_is_zero(x, mode="sampled", trials=bad)
+        for knob in ("samples", "bound"):
+            with pytest.raises(ValueError, match="%s must be at least 1" % knob):
+                CheckContext("sampled", **{knob: bad})
+    with pytest.raises(ValueError):
+        CheckContext("symbolic")
 
 
 def test_exact_failure_always_has_a_witness():

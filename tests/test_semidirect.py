@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from semicov.lie import adjoint_rep, defining, sl, stabiliser, stabiliser_sample
+from semicov.lie import LieAlgebra, adjoint_rep, defining, sl, stabiliser, stabiliser_sample
 from semicov.semidirect import (
     DualPoint,
     SemidirectProduct,
@@ -40,8 +40,8 @@ def test_bracket_structure_and_jacobi():
 def test_jacobi_fails_for_broken_action():
     # sanity: the Jacobi check does detect corruption
     q = q_adjoint_sl2()
-    q.lie.brackets[(3, 4)] = {0: 1}
-    ok, _ = q.lie.check_jacobi()
+    broken = LieAlgebra("broken", q.dim, {**q.lie.brackets, (3, 4): {0: 1}})
+    ok, _ = broken.check_jacobi()
     assert not ok
 
 

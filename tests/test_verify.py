@@ -15,6 +15,9 @@ Covered here:
   stabiliser once for all five rows that read it; a table row makes one
   orbit-map rank per sampled point; the rais row reuses the
   index_stabilized estimate and passes --bound to every index estimate;
+* --samples and --bound reach every sampled row of an entry, family rows,
+  extras and the stabiliser and index rows alike (witness_plane keeps its
+  fixed 10 points);
 * the command line resolves aliases, prints one line per catalog entry or
   table row, emits parseable JSON (text is the default), and uses exit
   codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
@@ -149,6 +152,38 @@ def test_kirillov_even_reads_the_index_sample(monkeypatch, samples):
     # Kirillov forms of q are ranked only by the index estimate
     dim_q = max(shapes)
     assert shapes.count(dim_q) == ranked
+
+
+def test_samples_and_bound_reach_every_sampled_row(monkeypatch):
+    import re
+    import sys
+
+    import semicov.sampling as sampling
+
+    inner = sampling.rand_vector
+    bounds = []
+
+    def recording(rng, n, bound=10):
+        bounds.append(bound)
+        return inner(rng, n, bound)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semicov") and getattr(module, "rand_vector", None) is inner:
+            monkeypatch.setattr(module, "rand_vector", recording)
+    cfg = RunConfig(entries=("ex5.1", "ex5.3"), mode="sampled", samples=50, bound=7)
+    counted = {}
+    for entry in run_suite(cfg).entries:
+        for row in entry["checks"]:
+            assert row["verdict"] != "fail", row
+            found = re.search(r"(\d+) (trials|samples|sampled points)", row.get("detail", ""))
+            if found:
+                counted[(entry["id"], row["name"])] = int(found.group(1))
+    assert counted.pop(("ex5.3", "witness_plane")) == 10
+    for extra in ("vanishing_top_coefficient", "companion_identity"):
+        assert ("ex5.1", extra) in counted
+    assert ("ex5.3", "invariant_degrees") in counted
+    assert counted and all(n == 50 for n in counted.values()), counted
+    assert bounds and set(bounds) == {7}
 
 
 def test_kirillov_even_fails_on_an_odd_rank_with_its_point():
