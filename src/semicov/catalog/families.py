@@ -4,6 +4,16 @@ Each public ``*_construction`` function assembles one verified family:
 the acting Lie algebra, the module in coordinates, the covariants in
 Ker(φ), the expected numerology (dimensions, degrees, quotient degree),
 and the family-specific extra checks and negative controls.
+
+Every extra but ``weight_relations`` and ``span_sl2_module`` (exact: they
+compute the sl_2-module structure of the ex5.1 span) runs through
+``poly.identity_check``.  An ``identity_extra`` fails with ``(tag, (point,
+value))`` exact or ``(tag, v, value)`` sampled, where the value named by
+``tag`` (``(tag, (i, j))`` for a matrix entry) re-evaluates to ``value``.
+The others give the witnesses of their ``covariants`` checks; the sampled
+points of ``invariant_degrees`` fail with ``(name, v, "degree")`` or
+``(name, v, zeta)``, and those of ``witness_plane`` with ``(alpha, beta,
+rank)``.
 """
 from __future__ import annotations
 
@@ -20,6 +30,7 @@ from ..covariants import (
     covariant_zero_check,
     family_rank,
     invariant_check,
+    parameter_coefficients,
     weight_under,
 )
 from ..lie import (
@@ -89,6 +100,9 @@ class Expected:
 
 @dataclass(frozen=True)
 class ExtraCheck:
+    """A family-specific report row: ``run(ctx)`` decides it under the run's
+    knobs.  Witness shapes are in the module docstring."""
+
     name: str
     run: Callable[[CheckContext], ZeroCheck]
 
@@ -120,15 +134,37 @@ class Construction:
     kernel_span: bool = False  # values should span the full stabiliser pointwise
 
 
-def _zero_matrix_check(mat: Matrix, witness_tag: str) -> ZeroCheck:
-    for i, row in enumerate(mat.rows):
-        for j, e in enumerate(row):
-            zero = e.is_zero() if isinstance(e, MultiPoly) else e == 0
-            if not zero:
-                return ZeroCheck(
-                    "proved_nonzero", "exact", witness=(witness_tag, (i, j), str(e))
-                )
-    return ZeroCheck("proved_zero", "exact")
+def _entries(values):
+    """(tag, scalar or Matrix) pairs as scalars; entry (i, j) is (tag, (i, j))."""
+    for tag, val in values:
+        if isinstance(val, Matrix):
+            for i, row in enumerate(val.rows):
+                yield from (((tag, (i, j)), e) for j, e in enumerate(row))
+        else:
+            yield tag, val
+
+
+def identity_extra(name: str, num_vars: int, degree: int, values) -> ExtraCheck:
+    """The extra row ``name``: each value of ``values(coords)``, (tag, scalar
+    or Matrix) pairs of degree at most ``degree`` in coordinates of any ring,
+    vanishes on V.  Exact mode expands it at ``MultiPoly.variables``; sampled
+    mode evaluates it at points of the ``("extra", name)`` stream."""
+
+    def run(ctx: CheckContext) -> ZeroCheck:
+        rng = derive_rng(ctx.seed, "extra", name)
+
+        def expanded():
+            for tag, e in _entries(values(MultiPoly.variables(num_vars))):
+                yield tag, e if isinstance(e, MultiPoly) else MultiPoly.const(num_vars, e)
+
+        def residual(v):
+            return next(((tag, v, e) for tag, e in _entries(values(v)) if e != 0), None)
+
+        return identity_check(
+            ctx, num_vars, degree, expanded, lambda: rand_vector(rng, num_vars, ctx.bound), residual
+        )
+
+    return ExtraCheck(name, run)
 
 
 # -- adjoint family ----------------------------------------------------------
@@ -305,7 +341,6 @@ def _tri_fields(galg: LieAlgebra, n: int):
 
 def _tri_lambda_covariants(galg: LieAlgebra, mod, n: int) -> list[Covariant]:
     """Coefficient covariants of (A, B) -> (B(A+lam B)*, (A+lam B)*B)."""
-    from ..covariants import parameter_coefficients
 
     def formula(coords):
         lam = coords[-1]
@@ -342,60 +377,46 @@ def tri_sl_construction(n: int) -> Construction:
 
     companion = Covariant(rep, matrix_formula=companion_formula, name="swapped", degree=n)
 
-    def check_vanishing(ctx: CheckContext) -> ZeroCheck:
-        return covariant_zero_check(top, ctx)
+    def unit(a: int) -> list:
+        return [int(b == a) for b in range(galg.dim)]
 
-    def check_companion(ctx: CheckContext) -> ZeroCheck:
-        return covariant_match_check(companion, family[n - 2], Fraction(-1), ctx)
-
-    def check_weights(ctx: CheckContext) -> ZeroCheck:
-        h = [0] * galg.dim
-        h[h_idx] = 1
-        f_ = [0] * galg.dim
-        f_[f_idx] = 1
-        w = weight_under(family[0], h)
+    def weight_failure():
+        w = weight_under(family[0], unit(h_idx))
         if w != 2 - n:
-            return ZeroCheck("proved_nonzero", "exact", witness=("h-weight", str(w)))
-        lowered = act_on_components(family[0], f_)
-        bad = [str(p) for p in lowered if not p.is_zero()]
-        if bad:
-            return ZeroCheck("proved_nonzero", "exact", witness=("f-action", bad[0]))
-        return ZeroCheck("proved_zero", "exact")
+            return ("h-weight", str(w))
+        bad = [str(p) for p in act_on_components(family[0], unit(f_idx)) if not p.is_zero()]
+        return ("f-action", bad[0]) if bad else None
 
-    def check_span(ctx: CheckContext) -> ZeroCheck:
+    def span_failure():
         if family_rank(family) != n - 1:
-            return ZeroCheck("proved_nonzero", "exact", witness=("span rank", family_rank(family)))
+            return ("span rank", family_rank(family))
         weights = [2 - n + 2 * i for i in range(n - 1)]
         mats = {}
         for a in range(galg.dim):
-            x = [0] * galg.dim
-            x[a] = 1
-            m = action_matrix_on_span(family, x)
-            if m is None:
-                return ZeroCheck("proved_nonzero", "exact", witness=("unstable direction", a))
-            mats[a] = m
+            mats[a] = action_matrix_on_span(family, unit(a))
+            if mats[a] is None:
+                return ("unstable direction", a)
         h_mat = mats[h_idx]
         for i in range(n - 1):
             for j in range(n - 1):
-                want = weights[i] if i == j else 0
-                if h_mat.rows[i][j] != want:
-                    return ZeroCheck(
-                        "proved_nonzero", "exact", witness=("h-matrix", (i, j), str(h_mat.rows[i][j]))
-                    )
+                if h_mat.rows[i][j] != (weights[i] if i == j else 0):
+                    return ("h-matrix", (i, j), str(h_mat.rows[i][j]))
         for name, idx, shift in (("e", e_idx, 2), ("f", f_idx, -2)):
             m = mats[idx]
             r = rank(m)
             if r != n - 2:
-                return ZeroCheck("proved_nonzero", "exact", witness=("%s-rank" % name, r))
+                return ("%s-rank" % name, r)
             for i in range(n - 1):
                 for j in range(n - 1):
                     if m.rows[i][j] != 0 and weights[i] != weights[j] + shift:
-                        return ZeroCheck(
-                            "proved_nonzero",
-                            "exact",
-                            witness=("%s-ladder" % name, (i, j)),
-                        )
-        return ZeroCheck("proved_zero", "exact")
+                        return ("%s-ladder" % name, (i, j))
+        return None
+
+    def exact(witness) -> ZeroCheck:
+        # the span's sl_2-module structure is computed whatever the mode: it
+        # is not an identity on V that points could sample
+        verdict = "proved_zero" if witness is None else "proved_nonzero"
+        return ZeroCheck(verdict, "exact", witness=witness)
 
     expected = Expected(
         dim_v=2 * n * n,
@@ -417,10 +438,13 @@ def tri_sl_construction(n: int) -> Construction:
         complement=sl2_scope,
         complement_label="sl_2",
         extras=[
-            ExtraCheck("vanishing_top_coefficient", check_vanishing),
-            ExtraCheck("companion_identity", check_companion),
-            ExtraCheck("weight_relations", check_weights),
-            ExtraCheck("span_sl2_module", check_span),
+            ExtraCheck("vanishing_top_coefficient", lambda ctx: covariant_zero_check(top, ctx)),
+            ExtraCheck(
+                "companion_identity",
+                lambda ctx: covariant_match_check(companion, family[n - 2], Fraction(-1), ctx),
+            ),
+            ExtraCheck("weight_relations", lambda ctx: exact(weight_failure())),
+            ExtraCheck("span_sl2_module", lambda ctx: exact(span_failure())),
         ],
     )
 
@@ -523,39 +547,33 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
         for i in range(low, n)
     ]
     nn = n * n
-    coords = MultiPoly.variables(k * nn)
-    blocks = [unvec(coords[i * nn : (i + 1) * nn], n, n) for i in range(k)]
-    cycle_product = blocks[0]
-    for i in range(1, k):
-        cycle_product = cycle_product * blocks[i]
-    sigma = char_poly(cycle_product)
-    invariants = [("sigma%d" % j, sigma[j], j * k) for j in range(1, n + 1)]
 
-    def check_blocks(ctx: CheckContext) -> ZeroCheck:
-        power = quiver_cycle_matrix(coords, n, k) ** k
-        want = []
-        for i in range(k):
+    def cycle_products(coords, arcs=range(k)) -> list[Matrix]:
+        """M_i M_(i+1) ... M_(i-1), the product around the cycle from each arc i."""
+        blocks = [unvec(coords[i * nn : (i + 1) * nn], n, n) for i in range(k)]
+        out = []
+        for i in arcs:
             prod = blocks[i]
             for step in range(1, k):
                 prod = prod * blocks[(i + step) % k]
-            want.append(prod)
+            out.append(prod)
+        return out
+
+    sigma = char_poly(cycle_products(MultiPoly.variables(k * nn), [0])[0])
+    invariants = [("sigma%d" % j, sigma[j], j * k) for j in range(1, n + 1)]
+
+    def block_powers(coords):
+        # the k-th power of the cycle matrix is block diagonal, with the
+        # cycle products on the diagonal
+        power = quiver_cycle_matrix(coords, n, k) ** k
+        want = cycle_products(coords)
         for bi in range(k):
             for bj in range(k):
-                blk = power.submatrix(
-                    range(bi * n, bi * n + n), range(bj * n, bj * n + n)
-                )
-                target = blk - want[bi] if bi == bj else blk
-                res = _zero_matrix_check(target, "block(%d,%d)" % (bi, bj))
-                if res.verdict != "proved_zero":
-                    return res
-        return ZeroCheck("proved_zero", "exact")
+                blk = power.submatrix(range(bi * n, bi * n + n), range(bj * n, bj * n + n))
+                yield "block(%d,%d)" % (bi, bj), blk - want[bi] if bi == bj else blk
 
     def check_invariants(ctx: CheckContext) -> ZeroCheck:
-        for name, poly, degree in invariants:
-            if poly.degree() != degree:
-                return ZeroCheck(
-                    "proved_nonzero", "exact", witness=(name, "degree", poly.degree())
-                )
+        for name, poly, _ in invariants:
             res = invariant_check(rep, poly, name, ctx)
             if res.verdict == "proved_nonzero":
                 return res
@@ -566,15 +584,17 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
             return tuple(rand_vector(rng, d, ctx.bound) for d in (q.dim_g, q.dim_v, q.dim_v))
 
         def moved_value(point):
+            # each invariant is homogeneous of its degree and unmoved
             xi, v, zeta = point
             moved = coadjoint_unipotent(q, zeta, DualPoint(xi, v))
-            for name, poly, _ in invariants:
+            for name, poly, degree in invariants:
+                if poly.evaluate([2 * x for x in v]) != 2**degree * poly.evaluate(v):
+                    return (name, v, "degree")
                 if poly.evaluate(v) != poly.evaluate(moved.v):
                     return (name, v, zeta)
             return None
 
-        # sampled whatever the mode: the invariants are compared at points
-        return identity_check(replace(ctx, mode="sampled"), q.dim, None, None, draw, moved_value)
+        return identity_check(ctx, q.dim, None, None, draw, moved_value)
 
     def check_plane(ctx: CheckContext) -> ZeroCheck:
         rng = derive_rng(ctx.seed, "witness-plane")
@@ -599,8 +619,7 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
 
         # a sampled-only check on the plane: there is no exact form to expand.
         # It keeps 10 points whatever ctx.samples says, as the frozen reports do
-        plane = replace(ctx, mode="sampled", samples=10)
-        return identity_check(plane, 2, None, None, draw, rank_defect)
+        return identity_check(replace(ctx, samples=10), 2, None, None, draw, rank_defect)
 
     degrees = tuple(k * i for i in range(low, n))
     expected = Expected(
@@ -619,7 +638,7 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
         family=family,
         expected=expected,
         extras=[
-            ExtraCheck("block_power_structure", check_blocks),
+            identity_extra("block_power_structure", k * nn, k, block_powers),
             ExtraCheck("invariant_degrees", check_invariants),
             ExtraCheck("witness_plane", check_plane),
         ],
@@ -652,23 +671,15 @@ def sym_skewdual_construction(n: int) -> Construction:
         for i in range(1, k + 1)
     ]
 
-    def check_traces(ctx: CheckContext) -> ZeroCheck:
-        coords = MultiPoly.variables(mod.dim_v)
+    def traces(coords):
         A, B = mod.decode(coords)
-        ab = A * B
-        odd, square = ab, None  # odd = (AB)^(2i-3) once i > 1
-        for i in range(1, k + 1):
-            if i == 1:
-                tr = ab.trace()
-            else:
-                if square is None:
-                    square = ab * ab
-                tr = odd.trace_product(square)
-                if i < k:
-                    odd = odd * square
-            if tr != 0:
-                return ZeroCheck("proved_nonzero", "exact", witness=("trace", 2 * i - 1))
-        return ZeroCheck("proved_zero", "exact")
+        odd = A * B  # (AB)^(2i-3) at step i
+        yield "tr (AB)^1", odd.trace()
+        square = odd * odd if k > 1 else None
+        for i in range(2, k + 1):
+            yield "tr (AB)^%d" % (2 * i - 1), odd.trace_product(square)
+            if i < k:
+                odd = odd * square
 
     d_block = Matrix.identity(k)
     c_block = Matrix.diagonal([Fraction(j + 1) for j in range(k)])
@@ -706,7 +717,7 @@ def sym_skewdual_construction(n: int) -> Construction:
         family=family,
         expected=expected,
         witness=witness,
-        extras=[ExtraCheck("trace_zero", check_traces)],
+        extras=[identity_extra("trace_zero", mod.dim_v, 2 * (2 * k - 1), traces)],
     )
 
 
@@ -730,8 +741,6 @@ def sym_skew_construction(n: int) -> Construction:
         A, B = gl_mod.decode(coords[:-1])
         return B * adjugate(A + B * lam)
 
-    from ..covariants import parameter_coefficients
-
     widths = parameter_coefficients(gl_mod.rep, lam_formula, name_fmt="H{k}", width=n)
     solver = SpanSolver([m.vec() for m in g.basis])
     k = n // 2
@@ -742,23 +751,18 @@ def sym_skew_construction(n: int) -> Construction:
             raise ValueError("even coefficient H%d is not traceless" % (2 * i))
         family.append(Covariant(rep, components=coords_sl, name="H%d" % (2 * i)))
 
-    def check_det_even(ctx: CheckContext) -> ZeroCheck:
-        vs = MultiPoly.variables(mod.dim_v + 1)
-        A, B = gl_mod.decode(vs[:-1])
-        dd = det(A + B * vs[-1])
-        for j, c in enumerate(dd.coefficients_in_last_var()):
-            if j % 2 and not c.is_zero():
-                return ZeroCheck("proved_nonzero", "exact", witness=("lambda^%d" % j,))
-        return ZeroCheck("proved_zero", "exact")
+    def det_odd_part(coords):
+        # the part of det(A + B) of B-degree j is the lambda^j coefficient of
+        # det(A + lambda B), so this is zero iff every odd coefficient is
+        A, B = gl_mod.decode(coords)
+        yield "det(A+B) - det(A-B)", det(A + B) - det(A - B)
 
-    extras = [ExtraCheck("det_even", check_det_even)]
+    extras = [identity_extra("det_even", mod.dim_v, n, det_odd_part)]
     if n % 2:
         top = widths[n - 1]
-
-        def check_top(ctx: CheckContext) -> ZeroCheck:
-            return covariant_zero_check(top, ctx)
-
-        extras.append(ExtraCheck("vanishing_top_coefficient", check_top))
+        extras.append(
+            ExtraCheck("vanishing_top_coefficient", lambda ctx: covariant_zero_check(top, ctx))
+        )
 
     controls = []
     if n >= 3:
@@ -842,32 +846,25 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
         family.append(Covariant(rep, matrix_formula=minor_formula, name="Fmin", degree=2 * m))
         degrees.append(2 * m)
 
-    def check_forms(ctx: CheckContext) -> ZeroCheck:
-        coords = MultiPoly.variables(mod.dim_v)
+    def forms(coords):
         M = mod.decode(coords)[0]
         x = M * M.transpose() * jmat
         y = M.transpose() * jmat * M
-        res = _zero_matrix_check(x.transpose() * jmat + jmat * x, "sp-form")
-        if res.verdict != "proved_zero":
-            return res
-        return _zero_matrix_check(y.transpose() + y, "so-form")
+        yield "sp-form", x.transpose() * jmat + jmat * x
+        yield "so-form", y.transpose() + y
 
-    extras = [ExtraCheck("form_conditions", check_forms)]
+    def minor_skew(coords):
+        a = minor_skew_by_columns(mod.decode(coords)[0])
+        yield "minor-skew", a.transpose() + a
+
+    def minor_identity(coords):
+        M = mod.decode(coords)[0]
+        yield "M.A_M", M * minor_skew_by_columns(M)
+
+    extras = [identity_extra("form_conditions", mod.dim_v, 2, forms)]
     if case == "iii":
-
-        def check_minor_skew(ctx: CheckContext) -> ZeroCheck:
-            coords = MultiPoly.variables(mod.dim_v)
-            M = mod.decode(coords)[0]
-            a = minor_skew_by_columns(M)
-            return _zero_matrix_check(a.transpose() + a, "minor-skew")
-
-        def check_minor_identity(ctx: CheckContext) -> ZeroCheck:
-            coords = MultiPoly.variables(mod.dim_v)
-            M = mod.decode(coords)[0]
-            return _zero_matrix_check(M * minor_skew_by_columns(M), "M.A_M")
-
-        extras.append(ExtraCheck("minor_covariant", check_minor_skew))
-        extras.append(ExtraCheck("minor_identity", check_minor_identity))
+        extras.append(identity_extra("minor_covariant", mod.dim_v, 2 * m, minor_skew))
+        extras.append(identity_extra("minor_identity", mod.dim_v, 2 * m + 1, minor_identity))
 
     rank = m + 1 if case == "iii" else m
     q_quot = 2 * m * m if case == "i" else 2 * m * (m + 1)
@@ -908,10 +905,9 @@ def so_copies_construction(n: int) -> Construction:
 
     family = [Covariant(rep, matrix_formula=formula, name="F", degree=n)]
 
-    def check_minor_identity(ctx: CheckContext) -> ZeroCheck:
-        coords = MultiPoly.variables(mod.dim_v)
+    def minor_identity(coords):
         M = mod.decode(coords)[0]
-        return _zero_matrix_check(minor_skew_by_rows(M) * M, "A_M.M")
+        yield "A_M.M", minor_skew_by_rows(M) * M
 
     expected = Expected(
         dim_v=n * (n + 2),
@@ -928,5 +924,5 @@ def so_copies_construction(n: int) -> Construction:
         module=rep,
         family=family,
         expected=expected,
-        extras=[ExtraCheck("minor_identity", check_minor_identity)],
+        extras=[identity_extra("minor_identity", mod.dim_v, n + 1, minor_identity)],
     )

@@ -31,6 +31,7 @@ value a coordinate, prefixed by the basis index ``a`` (equivariance) or by
 covariant_zero and covariant_match ``(v, coordinates of the residual)``;
 lift_invariance ``((xi, v, zeta), change of the lift)``; poisson_commute
 ``((i, j), (xi, v), bracket)``; invariant ``(a, v, derivative along x_a)``.
+The catalog's extras reuse these or ``catalog.families.identity_extra``.
 
 Sampled checks evaluate each covariant once per point.  Directional
 derivatives come from one evaluation at dual numbers ``v + eps w`` (``_Dual``,

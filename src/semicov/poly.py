@@ -4,12 +4,14 @@ Terms are stored as a dict mapping exponent tuples to nonzero coefficients
 (``int`` or ``Fraction``).  The representation is canonical, so equality and
 zero-testing are exact.
 
-Every identity check (``poly_is_zero`` and the ``covariants`` checks) runs
-through ``identity_check``, the one exact-or-sampled driver, under a
-``CheckContext``: the run's ``mode``, ``seed``, ``samples`` and ``bound``,
-validated once.  ``"auto"`` resolves to exact when the identity's ring fits
-the cutoffs (at most 40 variables, total degree at most 8), before anything
-is expanded; an explicit ``"exact"`` past them raises ``CutoffExceeded``.
+Every identity check (``poly_is_zero``, the ``covariants`` checks and the
+catalog's extra rows) runs through ``identity_check``, which decides it
+exactly or by sampling under a ``CheckContext``: the run's ``mode``,
+``seed``, ``samples`` and ``bound``, validated once.  ``"auto"`` resolves to
+exact when the identity's ring fits the cutoffs (at most 40 variables, total
+degree at most 8), before anything is expanded; an explicit ``"exact"`` past
+them raises ``CutoffExceeded``, which a report shows as a skipped row.  A
+check with no exact form samples in every mode.
 
 * exact: stops at the first nonzero polynomial.  ``proved_nonzero`` carries
   the witness ``(point, value)``, an integer point and the nonzero value
@@ -18,7 +20,8 @@ is expanded; an explicit ``"exact"`` past them raises ``CutoffExceeded``.
 * sampled (Schwartz-Zippel): ``ctx.samples`` points are evaluated; ``trials``
   is the number evaluated, up to and including the failing one for
   ``proved_nonzero``.  The witness is what the check's residual function
-  returned there.
+  returned there; each caller documents its shape (the extras' in
+  ``catalog.families``).
 """
 
 from __future__ import annotations
@@ -379,9 +382,11 @@ def identity_check(
     Exact mode iterates ``exact()``, the lazily expanded ``(tag, polynomial)``
     pairs; ``rng`` seeds its witness search.  Sampled mode evaluates
     ``residual(sample())``, a witness or None, at ``ctx.samples`` points.
+    ``exact=None`` marks a check with no exact form: it samples whatever
+    ``ctx.mode`` says, without resolving a mode or meeting the cutoffs.
     Results follow the module docstring.
     """
-    if resolve_mode(ctx.mode, num_vars, degree) == "exact":
+    if exact is not None and resolve_mode(ctx.mode, num_vars, degree) == "exact":
         if not _within_cutoffs(num_vars, degree):
             raise CutoffExceeded(
                 "exact identity refused: %d vars, degree %s" % (num_vars, degree)

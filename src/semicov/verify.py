@@ -39,7 +39,7 @@ from .covariants import (
 )
 from .lie import is_abelian, stabiliser_sample
 from .linalg import Matrix, rank
-from .poly import CheckContext, MultiPoly, ZeroCheck
+from .poly import CheckContext, CutoffExceeded, MultiPoly
 from .sampling import derive_rng
 from .semidirect import DualPoint, SemidirectProduct, index_estimate, rais_consistency
 
@@ -129,7 +129,18 @@ def _row(name: str, verdict: str, detail: str = "", witness=None, ms=None) -> di
     return out
 
 
-def _from_zero_check(name: str, res: ZeroCheck, detail: str = "", invert: bool = False) -> dict:
+def _identity_row(name: str, build, *args) -> dict:
+    """The row ``build(name, *args)`` makes from its identity checks; skipped,
+    with the refusal, when exact mode is refused past the cutoffs."""
+    try:
+        return build(name, *args)
+    except CutoffExceeded as err:
+        return _row(name, "skipped", detail=str(err))
+
+
+def _zero_row(name: str, run, detail: str = "", invert: bool = False) -> dict:
+    """The row of the one identity check ``run()``."""
+    res = run()
     if invert:
         # expected-fail checks: a proved nonzero value is the desired outcome
         if res.verdict == "proved_nonzero":
@@ -522,34 +533,32 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
     checks.append(_timed(cfg, gs))
     checks.append(_timed(cfg, _check_quotient_estimate, cons, sample))
     family = cons.family
-    checks.append(_timed(cfg, _aggregate, "kernel_phi", family, lambda F: kernel_phi_check(F, ctx)))
-    checks.append(_timed(
-        cfg, _aggregate, "equivariance_scope", family,
+
+    def identity(name, build, *args):
+        # a row of identity checks: timed, and skipped if exact mode is refused
+        checks.append(_timed(cfg, _identity_row, name, build, *args))
+
+    identity("kernel_phi", _aggregate, family, lambda F: kernel_phi_check(F, ctx))
+    identity(
+        "equivariance_scope", _aggregate, family,
         lambda F: equivariance_check(F, cons.scope, ctx), "scope: " + cons.scope_label,
-    ))
+    )
 
     if cons.complement is not None:
 
-        def complement_fails():
+        def complement_fails(name):
+            label = cons.complement_label
             for F in family:
                 if equivariance_check(F, cons.complement, ctx).verdict != "proved_nonzero":
-                    return _row(
-                        "equivariance_complement_fails",
-                        "fail",
-                        detail="%s is unexpectedly equivariant on %s directions"
-                        % (F.name, cons.complement_label),
-                    )
-            return _row(
-                "equivariance_complement_fails",
-                "pass",
-                detail="every covariant fails equivariance on %s directions, with witnesses"
-                % cons.complement_label,
-            )
+                    detail = "%s is unexpectedly equivariant on %s directions" % (F.name, label)
+                    return _row(name, "fail", detail=detail)
+            detail = "every covariant fails equivariance on %s directions, with witnesses" % label
+            return _row(name, "pass", detail=detail)
 
-        checks.append(_timed(cfg, complement_fails))
+        identity("equivariance_complement_fails", complement_fails)
 
     for extra in cons.extras:
-        checks.append(_timed(cfg, lambda e=extra: _from_zero_check(e.name, e.run(ctx))))
+        identity(extra.name, _zero_row, lambda run=extra.run: run(ctx))
 
     checks.append(_timed(cfg, _check_independence, cons, sample))
     if cons.witness is not None:
@@ -558,12 +567,8 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
         checks.append(_timed(cfg, _check_kernel_span, cons, sample))
     checks.append(_timed(cfg, _check_degree_audit, cons))
 
-    checks.append(_timed(
-        cfg, _aggregate, "lift_invariance", family, lambda F: lift_invariance_check(q, F, ctx)
-    ))
-    checks.append(_timed(
-        cfg, lambda: _from_zero_check("poisson_commute", poisson_commute_check(q, family, ctx))
-    ))
+    identity("lift_invariance", _aggregate, family, lambda F: lift_invariance_check(q, F, ctx))
+    identity("poisson_commute", _zero_row, lambda: poisson_commute_check(q, family, ctx))
     est = None
 
     def index_stabilized():
@@ -585,11 +590,10 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
     checks.append(table_check)
 
     if cfg.negative_controls:
-        for control in cons.controls:
-            res = kernel_phi_check(control.covariant, ctx)
-            checks.append(
-                _from_zero_check(control.name, res, detail=control.reason, invert=True)
-            )
+        for c in cons.controls:
+            checks.append(_identity_row(
+                c.name, _zero_row, lambda F=c.covariant: kernel_phi_check(F, ctx), c.reason, True
+            ))
 
     return report
 
@@ -641,34 +645,18 @@ def run_table_row(row_id: str, cfg: RunConfig) -> dict:
     est = quotient_dim_estimate(rep, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
     gs = rep.algebra.dim - rep.dim_v + est
     if gs != expected["gs"]:
-        checks.append(
-            _row(
-                "gs_dimension_toral",
-                "fail",
-                detail="sampled stabiliser dim %d != printed %d" % (gs, expected["gs"]),
-            )
-        )
+        detail = "sampled stabiliser dim %d != printed %d" % (gs, expected["gs"])
+        checks.append(_row("gs_dimension_toral", "fail", detail=detail))
     else:
-        checks.append(
-            _row("gs_dimension_toral", "sampled-pass", detail="generic stabiliser dim %d" % gs)
-        )
+        detail = "generic stabiliser dim %d" % gs
+        checks.append(_row("gs_dimension_toral", "sampled-pass", detail=detail))
     if "quotient_dim" in expected:
         if est != expected["quotient_dim"]:
-            checks.append(
-                _row(
-                    "quotient_dim_estimate",
-                    "fail",
-                    detail="sampled estimate %d != printed %d" % (est, expected["quotient_dim"]),
-                )
-            )
+            detail = "sampled estimate %d != printed %d" % (est, expected["quotient_dim"])
+            checks.append(_row("quotient_dim_estimate", "fail", detail=detail))
         else:
-            checks.append(
-                _row(
-                    "quotient_dim_estimate",
-                    "sampled-pass",
-                    detail="dim V - max orbit rank = %d" % est,
-                )
-            )
+            detail = "dim V - max orbit rank = %d" % est
+            checks.append(_row("quotient_dim_estimate", "sampled-pass", detail=detail))
     return report
 
 

@@ -28,6 +28,9 @@ construction code):
   (gBg^t) adj(gAg^t) g = det(g)^2 g (B adj A).
 * skew minor matrices: frozen values at small integer points, the
   defining annihilation identities M A_M = 0 / A_M M = 0, and skewness.
+* identity extras: a false identity fails in both modes with a witness that
+  re-evaluates to its value, and ex6.1's traces at n = 6 (36 variables,
+  degree 10) resolve to sampled under auto.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from semicov.catalog import (
     tri_sl_construction,
 )
 from semicov.catalog import quiver_cycle_matrix
-from semicov.catalog.families import _cubic_factor_solutions, cubic_combination
+from semicov.catalog.families import _cubic_factor_solutions, cubic_combination, identity_extra
 from semicov.covariants import (
     Covariant,
     SpanSolver,
@@ -374,6 +377,36 @@ def test_so_copies_minor_annihilates_module_point():
     m = Matrix([[point[2 * i + j] for j in range(2)] for i in range(4)])
     val = cons.family[0].matrix_at(point)
     assert (val * m).is_zero()
+
+
+# -- identity extras -----------------------------------------------------------
+
+
+def test_identity_extra_witness_re_evaluates_in_both_modes():
+    def values(c):
+        yield "square", (c[0] + c[1]) ** 2 - c[0] ** 2 - c[1] ** 2 - 2 * c[0] * c[1]
+        yield "pair", Matrix([[0, c[0] * c[1] - c[2]]])  # false: not identically 0
+
+    def value_at(tag, point):
+        name, (i, j) = tag
+        return dict(values(point))[name].rows[i][j]
+
+    extra = identity_extra("false", 3, 2, values)
+    res = extra.run(CheckContext("exact"))
+    tag, (point, value) = res.witness
+    assert (res.verdict, res.mode, tag) == ("proved_nonzero", "exact", ("pair", (0, 1)))
+    assert value != 0 and value_at(tag, point) == value
+    res = extra.run(CheckContext("sampled", seed=3))
+    tag, v, value = res.witness
+    assert (res.verdict, res.mode, tag) == ("proved_nonzero", "sampled", ("pair", (0, 1)))
+    assert value != 0 and value_at(tag, v) == value
+
+
+def test_trace_zero_past_the_cutoffs_resolves_to_sampled():
+    cons = build_construction(get_entry("ex6.1"), {"n": 6})
+    extra = next(e for e in cons.extras if e.name == "trace_zero")
+    res = extra.run(CheckContext())
+    assert (res.verdict, res.mode, res.trials) == ("sampled_zero", "sampled", 20)
 
 
 # -- registry and manifest ----------------------------------------------------

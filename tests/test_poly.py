@@ -172,6 +172,22 @@ def test_exact_cutoff_refusal():
     assert res.is_zero
 
 
+def test_check_without_exact_form_samples_in_every_mode(monkeypatch):
+    import semicov.poly as poly
+
+    def resolve(*args):
+        raise AssertionError("a check with no exact form resolved a mode")
+
+    monkeypatch.setattr(poly, "resolve_mode", resolve)
+    points = []
+    # 50 variables and no degree: an exact check here would be refused
+    res = poly.identity_check(
+        CheckContext("exact", samples=6), 50, None, None, lambda: len(points), points.append
+    )
+    assert (res.verdict, res.mode, res.trials) == ("sampled_zero", "sampled", 6)
+    assert points == list(range(6))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_ring_axioms(seed):

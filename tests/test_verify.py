@@ -17,7 +17,9 @@ Covered here:
   index_stabilized estimate and passes --bound to every index estimate;
 * --samples and --bound reach every sampled row of an entry, family rows,
   extras and the stabiliser and index rows alike (witness_plane keeps its
-  fixed 10 points);
+  fixed 10 points); every identity extra follows --mode sampled;
+* --mode exact past the cutoffs reports a skipped row carrying the
+  refusal, and the run goes on (the README's own exact-mode example);
 * the command line resolves aliases, prints one line per catalog entry or
   table row, emits parseable JSON (text is the default), and uses exit
   codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
@@ -170,7 +172,8 @@ def test_samples_and_bound_reach_every_sampled_row(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("semicov") and getattr(module, "rand_vector", None) is inner:
             monkeypatch.setattr(module, "rand_vector", recording)
-    cfg = RunConfig(entries=("ex5.1", "ex5.3"), mode="sampled", samples=50, bound=7)
+    entries = ("ex5.1", "ex5.3", "ex6.2", "ex6.3/iii", "ex6.4")
+    cfg = RunConfig(entries=entries, mode="sampled", samples=50, bound=7)
     counted = {}
     for entry in run_suite(cfg).entries:
         for row in entry["checks"]:
@@ -182,6 +185,11 @@ def test_samples_and_bound_reach_every_sampled_row(monkeypatch):
     for extra in ("vanishing_top_coefficient", "companion_identity"):
         assert ("ex5.1", extra) in counted
     assert ("ex5.3", "invariant_degrees") in counted
+    for extra in ("form_conditions", "minor_covariant", "minor_identity"):
+        assert ("ex6.3/iii", extra) in counted
+    for entry, extra in (("ex5.3", "block_power_structure"), ("ex6.2", "det_even"),
+                         ("ex6.4", "minor_identity")):
+        assert (entry, extra) in counted
     assert counted and all(n == 50 for n in counted.values()), counted
     assert bounds and set(bounds) == {7}
 
@@ -337,6 +345,22 @@ def test_cli_run_that_verifies_nothing_exits_2(capsys):
     captured = capsys.readouterr()
     assert "skip" in captured.out
     assert captured.err.startswith("error: every check was skipped")
+
+
+def test_cli_exact_mode_refusal_is_a_skipped_row(tmp_path, capsys):
+    # the README example: lift_invariance at ex5.1 lives in 55 variables
+    out = tmp_path / "report.json"
+    argv = ["run", "--entry", "ex5.1", "--mode", "exact", "--negative-controls"]
+    assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = {row["name"]: row for row in json.loads(out.read_text())["entries"][0]["checks"]}
+    assert rows["lift_invariance"] == {
+        "name": "lift_invariance",
+        "verdict": "skipped",
+        "detail": "exact identity refused: 55 vars, degree 5",
+    }
+    assert rows["poisson_commute"]["verdict"] == "pass"  # the run went on
+    assert not any(row["verdict"] == "fail" for row in rows.values())
 
 
 def test_cli_run_default_format_is_text(capsys):
