@@ -11,9 +11,11 @@ compute the sl_2-module structure of the ex5.1 span) runs through
 value))`` exact or ``(tag, v, value)`` sampled, where the value named by
 ``tag`` (``(tag, (i, j))`` for a matrix entry) re-evaluates to ``value``.
 The others give the witnesses of their ``covariants`` checks; the sampled
-points of ``invariant_degrees`` fail with ``(name, v, "degree")`` or
-``(name, v, zeta)``, and those of ``witness_plane`` with ``(alpha, beta,
-rank)``.
+points of ``invariant_degrees`` (each invariant homogeneous of its degree)
+fail with ``(name, v, "degree")``, and those of ``witness_plane`` with
+``(alpha, beta, rank)``.
+
+Every module is a ``support.MatrixPairModule`` of matrix slots.
 """
 from __future__ import annotations
 
@@ -50,6 +52,7 @@ from ..linalg import (
     Matrix,
     SpanSolver,
     adjugate,
+    block_diag,
     char_poly,
     det,
     inverse,
@@ -57,16 +60,14 @@ from ..linalg import (
 )
 from ..poly import CheckContext, MultiPoly, identity_check
 from ..sampling import derive_rng, rand_vector
-from ..semidirect import SemidirectProduct, coadjoint_unipotent, DualPoint
 from .support import (
+    SKEW,
+    SYM,
     MatrixPairModule,
-    SymSkewPairModule,
-    embed_blocks,
-    minor_skew_by_columns,
-    minor_skew_by_rows,
-    module_from_fields,
+    diag_block,
+    left_right_fields,
+    minor_skew,
     traceless_part,
-    unvec,
 )
 
 __all__ = [
@@ -314,17 +315,15 @@ def _tri_algebra(n: int) -> LieAlgebra:
     return product(sl(n), sl(n), sl(2))
 
 
-def _tri_fields(galg: LieAlgebra, n: int):
+def _tri_fields(galg: LieAlgebra):
     """Action of sl_n x sl_n x sl_2 on pairs (A, B) of n x n matrices."""
-    f0, f1, f2 = galg.factors
+    left_right = left_right_fields(galg)
+    f2 = galg.factors[2]
 
     def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
         A, B = mats
-        s0 = s.submatrix(range(f0.block_offset, f0.block_offset + n), range(f0.block_offset, f0.block_offset + n))
-        s1 = s.submatrix(range(f1.block_offset, f1.block_offset + n), range(f1.block_offset, f1.block_offset + n))
-        s2 = s.submatrix(range(f2.block_offset, f2.block_offset + 2), range(f2.block_offset, f2.block_offset + 2))
-        iA = s0 * A - A * s1
-        iB = s0 * B - B * s1
+        iA, iB = left_right(s, mats)
+        s2 = diag_block(s, f2.block_offset, 2)
         # sl_2 factor: e.(A,B) = (B,0), f.(A,B) = (0,A), h.(A,B) = (A,-B)
         e, f_, h = s2.rows[0][1], s2.rows[1][0], s2.rows[0][0]
         if e != 0:
@@ -339,14 +338,14 @@ def _tri_fields(galg: LieAlgebra, n: int):
     return fields
 
 
-def _tri_lambda_covariants(galg: LieAlgebra, mod, n: int) -> list[Covariant]:
+def _tri_lambda_covariants(mod, n: int) -> list[Covariant]:
     """Coefficient covariants of (A, B) -> (B(A+lam B)*, (A+lam B)*B)."""
 
     def formula(coords):
         lam = coords[-1]
         A, B = mod.decode(coords[:-1])
         adj = adjugate(A + B * lam)
-        return embed_blocks(galg, [traceless_part(B * adj), traceless_part(adj * B), None])
+        return block_diag([traceless_part(B * adj), traceless_part(adj * B), None], [n, n, 2])
 
     return parameter_coefficients(mod.rep, formula, name_fmt="F{k}", width=n)
 
@@ -359,9 +358,9 @@ def tri_sl_construction(n: int) -> Construction:
         cons.params = {"n": 2}
         return cons
     galg = _tri_algebra(n)
-    mod = MatrixPairModule(galg, [(n, n), (n, n)], _tri_fields(galg, n), label="pairs(%d)" % n)
+    mod = MatrixPairModule(galg, [(n, n), (n, n)], _tri_fields(galg), label="pairs(%d)" % n)
     rep = mod.rep
-    widths = _tri_lambda_covariants(galg, mod, n)
+    widths = _tri_lambda_covariants(mod, n)
     family = widths[: n - 1]
     top = widths[n - 1]
     for i, F in enumerate(family):
@@ -373,7 +372,7 @@ def tri_sl_construction(n: int) -> Construction:
     def companion_formula(coords):
         A, B = mod.decode(coords)
         adj = adjugate(B)
-        return embed_blocks(galg, [traceless_part(A * adj), traceless_part(adj * A), None])
+        return block_diag([traceless_part(A * adj), traceless_part(adj * A), None], [n, n, 2])
 
     companion = Covariant(rep, matrix_formula=companion_formula, name="swapped", degree=n)
 
@@ -457,41 +456,24 @@ def _quiver_algebra(n: int, k: int, variant: str) -> LieAlgebra:
         return product(*[gl(n) for _ in range(k)], name="gl(%d)^%d" % (n, k))
     mats = []
     for i in range(k):
+        slots = [None] * k
         for b in sl(n).basis:
-            m = Matrix.zeros(n * k, n * k)
-            for r in range(n):
-                for c in range(n):
-                    m.rows[i * n + r][i * n + c] = b.rows[r][c]
-            mats.append(m)
+            slots[i] = b
+            mats.append(block_diag(slots, [n] * k))
     for i in range(k - 1):
-        m = Matrix.zeros(n * k, n * k)
-        for r in range(n):
-            m.rows[i * n + r][i * n + r] = 1
-            m.rows[(i + 1) * n + r][(i + 1) * n + r] = -1
-        mats.append(m)
+        # the centre: 1 on block i, -1 on block i + 1
+        mats.append(Matrix.diagonal([int(j // n == i) - int(j // n == i + 1) for j in range(n * k)]))
     return LieAlgebra.from_matrices("s(gl(%d)^%d)" % (n, k), mats)
 
 
-def _quiver_module(galg: LieAlgebra, n: int, k: int) -> Representation:
-    nn = n * n
+def _quiver_module(galg: LieAlgebra, n: int, k: int) -> MatrixPairModule:
+    """k slots of n x n matrices, M_i on the arc i -> i+1: L_i M_i - M_i L_(i+1)."""
 
-    def act_vec(a: int, j: int) -> list:
-        s = galg.basis[a]
-        blk = j // nn
-        r, c = (j % nn) // n, (j % nn) % n
-        nxt = (blk + 1) % k
-        s_left = s.submatrix(range(blk * n, blk * n + n), range(blk * n, blk * n + n))
-        s_right = s.submatrix(range(nxt * n, nxt * n + n), range(nxt * n, nxt * n + n))
-        unit = Matrix.zeros(n, n)
-        unit.rows[r][c] = 1
-        img = s_left * unit - unit * s_right
-        out = [0] * (k * nn)
-        for rr in range(n):
-            for cc in range(n):
-                out[blk * nn + rr * n + cc] = img.rows[rr][cc]
-        return out
+    def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
+        blocks = [diag_block(s, i * n, n) for i in range(k)]
+        return [blocks[i] * M - M * blocks[(i + 1) % k] for i, M in enumerate(mats)]
 
-    return module_from_fields(galg, k * nn, act_vec, label="cyclic(%d;%d)" % (n, k))
+    return MatrixPairModule(galg, [(n, n)] * k, fields, label="cyclic(%d;%d)" % (n, k))
 
 
 def quiver_cycle_matrix(coords: Sequence, n: int, k: int) -> Matrix:
@@ -535,7 +517,8 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
     if variant not in ("sl", "gl"):
         raise ValueError("variant must be sl or gl")
     galg = _quiver_algebra(n, k, variant)
-    rep = _quiver_module(galg, n, k)
+    mod = _quiver_module(galg, n, k)
+    rep = mod.rep
     low = 0 if variant == "gl" else 1
     family = [
         Covariant(
@@ -546,11 +529,10 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
         )
         for i in range(low, n)
     ]
-    nn = n * n
 
     def cycle_products(coords, arcs=range(k)) -> list[Matrix]:
         """M_i M_(i+1) ... M_(i-1), the product around the cycle from each arc i."""
-        blocks = [unvec(coords[i * nn : (i + 1) * nn], n, n) for i in range(k)]
+        blocks = mod.decode(coords)
         out = []
         for i in arcs:
             prod = blocks[i]
@@ -559,7 +541,7 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
             out.append(prod)
         return out
 
-    sigma = char_poly(cycle_products(MultiPoly.variables(k * nn), [0])[0])
+    sigma = char_poly(cycle_products(MultiPoly.variables(rep.dim_v), [0])[0])
     invariants = [("sigma%d" % j, sigma[j], j * k) for j in range(1, n + 1)]
 
     def block_powers(coords):
@@ -569,7 +551,7 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
         want = cycle_products(coords)
         for bi in range(k):
             for bj in range(k):
-                blk = power.submatrix(range(bi * n, bi * n + n), range(bj * n, bj * n + n))
+                blk = Matrix([r[bj * n : bj * n + n] for r in power.rows[bi * n : bi * n + n]])
                 yield "block(%d,%d)" % (bi, bj), blk - want[bi] if bi == bj else blk
 
     def check_invariants(ctx: CheckContext) -> ZeroCheck:
@@ -577,24 +559,19 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
             res = invariant_check(rep, poly, name, ctx)
             if res.verdict == "proved_nonzero":
                 return res
-        q = SemidirectProduct(rep)
-        rng = derive_rng(ctx.seed, "unipotent-invariance")
+        rng = derive_rng(ctx.seed, "extra", "invariant_degrees")
 
-        def draw():
-            return tuple(rand_vector(rng, d, ctx.bound) for d in (q.dim_g, q.dim_v, q.dim_v))
-
-        def moved_value(point):
-            # each invariant is homogeneous of its degree and unmoved
-            xi, v, zeta = point
-            moved = coadjoint_unipotent(q, zeta, DualPoint(xi, v))
+        def degree_defect(v):
+            # each invariant is homogeneous of its degree: p(2v) = 2^d p(v)
             for name, poly, degree in invariants:
                 if poly.evaluate([2 * x for x in v]) != 2**degree * poly.evaluate(v):
                     return (name, v, "degree")
-                if poly.evaluate(v) != poly.evaluate(moved.v):
-                    return (name, v, zeta)
             return None
 
-        return identity_check(ctx, q.dim, None, None, draw, moved_value)
+        def draw():
+            return rand_vector(rng, rep.dim_v, ctx.bound)
+
+        return identity_check(ctx, rep.dim_v, None, None, draw, degree_defect)
 
     def check_plane(ctx: CheckContext) -> ZeroCheck:
         rng = derive_rng(ctx.seed, "witness-plane")
@@ -606,11 +583,7 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
         def rank_defect(point):
             # 1, P, ..., P^(n-1) must be independent for the cycle product P
             alpha, beta = point
-            v = quiver_witness_plane(n, k, alpha, beta)
-            mats = [unvec(v[i * nn : (i + 1) * nn], n, n) for i in range(k)]
-            prod = mats[0]
-            for i in range(1, k):
-                prod = prod * mats[i]
+            prod = cycle_products(quiver_witness_plane(n, k, alpha, beta), [0])[0]
             powers = [Matrix.identity(n)]
             for _i in range(n - 1):
                 powers.append(powers[-1] * prod)
@@ -623,7 +596,7 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
 
     degrees = tuple(k * i for i in range(low, n))
     expected = Expected(
-        dim_v=k * nn,
+        dim_v=k * n * n,
         rank=n if variant == "gl" else n - 1,
         quotient_degree=k * n * (n + 1) // 2,
         degrees=degrees,
@@ -638,7 +611,7 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
         family=family,
         expected=expected,
         extras=[
-            identity_extra("block_power_structure", k * nn, k, block_powers),
+            identity_extra("block_power_structure", rep.dim_v, k, block_powers),
             ExtraCheck("invariant_degrees", check_invariants),
             ExtraCheck("witness_plane", check_plane),
         ],
@@ -652,10 +625,11 @@ def sym_skewdual_construction(n: int) -> Construction:
     """sl_n on (symmetric A, skew B) with B transforming in the dual."""
     g = sl(n)
 
-    def fields(s: Matrix, A: Matrix, B: Matrix):
-        return s * A + A * s.transpose(), -(s.transpose() * B) - B * s
+    def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
+        A, B = mats
+        return [s * A + A * s.transpose(), -(s.transpose() * B) - B * s]
 
-    mod = SymSkewPairModule(g, n, fields, label="sym+skew*(%d)" % n)
+    mod = MatrixPairModule(g, [(SYM, n), (SKEW, n)], fields, label="sym+skew*(%d)" % n)
     rep = mod.rep
     k = n // 2
 
@@ -693,7 +667,7 @@ def sym_skewdual_construction(n: int) -> Construction:
             B_w.rows[k + r][c] = -c_block.rows[c][r]
     if n % 2:
         A_w.rows[n - 1][n - 1] = Fraction(1)
-    witness = mod.encode(A_w, B_w)
+    witness = mod.encode([A_w, B_w])
 
     if n % 2:
         q_quot = 2 * k * k + 4 * k + 1
@@ -728,13 +702,13 @@ def sym_skew_construction(n: int) -> Construction:
     """sl_n on (symmetric A, skew B), both in the same polarity."""
     g = sl(n)
 
-    def fields(s: Matrix, A: Matrix, B: Matrix):
-        return s * A + A * s.transpose(), s * B + B * s.transpose()
+    def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
+        return [s * M + M * s.transpose() for M in mats]
 
-    mod = SymSkewPairModule(g, n, fields, label="sym+skew(%d)" % n)
+    shapes = [(SYM, n), (SKEW, n)]
+    mod = MatrixPairModule(g, shapes, fields, label="sym+skew(%d)" % n)
     rep = mod.rep
-    twin = gl(n)
-    gl_mod = SymSkewPairModule(twin, n, fields, label="sym+skew-gl(%d)" % n)
+    gl_mod = MatrixPairModule(gl(n), shapes, fields, label="sym+skew-gl(%d)" % n)
 
     def lam_formula(coords):
         lam = coords[-1]
@@ -814,13 +788,8 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
         jmat.rows[i][m + i] = 1
         jmat.rows[m + i][i] = -1
 
-    def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
-        M = mats[0]
-        s1 = s.submatrix(range(2 * m), range(2 * m))
-        s2 = s.submatrix(range(2 * m, 2 * m + n), range(2 * m, 2 * m + n))
-        return [s1 * M - M * s2]
-
-    mod = MatrixPairModule(galg, [(2 * m, n)], fields, label="sp-so(%d;%s)" % (m, case))
+    label = "sp-so(%d;%s)" % (m, case)
+    mod = MatrixPairModule(galg, [(2 * m, n)], left_right_fields(galg), label=label)
     rep = mod.rep
 
     def power_formula(i: int):
@@ -828,7 +797,7 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
             M = mod.decode(coords)[0]
             x = (M * M.transpose() * jmat) ** (2 * i - 1)
             y = (M.transpose() * jmat * M) ** (2 * i - 1)
-            return embed_blocks(galg, [x, y])
+            return block_diag([x, y])
 
         return formula
 
@@ -841,7 +810,7 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
 
         def minor_formula(coords):
             M = mod.decode(coords)[0]
-            return embed_blocks(galg, [None, minor_skew_by_columns(M)])
+            return block_diag([None, minor_skew(M)], [2 * m, n])
 
         family.append(Covariant(rep, matrix_formula=minor_formula, name="Fmin", degree=2 * m))
         degrees.append(2 * m)
@@ -853,17 +822,17 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
         yield "sp-form", x.transpose() * jmat + jmat * x
         yield "so-form", y.transpose() + y
 
-    def minor_skew(coords):
-        a = minor_skew_by_columns(mod.decode(coords)[0])
+    def minor_skewness(coords):
+        a = minor_skew(mod.decode(coords)[0])
         yield "minor-skew", a.transpose() + a
 
     def minor_identity(coords):
         M = mod.decode(coords)[0]
-        yield "M.A_M", M * minor_skew_by_columns(M)
+        yield "M.A_M", M * minor_skew(M)
 
     extras = [identity_extra("form_conditions", mod.dim_v, 2, forms)]
     if case == "iii":
-        extras.append(identity_extra("minor_covariant", mod.dim_v, 2 * m, minor_skew))
+        extras.append(identity_extra("minor_covariant", mod.dim_v, 2 * m, minor_skewness))
         extras.append(identity_extra("minor_identity", mod.dim_v, 2 * m + 1, minor_identity))
 
     rank = m + 1 if case == "iii" else m
@@ -901,13 +870,13 @@ def so_copies_construction(n: int) -> Construction:
     rep = mod.rep
 
     def formula(coords):
-        return minor_skew_by_rows(mod.decode(coords)[0])
+        return minor_skew(mod.decode(coords)[0].transpose())
 
     family = [Covariant(rep, matrix_formula=formula, name="F", degree=n)]
 
     def minor_identity(coords):
         M = mod.decode(coords)[0]
-        yield "A_M.M", minor_skew_by_rows(M) * M
+        yield "A_M.M", minor_skew(M.transpose()) * M
 
     expected = Expected(
         dim_v=n * (n + 2),

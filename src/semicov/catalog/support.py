@@ -1,9 +1,18 @@
 """Shared builders for catalog constructions.
 
-Everything here turns a matrix-level description of a module or a covariant
-into the coordinate form the core library works with: modules become action
-matrices on a fixed coordinate basis, covariants become matrix formulas over
-that coordinate ring.
+Every module of the catalog is a tuple of matrix slots acted on by
+multiplication.  ``MatrixPairModule`` lays out the slots' coordinates and
+turns a matrix-level action into action matrices on that coordinate basis;
+covariants become matrix formulas over the same coordinate ring.  A slot is
+one of
+
+* ``(rows, cols)``: a full matrix, coordinates its row-major entries;
+* ``(SYM, n)``: a symmetric n x n matrix, coordinates the upper triangle
+  with the diagonal, row by row;
+* ``(SKEW, n)``: a skew n x n matrix, coordinates the strict upper
+  triangle, row by row.
+
+The coordinates of V are those of the slots, concatenated in slot order.
 """
 from __future__ import annotations
 
@@ -15,15 +24,12 @@ from ..linalg import Matrix, det, rank
 from ..sampling import derive_rng, rand_vector
 
 __all__ = [
-    "module_from_fields",
     "quotient_dim_estimate",
     "MatrixPairModule",
-    "SymSkewPairModule",
-    "unvec",
-    "embed_blocks",
+    "diag_block",
+    "left_right_fields",
     "traceless_part",
-    "minor_skew_by_columns",
-    "minor_skew_by_rows",
+    "minor_skew",
     "SYM",
     "SKEW",
 ]
@@ -32,178 +38,105 @@ SYM = "sym"
 SKEW = "skew"
 
 
-def module_from_fields(
-    algebra: LieAlgebra,
-    dim_v: int,
-    act_vec: Callable[[int, int], Sequence],
-    label: str = "",
-) -> Representation:
-    """Representation from the action fields on coordinate vectors.
-
-    ``act_vec(a, j)`` is the image of the j-th coordinate vector under the
-    a-th basis element, as a length ``dim_v`` vector.
-    """
-    mats = []
-    for a in range(algebra.dim):
-        cols = [act_vec(a, j) for j in range(dim_v)]
-        mats.append(Matrix.from_cols(cols))
-    return Representation(algebra, mats, label=label)
-
-
-def unvec(entries: Sequence, nrows: int, ncols: int) -> Matrix:
-    """Row-major inverse of Matrix.vec()."""
-    return Matrix([[entries[i * ncols + j] for j in range(ncols)] for i in range(nrows)])
-
-
-def embed_blocks(prod_alg: LieAlgebra, mats: Sequence[Matrix | None]) -> Matrix:
-    """Block-diagonal embedding into a product algebra's matrix realisation.
-
-    ``mats[i]`` sits at factor i's diagonal block; None means a zero block.
-    """
-    total = prod_alg.matrix_size
-    out = Matrix.zeros(total, total)
-    for f, m in zip(prod_alg.factors, mats):
-        if m is None:
-            continue
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                out.rows[f.block_offset + i][f.block_offset + j] = m.rows[i][j]
-    return out
-
-
 def traceless_part(m: Matrix) -> Matrix:
     """m minus its trace times the normalised identity."""
     n = m.nrows
     return m - Matrix.identity(n) * (m.trace() * Fraction(1, n))
 
 
+def diag_block(s: Matrix, offset: int, size: int) -> Matrix:
+    """The size x size diagonal block of s starting at row and column offset."""
+    return Matrix([row[offset : offset + size] for row in s.rows[offset : offset + size]])
+
+
+def left_right_fields(galg: LieAlgebra) -> Callable[[Matrix, list[Matrix]], list[Matrix]]:
+    """Slot action ``M -> L M - M R``, with L and R the blocks of the first
+    two factors of the product ``galg`` in the acting basis matrix."""
+    f0, f1 = galg.factors[:2]
+    n0, n1 = f0.algebra.matrix_size, f1.algebra.matrix_size
+
+    def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
+        L = diag_block(s, f0.block_offset, n0)
+        R = diag_block(s, f1.block_offset, n1)
+        return [L * M - M * R for M in mats]
+
+    return fields
+
+
 # -- matrix-space modules ---------------------------------------------------
 
 
-class MatrixPairModule:
-    """Module of tuples of matrices with a left/right multiplication action.
+def _slot(shape) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """(rows, cols, mirror sign, coordinate cells) of a slot; the sign is
+    +1 or -1 for the lower triangle of a SYM or SKEW slot, 0 for none."""
+    kind, n = shape
+    if kind in (SYM, SKEW):
+        skew = kind == SKEW
+        return n, n, -1 if skew else 1, [(i, j) for i in range(n) for j in range(i + skew, n)]
+    return kind, n, 0, [(i, j) for i in range(kind) for j in range(n)]
 
-    Coordinates are the concatenated row-major entries of the matrices.  The
-    action of a basis element is described per matrix slot by ``fields``: a
-    callable (s, mats) -> list of image matrices, where s is the acting basis
-    matrix of the algebra.
+
+class MatrixPairModule:
+    """Module of a tuple of matrix slots (module docstring) acted on by
+    ``fields``: a callable (s, mats) -> list of image matrices, where s is the
+    acting basis matrix of the algebra.  Each image must again lie in its
+    slot's kind.  ``decode`` and ``encode`` convert between coordinates, in
+    any ring, and the slot matrices.
     """
 
     def __init__(
         self,
         algebra: LieAlgebra,
-        shapes: Sequence[tuple[int, int]],
+        shapes: Sequence[tuple],
         fields: Callable[[Matrix, list[Matrix]], list[Matrix]],
         label: str = "",
     ):
         self.algebra = algebra
         self.shapes = list(shapes)
         self.fields = fields
-        self.dim_v = sum(r * c for r, c in self.shapes)
-        self.rep = module_from_fields(algebra, self.dim_v, self._act_vec, label=label)
+        self._slots = [_slot(shape) for shape in self.shapes]
+        self.dim_v = sum(len(cells) for *_, cells in self._slots)
+        units = [[int(i == j) for i in range(self.dim_v)] for j in range(self.dim_v)]
+        mats = [
+            Matrix.from_cols([self.encode(fields(s, self.decode(u))) for u in units])
+            for s in algebra.basis
+        ]
+        self.rep = Representation(algebra, mats, label=label)
 
     def decode(self, coords: Sequence) -> list[Matrix]:
         out = []
         pos = 0
-        for r, c in self.shapes:
-            out.append(unvec(list(coords[pos : pos + r * c]), r, c))
-            pos += r * c
+        for nrows, ncols, sign, cells in self._slots:
+            m = Matrix.zeros(nrows, ncols)
+            for (i, j), x in zip(cells, coords[pos : pos + len(cells)]):
+                m.rows[i][j] = x
+                if sign:
+                    m.rows[j][i] = x if sign > 0 else -x
+            out.append(m)
+            pos += len(cells)
         return out
 
     def encode(self, mats: Sequence[Matrix]) -> list:
-        out: list = []
-        for m in mats:
-            out.extend(m.vec())
-        return out
-
-    def _act_vec(self, a: int, j: int) -> list:
-        base = [0] * self.dim_v
-        base[j] = 1
-        images = self.fields(self.algebra.basis[a], self.decode(base))
-        return self.encode(images)
-
-
-class SymSkewPairModule:
-    """Pairs (A, B) with A symmetric and B skew-symmetric, n by n.
-
-    Coordinates are the independent entries: the upper triangle of A
-    including the diagonal, then the strict upper triangle of B.  ``fields``
-    maps (s, A, B) to the image pair, which must again be (sym, skew).
-    """
-
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        n: int,
-        fields: Callable[[Matrix, Matrix, Matrix], tuple[Matrix, Matrix]],
-        label: str = "",
-    ):
-        self.algebra = algebra
-        self.n = n
-        self.fields = fields
-        self.sym_positions = [(r, c) for r in range(n) for c in range(r, n)]
-        self.skew_positions = [(r, c) for r in range(n) for c in range(r + 1, n)]
-        self.dim_v = len(self.sym_positions) + len(self.skew_positions)
-        self.rep = module_from_fields(algebra, self.dim_v, self._act_vec, label=label)
-
-    def decode(self, coords: Sequence) -> tuple[Matrix, Matrix]:
-        n = self.n
-        A = Matrix.zeros(n, n)
-        B = Matrix.zeros(n, n)
-        for t, (r, c) in enumerate(self.sym_positions):
-            A.rows[r][c] = coords[t]
-            A.rows[c][r] = coords[t]
-        off = len(self.sym_positions)
-        for t, (r, c) in enumerate(self.skew_positions):
-            B.rows[r][c] = coords[off + t]
-            B.rows[c][r] = -coords[off + t]
-        return A, B
-
-    def encode(self, A: Matrix, B: Matrix) -> list:
-        out = [A.rows[r][c] for r, c in self.sym_positions]
-        out.extend(B.rows[r][c] for r, c in self.skew_positions)
-        return out
-
-    def _act_vec(self, a: int, j: int) -> list:
-        base = [0] * self.dim_v
-        base[j] = 1
-        A, B = self.decode(base)
-        iA, iB = self.fields(self.algebra.basis[a], A, B)
-        return self.encode(iA, iB)
+        return [m.rows[i][j] for m, (*_, cells) in zip(mats, self._slots) for i, j in cells]
 
 
 # -- minor covariants --------------------------------------------------------
 
 
-def _signed_complementary_minor(m: Matrix, i: int, j: int, by_rows: bool) -> object:
-    d = m.delete_rows([i, j]) if by_rows else m.delete_cols([i, j])
-    val = det(d)
-    return -val if (i + j) % 2 else val
-
-
-def minor_skew_by_columns(m: Matrix) -> Matrix:
+def minor_skew(m: Matrix) -> Matrix:
     """Skew matrix of signed maximal minors, indexed by deleted column pairs.
 
     For a 2k by (2k+2) matrix the (i, j) entry with i < j is
-    (-1)^(i+j) det(m with columns i and j removed).
+    (-1)^(i+j) det(m with columns i and j removed).  Row pairs are the
+    column pairs of ``m.transpose()``.
     """
     n = m.ncols
     out = Matrix.zeros(n, n)
     for i in range(n):
         for j in range(i + 1, n):
-            val = _signed_complementary_minor(m, i, j, by_rows=False)
-            out.rows[i][j] = val
-            out.rows[j][i] = -val
-    return out
-
-
-def minor_skew_by_rows(m: Matrix) -> Matrix:
-    """Skew matrix of signed maximal minors, indexed by deleted row pairs."""
-    n = m.nrows
-    out = Matrix.zeros(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = _signed_complementary_minor(m, i, j, by_rows=True)
+            val = det(m.delete_cols([i, j]))
+            if (i + j) % 2:
+                val = -val
             out.rows[i][j] = val
             out.rows[j][i] = -val
     return out

@@ -30,8 +30,7 @@ from ..lie import (
     subrepresentation,
     tensor,
 )
-from ..linalg import Matrix
-from .support import MatrixPairModule
+from .support import MatrixPairModule, left_right_fields
 
 __all__ = [
     "TableRow",
@@ -92,33 +91,18 @@ TABLE_CAPTIONS = {
 # -- module builders ----------------------------------------------------------
 
 
-def _left_right_pair(galg: LieAlgebra, rows: int, cols: int) -> Representation:
-    r0, r1 = galg.factors[0].algebra.matrix_size, galg.factors[1].algebra.matrix_size
-
-    def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
-        M = mats[0]
-        s1 = s.submatrix(range(r0), range(r0))
-        s2 = s.submatrix(range(r0, r0 + r1), range(r0, r0 + r1))
-        return [s1 * M - M * s2]
-
-    return MatrixPairModule(galg, [(rows, cols)], fields, label="%dx%d" % (rows, cols)).rep
-
-
 def _so_pair_module(params: dict) -> Representation:
     n = params["n"]
-    return _left_right_pair(product(so(n + 2), so(n)), n + 2, n)
+    galg = product(so(n + 2), so(n))
+    label = "%dx%d" % (n + 2, n)
+    return MatrixPairModule(galg, [(n + 2, n)], left_right_fields(galg), label=label).rep
 
 
 def _two_factor_pairs_module(params: dict) -> Representation:
     n = params["n"]
     galg = product(sl(n), sl(n))
-
-    def fields(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
-        s1 = s.submatrix(range(n), range(n))
-        s2 = s.submatrix(range(n, 2 * n), range(n, 2 * n))
-        return [s1 * m - m * s2 for m in mats]
-
-    return MatrixPairModule(galg, [(n, n), (n, n)], fields, label="pairs(%d)" % n).rep
+    shapes = [(n, n), (n, n)]
+    return MatrixPairModule(galg, shapes, left_right_fields(galg), label="pairs(%d)" % n).rep
 
 
 def _sl6_ext2() -> Representation:
@@ -191,54 +175,20 @@ def _sl4_sl2_module(params: dict) -> Representation:
 # -- the rows -----------------------------------------------------------------
 
 
-def _t1(row, group, module, dim_v, dvq, qq, fa, eq, **kw) -> TableRow:
+def _row(table: int, id: str, *printed: str, **kw) -> TableRow:
+    """Row ``id`` of ``table``, printing its ``TABLE_COLUMNS`` in order."""
     return TableRow(
-        id="table1/%s" % row,
-        table=1,
-        printed=(
-            ("group", group),
-            ("module", module),
-            ("dim_v", dim_v),
-            ("dim_v_quotient", dvq),
-            ("q", qq),
-            ("fa", fa),
-            ("eq", eq),
-        ),
-        **kw,
-    )
-
-
-def _t2(row, group, module, h, theta, ref, **kw) -> TableRow:
-    return TableRow(
-        id="table2/%s" % row,
-        table=2,
-        printed=(("group", group), ("module", module), ("h", h), ("theta", theta), ("ref", ref)),
-        **kw,
-    )
-
-
-def _t3(row, group, module, h, grading, ref, **kw) -> TableRow:
-    return TableRow(
-        id="table3/%s" % row,
-        table=3,
-        printed=(("group", group), ("module", module), ("h", h), ("grading", grading), ("ref", ref)),
-        **kw,
-    )
-
-
-def _t4(row, group, module, h, rng, fa, **kw) -> TableRow:
-    return TableRow(
-        id="table4/%s" % row,
-        table=4,
-        printed=(("group", group), ("module", module), ("h", h), ("range", rng), ("fa", fa)),
+        id="table%d/%s" % (table, id),
+        table=table,
+        printed=tuple(zip(TABLE_COLUMNS[table], printed, strict=True)),
         **kw,
     )
 
 
 _ROWS: list[TableRow] = [
     # Table 1
-    _t1(
-        "1a", "SO_{n+2} x SO_n", "phi1 phi1'", "n(n+2)", "n", "n(n+1)", "yes", "yes",
+    _row(
+        1, "1a", "SO_{n+2} x SO_n", "phi1 phi1'", "n(n+2)", "n", "n(n+1)", "yes", "yes",
         module_spec=ModuleSpec(
             build=_so_pair_module,
             default_params={"n": 3},
@@ -249,8 +199,8 @@ _ROWS: list[TableRow] = [
             },
         ),
     ),
-    _t1(
-        "1b", "SO_{n+2}", "n phi1", "n(n+2)", "n(n+1)/2", "n(n+1)", "yes", "yes, if n <= 3",
+    _row(
+        1, "1b", "SO_{n+2}", "n phi1", "n(n+2)", "n(n+1)/2", "n(n+1)", "yes", "yes, if n <= 3",
         links=(
             EntryLink(
                 entry_id="ex6.4",
@@ -264,56 +214,56 @@ _ROWS: list[TableRow] = [
             ),
         ),
     ),
-    _t1(
-        "2", "SL_6", "2phi2 + phi2*", "45", "11", "36", "yes", "no",
+    _row(
+        1, "2", "SL_6", "2phi2 + phi2*", "45", "11", "36", "yes", "no",
         module_spec=ModuleSpec(
             build=_sl6_two_ext2_plus_dual,
             default_params={},
             expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 11},
         ),
     ),
-    _t1(
-        "3a", "SL_6 x SL_3", "phi2 phi1'", "45", "3", "36", "yes", "yes",
+    _row(
+        1, "3a", "SL_6 x SL_3", "phi2 phi1'", "45", "3", "36", "yes", "yes",
         module_spec=ModuleSpec(
             build=_sl6_sl3_module,
             default_params={},
             expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 3},
         ),
     ),
-    _t1(
-        "3b", "SL_6 x SL_2", "phi2 phi'^2", "45", "8", "36", "no", "no",
+    _row(
+        1, "3b", "SL_6 x SL_2", "phi2 phi'^2", "45", "8", "36", "no", "no",
         module_spec=ModuleSpec(
             build=_sl6_sl2_module,
             default_params={},
             expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 8},
         ),
     ),
-    _t1(
-        "3c", "SL_6", "3phi2", "45", "11", "36", "yes", "no",
+    _row(
+        1, "3c", "SL_6", "3phi2", "45", "11", "36", "yes", "no",
         module_spec=ModuleSpec(
             build=_sl6_three_ext2,
             default_params={},
             expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 11},
         ),
     ),
-    _t1(
-        "4a", "Sp_6 x SL_2", "phi2 phi'", "28", "5", "22", "no", "no",
+    _row(
+        1, "4a", "Sp_6 x SL_2", "phi2 phi'", "28", "5", "22", "no", "no",
         module_spec=ModuleSpec(
             build=_sp6_sl2_module,
             default_params={},
             expected=lambda p: {"dim_v": 28, "gs": 1, "quotient_dim": 5},
         ),
     ),
-    _t1(
-        "4b", "Sp_6", "2phi2", "28", "8", "22", "yes", "yes",
+    _row(
+        1, "4b", "Sp_6", "2phi2", "28", "8", "22", "yes", "yes",
         module_spec=ModuleSpec(
             build=_sp6_two_phi2,
             default_params={},
             expected=lambda p: {"dim_v": 28, "gs": 1, "quotient_dim": 8},
         ),
     ),
-    _t1(
-        "5", "SL_4 x SL_2", "phi2 phi'^3", "24", "7", "20", "no", "no",
+    _row(
+        1, "5", "SL_4 x SL_2", "phi2 phi'^3", "24", "7", "20", "no", "no",
         module_spec=ModuleSpec(
             build=_sl4_sl2_module,
             default_params={},
@@ -321,54 +271,54 @@ _ROWS: list[TableRow] = [
         ),
     ),
     # Table 2
-    _t2(
-        "1", "SO_2m x Sp_2m", "phi1 phi1'", "t_m", "(A^(2)_{4m-1}, 4)", "ex6.3/i",
+    _row(
+        2, "1", "SO_2m x Sp_2m", "phi1 phi1'", "t_m", "(A^(2)_{4m-1}, 4)", "ex6.3/i",
         links=(EntryLink("ex6.3/i", pinned=None, values=lambda p: {"l": p["m"]}),),
     ),
-    _t2(
-        "2", "SO_2m+1 x Sp_2m", "phi1 phi1'", "t_m", "(A^(2)_{4m}, 4)", "ex6.3/ii",
+    _row(
+        2, "2", "SO_2m+1 x Sp_2m", "phi1 phi1'", "t_m", "(A^(2)_{4m}, 4)", "ex6.3/ii",
         links=(EntryLink("ex6.3/ii", pinned=None, values=lambda p: {"l": p["m"]}),),
     ),
-    _t2(
-        "3", "SO_2m+2 x Sp_2m", "phi1 phi1'", "t_{m+1}", "(A^(2)_{4m+1}, 4)", "ex6.3/iii",
+    _row(
+        2, "3", "SO_2m+2 x Sp_2m", "phi1 phi1'", "t_{m+1}", "(A^(2)_{4m+1}, 4)", "ex6.3/iii",
         links=(EntryLink("ex6.3/iii", pinned=None, values=lambda p: {"l": p["m"] + 1}),),
     ),
-    _t2(
-        "4", "(SL_n)^k x T_{k-1}", "sum_i phi1^(i) phi_{n-1}^(i+1)", "t_{n-1}", "(A_{kn-1}, k)", "ex5.3",
+    _row(
+        2, "4", "(SL_n)^k x T_{k-1}", "sum_i phi1^(i) phi_{n-1}^(i+1)", "t_{n-1}", "(A_{kn-1}, k)", "ex5.3",
         links=(EntryLink("ex5.3", pinned=None, values=lambda p: {"l": p["n"] - 1}),),
     ),
-    _t2(
-        "5", "SL_4 x SL_4 x SL_2", "phi1 phi1' phi''", "t_3", "(E_7, 4)", "ex5.1",
+    _row(
+        2, "5", "SL_4 x SL_4 x SL_2", "phi1 phi1' phi''", "t_3", "(E_7, 4)", "ex5.1",
         links=(EntryLink("ex5.1", pinned={"n": 4}, values=lambda p: {"l": 3, "dim_v": 32}),),
     ),
-    _t2("6", "SL_6 x SL_3", "phi2 phi1'", "t_1", "(E_7, 3)", "-", note="metadata only"),
-    _t2("6a", "SL_6", "3phi2", "t_1", "-", "-", note="metadata only"),
-    _t2("7", "SL_6 x SL_2", "phi3 phi'", "t_2", "(E_6, 2)", "-", note="metadata only"),
-    _t2("7a", "SL_6", "2phi3", "t_2", "-", "-", note="metadata only"),
-    _t2(
-        "8", "SO_{n+2} x SO_n", "phi1 phi1'", "t_1", "(D_{n+1}, 2)", "-",
+    _row(2, "6", "SL_6 x SL_3", "phi2 phi1'", "t_1", "(E_7, 3)", "-", note="metadata only"),
+    _row(2, "6a", "SL_6", "3phi2", "t_1", "-", "-", note="metadata only"),
+    _row(2, "7", "SL_6 x SL_2", "phi3 phi'", "t_2", "(E_6, 2)", "-", note="metadata only"),
+    _row(2, "7a", "SL_6", "2phi3", "t_2", "-", "-", note="metadata only"),
+    _row(
+        2, "8", "SO_{n+2} x SO_n", "phi1 phi1'", "t_1", "(D_{n+1}, 2)", "-",
         module_spec=ModuleSpec(
             build=_so_pair_module,
             default_params={"n": 3},
             expected=lambda p: {"dim_v": p["n"] * (p["n"] + 2), "gs": 1},
         ),
     ),
-    _t2(
-        "8a", "SO_{n+2}", "n phi1", "t_1", "-", "ex6.4",
+    _row(
+        2, "8a", "SO_{n+2}", "n phi1", "t_1", "-", "ex6.4",
         links=(EntryLink("ex6.4", pinned=None, values=lambda p: {"l": 1}),),
     ),
     # Table 3
-    _t3(
-        "1", "SL_2 x SL_2 x SL_2", "phi phi' phi''", "t_2", "(D_4, alpha_2)", "ex5.2",
+    _row(
+        3, "1", "SL_2 x SL_2 x SL_2", "phi phi' phi''", "t_2", "(D_4, alpha_2)", "ex5.2",
         links=(EntryLink("ex5.2", pinned=None, values=lambda p: {"l": 2, "dim_v": 8}),),
     ),
-    _t3(
-        "2", "SL_3 x SL_3 x SL_2", "phi1 phi1' phi''", "t_2", "(E_6, alpha_3)", "ex5.1",
+    _row(
+        3, "2", "SL_3 x SL_3 x SL_2", "phi1 phi1' phi''", "t_2", "(E_6, alpha_3)", "ex5.1",
         links=(EntryLink("ex5.1", pinned={"n": 3}, values=lambda p: {"l": 2, "dim_v": 18}),),
     ),
     # Table 4
-    _t4(
-        "1", "SL_n", "phi1^2 + phi2*", "t_{[n/2]}", "n >= 4", "yes",
+    _row(
+        4, "1", "SL_n", "phi1^2 + phi2*", "t_{[n/2]}", "n >= 4", "yes",
         links=(
             EntryLink(
                 "ex6.1",
@@ -378,8 +328,8 @@ _ROWS: list[TableRow] = [
             ),
         ),
     ),
-    _t4(
-        "2", "SL_n", "phi1^2 + phi2", "t_{[n/2]}", "n >= 4", "yes",
+    _row(
+        4, "2", "SL_n", "phi1^2 + phi2", "t_{[n/2]}", "n >= 4", "yes",
         links=(
             EntryLink(
                 "ex6.2",
@@ -389,8 +339,8 @@ _ROWS: list[TableRow] = [
             ),
         ),
     ),
-    _t4(
-        "3", "SL_n x SL_n x SL_2", "phi1 phi1' phi''", "t_{n-1}", "n >= 5", "no",
+    _row(
+        4, "3", "SL_n x SL_n x SL_2", "phi1 phi1' phi''", "t_{n-1}", "n >= 5", "no",
         links=(
             EntryLink(
                 "ex5.1",
@@ -400,8 +350,8 @@ _ROWS: list[TableRow] = [
             ),
         ),
     ),
-    _t4(
-        "3a", "SL_n x SL_n", "phi1 phi1' + phi1 phi1'", "t_{n-1}", "n >= 3", "yes",
+    _row(
+        4, "3a", "SL_n x SL_n", "phi1 phi1' + phi1 phi1'", "t_{n-1}", "n >= 3", "yes",
         links=(
             EntryLink(
                 "ex5.1",
@@ -417,9 +367,9 @@ _ROWS: list[TableRow] = [
         ),
         note="same pairs as the linked entry, without the mixing sl_2",
     ),
-    _t4("4", "SL_8", "phi3 + phi7", "t_2", "-", "yes", note="metadata only"),
-    _t4("5", "SL_8", "phi3 + phi1", "t_2", "-", "yes", note="metadata only"),
-    _t4("6", "Sp_4 x SO_7", "phi1 phi3'", "t_2", "-", "yes", note="metadata only"),
+    _row(4, "4", "SL_8", "phi3 + phi7", "t_2", "-", "yes", note="metadata only"),
+    _row(4, "5", "SL_8", "phi3 + phi1", "t_2", "-", "yes", note="metadata only"),
+    _row(4, "6", "Sp_4 x SO_7", "phi1 phi3'", "t_2", "-", "yes", note="metadata only"),
 ]
 
 _BY_ID = {r.id: r for r in _ROWS}

@@ -241,17 +241,17 @@ def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
     off = 0
     block = 0
     have_mats = all(g.basis is not None for g in algebras)
-    total_size = sum(g.matrix_size or 0 for g in algebras) if have_mats else None
-    for g in algebras:
+    sizes = [g.matrix_size or 0 for g in algebras]
+    total_size = sum(sizes) if have_mats else None
+    for i, g in enumerate(algebras):
         factors.append(Factor(g.name, g, off, block))
         for (a, b), entry in g.brackets.items():
             brackets[(a + off, b + off)] = {c + off: v for c, v in entry.items()}
         if have_mats:
+            slots = [None] * len(algebras)
             for m in g.basis:
-                big = Matrix.zeros(total_size, total_size)
-                for i in range(m.nrows):
-                    big.rows[block + i][block : block + m.ncols] = list(m.rows[i])
-                basis.append(big)
+                slots[i] = m
+                basis.append(block_diag(slots, sizes))
             block += g.matrix_size
         off += g.dim
     if not have_mats:

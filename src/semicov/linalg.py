@@ -7,7 +7,9 @@ scalar (rational) entries; determinants, adjugates and characteristic
 polynomials also accept symbolic entries.  Rank, kernel, solve, span
 coordinates, inverse and scalar determinant share one fraction-free
 elimination on integer rows; a Fraction appears only when a pivot row is
-finally divided by its pivot.
+finally divided by its pivot.  Characteristic polynomials and adjugates of
+order above 4 share one Faddeev-LeVerrier loop.  ``block_diag`` is the one
+block-diagonal assembly: product algebras, catalog covariants.
 """
 
 from __future__ import annotations
@@ -225,16 +227,18 @@ class Matrix:
         return "Matrix(%r)" % (self.rows,)
 
 
-def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    n = sum(b.nrows for b in blocks)
-    m = sum(b.ncols for b in blocks)
-    out = Matrix.zeros(n, m)
+def block_diag(blocks: Sequence[Matrix | None], sizes: Sequence[int] | None = None) -> Matrix:
+    """Block-diagonal matrix of ``blocks``; a None block is a zero square
+    block of side ``sizes[i]``."""
+    shapes = [(b.nrows, b.ncols) if b is not None else (sizes[i],) * 2 for i, b in enumerate(blocks)]
+    out = Matrix.zeros(sum(r for r, _ in shapes), sum(c for _, c in shapes))
     ro = co = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            out.rows[ro + i][co : co + b.ncols] = list(b.rows[i])
-        ro += b.nrows
-        co += b.ncols
+    for b, (r, c) in zip(blocks, shapes):
+        if b is not None:
+            for i in range(r):
+                out.rows[ro + i][co : co + c] = list(b.rows[i])
+        ro += r
+        co += c
     return out
 
 
@@ -458,34 +462,41 @@ def _det_symbolic(m: Matrix):
     return minor(0, (1 << n) - 1)
 
 
-def char_poly(m: Matrix) -> list:
-    """Coefficients of det(t I - m), highest degree first: [1, c_{n-1}, ..., c_0].
+def _leverrier(m: Matrix, steps: int) -> tuple[list, Matrix]:
+    """Faddeev-LeVerrier recursion from M_0 = I, for k = 1..steps:
+    c_k = -tr(m M_(k-1)) / k and M_k = m M_(k-1) + c_k I.
 
-    Faddeev-LeVerrier recursion; only divisions by integers occur, so this is
+    Returns [1, c_1, ..., c_steps] and the last M_k formed.  M_n (which is
+    zero) is never formed.  Only divisions by integers occur, so this is
     exact over the rationals and over polynomial rings with rational
     coefficients.
     """
-    if m.nrows != m.ncols:
-        raise ValueError("characteristic polynomial of non-square matrix")
     n = m.nrows
     coeffs = [1]
     M = Matrix.identity(n)
-    for k in range(1, n + 1):
+    for k in range(1, steps + 1):
         AM = m * M
-        t = AM.trace()
-        c = t * Fraction(-1, k)
+        c = AM.trace() * Fraction(-1, k)
         c = normalize_scalar(c) if is_scalar(c) else c
         coeffs.append(c)
         if k < n:
             M = AM + Matrix.identity(n) * c
-    return coeffs
+    return coeffs, M
+
+
+def char_poly(m: Matrix) -> list:
+    """Coefficients of det(t I - m), highest degree first: [1, c_{n-1}, ..., c_0]."""
+    if m.nrows != m.ncols:
+        raise ValueError("characteristic polynomial of non-square matrix")
+    return _leverrier(m, m.nrows)[0]
 
 
 def adjugate(m: Matrix) -> Matrix:
     """Exact adjugate: adj(m) m = det(m) I.
 
-    Cofactor expansion for orders up to 4, Faddeev-LeVerrier above.  Entries
-    may be symbolic; results are degree-(n-1) polynomials in the entries.
+    Cofactor expansion for orders up to 4, Faddeev-LeVerrier above
+    (adj(m) = (-1)^(n-1) M_(n-1)).  Entries may be symbolic; results are
+    degree-(n-1) polynomials in the entries.
     """
     if m.nrows != m.ncols:
         raise ValueError("adjugate of non-square matrix")
@@ -507,16 +518,8 @@ def adjugate(m: Matrix) -> Matrix:
                 row.append(cof)
             rows.append(row)
         return Matrix(rows)
-    M = Matrix.identity(n)
-    for k in range(1, n):
-        AM = m * M
-        t = AM.trace()
-        c = t * Fraction(-1, k)
-        c = normalize_scalar(c) if is_scalar(c) else c
-        M = AM + Matrix.identity(n) * c
-    if (n - 1) % 2:
-        M = -M
-    return M
+    M = _leverrier(m, n - 1)[1]
+    return -M if (n - 1) % 2 else M
 
 
 def inverse(m: Matrix) -> Matrix:

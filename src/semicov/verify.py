@@ -159,17 +159,23 @@ def _aggregate(name: str, family, check, detail_extra: str = "") -> dict:
     for label, res in results:
         if res.verdict == "proved_nonzero":
             return _row(name, "fail", detail="fails at %s" % label, witness=res.witness)
-    sampled = [r for _, r in results if r.verdict == "sampled_zero"]
-    if sampled:
-        trials = min(r.trials for r in sampled)
-        detail = "%d covariants; sampled, >=%d trials each" % (len(results), trials)
-        if detail_extra:
-            detail += "; " + detail_extra
-        return _row(name, "sampled-pass", detail=detail)
-    detail = "%d covariants; exact" % len(results)
+    sampled = [(label, r) for label, r in results if r.verdict == "sampled_zero"]
+    exact = [label for label, r in results if r.verdict != "sampled_zero"]
+    detail = "%d covariants; " % len(results)
+    if not sampled:
+        detail += "exact"
+    else:
+        trials = min(r.trials for _, r in sampled)
+        if exact:
+            # a mixed row names the covariants resolved each way
+            detail += "exact: %s; sampled, >=%d trials: %s" % (
+                ", ".join(exact), trials, ", ".join(label for label, _ in sampled)
+            )
+        else:
+            detail += "sampled, >=%d trials each" % trials
     if detail_extra:
         detail += "; " + detail_extra
-    return _row(name, "pass", detail=detail)
+    return _row(name, "sampled-pass" if sampled else "pass", detail=detail)
 
 
 # -- per-entry plan -----------------------------------------------------------

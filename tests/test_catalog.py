@@ -26,8 +26,9 @@ construction code):
 * symmetric pairs: the covariance of B adj(A) under congruence is the
   exact 10-variable polynomial identity
   (gBg^t) adj(gAg^t) g = det(g)^2 g (B adj A).
-* skew minor matrices: frozen values at small integer points, the
-  defining annihilation identities M A_M = 0 / A_M M = 0, and skewness.
+* skew minor matrices (row pairs through the transpose): frozen values at
+  small integer points, the defining annihilation identities M A_M = 0 /
+  A_M M = 0, and skewness.
 * identity extras: a false identity fails in both modes with a witness that
   re-evaluates to its value, and ex6.1's traces at n = 6 (36 variables,
   degree 10) resolve to sampled under auto.
@@ -47,12 +48,10 @@ from semicov.catalog import (
     all_rows,
     build_construction,
     cubic_construction,
-    embed_blocks,
     find_line,
     get_entry,
     load_manifest,
-    minor_skew_by_columns,
-    minor_skew_by_rows,
+    minor_skew,
     quiver_construction,
     quiver_witness_plane,
     resolve_id,
@@ -78,7 +77,7 @@ from semicov.covariants import (
     values_matrix_at,
     weight_under,
 )
-from semicov.linalg import Matrix, adjugate, det, rank
+from semicov.linalg import Matrix, adjugate, block_diag, det, rank
 from semicov.poly import CheckContext, MultiPoly
 
 
@@ -196,9 +195,8 @@ def test_tri_sl_lambda0_matches_direct_assembly():
     vs = MultiPoly.variables(rep.dim_v)
     a = Matrix([[vs[3 * i + j] for j in range(3)] for i in range(3)])
     b = Matrix([[vs[9 + 3 * i + j] for j in range(3)] for i in range(3)])
-    direct = embed_blocks(
-        rep.algebra,
-        [traceless_part(b * adjugate(a)), traceless_part(adjugate(a) * b), None],
+    direct = block_diag(
+        [traceless_part(b * adjugate(a)), traceless_part(adjugate(a) * b), None], [3, 3, 2]
     )
     coords = SpanSolver([x.vec() for x in rep.algebra.basis]).coords(direct.vec())
     target = Covariant(rep, components=list(coords), name="direct", degree=3)
@@ -339,7 +337,7 @@ def test_sym_skew_family_members_in_kernel_exactly():
 
 def test_minor_skew_by_columns_frozen_point():
     m = Matrix([[1, 2, 3, 4], [5, 6, 7, 8]])
-    a = minor_skew_by_columns(m)
+    a = minor_skew(m)
     assert a.rows == [
         [0, 4, -8, 4],
         [-4, 0, 12, -8],
@@ -351,7 +349,7 @@ def test_minor_skew_by_columns_frozen_point():
 
 def test_minor_skew_by_rows_frozen_point():
     m = Matrix([[1, 2], [3, 4], [5, 6], [7, 8]])
-    a = minor_skew_by_rows(m)
+    a = minor_skew(m.transpose())
     assert a.rows == [
         [0, 2, -4, 2],
         [-2, 0, 6, -4],

@@ -11,6 +11,9 @@ Covered here:
   instead of raising;
 * table rows: metadata-only rows report one skipped row, bare-module rows
   get their dimension/stabiliser checks;
+* a family row whose covariants resolve partly exact and partly sampled
+  names the covariants of each group (stub checks); unmixed rows keep their
+  wording;
 * an entry draws one sample of V, in the gs row, and computes each sampled
   stabiliser once for all five rows that read it; a table row makes one
   orbit-map rank per sampled point; the rais row reuses the
@@ -33,9 +36,11 @@ import json
 import pytest
 
 from semicov import cli
+from semicov.poly import ZeroCheck
 from semicov.verify import (
     Report,
     RunConfig,
+    _aggregate,
     jsonable,
     run_entry,
     run_suite,
@@ -48,6 +53,31 @@ from fractions import Fraction
 
 def _checks_by_name(report_dict):
     return {c["name"]: c for c in report_dict["checks"]}
+
+
+def test_mixed_family_row_names_each_mode():
+    class Stub:
+        def __init__(self, name):
+            self.name = name
+
+    exact, sampled = ZeroCheck("proved_zero", "exact"), ZeroCheck("sampled_zero", "sampled", 20)
+    family = [Stub("F1"), Stub("F2"), Stub("F3")]
+
+    def row(modes, extra=""):
+        return _aggregate("kernel_phi", family, lambda F: modes[F.name], extra)
+
+    mixed = row({"F1": exact, "F2": exact, "F3": sampled}, "scope full")
+    assert mixed == {
+        "name": "kernel_phi",
+        "verdict": "sampled-pass",
+        "detail": "3 covariants; exact: F1, F2; sampled, >=20 trials: F3; scope full",
+    }
+    assert row(dict.fromkeys(("F1", "F2", "F3"), exact))["detail"] == "3 covariants; exact"
+    assert row(dict.fromkeys(("F1", "F2", "F3"), sampled)) == {
+        "name": "kernel_phi",
+        "verdict": "sampled-pass",
+        "detail": "3 covariants; sampled, >=20 trials each",
+    }
 
 
 def test_suite_json_is_deterministic_for_fixed_seed():
