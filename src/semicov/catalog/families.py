@@ -476,41 +476,32 @@ def _quiver_module(galg: LieAlgebra, n: int, k: int) -> MatrixPairModule:
     return MatrixPairModule(galg, [(n, n)] * k, fields, label="cyclic(%d;%d)" % (n, k))
 
 
-def quiver_cycle_matrix(coords: Sequence, n: int, k: int) -> Matrix:
-    """The nk x nk matrix with block (i, i+1 mod k) equal to M_i."""
+def quiver_cycle_matrix(blocks: Sequence[Matrix]) -> Matrix:
+    """The nk x nk matrix with block (i, i+1 mod k) equal to blocks[i] = M_i."""
+    k, n = len(blocks), blocks[0].nrows
     big = Matrix.zeros(n * k, n * k)
-    nn = n * n
-    for i in range(k):
-        cblk = (i + 1) % k
-        for r in range(n):
-            for c in range(n):
-                big.rows[i * n + r][cblk * n + c] = coords[i * nn + r * n + c]
+    for i, m in enumerate(blocks):
+        col = (i + 1) % k * n
+        for r, row in enumerate(m.rows):
+            big.rows[i * n + r][col : col + n] = row
     return big
 
 
-def _quiver_power_formula(n: int, k: int, i: int, variant: str):
+def _quiver_power_formula(mod: MatrixPairModule, k: int, i: int, variant: str):
     def formula(coords):
-        p = quiver_cycle_matrix(coords, n, k) ** (k * i)
-        if variant == "sl":
-            p = traceless_part(p)
-        return p
+        p = quiver_cycle_matrix(mod.decode(coords)) ** (k * i)
+        return traceless_part(p) if variant == "sl" else p
 
     return formula
 
 
-def quiver_witness_plane(n: int, k: int, alpha, beta) -> list:
-    """alpha*(I,..,I,diag(1..n)) + beta*(I,..,E,I) with E regular nilpotent."""
+def quiver_witness_plane(n: int, k: int, alpha, beta) -> list[Matrix]:
+    """The slots alpha*(I,..,I,diag(1..n)) + beta*(I,..,E,I), E regular nilpotent."""
     first = [Matrix.identity(n) for _ in range(k)]
     first[k - 1] = Matrix.diagonal([Fraction(j + 1) for j in range(n)])
     second = [Matrix.identity(n) for _ in range(k)]
-    e_mat = Matrix.zeros(n, n)
-    for i in range(n - 1):
-        e_mat.rows[i][i + 1] = Fraction(1)
-    second[k - 2] = e_mat
-    out: list = []
-    for m1, m2 in zip(first, second):
-        out.extend((m1 * alpha + m2 * beta).vec())
-    return out
+    second[k - 2] = Matrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+    return [m1 * alpha + m2 * beta for m1, m2 in zip(first, second)]
 
 
 def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
@@ -523,16 +514,15 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
     family = [
         Covariant(
             rep,
-            matrix_formula=_quiver_power_formula(n, k, i, variant),
+            matrix_formula=_quiver_power_formula(mod, k, i, variant),
             name="F%d" % i,
             degree=k * i,
         )
         for i in range(low, n)
     ]
 
-    def cycle_products(coords, arcs=range(k)) -> list[Matrix]:
+    def cycle_products(blocks, arcs=range(k)) -> list[Matrix]:
         """M_i M_(i+1) ... M_(i-1), the product around the cycle from each arc i."""
-        blocks = mod.decode(coords)
         out = []
         for i in arcs:
             prod = blocks[i]
@@ -541,14 +531,15 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
             out.append(prod)
         return out
 
-    sigma = char_poly(cycle_products(MultiPoly.variables(rep.dim_v), [0])[0])
+    sigma = char_poly(cycle_products(mod.decode(MultiPoly.variables(rep.dim_v)), [0])[0])
     invariants = [("sigma%d" % j, sigma[j], j * k) for j in range(1, n + 1)]
 
     def block_powers(coords):
         # the k-th power of the cycle matrix is block diagonal, with the
         # cycle products on the diagonal
-        power = quiver_cycle_matrix(coords, n, k) ** k
-        want = cycle_products(coords)
+        blocks = mod.decode(coords)
+        power = quiver_cycle_matrix(blocks) ** k
+        want = cycle_products(blocks)
         for bi in range(k):
             for bj in range(k):
                 blk = Matrix([r[bj * n : bj * n + n] for r in power.rows[bi * n : bi * n + n]])

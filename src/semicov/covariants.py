@@ -18,7 +18,8 @@ Every check reads F in g's basis coordinates (the cached ``components`` in
 exact mode, ``coords_at`` at sampled points); g's matrix realisation is
 faithful, so a value vanishes exactly when its coordinates do.  The action
 (x*F)(v) = [x, F(v)] - DF_v(x.v) is ``act_on_components``; its matrix form
-``act_on_matrix_polys`` is the oracle that tests compare it against.
+``act_on_matrix_polys`` is the oracle that tests compare it against.  x -> x*F
+is a representation of g, so ``verify`` checks it on Lie generators of a scope.
 
 Every ``*_check`` takes the run's ``poly.CheckContext`` as its last
 argument and runs through ``poly.identity_check``: a sampled check evaluates
@@ -365,8 +366,8 @@ def equivariance_check(
 ) -> ZeroCheck:
     """x*F = 0 for every basis element x in the given index range.
 
-    ``basis_indices`` restricts the scope (e.g. to one factor of a product
-    algebra); None means the whole algebra.  Exact mode expands
+    ``basis_indices`` restricts the scope (to one factor of a product, or to
+    Lie generators of a scope); None means the whole algebra.  Exact mode expands
     ``act_on_components(F, e_a)`` from the cached components; sampled mode
     evaluates F once per point, then [e_a, F(v)] - DF_v(e_a.v) for each a.
     """

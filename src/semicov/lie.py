@@ -4,13 +4,16 @@ Algebras carry sparse structure constants over the rationals, plus (when
 available) a faithful matrix realisation used to build modules.  Classical
 families gl, sl, so, sp are constructed from explicit matrix conditions; so
 and sp accept a user-chosen invariant form.  Products keep factor index
-bookkeeping so projections to factors stay exact.
+bookkeeping so projections to factors stay exact.  ``generating_subset``
+certifies, by exact bracket closure, a set of basis elements that generates
+the subalgebra they span.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .linalg import (
@@ -25,16 +28,8 @@ from .linalg import (
 from .sampling import rand_vector
 
 
-@dataclass(frozen=True)
 class FormConvention:
-    """Invariant bilinear forms fixing so/sp conventions.
-
-    symmetric: the matrix of the orthogonal form (defaults to the identity).
-    skew: the matrix of the symplectic form (defaults to [[0, I], [-I, 0]]).
-    """
-
-    symmetric: Matrix | None = None
-    skew: Matrix | None = None
+    """The default invariant forms: the identity for so, [[0, I], [-I, 0]] for sp."""
 
     @staticmethod
     def default_symmetric(n: int) -> Matrix:
@@ -87,6 +82,7 @@ class LieAlgebra:
         self.basis = basis
         self.matrix_size = matrix_size
         self.factors = factors or []
+        self._generators: dict = {}  # generating_subset, per index tuple
 
     def __repr__(self):
         return "LieAlgebra(%s, dim=%d)" % (self.name, self.dim)
@@ -133,6 +129,58 @@ class LieAlgebra:
                     out[c] = out[c] + (xa * v) * yb
         return [normalize_scalar(v) for v in out]
 
+    def generating_subset(self, indices: Sequence[int]) -> tuple | None:
+        """A subset of ``indices``, in their order, whose basis elements
+        generate span(e_a : a in indices) as a Lie algebra; None when that
+        span is not a subalgebra.  Computed on first use, cached.
+
+        Greedy and exact: e_a becomes a generator when it is not yet in the
+        closure, which then grows under ad(e_s) of every chosen generator
+        until it is stable (the subalgebra a set generates is the least
+        subspace holding it that ad of its members preserves).
+        """
+        key = tuple(indices)
+        if key not in self._generators:
+            self._generators[key] = self._generating_subset(key)
+        return self._generators[key]
+
+    def _generating_subset(self, indices: tuple) -> tuple | None:
+        inside = set(indices)
+        rows: list = []  # the closure: (pivot, sparse row with 1 there), in echelon order
+        gens: list = []
+
+        def grow(vec: dict) -> bool:
+            # reduce vec against the closure; a nonzero remainder joins it
+            for p, row in rows:
+                c = vec.get(p, 0)
+                if c:
+                    for j, r in row.items():
+                        vec[j] = vec.get(j, 0) - c * r
+            vec = {j: x for j, x in vec.items() if x != 0}
+            if vec:
+                p = min(vec)
+                rows.append((p, {j: Fraction(x) / vec[p] for j, x in vec.items()}))
+            return bool(vec)
+
+        for a in indices:
+            if not grow({a: 1}):
+                continue
+            gens.append(a)
+            work = [(a, w) for _, w in rows[:-1]] + [(s, rows[-1][1]) for s in gens]
+            while work:
+                s, w = work.pop()
+                br: dict = {}
+                for b, x in w.items():
+                    for c, v in self.bracket_basis(s, b).items():
+                        br[c] = br.get(c, 0) + x * v
+                if any(x != 0 and c not in inside for c, x in br.items()):
+                    return None
+                if grow(br):
+                    work.extend((t, rows[-1][1]) for t in gens)
+            if len(rows) == len(indices):
+                return tuple(gens)
+        return None
+
     def check_jacobi(self):
         """Exact Jacobi identity over all basis triples.  Returns (ok,
         witness_triple)."""
@@ -165,17 +213,13 @@ def _nonzero_rows(m: Matrix) -> list:
     return [(i, row) for i, row in rows if row]
 
 
-def _matrix_unit_basis(n: int):
-    return [(i, j) for i in range(n) for j in range(n)]
-
-
 def gl(n: int) -> LieAlgebra:
-    mats = [Matrix.unit(n, n, i, j) for i, j in _matrix_unit_basis(n)]
+    mats = [Matrix.unit(n, n, i, j) for i in range(n) for j in range(n)]
     return LieAlgebra.from_matrices("gl%d" % n, mats)
 
 
 def sl(n: int) -> LieAlgebra:
-    mats = [Matrix.unit(n, n, i, j) for i, j in _matrix_unit_basis(n) if i != j]
+    mats = [Matrix.unit(n, n, i, j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
         h = Matrix.zeros(n, n)
         h.rows[i][i] = 1
@@ -309,23 +353,6 @@ class Representation:
             for i, w in self._row_values(a, v):
                 out[i] = out[i] + xa * w
         return [normalize_scalar(o) for o in out]
-
-    def check_homomorphism(self, pairs: Sequence[tuple[int, int]] | None = None):
-        """rho([e_a, e_b]) == [rho_a, rho_b], exactly.
-
-        With pairs=None every basis pair is checked.  Returns (ok, witness).
-        """
-        g = self.algebra
-        if pairs is None:
-            pairs = [(a, b) for a in range(g.dim) for b in range(a + 1, g.dim)]
-        for a, b in pairs:
-            comm = self.action[a] * self.action[b] - self.action[b] * self.action[a]
-            expect = Matrix.zeros(self.dim_v, self.dim_v)
-            for c, v in g.bracket_basis(a, b).items():
-                expect = expect + self.action[c] * v
-            if comm != expect:
-                return False, (a, b)
-        return True, None
 
 
 def defining(g: LieAlgebra) -> Representation:

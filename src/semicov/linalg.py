@@ -190,10 +190,6 @@ class Matrix:
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "Matrix":
         return Matrix([[self.rows[i][j] for j in keep_cols] for i in keep_rows])
 
-    def delete_rows(self, drop: Sequence[int]) -> "Matrix":
-        keep = [i for i in range(self.nrows) if i not in set(drop)]
-        return self.submatrix(keep, range(self.ncols))
-
     def delete_cols(self, drop: Sequence[int]) -> "Matrix":
         keep = [j for j in range(self.ncols) if j not in set(drop)]
         return self.submatrix(range(self.nrows), keep)

@@ -238,11 +238,10 @@ def test_tri_sl_n2_routes_to_cube():
 
 
 def test_quiver_cycle_matrix_and_power_blocks():
-    v = [1, 2, 3, 4, 5, 6, 7, 8]
-    m = quiver_cycle_matrix(v, 2, 2)
-    assert m.rows == [[0, 0, 1, 2], [0, 0, 3, 4], [5, 6, 0, 0], [7, 8, 0, 0]]
     m0 = Matrix([[1, 2], [3, 4]])
     m1 = Matrix([[5, 6], [7, 8]])
+    m = quiver_cycle_matrix([m0, m1])
+    assert m.rows == [[0, 0, 1, 2], [0, 0, 3, 4], [5, 6, 0, 0], [7, 8, 0, 0]]
     sq = m * m
     assert (sq.submatrix(range(2), range(2)) - m0 * m1).is_zero()
     assert (sq.submatrix(range(2, 4), range(2, 4)) - m1 * m0).is_zero()
@@ -261,12 +260,12 @@ def test_quiver_family_value_frozen():
 
 
 def test_quiver_witness_plane_values():
-    assert quiver_witness_plane(2, 2, 1, 0) == [1, 0, 0, 1, 1, 0, 0, 2]
-    assert quiver_witness_plane(2, 2, 0, 1) == [0, 1, 0, 0, 1, 0, 0, 1]
+    assert quiver_witness_plane(2, 2, 1, 0) == [Matrix([[1, 0], [0, 1]]), Matrix([[1, 0], [0, 2]])]
+    assert quiver_witness_plane(2, 2, 0, 1) == [Matrix([[0, 1], [0, 0]]), Matrix([[1, 0], [0, 1]])]
     # generic combination: the stacked powers of the cycle matrix have
     # full rank, i.e. the plane meets the non-derogatory locus
     w = quiver_witness_plane(3, 2, 2, 3)
-    p = quiver_cycle_matrix(w, 3, 2)
+    p = quiver_cycle_matrix(w)
     stacked = Matrix([row for j in range(3) for row in (p ** j).rows])
     assert rank(stacked) == 6
 

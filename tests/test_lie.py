@@ -33,6 +33,21 @@ from semicov.lie import (
 )
 
 
+def check_homomorphism(rep):
+    """rho([e_a, e_b]) == [rho_a, rho_b] over every basis pair, exactly.
+    Returns (ok, first failing pair)."""
+    g = rep.algebra
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            comm = rep.action[a] * rep.action[b] - rep.action[b] * rep.action[a]
+            expect = Matrix.zeros(rep.dim_v, rep.dim_v)
+            for c, v in g.bracket_basis(a, b).items():
+                expect = expect + rep.action[c] * v
+            if comm != expect:
+                return False, (a, b)
+    return True, None
+
+
 def test_classical_dimensions():
     assert gl(3).dim == 9
     assert sl(2).dim == 3
@@ -89,10 +104,10 @@ def test_product_structure():
 def test_representation_homomorphism():
     g = sl(3)
     r = defining(g)
-    ok, _ = r.check_homomorphism()
+    ok, _ = check_homomorphism(r)
     assert ok
     for mod in (dual(r), tensor(r, dual(r)), sym_power(r, 2), ext_power(r, 2)):
-        ok, w = mod.check_homomorphism()
+        ok, w = check_homomorphism(mod)
         assert ok, w
 
 
@@ -119,7 +134,7 @@ def test_lift_factor_acts_by_zero_elsewhere():
     assert r.dim_v == 2
     for a in range(3, g.dim):
         assert r.action[a].is_zero()
-    ok, _ = r.check_homomorphism()
+    ok, _ = check_homomorphism(r)
     assert ok
 
 
@@ -127,7 +142,7 @@ def test_tensor_over_product_factors():
     g = product(sl(2), sl(2))
     v = tensor(lift_factor(g, 0, defining(sl(2))), lift_factor(g, 1, defining(sl(2))))
     assert v.dim_v == 4
-    ok, _ = v.check_homomorphism()
+    ok, _ = check_homomorphism(v)
     assert ok
     # generic stabiliser is a twisted diagonal copy of sl2
     assert _generic_dim(v, seed=3) == 3
@@ -153,7 +168,7 @@ def test_subrepresentation_primitive_ext2_sp4():
         vectors.append(v)
     sub = subrepresentation(r, vectors, label="primitive")
     assert sub.dim_v == 5
-    ok, w = sub.check_homomorphism()
+    ok, w = check_homomorphism(sub)
     assert ok, w
 
 
