@@ -50,7 +50,6 @@ class CatalogEntry:
     module: str
     params: tuple[ParamSpec, ...]
     build: Callable[..., Construction]
-    table_refs: tuple[str, ...] = ()
     degrees_text: str = ""
     invariant_degrees_text: str = ""
     notes: tuple[str, ...] = ()
@@ -85,7 +84,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="pairs (A, B) of n x n matrices; sl_2 mixes the two slots",
         params=(ParamSpec("n", 3, 2, note="n = 2 degenerates to the 2x2x2 cube entry"),),
         build=lambda n: tri_sl_construction(n),
-        table_refs=("table2/5", "table3/2", "table4/3", "table4/3a"),
         degrees_text="n, repeated n-1 times",
         notes=(
             "equivariant for the two SL_n factors only; the sl_2 directions fail by design",
@@ -100,7 +98,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="trilinear cube a[i][j][k], factor t acting on slot t",
         params=(),
         build=cubic_construction,
-        table_refs=("table3/1",),
         degrees_text="2, 2",
         invariant_degrees_text="4",
         notes=("combination lam*G_0 + mu*G_1 + nu*G_2 is a kernel covariant iff lam+mu+nu = 0",),
@@ -113,7 +110,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="k matrices M_i of size n x n, M_i placed on arc i -> i+1 (mod k)",
         params=(ParamSpec("n", 2, 2), ParamSpec("k", 2, 2)),
         build=lambda n, k: quiver_construction(n, k, "sl"),
-        table_refs=("table2/4",),
         degrees_text="k, 2k, ..., (n-1)k",
         invariant_degrees_text="k, 2k, ..., nk",
         notes=("covariants are trace-adjusted k*i-th powers of the cycle matrix",),
@@ -126,7 +122,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="k matrices M_i of size n x n, M_i placed on arc i -> i+1 (mod k)",
         params=(ParamSpec("n", 2, 2), ParamSpec("k", 2, 2)),
         build=lambda n, k: quiver_construction(n, k, "gl"),
-        table_refs=("table2/4",),
         degrees_text="0, k, 2k, ..., (n-1)k",
         invariant_degrees_text="k, 2k, ..., nk",
     ),
@@ -138,7 +133,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="(A, B): A symmetric, B skew transforming in the dual polarity",
         params=(ParamSpec("n", 5, 4),),
         build=lambda n: sym_skewdual_construction(n),
-        table_refs=("table4/1",),
         degrees_text="2, 6, ..., 2(2[n/2]-1)",
         notes=("family: odd powers (AB)^(2i-1); all traces vanish identically",),
     ),
@@ -150,7 +144,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="(A, B): A symmetric, B skew, both in the same polarity",
         params=(ParamSpec("n", 3, 3),),
         build=lambda n: sym_skew_construction(n),
-        table_refs=("table4/2",),
         degrees_text="n, repeated [n/2] times",
         notes=(
             "family: even-parameter coefficients of B times the adjugate of A + lam*B",
@@ -165,7 +158,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="2m x n matrices M, left symplectic and right orthogonal action",
         params=(ParamSpec("m", 1, 1),),
         build=lambda m: sp_so_construction(m, "i"),
-        table_refs=("table2/1",),
         degrees_text="2, 6, ..., 2(2m-1)",
     ),
     CatalogEntry(
@@ -176,7 +168,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="2m x n matrices M, left symplectic and right orthogonal action",
         params=(ParamSpec("m", 1, 1),),
         build=lambda m: sp_so_construction(m, "ii"),
-        table_refs=("table2/2",),
         degrees_text="2, 6, ..., 2(2m-1)",
     ),
     CatalogEntry(
@@ -187,7 +178,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="2m x n matrices M, left symplectic and right orthogonal action",
         params=(ParamSpec("m", 1, 1),),
         build=lambda m: sp_so_construction(m, "iii"),
-        table_refs=("table2/3",),
         degrees_text="2, 6, ..., 2(2m-1), then 2m for the minor covariant",
         notes=("extra covariant: signed complementary column minors of M",),
     ),
@@ -199,7 +189,6 @@ _ENTRIES: list[CatalogEntry] = [
         module="(n+2) x n matrices M: n copies of the defining column space",
         params=(ParamSpec("n", 2, 2),),
         build=lambda n: so_copies_construction(n),
-        table_refs=("table1/1b", "table2/8a"),
         degrees_text="n",
         notes=("covariant: signed complementary row minors; satisfies A_M * M = 0",),
     ),

@@ -36,6 +36,7 @@ from ..covariants import (
     weight_under,
 )
 from ..lie import (
+    FormConvention,
     LieAlgebra,
     Representation,
     adjoint_rep,
@@ -50,7 +51,6 @@ from ..lie import (
 )
 from ..linalg import (
     Matrix,
-    SpanSolver,
     adjugate,
     block_diag,
     char_poly,
@@ -454,12 +454,7 @@ def tri_sl_construction(n: int) -> Construction:
 def _quiver_algebra(n: int, k: int, variant: str) -> LieAlgebra:
     if variant == "gl":
         return product(*[gl(n) for _ in range(k)], name="gl(%d)^%d" % (n, k))
-    mats = []
-    for i in range(k):
-        slots = [None] * k
-        for b in sl(n).basis:
-            slots[i] = b
-            mats.append(block_diag(slots, [n] * k))
+    mats = list(product(*[sl(n)] * k).basis)
     for i in range(k - 1):
         # the centre: 1 on block i, -1 on block i + 1
         mats.append(Matrix.diagonal([int(j // n == i) - int(j // n == i + 1) for j in range(n * k)]))
@@ -707,11 +702,11 @@ def sym_skew_construction(n: int) -> Construction:
         return B * adjugate(A + B * lam)
 
     widths = parameter_coefficients(gl_mod.rep, lam_formula, name_fmt="H{k}", width=n)
-    solver = SpanSolver([m.vec() for m in g.basis])
     k = n // 2
     family = []
     for i in range(k):
-        coords_sl = solver.coords(list(widths[2 * i].components))
+        comps = widths[2 * i].components  # gl_n coordinates: the entries, row by row
+        coords_sl = g.coords(Matrix([comps[r * n : (r + 1) * n] for r in range(n)]))
         if coords_sl is None:
             raise ValueError("even coefficient H%d is not traceless" % (2 * i))
         family.append(Covariant(rep, components=coords_sl, name="H%d" % (2 * i)))
@@ -774,10 +769,7 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
         raise ValueError("case must be i, ii or iii")
     n = {"i": 2 * m, "ii": 2 * m + 1, "iii": 2 * m + 2}[case]
     galg = product(sp(2 * m), so(n))
-    jmat = Matrix.zeros(2 * m, 2 * m)
-    for i in range(m):
-        jmat.rows[i][m + i] = 1
-        jmat.rows[m + i][i] = -1
+    jmat = FormConvention.default_skew(2 * m)
 
     label = "sp-so(%d;%s)" % (m, case)
     mod = MatrixPairModule(galg, [(2 * m, n)], left_right_fields(galg), label=label)

@@ -30,7 +30,7 @@ value a coordinate, prefixed by the basis index ``a`` (equivariance) or by
 ``((i, j), a)`` (poisson_commute).  Sampled witnesses: kernel_phi
 ``(v, phi(F)(v))``; equivariance ``(a, v, coordinates of (e_a*F)(v))``;
 covariant_zero and covariant_match ``(v, coordinates of the residual)``;
-lift_invariance ``((xi, v, zeta), change of the lift)``; poisson_commute
+lift_invariance ``(v, phi(F)(v))``, as kernel_phi; poisson_commute
 ``((i, j), (xi, v), bracket)``; invariant ``(a, v, derivative along x_a)``.
 The catalog's extras reuse these or ``catalog.families.identity_extra``.
 
@@ -44,8 +44,9 @@ exact int/Fraction parts).  Both rows about the lifts
 
 with ``mu_a(v, zeta) = <zeta, e_a.v>`` and ``phi(F)(v) = F(v).v``; the signs
 follow ``[e_a, zeta_j] = -sum_i rho_a[j, i] zeta_i`` in ``semidirect``.  So
-exact lift invariance expands ``phi(F)`` (witness ``(v, value)``, a
-coordinate of ``phi(F)(v)``), and exact poisson_commute expands the bracket's
+lift invariance reads ``phi(F)`` like kernel_phi: expanded exactly (witness
+``(v, value)``, a coordinate of ``phi(F)(v)``), or at sampled v alone, with
+no xi or zeta drawn.  Exact poisson_commute expands the bracket's
 xi_a coefficients on V (witness ``(((i, j), a), (v, value))``).  ``auto``
 still sizes the rows by the rings of the lifts (dim g + 2 dim V variables,
 and dim q): the expansions on V have fewer variables and no higher degree,
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .lie import Representation, Subspace
-from .linalg import Matrix, SpanSolver, normalize_scalar, rank, solve
+from .linalg import Matrix, normalize_scalar, rank, solve
 from .poly import CheckContext, MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
 from .sampling import derive_rng, rand_vector
 from .semidirect import SemidirectProduct
@@ -112,7 +113,6 @@ class Covariant:
                 degs = [p.degree() for p in self._components if not p.is_zero()]
                 degree = max(int(d) for d in degs) if degs else 0
         self.degree = degree
-        self._solver: SpanSolver | None = None
         self._phi: list[MultiPoly] | None = None
 
     def __repr__(self):
@@ -124,14 +124,6 @@ class Covariant:
 
     # -- evaluation -----------------------------------------------------
 
-    def _basis_solver(self) -> SpanSolver:
-        if self._solver is None:
-            basis = self.rep.algebra.basis
-            if basis is None:
-                raise ValueError("algebra has no matrix realisation")
-            self._solver = SpanSolver([m.vec() for m in basis])
-        return self._solver
-
     def matrix_at(self, v: Sequence) -> Matrix:
         """F(v) in the algebra's matrix realisation; v in any ring."""
         if self._formula is not None:
@@ -142,8 +134,7 @@ class Covariant:
         """F(v) in g's basis coordinates; entries live in v's ring."""
         if self._formula is None:
             return [_eval_component(p, v) for p in self._components]
-        mat = self._formula(list(v))
-        coords = self._basis_solver().coords(mat.vec())
+        coords = self.rep.algebra.coords(self._formula(list(v)))
         if coords is None:
             raise ValueError("covariant %r left its algebra at %r" % (self.name, v))
         return coords
@@ -532,26 +523,22 @@ def lift_invariance_check(
 ) -> ZeroCheck:
     """F_hat(xi + mu(v, zeta), v) = F_hat(xi, v) for all zeta, i.e. phi(F) = 0.
 
-    The change of the lift is <zeta, phi(F)(v)>.  Exact mode expands
-    ``phi_polys(F)`` (witness ``(v, value)``, value a coordinate of
-    phi(F)(v)); sampled mode draws (xi, v, zeta) and evaluates the change.
-    ``auto`` sizes the identity by the (xi, v, zeta) ring of the lift.
+    The change of the lift is <zeta, phi(F)(v)>, zero for every zeta exactly
+    when phi(F)(v) is.  So both modes read phi(F), as ``kernel_phi_check``
+    does: exact mode expands ``phi_polys(F)`` (witness ``(v, value)``, value
+    a coordinate of phi(F)(v)), and sampled mode draws v alone (witness
+    ``(v, phi(F)(v))``).  ``auto`` sizes the identity by the (xi, v, zeta)
+    ring of the lift.
     """
     if q.rep is not F.rep:
         raise ValueError("covariant and semidirect product use different modules")
-    dg, dv = q.dim_g, q.dim_v
+    dv = q.dim_v
     deg = None if F.degree is None else F.degree + 2
     rng = derive_rng(ctx.seed, "lift_invariance", F.name)
-
-    def sample():
-        return tuple(rand_vector(rng, n, ctx.bound) for n in (dg, dv, dv))
-
-    def residual(point):
-        _, v, zeta = point
-        change = normalize_scalar(sum(z * p for z, p in zip(zeta, phi_at(F, v)) if z != 0))
-        return (point, change) if change != 0 else None
-
-    return identity_check(ctx, dg + 2 * dv, deg, lambda: _untagged(phi_polys(F)), sample, residual)
+    return identity_check(
+        ctx, q.dim_g + 2 * dv, deg, lambda: _untagged(phi_polys(F)),
+        lambda: rand_vector(rng, dv, ctx.bound), lambda v: _coords_witness(v, phi_at(F, v)),
+    )
 
 
 def poisson_coords(F: Covariant, G: Covariant) -> list[MultiPoly]:
@@ -671,9 +658,7 @@ def parameter_coefficients(
     """
     nv = rep.dim_v
     vs = MultiPoly.variables(nv + 1)
-    mat = formula(vs)
-    solver = SpanSolver([m.vec() for m in rep.algebra.basis])
-    coords = solver.coords(mat.vec())
+    coords = rep.algebra.coords(formula(vs))
     if coords is None:
         raise ValueError("parameter formula left the algebra")
     split = [_as_poly(c, nv + 1).coefficients_in_last_var() for c in coords]
@@ -694,11 +679,8 @@ def weight_under(F: Covariant, x: Sequence):
     Returns the scalar c with x*F = c F when the acted covariant is
     proportional to F, and None otherwise.
     """
-    acted = act_on_components(F, x)
-    coeffs = express_in_span(acted, [F.components])
-    if coeffs is None:
-        return None
-    return coeffs[0]
+    m = action_matrix_on_span([F], x)
+    return None if m is None else m.rows[0][0]
 
 
 def independence_rank_at(family: Sequence[Covariant], v: Sequence) -> int:

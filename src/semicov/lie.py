@@ -3,7 +3,8 @@
 Algebras carry sparse structure constants over the rationals, plus (when
 available) a faithful matrix realisation used to build modules.  Classical
 families gl, sl, so, sp are constructed from explicit matrix conditions; so
-and sp accept a user-chosen invariant form.  Products keep factor index
+and sp accept a user-chosen invariant form.  ``coords`` is the one map from
+g's matrix realisation to its basis coordinates.  Products keep factor index
 bookkeeping so projections to factors stay exact.  ``generating_subset``
 certifies, by exact bracket closure, a set of basis elements that generates
 the subalgebra they span.
@@ -11,6 +12,7 @@ the subalgebra they span.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,6 +85,7 @@ class LieAlgebra:
         self.matrix_size = matrix_size
         self.factors = factors or []
         self._generators: dict = {}  # generating_subset, per index tuple
+        self._solver: SpanSolver | None = None  # coords, built on first use
 
     def __repr__(self):
         return "LieAlgebra(%s, dim=%d)" % (self.name, self.dim)
@@ -111,7 +114,21 @@ class LieAlgebra:
                 entry = {c: v for c, v in enumerate(coords) if v != 0}
                 if entry:
                     brackets[(a, b)] = entry
-        return LieAlgebra(name, dim, brackets, basis=mats, matrix_size=size)
+        g = LieAlgebra(name, dim, brackets, basis=mats, matrix_size=size)
+        g._solver = solver
+        return g
+
+    def coords(self, m: Matrix) -> list | None:
+        """The matrix m in g's basis coordinates, or None when m is outside g.
+
+        Entries of m may lie in any ring (polynomials, dual numbers); the
+        coordinates then lie in the same ring.
+        """
+        if self._solver is None:
+            if self.basis is None:
+                raise ValueError("algebra has no matrix realisation")
+            self._solver = SpanSolver([b.vec() for b in self.basis])
+        return self._solver.coords(m.vec())
 
     def bracket_basis(self, a: int, b: int) -> dict:
         """[e_a, e_b] as a sparse coordinate dict (shared: do not mutate)."""
@@ -228,8 +245,15 @@ def sl(n: int) -> LieAlgebra:
     return LieAlgebra.from_matrices("sl%d" % n, mats)
 
 
-def _form_condition_kernel(n: int, form: Matrix) -> list[Matrix]:
-    """Basis of {X : X^t F + F X = 0} via an exact kernel computation."""
+def _form_algebra(n: int, form: Matrix, sign: int) -> LieAlgebra:
+    """{X : X^t F + F X = 0} for a nondegenerate form with F^t = sign F:
+    so_n for sign 1, sp_n for sign -1.  Its basis is an exact kernel."""
+    so_n = sign == 1
+    kind, family = ("so", "orthogonal") if so_n else ("sp", "symplectic")
+    if form.transpose() != form * sign:
+        raise ValueError("%s form must be %s" % (family, "symmetric" if so_n else "skew-symmetric"))
+    if rank(form) != n:
+        raise ValueError("%s form must be nondegenerate" % family)
     rows = []
     for i in range(n):
         for j in range(n):
@@ -240,69 +264,42 @@ def _form_condition_kernel(n: int, form: Matrix) -> list[Matrix]:
                 coeffs[k * n + j] = coeffs[k * n + j] + form[i, k]
             rows.append(coeffs)
     _, kern = rank_and_kernel(Matrix(rows))
-    out = []
-    for v in kern:
-        out.append(Matrix([[v[i * n + j] for j in range(n)] for i in range(n)]))
-    return out
+    mats = [Matrix([[v[i * n + j] for j in range(n)] for i in range(n)]) for v in kern]
+    g = LieAlgebra.from_matrices("%s%d" % (kind, n), mats)
+    if g.dim != n * (n - sign) // 2:
+        raise AssertionError("unexpected %s dimension" % kind)
+    return g
 
 
 def so(n: int, form: Matrix | None = None) -> LieAlgebra:
-    if form is None:
-        form = FormConvention.default_symmetric(n)
-    if form.transpose() != form:
-        raise ValueError("orthogonal form must be symmetric")
-    if rank(form) != n:
-        raise ValueError("orthogonal form must be nondegenerate")
-    mats = _form_condition_kernel(n, form)
-    g = LieAlgebra.from_matrices("so%d" % n, mats)
-    if g.dim != n * (n - 1) // 2:
-        raise AssertionError("unexpected so dimension")
-    return g
+    return _form_algebra(n, FormConvention.default_symmetric(n) if form is None else form, 1)
 
 
 def sp(n: int, form: Matrix | None = None) -> LieAlgebra:
     if n % 2:
         raise ValueError("sp needs even size")
-    if form is None:
-        form = FormConvention.default_skew(n)
-    if form.transpose() != -form:
-        raise ValueError("symplectic form must be skew-symmetric")
-    if rank(form) != n:
-        raise ValueError("symplectic form must be nondegenerate")
-    mats = _form_condition_kernel(n, form)
-    g = LieAlgebra.from_matrices("sp%d" % n, mats)
-    if g.dim != n * (n + 1) // 2:
-        raise AssertionError("unexpected sp dimension")
-    return g
+    return _form_algebra(n, FormConvention.default_skew(n) if form is None else form, -1)
 
 
 def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
     """Direct product with factor bookkeeping and block-diagonal matrices."""
-    dim = sum(g.dim for g in algebras)
     brackets: dict = {}
     factors: list[Factor] = []
-    basis: list[Matrix] | None = []
-    off = 0
-    block = 0
-    have_mats = all(g.basis is not None for g in algebras)
-    sizes = [g.matrix_size or 0 for g in algebras]
-    total_size = sum(sizes) if have_mats else None
+    basis: list[Matrix] = []
+    off = block = 0
+    sizes = [g.matrix_size for g in algebras]
     for i, g in enumerate(algebras):
         factors.append(Factor(g.name, g, off, block))
         for (a, b), entry in g.brackets.items():
             brackets[(a + off, b + off)] = {c + off: v for c, v in entry.items()}
-        if have_mats:
-            slots = [None] * len(algebras)
-            for m in g.basis:
-                slots[i] = m
-                basis.append(block_diag(slots, sizes))
-            block += g.matrix_size
+        slots = [None] * len(algebras)
+        for m in g.basis:
+            slots[i] = m
+            basis.append(block_diag(slots, sizes))
         off += g.dim
-    if not have_mats:
-        basis = None
-        total_size = None
+        block += g.matrix_size
     pname = name or " x ".join(g.name for g in algebras)
-    return LieAlgebra(pname, dim, brackets, basis=basis, matrix_size=total_size, factors=factors)
+    return LieAlgebra(pname, off, brackets, basis=basis, matrix_size=block, factors=factors)
 
 
 class Representation:
@@ -398,58 +395,42 @@ def tensor(r1: Representation, r2: Representation) -> Representation:
 
 def sym_power(r: Representation, d: int) -> Representation:
     """Symmetric power with monomial basis (derivation action)."""
-    import itertools
-
-    basis = list(itertools.combinations_with_replacement(range(r.dim_v), d))
-    index = {b: i for i, b in enumerate(basis)}
-    mats = []
-    for a in range(r.algebra.dim):
-        rho = r.action[a]
-        m = Matrix.zeros(len(basis), len(basis))
-        for col, mono in enumerate(basis):
-            for k in range(d):
-                ik = mono[k]
-                for j in range(r.dim_v):
-                    c = rho[j, ik]
-                    if c == 0:
-                        continue
-                    new = tuple(sorted(mono[:k] + (j,) + mono[k + 1 :]))
-                    row = index[new]
-                    m.rows[row][col] = normalize_scalar(m.rows[row][col] + c)
-        mats.append(m)
-    return Representation(r.algebra, mats, label="S^%d(%s)" % (d, r.label or "V"))
+    return _power(r, d, skew=False)
 
 
 def ext_power(r: Representation, d: int) -> Representation:
     """Exterior power with wedge basis (derivation action with signs)."""
-    import itertools
+    return _power(r, d, skew=True)
 
-    basis = list(itertools.combinations(range(r.dim_v), d))
+
+def _power(r: Representation, d: int, skew: bool) -> Representation:
+    """The derivation action on sorted index tuples: monomials, or wedges
+    (no repeated index, and the sign of the sort)."""
+    pick = itertools.combinations if skew else itertools.combinations_with_replacement
+    basis = list(pick(range(r.dim_v), d))
     index = {b: i for i, b in enumerate(basis)}
     mats = []
-    for a in range(r.algebra.dim):
-        rho = r.action[a]
+    for rho in r.action:
         m = Matrix.zeros(len(basis), len(basis))
-        for col, wedge in enumerate(basis):
-            for k in range(d):
-                ik = wedge[k]
+        for col, mono in enumerate(basis):
+            for k, ik in enumerate(mono):
+                others = mono[:k] + mono[k + 1 :]
                 for j in range(r.dim_v):
                     c = rho[j, ik]
-                    if c == 0 or j in wedge[:k] or j in wedge[k + 1 :]:
+                    if c == 0 or (skew and j in others):
                         continue
-                    raw = wedge[:k] + (j,) + wedge[k + 1 :]
-                    new = tuple(sorted(raw))
-                    # sign of the sort permutation: j moves past the entries
-                    # strictly between its old and new positions
                     sign = 1
-                    others = raw[:k] + raw[k + 1 :]
-                    for o in others:
-                        if (o > j) != (o > ik):
-                            sign = -sign
-                    row = index[new]
+                    if skew:
+                        # sign of the sort permutation: j moves past the
+                        # entries strictly between its old and new positions
+                        for o in others:
+                            if (o > j) != (o > ik):
+                                sign = -sign
+                    row = index[tuple(sorted(mono[:k] + (j,) + mono[k + 1 :]))]
                     m.rows[row][col] = normalize_scalar(m.rows[row][col] + sign * c)
         mats.append(m)
-    return Representation(r.algebra, mats, label="L^%d(%s)" % (d, r.label or "V"))
+    label = "%s^%d(%s)" % ("L" if skew else "S", d, r.label or "V")
+    return Representation(r.algebra, mats, label=label)
 
 
 def subrepresentation(r: Representation, vectors: Sequence[Sequence], label: str = "") -> Representation:

@@ -7,8 +7,9 @@ scalar (rational) entries; determinants, adjugates and characteristic
 polynomials also accept symbolic entries.  Rank, kernel, solve, span
 coordinates, inverse and scalar determinant share one fraction-free
 elimination on integer rows; a Fraction appears only when a pivot row is
-finally divided by its pivot.  Characteristic polynomials and adjugates of
-order above 4 share one Faddeev-LeVerrier loop.  ``block_diag`` is the one
+finally divided by its pivot.  Symbolic determinants and adjugates (every
+order, every ring) read one memoised minor expansion; characteristic
+polynomials use the Faddeev-LeVerrier loop.  ``block_diag`` is the one
 block-diagonal assembly: product algebras, catalog covariants.
 """
 
@@ -375,7 +376,7 @@ class SpanSolver:
             [(i, b) for i, b in enumerate(v) if b != 0 and i not in on_pivot] for v in self.basis
         ]
 
-    def coords(self, w: Sequence, check: bool = True):
+    def coords(self, w: Sequence):
         """Coefficients of w in the basis, or None if not in the span."""
         c_red = [w[p] for p in self.pivots]
         # coefficients on the original basis: c = c_red @ transform
@@ -385,16 +386,15 @@ class SpanSolver:
             for i, t in col:
                 acc = acc + t * c_red[i]
             out.append(acc)
-        if check:
-            residual = list(w)
-            for cj, nonzero in zip(out, self._off_pivot):
-                if cj == 0:
-                    continue
-                for i, b in nonzero:
-                    residual[i] = residual[i] - cj * b
-            free = self._free if self.k else range(len(w))
-            if not all(_ring_is_zero(residual[i]) for i in free):
-                return None
+        residual = list(w)
+        for cj, nonzero in zip(out, self._off_pivot):
+            if cj == 0:
+                continue
+            for i, b in nonzero:
+                residual[i] = residual[i] - cj * b
+        free = self._free if self.k else range(len(w))
+        if not all(_ring_is_zero(residual[i]) for i in free):
+            return None
         return [normalize_scalar(x) if is_scalar(x) else x for x in out]
 
 
@@ -408,15 +408,16 @@ def _ring_is_zero(a) -> bool:
 
 
 def det(m: Matrix):
-    """Exact determinant; fraction-free elimination for scalars, minor
-    expansion with memoisation for symbolic entries."""
+    """Exact determinant; fraction-free elimination for scalars, memoised
+    minor expansion (``_minors``) for symbolic entries."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of non-square matrix")
     n = m.nrows
     if n == 0:
         return 1
     if not all(is_scalar(a) for r in m.rows for a in r):
-        return _det_symbolic(m)
+        full = (1 << n) - 1
+        return _minors(m)(full, full)
     rows, scale = int_rows(m.rows)
     factors: list[tuple[int, int]] = []
     if len(_eliminate(rows, n, False, factors)) < n:
@@ -425,28 +426,31 @@ def det(m: Matrix):
     return normalize_scalar(Fraction(num, scale * math.prod(p for _, p in factors)))
 
 
-def _det_symbolic(m: Matrix):
-    n = m.nrows
+def _minors(m: Matrix):
+    """``minor(rowmask, colmask)``: the determinant of the square submatrix of
+    m on the rows and columns whose bits are set, expanded along its first
+    row.  Memoised, so minors shared by several expansions (every cofactor of
+    an adjugate) are computed once."""
     rows = m.rows
     cache: dict[tuple[int, int], object] = {}
 
-    def minor(row: int, colmask: int):
-        # determinant of rows[row:], columns given by colmask bits
-        if row == n:
+    def minor(rowmask: int, colmask: int):
+        if not rowmask:
             return 1
-        key = (row, colmask)
-        got = cache.get(key)
-        if got is not None:
-            return got
+        key = (rowmask, colmask)
+        if key in cache:
+            return cache[key]
+        row = rows[(rowmask & -rowmask).bit_length() - 1]
+        rest = rowmask & (rowmask - 1)
         acc = 0
         sign = 1
         mask = colmask
         j = 0
         while mask:
             if mask & 1:
-                a = rows[row][j]
+                a = row[j]
                 if not _ring_is_zero(a):
-                    sub = minor(row + 1, colmask & ~(1 << j))
+                    sub = minor(rest, colmask & ~(1 << j))
                     term = a * sub if sign > 0 else -(a * sub)
                     acc = acc + term
                 sign = -sign
@@ -455,67 +459,53 @@ def _det_symbolic(m: Matrix):
         cache[key] = acc
         return acc
 
-    return minor(0, (1 << n) - 1)
+    return minor
 
 
-def _leverrier(m: Matrix, steps: int) -> tuple[list, Matrix]:
-    """Faddeev-LeVerrier recursion from M_0 = I, for k = 1..steps:
-    c_k = -tr(m M_(k-1)) / k and M_k = m M_(k-1) + c_k I.
+def char_poly(m: Matrix) -> list:
+    """Coefficients of det(t I - m), highest degree first: [1, c_{n-1}, ..., c_0].
 
-    Returns [1, c_1, ..., c_steps] and the last M_k formed.  M_n (which is
-    zero) is never formed.  Only divisions by integers occur, so this is
+    Faddeev-LeVerrier: from M_0 = I, c_k = -tr(m M_(k-1)) / k and
+    M_k = m M_(k-1) + c_k I.  Only divisions by integers occur, so this is
     exact over the rationals and over polynomial rings with rational
     coefficients.
     """
+    if m.nrows != m.ncols:
+        raise ValueError("characteristic polynomial of non-square matrix")
     n = m.nrows
     coeffs = [1]
     M = Matrix.identity(n)
-    for k in range(1, steps + 1):
+    for k in range(1, n + 1):
         AM = m * M
         c = AM.trace() * Fraction(-1, k)
         c = normalize_scalar(c) if is_scalar(c) else c
         coeffs.append(c)
         if k < n:
             M = AM + Matrix.identity(n) * c
-    return coeffs, M
-
-
-def char_poly(m: Matrix) -> list:
-    """Coefficients of det(t I - m), highest degree first: [1, c_{n-1}, ..., c_0]."""
-    if m.nrows != m.ncols:
-        raise ValueError("characteristic polynomial of non-square matrix")
-    return _leverrier(m, m.nrows)[0]
+    return coeffs
 
 
 def adjugate(m: Matrix) -> Matrix:
     """Exact adjugate: adj(m) m = det(m) I.
 
-    Cofactor expansion for orders up to 4, Faddeev-LeVerrier above
-    (adj(m) = (-1)^(n-1) M_(n-1)).  Entries may be symbolic; results are
-    degree-(n-1) polynomials in the entries.
+    Cofactor (i, j) is (-1)^(i+j) times the minor of m without row j and
+    column i, all read from one memoised ``_minors``.  Entries may be
+    symbolic; results are degree-(n-1) polynomials in the entries.
     """
     if m.nrows != m.ncols:
         raise ValueError("adjugate of non-square matrix")
     n = m.nrows
-    if n == 0:
-        return Matrix([])
-    if n == 1:
-        return Matrix([[1]])
-    if n <= 4:
-        rows = []
-        idx = list(range(n))
-        for i in range(n):
-            row = []
-            for j in range(n):
-                sub = m.submatrix([r for r in idx if r != j], [c for c in idx if c != i])
-                cof = det(sub)
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof)
-            rows.append(row)
-        return Matrix(rows)
-    M = _leverrier(m, n - 1)[1]
-    return -M if (n - 1) % 2 else M
+    full = (1 << n) - 1
+    minor = _minors(m)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cof = minor(full & ~(1 << j), full & ~(1 << i))
+            cof = -cof if (i + j) % 2 else cof
+            row.append(normalize_scalar(cof) if is_scalar(cof) else cof)
+        rows.append(row)
+    return Matrix(rows)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -66,7 +66,6 @@ from semicov.catalog import quiver_cycle_matrix
 from semicov.catalog.families import _cubic_factor_solutions, cubic_combination, identity_extra
 from semicov.covariants import (
     Covariant,
-    SpanSolver,
     act_on_components,
     covariant_match_check,
     equivariance_check,
@@ -77,7 +76,7 @@ from semicov.covariants import (
     values_matrix_at,
     weight_under,
 )
-from semicov.linalg import Matrix, adjugate, block_diag, det, rank
+from semicov.linalg import Matrix, SpanSolver, adjugate, block_diag, det, rank
 from semicov.poly import CheckContext, MultiPoly
 
 

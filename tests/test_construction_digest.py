@@ -6,8 +6,11 @@ module's label and action matrices (with the type of every entry, so an int
 never silently becomes a Fraction), each family member and negative control
 evaluated at a fixed integer point, the independence witness, and the
 numerology.  Table rows hash their printed columns, links evaluated at fixed
-parameters, and the module a module row builds.  A refactor of the catalog
-must leave every digest unchanged.
+parameters, and the module a module row builds.  ``MODULES`` hashes the
+library's power modules and form algebras outside the catalog's defaults:
+symmetric and exterior powers at d = 2, 3, and so, sp under non-default
+forms.  A refactor of the catalog or of those builders must leave every
+digest unchanged.
 
 Refreeze (only for an intended change, stated in CHANGES.md) with
 ``PYTHONPATH=src python tests/test_construction_digest.py``.
@@ -22,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from semicov.catalog import all_rows, build_construction, get_entry
+from semicov.lie import defining, ext_power, sl, so, sp, sym_power
+from semicov.linalg import Matrix
 
 DATA = Path(__file__).resolve().parent / "data" / "construction-digests.json"
 
@@ -53,6 +58,24 @@ INSTANCES = [
 ]
 
 LINK_PARAMS = {"n": 5, "m": 2, "k": 3}
+
+# symmetric and skew nondegenerate forms, none of them the default one
+SYM_FORM = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, -3]])
+ANTI_DIAGONAL = Matrix([[int(i + j == 3) for j in range(4)] for i in range(4)])
+SKEW_FORM = Matrix([[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]])
+
+MODULES = {
+    "sym_power sl3 d=2": lambda: sym_power(defining(sl(3)), 2),
+    "sym_power sl3 d=3": lambda: sym_power(defining(sl(3)), 3),
+    "sym_power so3-form d=2": lambda: sym_power(defining(so(3, SYM_FORM)), 2),
+    "ext_power sl4 d=2": lambda: ext_power(defining(sl(4)), 2),
+    "ext_power sl4 d=3": lambda: ext_power(defining(sl(4)), 3),
+    "ext_power sp4-form d=2": lambda: ext_power(defining(sp(4, SKEW_FORM)), 2),
+    "so3 form": lambda: defining(so(3, SYM_FORM)),
+    "so4 form": lambda: defining(so(4, ANTI_DIAGONAL)),
+    "sp4 form": lambda: defining(sp(4, SKEW_FORM)),
+    "sp2 form": lambda: defining(sp(2, Matrix([[0, 3], [-3, 0]]))),
+}
 
 
 def _scalar(x) -> str:
@@ -137,25 +160,28 @@ def _key(eid: str, params: dict) -> str:
     return eid + "".join(" %s=%d" % kv for kv in sorted(params.items()))
 
 
+def _compute(case: str) -> dict:
+    if case == "entries":
+        return {_key(eid, p): _digest(_construction(eid, p)) for eid, p in INSTANCES}
+    if case == "rows":
+        return {row.id: _digest(_row(row)) for row in all_rows()}
+    return {name: _digest(_module(build())) for name, build in MODULES.items()}
+
+
 def compute() -> dict:
-    out = {_key(eid, p): _digest(_construction(eid, p)) for eid, p in INSTANCES}
-    out.update({row.id: _digest(_row(row)) for row in all_rows()})
-    return out
+    return {k: v for case in ("entries", "rows", "modules") for k, v in _compute(case).items()}
 
 
 def test_frozen_digests_cover_every_entry_and_row():
     frozen = json.loads(DATA.read_text())
-    keys = {_key(eid, p) for eid, p in INSTANCES} | {row.id for row in all_rows()}
-    assert set(frozen) == keys and len(keys) == 23 + 29
+    keys = {_key(eid, p) for eid, p in INSTANCES} | {row.id for row in all_rows()} | set(MODULES)
+    assert set(frozen) == keys and len(keys) == 23 + 29 + 10
 
 
-@pytest.mark.parametrize("case", ["entries", "rows"])
+@pytest.mark.parametrize("case", ["entries", "rows", "modules"])
 def test_constructions_match_frozen_digests(case):
     frozen = json.loads(DATA.read_text())
-    if case == "entries":
-        got = {_key(eid, p): _digest(_construction(eid, p)) for eid, p in INSTANCES}
-    else:
-        got = {row.id: _digest(_row(row)) for row in all_rows()}
+    got = _compute(case)
     assert got == {k: frozen[k] for k in got}
 
 

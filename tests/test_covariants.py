@@ -56,7 +56,9 @@ from semicov.covariants import (
     weight_under,
 )
 from semicov.catalog import build_construction, get_entry
-from semicov.lie import Representation, adjoint_rep, defining, direct_sum, sl, stabiliser_sample
+from semicov.lie import (
+    Representation, adjoint_rep, defining, direct_sum, product, sl, so, stabiliser_sample,
+)
 from semicov.linalg import Matrix
 from semicov.poly import CheckContext, CutoffExceeded, MultiPoly
 from semicov.semidirect import SemidirectProduct
@@ -621,6 +623,31 @@ def test_sampled_poisson_witness_reevaluates():
     assert (i, j) == (0, 1) and value != 0
     lifts = [lift_polynomial(F) for F in family]
     assert poisson_bracket_at(q.lie, lifts[i], lifts[j], list(xi) + list(v)) == value
+
+
+def test_sampled_lift_witness_reevaluates():
+    G = bad_covariant()
+    q = SemidirectProduct(G.rep)
+    check = lift_invariance_check(q, G, CheckContext("sampled", seed=9, samples=5))
+    assert check.verdict == "proved_nonzero" and check.mode == "sampled"
+    v, value = check.witness
+    assert len(v) == q.dim_v and any(x != 0 for x in value)
+    assert phi_at(G, v) == value
+
+
+def test_covariant_leaving_its_algebra_raises():
+    rep = defining(sl(2))
+    g = rep.algebra
+    assert g.coords(Matrix.identity(2)) is None
+    assert g.coords(Matrix([[3, 1], [0, -3]])) == [1, 0, 3]
+    p = product(sl(2), so(3))  # a product builds its solver on first use
+    assert p.coords(p.basis[4]) == [int(a == 4) for a in range(p.dim)]
+    assert p.coords(Matrix.identity(5)) is None
+    F = Covariant(rep, matrix_formula=lambda c: Matrix([[c[0], 0], [0, c[0]]]), name="scalar")
+    with pytest.raises(ValueError, match="left its algebra"):
+        F.coords_at([1, 2])
+    with pytest.raises(ValueError, match="left the algebra"):
+        parameter_coefficients(rep, lambda c: Matrix([[c[-1], 0], [0, c[0]]]))
 
 
 def _counted(F: Covariant, calls: dict) -> Covariant:

@@ -125,9 +125,8 @@ def test_adjugate_symbolic_entries():
     assert prod.rows[0][1].is_zero() and prod.rows[1][0].is_zero()
 
 
-def test_adjugate_symbolic_order5_uses_leverrier():
-    # 5x5 path goes through the Faddeev-LeVerrier recursion; check against
-    # the defining identity on a sparse symbolic matrix.
+def test_adjugate_symbolic_order5_sparse():
+    # the defining identity on a sparse symbolic 5x5 matrix
     xs = MultiPoly.variables(5)
     rows = [[0] * 5 for _ in range(5)]
     for i in range(5):
@@ -141,6 +140,24 @@ def test_adjugate_symbolic_order5_uses_leverrier():
         for j in range(5):
             want = d if i == j else MultiPoly.zero(5)
             assert prod.rows[i][j] == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_adjugate_symbolic_matches_sympy(n):
+    """adj(A + x B + y C) against sympy's adjugate, coefficient by coefficient."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(300 + n)
+    x, y = MultiPoly.variables(2)
+    a, b, c = (rand_matrix(rng, n, n, 3) for _ in range(3))
+    m = Matrix([[a[i, j] + x * b[i, j] + y * c[i, j] for j in range(n)] for i in range(n)])
+    sx, sy = sympy.symbols("x y")
+    want = sympy.Matrix(n, n, lambda i, j: a[i, j] + sx * b[i, j] + sy * c[i, j]).adjugate()
+    got = adjugate(m)
+    for i in range(n):
+        for j in range(n):
+            p = got.rows[i][j]
+            terms = p.terms if isinstance(p, MultiPoly) else ({(0, 0): p} if p else {})
+            assert terms == sympy.Poly(want[i, j], sx, sy).as_dict()
 
 
 def test_char_poly_oracle():
