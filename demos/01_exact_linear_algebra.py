@@ -2,7 +2,8 @@
 
 Every verification in this package runs over the rationals -- matrices of
 Fractions or of sparse multivariate polynomials, fraction-free elimination,
-division-free characteristic polynomials.  No floats ever enter a verdict.
+Faddeev-LeVerrier characteristic polynomials (which divide only by the
+integers 1..n).  No floats ever enter a verdict.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ def main() -> None:
     print("residual =", [sum(r[j] * x[j] for j in range(3)) - b for r, b in zip(m.rows, rhs)])
 
     print()
-    print("== division-free characteristic polynomial ==")
+    print("== characteristic polynomial (Faddeev-LeVerrier, exact over Q) ==")
     cp = char_poly(m)
     print("char_poly(m) coefficients (leading first):", cp)
 

@@ -6,7 +6,7 @@ and aliases are part of the command-line contract.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .families import (
@@ -71,7 +71,7 @@ _ENTRIES: list[CatalogEntry] = [
         group="SL_n",
         module="n x n trace-zero matrices, adjoint action",
         params=(ParamSpec("n", 3, 2),),
-        build=lambda n: adjoint_construction(n),
+        build=adjoint_construction,
         degrees_text="1, 2, ..., n-1",
         invariant_degrees_text="2, 3, ..., n",
         notes=("family: metric-dual gradients of the characteristic coefficients",),
@@ -83,7 +83,7 @@ _ENTRIES: list[CatalogEntry] = [
         group="SL_n x SL_n x SL_2",
         module="pairs (A, B) of n x n matrices; sl_2 mixes the two slots",
         params=(ParamSpec("n", 3, 2, note="n = 2 degenerates to the 2x2x2 cube entry"),),
-        build=lambda n: tri_sl_construction(n),
+        build=tri_sl_construction,
         degrees_text="n, repeated n-1 times",
         notes=(
             "equivariant for the two SL_n factors only; the sl_2 directions fail by design",
@@ -132,7 +132,7 @@ _ENTRIES: list[CatalogEntry] = [
         group="SL_n",
         module="(A, B): A symmetric, B skew transforming in the dual polarity",
         params=(ParamSpec("n", 5, 4),),
-        build=lambda n: sym_skewdual_construction(n),
+        build=sym_skewdual_construction,
         degrees_text="2, 6, ..., 2(2[n/2]-1)",
         notes=("family: odd powers (AB)^(2i-1); all traces vanish identically",),
     ),
@@ -143,7 +143,7 @@ _ENTRIES: list[CatalogEntry] = [
         group="SL_n",
         module="(A, B): A symmetric, B skew, both in the same polarity",
         params=(ParamSpec("n", 3, 3),),
-        build=lambda n: sym_skew_construction(n),
+        build=sym_skew_construction,
         degrees_text="n, repeated [n/2] times",
         notes=(
             "family: even-parameter coefficients of B times the adjugate of A + lam*B",
@@ -188,7 +188,7 @@ _ENTRIES: list[CatalogEntry] = [
         group="SO_n+2",
         module="(n+2) x n matrices M: n copies of the defining column space",
         params=(ParamSpec("n", 2, 2),),
-        build=lambda n: so_copies_construction(n),
+        build=so_copies_construction,
         degrees_text="n",
         notes=("covariant: signed complementary row minors; satisfies A_M * M = 0",),
     ),
@@ -223,7 +223,10 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def build_construction(entry: CatalogEntry, overrides: dict | None = None) -> Construction:
-    """Build with defaults merged over overrides; range-checks parameters."""
+    """Build with defaults merged over overrides; range-checks parameters.
+
+    The construction is stamped with the entry's id and the resolved
+    parameters, in the entry's parameter order."""
     overrides = overrides or {}
     known = {p.name for p in entry.params}
     values = {}
@@ -246,4 +249,4 @@ def build_construction(entry: CatalogEntry, overrides: dict | None = None) -> Co
             "entry %s does not take parameter(s) %s"
             % (entry.id, ", ".join(sorted(extra)))
         )
-    return entry.build(**values)
+    return replace(entry.build(**values), entry_id=entry.id, params=values)

@@ -119,9 +119,10 @@ class Control:
 
 @dataclass
 class Construction:
-    entry_id: str
-    params: dict
-    algebra: LieAlgebra
+    """One instantiation of a catalog family.  ``entries.build_construction``
+    stamps ``entry_id`` and the resolved ``params``; a builder called
+    directly leaves both empty.  The acting algebra is ``module.algebra``."""
+
     module: Representation
     family: list[Covariant]
     expected: Expected
@@ -133,6 +134,12 @@ class Construction:
     extras: list[ExtraCheck] = field(default_factory=list)
     controls: list[Control] = field(default_factory=list)
     kernel_span: bool = False  # values should span the full stabiliser pointwise
+    entry_id: str = ""
+    params: dict = field(default_factory=dict)
+
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self.module.algebra
 
 
 def _entries(values):
@@ -203,15 +210,7 @@ def adjoint_construction(n: int) -> Construction:
         audit_verdict="equality",
         quotient_dim=n - 1,
     )
-    return Construction(
-        entry_id="ex-adjoint",
-        params={"n": n},
-        algebra=g,
-        module=rep,
-        family=family,
-        expected=expected,
-        kernel_span=True,
-    )
+    return Construction(rep, family, expected, kernel_span=True)
 
 
 # -- cubic family ------------------------------------------------------------
@@ -292,12 +291,9 @@ def cubic_construction() -> Construction:
         quotient_dim=1,
     )
     return Construction(
-        entry_id="ex5.2",
-        params={},
-        algebra=rep.algebra,
-        module=rep,
-        family=[f1, f2],
-        expected=expected,
+        rep,
+        [f1, f2],
+        expected,
         controls=[
             Control(
                 name="kernel_phi_control_mixed",
@@ -353,10 +349,7 @@ def _tri_lambda_covariants(mod, n: int) -> list[Covariant]:
 def tri_sl_construction(n: int) -> Construction:
     if n == 2:
         # the quadratic case degenerates to the 2x2x2 cube family
-        cons = cubic_construction()
-        cons.entry_id = "ex5.1"
-        cons.params = {"n": 2}
-        return cons
+        return cubic_construction()
     galg = _tri_algebra(n)
     mod = MatrixPairModule(galg, [(n, n), (n, n)], _tri_fields(galg), label="pairs(%d)" % n)
     rep = mod.rep
@@ -387,8 +380,9 @@ def tri_sl_construction(n: int) -> Construction:
         return ("f-action", bad[0]) if bad else None
 
     def span_failure():
-        if family_rank(family) != n - 1:
-            return ("span rank", family_rank(family))
+        r = family_rank(family)
+        if r != n - 1:
+            return ("span rank", r)
         weights = [2 - n + 2 * i for i in range(n - 1)]
         mats = {}
         for a in range(galg.dim):
@@ -426,12 +420,9 @@ def tri_sl_construction(n: int) -> Construction:
         quotient_dim=n - 2,
     )
     return Construction(
-        entry_id="ex5.1",
-        params={"n": n},
-        algebra=galg,
-        module=rep,
-        family=family,
-        expected=expected,
+        rep,
+        family,
+        expected,
         scope=sl_scope,
         scope_label="sl_n x sl_n",
         complement=sl2_scope,
@@ -590,12 +581,9 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
         quotient_dim=n,
     )
     return Construction(
-        entry_id="ex5.3" if variant == "sl" else "ex5.3/gl",
-        params={"n": n, "k": k},
-        algebra=galg,
-        module=rep,
-        family=family,
-        expected=expected,
+        rep,
+        family,
+        expected,
         extras=[
             identity_extra("block_power_structure", rep.dim_v, k, block_powers),
             ExtraCheck("invariant_degrees", check_invariants),
@@ -669,16 +657,8 @@ def sym_skewdual_construction(n: int) -> Construction:
         audit_verdict=verdict,
         quotient_dim=k + 1,
     )
-    return Construction(
-        entry_id="ex6.1",
-        params={"n": n},
-        algebra=g,
-        module=rep,
-        family=family,
-        expected=expected,
-        witness=witness,
-        extras=[identity_extra("trace_zero", mod.dim_v, 2 * (2 * k - 1), traces)],
-    )
+    trace_zero = identity_extra("trace_zero", mod.dim_v, 2 * (2 * k - 1), traces)
+    return Construction(rep, family, expected, witness=witness, extras=[trace_zero])
 
 
 # -- symmetric times skew pairs ------------------------------------------------
@@ -748,16 +728,7 @@ def sym_skew_construction(n: int) -> Construction:
         audit_verdict=verdict,
         quotient_dim=k + 1,
     )
-    return Construction(
-        entry_id="ex6.2",
-        params={"n": n},
-        algebra=g,
-        module=rep,
-        family=family,
-        expected=expected,
-        extras=extras,
-        controls=controls,
-    )
+    return Construction(rep, family, expected, extras=extras, controls=controls)
 
 
 # -- symplectic times orthogonal rectangles ------------------------------------
@@ -828,15 +799,7 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
         audit_verdict="equality",
         quotient_dim=m,
     )
-    return Construction(
-        entry_id="ex6.3/%s" % case,
-        params={"m": m},
-        algebra=galg,
-        module=rep,
-        family=family,
-        expected=expected,
-        extras=extras,
-    )
+    return Construction(rep, family, expected, extras=extras)
 
 
 # -- orthogonal algebra on column copies ----------------------------------------
@@ -869,12 +832,5 @@ def so_copies_construction(n: int) -> Construction:
         audit_verdict="equality",
         quotient_dim=n * (n + 1) // 2,
     )
-    return Construction(
-        entry_id="ex6.4",
-        params={"n": n},
-        algebra=galg,
-        module=rep,
-        family=family,
-        expected=expected,
-        extras=[identity_extra("minor_identity", mod.dim_v, n + 1, minor_identity)],
-    )
+    extras = [identity_extra("minor_identity", mod.dim_v, n + 1, minor_identity)]
+    return Construction(rep, family, expected, extras=extras)

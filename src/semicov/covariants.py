@@ -44,15 +44,17 @@ exact int/Fraction parts).  Both rows about the lifts
 
 with ``mu_a(v, zeta) = <zeta, e_a.v>`` and ``phi(F)(v) = F(v).v``; the signs
 follow ``[e_a, zeta_j] = -sum_i rho_a[j, i] zeta_i`` in ``semidirect``.  So
-lift invariance reads ``phi(F)`` like kernel_phi: expanded exactly (witness
-``(v, value)``, a coordinate of ``phi(F)(v)``), or at sampled v alone, with
-no xi or zeta drawn.  Exact poisson_commute expands the bracket's
-xi_a coefficients on V (witness ``(((i, j), a), (v, value))``).  ``auto``
-still sizes the rows by the rings of the lifts (dim g + 2 dim V variables,
-and dim q): the expansions on V have fewer variables and no higher degree,
-so every row resolves as before and no exact row is refused.  ``components``
-and ``phi_polys`` are cached on the covariant, so kernel_phi, equivariance,
-the lift rows and Poisson share one expansion of each covariant.
+the kernel_phi and lift_invariance rows share one phi check (``_phi_check``):
+``phi(F)`` expanded exactly (witness ``(v, value)``, a coordinate of
+``phi(F)(v)``), or at sampled v alone, with no xi or zeta drawn.  They differ
+only in sizing and in the stream their points come from.  Exact
+poisson_commute expands the bracket's xi_a coefficients on V (witness
+``(((i, j), a), (v, value))``).  ``auto`` still sizes the lift rows by the
+rings of the lifts (dim g + 2 dim V variables, and dim q): the expansions on
+V have fewer variables and no higher degree, so every row resolves as before
+and no exact row is refused.  ``components`` and ``phi_polys`` are cached on
+the covariant, so kernel_phi, equivariance, the lift rows and Poisson share
+one expansion of each covariant.
 """
 
 from __future__ import annotations
@@ -338,15 +340,24 @@ def phi_at(F: Covariant, v: Sequence) -> list:
     return F.rep.act(F.coords_at(v), list(v))
 
 
-def kernel_phi_check(F: Covariant, ctx: CheckContext = CheckContext()) -> ZeroCheck:
-    """Does F(v) stabilise v identically, i.e. phi(F) = 0?"""
+def _phi_check(
+    F: Covariant, ctx: CheckContext, stream: str, num_vars: int, deg_shift: int
+) -> ZeroCheck:
+    """phi(F) = 0: exact mode expands ``phi_polys(F)``, sampled mode draws v
+    from the ``stream`` stream (witness ``(v, phi(F)(v))``).  ``auto`` sizes
+    the identity as ``num_vars`` variables of degree deg F + ``deg_shift``."""
     nv = F.rep.dim_v
-    deg = None if F.degree is None else F.degree + 1
-    rng = derive_rng(ctx.seed, "kernel_phi", F.name)
+    deg = None if F.degree is None else F.degree + deg_shift
+    rng = derive_rng(ctx.seed, stream, F.name)
     return identity_check(
-        ctx, nv, deg, lambda: _untagged(phi_polys(F)), lambda: rand_vector(rng, nv, ctx.bound),
-        lambda v: _coords_witness(v, phi_at(F, v)),
+        ctx, num_vars, deg, lambda: _untagged(phi_polys(F)),
+        lambda: rand_vector(rng, nv, ctx.bound), lambda v: _coords_witness(v, phi_at(F, v)),
     )
+
+
+def kernel_phi_check(F: Covariant, ctx: CheckContext = CheckContext()) -> ZeroCheck:
+    """Does F(v) stabilise v identically, i.e. phi(F) = 0?  Sized by V."""
+    return _phi_check(F, ctx, "kernel_phi", F.rep.dim_v, 1)
 
 
 # -- equivariance ----------------------------------------------------------
@@ -524,21 +535,12 @@ def lift_invariance_check(
     """F_hat(xi + mu(v, zeta), v) = F_hat(xi, v) for all zeta, i.e. phi(F) = 0.
 
     The change of the lift is <zeta, phi(F)(v)>, zero for every zeta exactly
-    when phi(F)(v) is.  So both modes read phi(F), as ``kernel_phi_check``
-    does: exact mode expands ``phi_polys(F)`` (witness ``(v, value)``, value
-    a coordinate of phi(F)(v)), and sampled mode draws v alone (witness
-    ``(v, phi(F)(v))``).  ``auto`` sizes the identity by the (xi, v, zeta)
-    ring of the lift.
+    when phi(F)(v) is.  So this is the check of ``kernel_phi_check`` on its
+    own stream, sized by the (xi, v, zeta) ring of the lift.
     """
     if q.rep is not F.rep:
         raise ValueError("covariant and semidirect product use different modules")
-    dv = q.dim_v
-    deg = None if F.degree is None else F.degree + 2
-    rng = derive_rng(ctx.seed, "lift_invariance", F.name)
-    return identity_check(
-        ctx, q.dim_g + 2 * dv, deg, lambda: _untagged(phi_polys(F)),
-        lambda: rand_vector(rng, dv, ctx.bound), lambda v: _coords_witness(v, phi_at(F, v)),
-    )
+    return _phi_check(F, ctx, "lift_invariance", q.dim_g + 2 * q.dim_v, 2)
 
 
 def poisson_coords(F: Covariant, G: Covariant) -> list[MultiPoly]:

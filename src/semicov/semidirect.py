@@ -104,7 +104,6 @@ class IndexEstimate:
     index: int
     max_rank: int
     stabilised: bool
-    samples: int
     # (eta, rank of the Kirillov form at eta) for every point drawn, in order
     ranks: list = field(default_factory=list, repr=False)
 
@@ -134,7 +133,6 @@ def index_estimate(
         index=lie.dim - max_rank,
         max_rank=max_rank,
         stabilised=best[0] == best[1],
-        samples=samples,
         ranks=ranks,
     )
 

@@ -37,10 +37,9 @@ from .covariants import (
     kernel_span_check,
     lift_invariance_check,
     poisson_commute_check,
-    values_matrix_at,
 )
 from .lie import is_abelian, stabiliser_sample
-from .linalg import Matrix, rank
+from .linalg import Matrix, rank  # noqa: F401 (re-export; the benchmark's tracer patches it)
 from .poly import CheckContext, CutoffExceeded, MultiPoly
 from .sampling import derive_rng
 from .semidirect import DualPoint, SemidirectProduct, index_estimate, rais_consistency
@@ -183,7 +182,27 @@ def _aggregate(name: str, family, check, detail_extra: str = "") -> dict:
 # -- per-entry plan -----------------------------------------------------------
 
 
-def _check_construction_audit(cons: Construction, entry_id: str, params: dict) -> dict:
+def _audit_row(
+    kind: str, target: str, params: dict, problems: list, computed, noun: str, detail: str
+) -> dict:
+    """The construction_audit row: the caller's ``problems``, then each
+    ``(key, value)`` of ``computed`` that the frozen manifest line of
+    ``target`` at ``params`` states differently ("manifest K=W but <noun> G")."""
+    line = find_line(kind, target, params)
+    if line is None:
+        frozen = "no frozen manifest line for these parameters"
+    else:
+        frozen = "matches the frozen manifest line"
+        for key, got in computed:
+            want = line.values.get(key)
+            if want is not None and want != got:
+                problems.append("manifest %s=%s but %s %s" % (key, want, noun, got))
+    if problems:
+        return _row("construction_audit", "fail", witness=problems)
+    return _row("construction_audit", "pass", detail="%s; %s" % (detail, frozen))
+
+
+def _check_construction_audit(cons: Construction) -> dict:
     exp = cons.expected
     problems = []
     if cons.module.dim_v != exp.dim_v:
@@ -199,33 +218,21 @@ def _check_construction_audit(cons: Construction, entry_id: str, params: dict) -
             "quotient dim %d != dim V - dim g + l = %d"
             % (exp.quotient_dim, exp.dim_v - dim_g + exp.rank)
         )
-    line = find_line("check", entry_id, params)
-    if line is None:
-        frozen = "no frozen manifest line for these parameters"
-    else:
-        frozen = "matches the frozen manifest line"
-        pairs = [
-            ("dim_v", exp.dim_v),
-            ("l", exp.rank),
-            ("q", exp.quotient_degree),
-            ("degrees", exp.degrees),
-            ("audit", exp.audit_verdict),
-            ("quotient_dim", exp.quotient_dim),
-        ]
-        for key, got in pairs:
-            want = line.values.get(key)
-            if want is not None and want != got:
-                problems.append("manifest %s=%s but computed %s" % (key, want, got))
-    if problems:
-        return _row("construction_audit", "fail", witness=problems)
-    detail = "dim V=%d, l=%d, q=%d, degrees=%s; %s" % (
+    computed = [
+        ("dim_v", exp.dim_v),
+        ("l", exp.rank),
+        ("q", exp.quotient_degree),
+        ("degrees", exp.degrees),
+        ("audit", exp.audit_verdict),
+        ("quotient_dim", exp.quotient_dim),
+    ]
+    detail = "dim V=%d, l=%d, q=%d, degrees=%s" % (
         exp.dim_v,
         exp.rank,
         exp.quotient_degree,
         ",".join(str(d) for d in exp.degrees),
-        frozen,
     )
-    return _row("construction_audit", "pass", detail=detail)
+    return _audit_row("check", cons.entry_id, cons.params, problems, computed, "computed", detail)
 
 
 def _check_jacobi(q: SemidirectProduct) -> dict:
@@ -300,7 +307,7 @@ def _check_independence(cons: Construction, sample: list) -> dict:
 
 
 def _check_witness_exact(cons: Construction) -> dict:
-    r = rank(values_matrix_at(cons.family, cons.witness))
+    r = independence_rank_at(cons.family, cons.witness)
     want = len(cons.family)
     if r != want:
         return _row(
@@ -431,11 +438,12 @@ def _check_rais(q: SemidirectProduct, cfg: RunConfig, sample: list, est) -> dict
     return _row("rais_consistency", verdict, detail=detail)
 
 
-def _table_comparison(cons: Construction, entry_id: str, params: dict) -> tuple[list, dict]:
-    rows = rows_for_entry(entry_id)
-    comparisons = []
+def _table_comparison(report: dict, cons: Construction) -> dict:
+    """The table_row_comparison row; the per-row items go to ``report``."""
+    params = cons.params
+    comparisons = report["table_row_comparison"]
     mismatch = False
-    for row, link in rows:
+    for row, link in rows_for_entry(cons.entry_id):
         item = {"row": row.id}
         if link.pinned is not None and link.pinned != params:
             item["status"] = "skipped"
@@ -472,22 +480,20 @@ def _table_comparison(cons: Construction, entry_id: str, params: dict) -> tuple[
             item["status"] = "match"
         comparisons.append(item)
     if not comparisons:
-        check = _row("table_row_comparison", "skipped", detail="no table rows reference this entry")
-    elif mismatch:
-        check = _row(
+        return _row("table_row_comparison", "skipped", detail="no table rows reference this entry")
+    if mismatch:
+        return _row(
             "table_row_comparison",
             "fail",
             detail="printed table values differ from computed ones",
             witness=[c for c in comparisons if c["status"] == "mismatch"],
         )
-    else:
-        n_match = sum(1 for c in comparisons if c["status"] == "match")
-        n_skip = len(comparisons) - n_match
-        detail = "%d row(s) match" % n_match
-        if n_skip:
-            detail += ", %d skipped at these parameters" % n_skip
-        check = _row("table_row_comparison", "pass", detail=detail)
-    return comparisons, check
+    n_match = sum(1 for c in comparisons if c["status"] == "match")
+    n_skip = len(comparisons) - n_match
+    detail = "%d row(s) match" % n_match
+    if n_skip:
+        detail += ", %d skipped at these parameters" % n_skip
+    return _row("table_row_comparison", "pass", detail=detail)
 
 
 def _param_str(params: dict) -> str:
@@ -527,7 +533,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
     ctx = cfg.ctx
     checks = report["checks"]
 
-    checks.append(_timed(cfg, _check_construction_audit, cons, entry_id, cons.params))
+    checks.append(_timed(cfg, _check_construction_audit, cons))
     checks.append(_timed(cfg, _check_jacobi, q))
     jacobi_ok = checks[-1]["verdict"] == "pass"
     sample = None
@@ -605,15 +611,13 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
     checks.append(_timed(cfg, _check_rais, q, cfg, sample, est))
     checks.append(_timed(cfg, _check_bookkeeping, cons, q))
 
-    comparisons, table_check = _table_comparison(cons, entry_id, cons.params)
-    report["table_row_comparison"] = comparisons
-    checks.append(table_check)
+    checks.append(_timed(cfg, _table_comparison, report, cons))
 
     if cfg.negative_controls:
         for c in cons.controls:
-            checks.append(_identity_row(
+            identity(
                 c.name, _zero_row, lambda F=c.covariant: kernel_phi_check(F, ctx), c.reason, True
-            ))
+            )
 
     return report
 
@@ -641,42 +645,42 @@ def run_table_row(row_id: str, cfg: RunConfig) -> dict:
     rep = spec.build(params)
     expected = spec.expected(params)
     checks = report["checks"]
-    line = find_line("table", row.id, params)
-    frozen_note = (
-        "matches the frozen manifest line" if line else "no frozen manifest line for these parameters"
-    )
-    problems = []
-    if rep.dim_v != expected["dim_v"]:
-        problems.append("module dimension %d != printed %d" % (rep.dim_v, expected["dim_v"]))
-    if line:
-        for key in ("dim_v", "gs", "quotient_dim"):
-            if key in line.values and key in expected and line.values[key] != expected[key]:
-                problems.append(
-                    "manifest %s=%s but table prints %s" % (key, line.values[key], expected[key])
-                )
-    if problems:
-        checks.append(_row("construction_audit", "fail", witness=problems))
+
+    def audit():
+        problems = []
+        if rep.dim_v != expected["dim_v"]:
+            problems.append("module dimension %d != printed %d" % (rep.dim_v, expected["dim_v"]))
+        computed = [(k, expected[k]) for k in ("dim_v", "gs", "quotient_dim") if k in expected]
+        detail = "dim V = %d" % rep.dim_v
+        return _audit_row("table", row.id, params, problems, computed, "table prints", detail)
+
+    checks.append(_timed(cfg, audit))
+    if checks[-1]["verdict"] == "fail":
         return report
-    checks.append(
-        _row("construction_audit", "pass", detail="dim V = %d; %s" % (rep.dim_v, frozen_note))
-    )
-    # one orbit-map rank per sampled point: the orbit rank at v is
-    # dim g - dim g_v, so the quotient estimate also gives the generic gs
-    est = quotient_dim_estimate(rep, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
-    gs = rep.algebra.dim - rep.dim_v + est
-    if gs != expected["gs"]:
-        detail = "sampled stabiliser dim %d != printed %d" % (gs, expected["gs"])
-        checks.append(_row("gs_dimension_toral", "fail", detail=detail))
-    else:
-        detail = "generic stabiliser dim %d" % gs
-        checks.append(_row("gs_dimension_toral", "sampled-pass", detail=detail))
-    if "quotient_dim" in expected:
+    est = None
+
+    def gs():
+        # one orbit-map rank per sampled point: the orbit rank at v is
+        # dim g - dim g_v, so the quotient estimate also gives the generic gs;
+        # the ranking is timed under this row
+        nonlocal est
+        est = quotient_dim_estimate(rep, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+        gs = rep.algebra.dim - rep.dim_v + est
+        if gs != expected["gs"]:
+            detail = "sampled stabiliser dim %d != printed %d" % (gs, expected["gs"])
+            return _row("gs_dimension_toral", "fail", detail=detail)
+        return _row("gs_dimension_toral", "sampled-pass", detail="generic stabiliser dim %d" % gs)
+
+    def quotient():
         if est != expected["quotient_dim"]:
             detail = "sampled estimate %d != printed %d" % (est, expected["quotient_dim"])
-            checks.append(_row("quotient_dim_estimate", "fail", detail=detail))
-        else:
-            detail = "dim V - max orbit rank = %d" % est
-            checks.append(_row("quotient_dim_estimate", "sampled-pass", detail=detail))
+            return _row("quotient_dim_estimate", "fail", detail=detail)
+        detail = "dim V - max orbit rank = %d" % est
+        return _row("quotient_dim_estimate", "sampled-pass", detail=detail)
+
+    checks.append(_timed(cfg, gs))
+    if "quotient_dim" in expected:
+        checks.append(_timed(cfg, quotient))
     return report
 
 

@@ -231,6 +231,10 @@ def test_tri_sl_n2_routes_to_cube():
     assert cons.params == {"n": 2}
     assert cons.expected.dim_v == 8
     assert cons.expected.degrees == (2, 2)
+    # the builder itself leaves the catalog identity to build_construction
+    direct = tri_sl_construction(2)
+    assert (direct.entry_id, direct.params) == ("", {})
+    assert direct.algebra is direct.module.algebra
 
 
 # -- cyclic quiver -----------------------------------------------------------

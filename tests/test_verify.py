@@ -3,7 +3,9 @@
 Covered here:
 
 * two runs with one seed serialise to byte-identical JSON, and the timing
-  field stays out of the payload unless explicitly requested;
+  field stays out of the payload unless explicitly requested; with
+  --timings every row carries it, table rows and negative controls too;
+* a run on two worker processes (--jobs 2) gives the bytes of a serial run;
 * Report.failed flags a run exactly when some check row says "fail";
 * negative controls are reported as passes (the expected failure happened)
   and carry the reason in the detail column;
@@ -97,6 +99,31 @@ def test_timings_are_opt_in():
     assert all(isinstance(v, float) and v == round(v, 3) for v in ms.values())
     # b_of_q only compares numbers; the index estimate does the elimination
     assert 0 < ms["b_of_q"] < ms["index_stabilized"]
+
+
+def _untimed(report):
+    return [[{k: v for k, v in c.items() if k != "runtime_ms"} for c in e["checks"]]
+            for e in report.entries]
+
+
+def test_timings_reach_every_row():
+    # entry rows, the table comparison, a negative control and a table row's checks
+    cfg = RunConfig(entries=("ex5.2", "table1/1a"), negative_controls=True, timings=True)
+    report = run_suite(cfg)
+    rows = [c for entry in report.entries for c in entry["checks"]]
+    assert {"table_row_comparison", "kernel_phi_control_mixed"} <= {c["name"] for c in rows}
+    assert len(report.entries[1]["checks"]) == 3
+    assert [c["name"] for c in rows if "runtime_ms" not in c] == []
+    plain = run_suite(RunConfig(entries=cfg.entries, negative_controls=True))
+    assert "runtime_ms" not in to_json(plain)
+    assert _untimed(report) == _untimed(plain)
+
+
+def test_jobs_pool_matches_serial_bytes():
+    # the fork pool of run_suite, with two workers
+    targets = ("ex5.2", "ex6.4", "table1/1a", "table4/3a")
+    serial = to_json(run_suite(RunConfig(entries=targets, jobs=1)))
+    assert to_json(run_suite(RunConfig(entries=targets, jobs=2))) == serial
 
 
 def test_gs_row_computes_each_stabiliser_once(monkeypatch):
@@ -232,7 +259,7 @@ def test_kirillov_even_fails_on_an_odd_rank_with_its_point():
     q = SemidirectProduct(build_construction(get_entry("ex5.2"), {}).module)
     eta = list(range(q.dim))
     ranks = [([1] * q.dim, 4), (eta, 3), ([2] * q.dim, 5)]
-    est = IndexEstimate(index=0, max_rank=5, stabilised=True, samples=3, ranks=ranks)
+    est = IndexEstimate(index=0, max_rank=5, stabilised=True, ranks=ranks)
     row = _check_kirillov_even(q, est)
     assert row["verdict"] == "fail"
     assert row["witness"] == {"xi": eta[: q.dim_g], "v": eta[q.dim_g :]}
