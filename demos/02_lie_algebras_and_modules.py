@@ -22,7 +22,7 @@ from semicov.lie import (
     tensor,
 )
 from semicov.linalg import Matrix
-from semicov.sampling import derive_rng
+from semicov.poly import CheckContext
 
 
 def main() -> None:
@@ -58,7 +58,7 @@ def main() -> None:
     s = stabiliser(adj, v)
     print("stabiliser dimension at a regular point:", s.dim)
     print("abelian:", is_abelian(sl(3), s))
-    sample = stabiliser_sample(adj, derive_rng(1, "demo"), samples=20)
+    sample = stabiliser_sample(adj, CheckContext(seed=1, samples=20), "demo")
     print("generic stabiliser dimension (min over 20 sampled points):",
           min(s.dim for _, s in sample))
 

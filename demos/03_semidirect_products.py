@@ -9,6 +9,7 @@ side.
 """
 
 from semicov.lie import adjoint_rep, sl, stabiliser, stabiliser_sample
+from semicov.poly import CheckContext
 from semicov.semidirect import (
     DualPoint,
     SemidirectProduct,
@@ -19,7 +20,6 @@ from semicov.semidirect import (
     moment_map,
     rais_consistency,
 )
-from semicov.sampling import derive_rng
 
 
 def main() -> None:
@@ -32,10 +32,11 @@ def main() -> None:
 
     print()
     print("== index and b(q), sampled exactly ==")
-    est = index_estimate(q.lie, seed=0, samples=20)
+    ctx = CheckContext(seed=0, samples=20)  # one seed, count and bound for every estimate
+    est = index_estimate(q.lie, ctx)
     print("index estimate:", est.index, "(max Kirillov rank %d, stabilised=%s)"
           % (est.max_rank, est.stabilised))
-    print("b(q) = (dim + ind)/2 =", b_of(q.lie, seed=0))
+    print("b(q) = (dim + ind)/2 =", b_of(q.lie, ctx))
 
     print()
     print("== moment map and unipotent coadjoint moves ==")
@@ -50,8 +51,8 @@ def main() -> None:
 
     print()
     print("== index consistency against the module side ==")
-    sample = stabiliser_sample(rep, derive_rng(0, "demo"), samples=20)
-    report = rais_consistency(q, sample, est, seed=0)
+    sample = stabiliser_sample(rep, ctx, "demo")
+    report = rais_consistency(q, sample, est, ctx)
     predicted = report.dim_v - report.dim_g + report.stab_dim + report.stab_index
     print("ind q =", report.index_q)
     print("dim V - dim g + dim g_x + ind g_x =", predicted)

@@ -54,6 +54,12 @@ class CatalogEntry:
     invariant_degrees_text: str = ""
     notes: tuple[str, ...] = ()
 
+    def resolve(self, overrides: dict | None = None) -> dict:
+        """Each parameter's override, else its default, in parameter order;
+        other keys are ignored and nothing is range-checked."""
+        overrides = overrides or {}
+        return {p.name: overrides.get(p.name, p.default) for p in self.params}
+
 
 class UnknownEntryError(KeyError):
     pass
@@ -223,27 +229,21 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def build_construction(entry: CatalogEntry, overrides: dict | None = None) -> Construction:
-    """Build with defaults merged over overrides; range-checks parameters.
+    """Build at ``entry.resolve(overrides)``; range-checks parameters.
 
     The construction is stamped with the entry's id and the resolved
     parameters, in the entry's parameter order."""
     overrides = overrides or {}
-    known = {p.name for p in entry.params}
-    values = {}
+    values = entry.resolve(overrides)
     for p in entry.params:
-        raw = overrides.get(p.name, p.default)
-        if raw < p.minimum:
+        if values[p.name] < p.minimum:
             msg = "parameter %s=%d below the minimum %d for %s" % (
-                p.name,
-                raw,
-                p.minimum,
-                entry.id,
+                p.name, values[p.name], p.minimum, entry.id
             )
             if p.note:
                 msg += " (%s)" % p.note
             raise ParameterError(msg)
-        values[p.name] = raw
-    extra = {k: v for k, v in overrides.items() if k not in known and v is not None}
+    extra = {k: v for k, v in overrides.items() if k not in values and v is not None}
     if extra:
         raise ParameterError(
             "entry %s does not take parameter(s) %s"

@@ -59,7 +59,6 @@ from ..linalg import (
     rank,
 )
 from ..poly import CheckContext, MultiPoly, identity_check
-from ..sampling import derive_rng, rand_vector
 from .support import (
     SKEW,
     SYM,
@@ -159,8 +158,6 @@ def identity_extra(name: str, num_vars: int, degree: int, values) -> ExtraCheck:
     mode evaluates it at points of the ``("extra", name)`` stream."""
 
     def run(ctx: CheckContext) -> ZeroCheck:
-        rng = derive_rng(ctx.seed, "extra", name)
-
         def expanded():
             for tag, e in _entries(values(MultiPoly.variables(num_vars))):
                 yield tag, e if isinstance(e, MultiPoly) else MultiPoly.const(num_vars, e)
@@ -169,7 +166,7 @@ def identity_extra(name: str, num_vars: int, degree: int, values) -> ExtraCheck:
             return next(((tag, v, e) for tag, e in _entries(values(v)) if e != 0), None)
 
         return identity_check(
-            ctx, num_vars, degree, expanded, lambda: rand_vector(rng, num_vars, ctx.bound), residual
+            ctx, num_vars, degree, expanded, ctx.draw(num_vars, "extra", name), residual
         )
 
     return ExtraCheck(name, run)
@@ -536,7 +533,6 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
             res = invariant_check(rep, poly, name, ctx)
             if res.verdict == "proved_nonzero":
                 return res
-        rng = derive_rng(ctx.seed, "extra", "invariant_degrees")
 
         def degree_defect(v):
             # each invariant is homogeneous of its degree: p(2v) = 2^d p(v)
@@ -545,13 +541,11 @@ def quiver_construction(n: int, k: int, variant: str = "sl") -> Construction:
                     return (name, v, "degree")
             return None
 
-        def draw():
-            return rand_vector(rng, rep.dim_v, ctx.bound)
-
+        draw = ctx.draw(rep.dim_v, "extra", "invariant_degrees")
         return identity_check(ctx, rep.dim_v, None, None, draw, degree_defect)
 
     def check_plane(ctx: CheckContext) -> ZeroCheck:
-        rng = derive_rng(ctx.seed, "witness-plane")
+        rng = ctx.rng("witness-plane")
         top = ctx.bound * 5
 
         def draw():

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from ..lie import LieAlgebra, Representation, action_matrix_at
 from ..linalg import Matrix, det, rank
-from ..sampling import derive_rng, rand_vector
+from ..poly import CheckContext
 
 __all__ = [
     "quotient_dim_estimate",
@@ -142,16 +142,8 @@ def minor_skew(m: Matrix) -> Matrix:
     return out
 
 
-def quotient_dim_estimate(
-    rep: Representation, seed: int = 0, samples: int = 20, bound: int = 10
-) -> int:
+def quotient_dim_estimate(rep: Representation, ctx: CheckContext = CheckContext()) -> int:
     """dim V minus the maximal sampled orbit-map rank: the quotient dimension
-    as seen by the action at random integer points."""
-    rng = derive_rng(seed, "quotient", rep.label or "V")
-    best = 0
-    for _ in range(samples):
-        v = rand_vector(rng, rep.dim_v, bound)
-        r = rank(action_matrix_at(rep, v))
-        if r > best:
-            best = r
-    return rep.dim_v - best
+    as seen by the action at ``ctx.samples`` random integer points."""
+    draw = ctx.draw(rep.dim_v, "quotient", rep.label or "V")
+    return rep.dim_v - max(rank(action_matrix_at(rep, draw())) for _ in range(ctx.samples))

@@ -23,8 +23,8 @@ is a representation of g, so ``verify`` checks it on Lie generators of a scope.
 
 Every ``*_check`` takes the run's ``poly.CheckContext`` as its last
 argument and runs through ``poly.identity_check``: a sampled check evaluates
-``ctx.samples`` points in ``[-ctx.bound, ctx.bound]``, drawn from the
-check's own ``derive_rng(ctx.seed, ...)`` stream, and ``trials`` is the
+``ctx.samples`` points in ``[-ctx.bound, ctx.bound]``, drawn by
+``ctx.draw`` from the check's own labelled stream, and ``trials`` is the
 number it evaluated.  An exact failure carries ``(point, value)``,
 value a coordinate, prefixed by the basis index ``a`` (equivariance) or by
 ``((i, j), a)`` (poisson_commute).  Sampled witnesses: kernel_phi
@@ -65,7 +65,6 @@ from typing import Callable, Sequence
 from .lie import Representation, Subspace
 from .linalg import Matrix, normalize_scalar, rank, solve
 from .poly import CheckContext, MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
-from .sampling import derive_rng, rand_vector
 from .semidirect import SemidirectProduct
 
 
@@ -348,10 +347,9 @@ def _phi_check(
     the identity as ``num_vars`` variables of degree deg F + ``deg_shift``."""
     nv = F.rep.dim_v
     deg = None if F.degree is None else F.degree + deg_shift
-    rng = derive_rng(ctx.seed, stream, F.name)
     return identity_check(
         ctx, num_vars, deg, lambda: _untagged(phi_polys(F)),
-        lambda: rand_vector(rng, nv, ctx.bound), lambda v: _coords_witness(v, phi_at(F, v)),
+        ctx.draw(nv, stream, F.name), lambda v: _coords_witness(v, phi_at(F, v)),
     )
 
 
@@ -376,7 +374,6 @@ def equivariance_check(
     nv = F.rep.dim_v
     g = F.rep.algebra
     indices = list(basis_indices) if basis_indices is not None else list(range(g.dim))
-    rng = derive_rng(ctx.seed, "equivariance", F.name)
 
     def polys():
         for a in indices:
@@ -392,7 +389,7 @@ def equivariance_check(
                 return (a, v, out)
         return None
 
-    return identity_check(ctx, nv, F.degree, polys, lambda: rand_vector(rng, nv, ctx.bound), residual)
+    return identity_check(ctx, nv, F.degree, polys, ctx.draw(nv, "equivariance", F.name), residual)
 
 
 # -- vanishing and coincidence of covariants ------------------------------
@@ -401,10 +398,9 @@ def equivariance_check(
 def covariant_zero_check(F: Covariant, ctx: CheckContext = CheckContext()) -> ZeroCheck:
     """F = 0 identically."""
     nv = F.rep.dim_v
-    rng = derive_rng(ctx.seed, "vanishing", F.name)
     return identity_check(
         ctx, nv, F.degree, lambda: _untagged(F.components),
-        lambda: rand_vector(rng, nv, ctx.bound), lambda v: _coords_witness(v, F.coords_at(v)),
+        ctx.draw(nv, "vanishing", F.name), lambda v: _coords_witness(v, F.coords_at(v)),
     )
 
 
@@ -416,7 +412,6 @@ def covariant_match_check(
     deg = None
     if F.degree is not None and G.degree is not None:
         deg = max(F.degree, G.degree)
-    rng = derive_rng(ctx.seed, "match", F.name, G.name)
 
     def residual(v):
         diff = [normalize_scalar(f - g * coeff) for f, g in zip(F.coords_at(v), G.coords_at(v))]
@@ -425,7 +420,7 @@ def covariant_match_check(
     return identity_check(
         ctx, nv, deg,
         lambda: _untagged(a - b * coeff for a, b in zip(F.components, G.components)),
-        lambda: rand_vector(rng, nv, ctx.bound), residual,
+        ctx.draw(nv, "match", F.name, G.name), residual,
     )
 
 
@@ -619,7 +614,7 @@ def poisson_commute_check(
     elif len(family) < 2:
         deg = 0
     pairs = [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))]
-    rng = derive_rng(ctx.seed, "poisson", *(F.name for F in family))
+    draw = ctx.draw(q.dim, "poisson", *(F.name for F in family))
 
     def polys():
         for i, j in pairs:
@@ -627,7 +622,8 @@ def poisson_commute_check(
                 yield ((i, j), a), p
 
     def residual(point):
-        xi, v = point
+        # one draw of q* = g* + V: xi first, then v
+        xi, v = point[: q.dim_g], point[q.dim_g :]
         data = [_lift_data(q, F, v) for F in family] if pairs else []
         for i, j in pairs:
             val = poisson_pair_at(q, family[i], family[j], xi, v, (data[i], data[j]))
@@ -635,11 +631,7 @@ def poisson_commute_check(
                 return ((i, j), (xi, v), val)
         return None
 
-    return identity_check(
-        ctx, q.dim, deg, polys,
-        lambda: (rand_vector(rng, q.dim_g, ctx.bound), rand_vector(rng, q.dim_v, ctx.bound)),
-        residual,
-    )
+    return identity_check(ctx, q.dim, deg, polys, draw, residual)
 
 
 # -- parameter families -----------------------------------------------------
@@ -697,15 +689,14 @@ class DegreeAudit:
     ``codim`` is dim V minus the top degree of the invariant algebra's
     Poincare series; a family whose degrees sum to exactly that value is in
     the equality case, a larger sum is a surplus, a smaller one violates the
-    lower bound.  ``books`` records the combined identity
-    q + sum(deg_i + 1) == dim V + l.
+    lower bound.  The report's bq_bookkeeping row checks the combined
+    identity q + sum(deg_i + 1) == dim V + l.
     """
 
     degrees: tuple
     total: int
     codim: int
     surplus: int
-    books: bool
     verdict: str
 
 
@@ -714,14 +705,13 @@ def degree_audit(degrees: Sequence[int], dim_v: int, q_quotient: int) -> DegreeA
     total = sum(degs)
     codim = dim_v - q_quotient
     surplus = total - codim
-    books = q_quotient + sum(d + 1 for d in degs) == dim_v + len(degs)
     if surplus == 0:
         verdict = "equality"
     elif surplus > 0:
         verdict = "surplus"
     else:
         verdict = "deficit"
-    return DegreeAudit(degs, total, codim, surplus, books, verdict)
+    return DegreeAudit(degs, total, codim, surplus, verdict)
 
 
 def invariant_check(
@@ -735,7 +725,6 @@ def invariant_check(
     """
     nv = rep.dim_v
     deg = poly.degree()
-    rng = derive_rng(ctx.seed, "invariant", name)
 
     def polys():
         for a in range(rep.algebra.dim):
@@ -749,4 +738,4 @@ def invariant_check(
                 return (a, v, d)
         return None
 
-    return identity_check(ctx, nv, deg, polys, lambda: rand_vector(rng, nv, ctx.bound), residual)
+    return identity_check(ctx, nv, deg, polys, ctx.draw(nv, "invariant", name), residual)

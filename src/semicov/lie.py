@@ -13,7 +13,6 @@ the subalgebra they span.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -27,7 +26,7 @@ from .linalg import (
     rank,
     rank_and_kernel,
 )
-from .sampling import rand_vector
+from .poly import CheckContext
 
 
 class FormConvention:
@@ -497,21 +496,16 @@ def stabiliser(r: Representation, v: Sequence) -> Subspace:
     return Subspace(r.algebra.dim, kern)
 
 
-def stabiliser_sample(
-    r: Representation, rng: random.Random, samples: int = 20, bound: int = 10
-) -> list[tuple[list, Subspace]]:
-    """`samples` integer points of V in [-bound, bound], each paired with its
-    exact stabiliser.
+def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> list[tuple[list, Subspace]]:
+    """``ctx.samples`` integer points of V in [-ctx.bound, ctx.bound], from
+    the stream of ``labels``, each paired with its exact stabiliser.
 
     This is the one sample of generic points per module: the generic
     stabiliser dimension is the minimum over the pairs, and every check
     about g_x at a generic x reads the same pairs.
     """
-    out = []
-    for _ in range(samples):
-        v = rand_vector(rng, r.dim_v, bound)
-        out.append((v, stabiliser(r, v)))
-    return out
+    draw = ctx.draw(r.dim_v, *labels)
+    return [(v, stabiliser(r, v)) for v in (draw() for _ in range(ctx.samples))]
 
 
 def is_abelian(g: LieAlgebra, s: Subspace) -> bool:

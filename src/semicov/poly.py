@@ -7,11 +7,12 @@ zero-testing are exact.
 Every identity check (``poly_is_zero``, the ``covariants`` checks and the
 catalog's extra rows) runs through ``identity_check``, which decides it
 exactly or by sampling under a ``CheckContext``: the run's ``mode``,
-``seed``, ``samples`` and ``bound``, validated once.  ``"auto"`` resolves to
-exact when the identity's ring fits the cutoffs (at most 40 variables, total
-degree at most 8), before anything is expanded; an explicit ``"exact"`` past
-them raises ``CutoffExceeded``, which a report shows as a skipped row.  A
-check with no exact form samples in every mode.
+``seed``, ``samples`` and ``bound``, validated once.  Its ``draw`` is the
+one source of random points for every sampled row, estimators included.
+``"auto"`` resolves to exact when the identity's ring fits the cutoffs (at
+most 40 variables, total degree at most 8), before anything is expanded; an
+explicit ``"exact"`` past them raises ``CutoffExceeded``, which a report
+shows as a skipped row.  A check with no exact form samples in every mode.
 
 * exact: stops at the first nonzero polynomial.  ``proved_nonzero`` carries
   the witness ``(point, value)``, an integer point and the nonzero value
@@ -32,6 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .linalg import is_scalar, normalize_scalar
+from .sampling import derive_rng, rand_vector
 
 NEG_INF = float("-inf")
 
@@ -349,10 +351,10 @@ def resolve_mode(mode: str, num_vars: int, degree) -> str:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """The knobs of every identity check: exact, sampled or auto ``mode``;
-    the ``seed`` of each check's rng stream; ``samples``, the points a
-    sampled check evaluates; and ``bound``, the integer range of those
-    points.  Bad knobs raise ValueError here, before any check runs."""
+    """The knobs of every sampled row, identity checks and estimators alike:
+    exact, sampled or auto ``mode``; the ``seed`` of each row's streams
+    (``rng``, ``draw``); ``samples``, the points a sampled row evaluates; and
+    ``bound``, their integer range.  Bad knobs raise ValueError here."""
 
     mode: str = "auto"
     seed: int = 0
@@ -365,6 +367,16 @@ class CheckContext:
         for knob in ("samples", "bound"):
             if getattr(self, knob) < 1:
                 raise ValueError("%s must be at least 1, got %d" % (knob, getattr(self, knob)))
+
+    def rng(self, *labels) -> random.Random:
+        """The stream of ``seed`` and ``labels``, the same in every process."""
+        return derive_rng(self.seed, *labels)
+
+    def draw(self, n: int, *labels) -> Callable[[], list]:
+        """Each call a fresh integer vector of length n in [-bound, bound],
+        from the stream of ``labels``."""
+        rng = self.rng(*labels)
+        return lambda: rand_vector(rng, n, self.bound)
 
 
 def identity_check(

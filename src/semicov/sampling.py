@@ -3,8 +3,9 @@
 Seeding `random.Random` with a str is process-independent (the str is hashed
 with sha512 by the seed machinery), unlike seeding with tuples or other
 hashables, which go through `hash()` and vary with PYTHONHASHSEED.  Every
-sampled check derives its stream here so reports are reproducible
-byte-for-byte across runs and processes.
+sampled row, identity checks and estimators alike, draws its points through
+`poly.CheckContext` (`rng` and `draw`), which derives its streams here, so
+reports are reproducible byte-for-byte across runs and processes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,6 @@ def derive_rng(seed: int, *labels: str) -> random.Random:
     return random.Random(key)
 
 
-def rand_vector(rng: random.Random, n: int, bound: int = 10) -> list:
+def rand_vector(rng: random.Random, n: int, bound: int) -> list:
     return [rng.randint(-bound, bound) for _ in range(n)]
 

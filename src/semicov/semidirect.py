@@ -4,7 +4,8 @@ The combined basis is the g-basis followed by the dual basis of V*.  Points
 of the dual space q* = g* + V are stored as (xi, v) coordinate pairs.  The
 index of q is estimated from the rank of the Kirillov form at random integer
 points (the rank is always even, and two disjoint sample batches must agree
-for the estimate to count as stabilised).
+for the estimate to count as stabilised).  The estimators read their seed,
+sample count and bound from a ``poly.CheckContext``, as every sampled row does.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .lie import LieAlgebra, Representation, Subspace, subalgebra
 from .linalg import Matrix, normalize_scalar, rank
-from .sampling import derive_rng, rand_vector
+from .poly import CheckContext
 
 
 @dataclass
@@ -108,9 +109,7 @@ class IndexEstimate:
     ranks: list = field(default_factory=list, repr=False)
 
 
-def index_estimate(
-    lie: LieAlgebra, seed: int = 0, samples: int = 20, bound: int = 10
-) -> IndexEstimate:
+def index_estimate(lie: LieAlgebra, ctx: CheckContext = CheckContext()) -> IndexEstimate:
     """ind(lie) = dim - max rank of the Kirillov form over sampled points.
 
     Runs two disjoint batches; the estimate is flagged stabilised only when
@@ -121,9 +120,9 @@ def index_estimate(
     best = [0, 0]
     ranks = []
     for batch in range(2):
-        rng = derive_rng(seed, "kirillov", "batch%d" % batch)
-        for _ in range(max(1, samples // 2)):
-            eta = rand_vector(rng, lie.dim, bound)
+        draw = ctx.draw(lie.dim, "kirillov", "batch%d" % batch)
+        for _ in range(max(1, ctx.samples // 2)):
+            eta = draw()
             r = rank(kirillov_form(lie, eta))
             ranks.append((eta, r))
             if r > best[batch]:
@@ -137,10 +136,9 @@ def index_estimate(
     )
 
 
-def b_of(lie: LieAlgebra, seed: int = 0, samples: int = 20) -> Fraction:
+def b_of(lie: LieAlgebra, ctx: CheckContext = CheckContext()) -> Fraction:
     """b(lie) = (dim + ind)/2 with the sampled index."""
-    est = index_estimate(lie, seed=seed, samples=samples)
-    return Fraction(lie.dim + est.index, 2)
+    return Fraction(lie.dim + index_estimate(lie, ctx).index, 2)
 
 
 @dataclass
@@ -159,16 +157,15 @@ def rais_consistency(
     q: SemidirectProduct,
     sample: Sequence[tuple[list, Subspace]],
     est: IndexEstimate,
-    seed: int = 0,
-    bound: int = 10,
+    ctx: CheckContext = CheckContext(),
 ) -> RaisReport:
     """Check ind(q) = dim V - dim g + dim g_x + ind g_x at a generic x in V.
 
     ``sample`` holds (point, stabiliser) pairs of V, as drawn by
     ``lie.stabiliser_sample``; x is its first point of minimal stabiliser
-    dimension.  The index of g_x is sampled inside the subalgebra, with as
-    many points as ``sample`` holds and within ``bound``.  ``est`` is the
-    estimate of ind q, ``index_estimate(q.lie, seed, samples, bound)``.
+    dimension.  The index of g_x is sampled inside the subalgebra under
+    ``ctx``, whose ``samples`` is the size of ``sample`` in a verify run.
+    ``est`` is the estimate of ind q, ``index_estimate(q.lie, ctx)``.
     """
     stab = min((s for _, s in sample), key=lambda s: s.dim)
     if stab.dim == 0:
@@ -176,7 +173,7 @@ def rais_consistency(
         stab_abelian = True
     else:
         sub = subalgebra(q.g, stab)
-        stab_index = index_estimate(sub, seed=seed, samples=len(sample), bound=bound).index
+        stab_index = index_estimate(sub, ctx).index
         stab_abelian = not sub.brackets
     expected = q.dim_v - q.dim_g + stab.dim + stab_index
     return RaisReport(

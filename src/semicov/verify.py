@@ -41,7 +41,6 @@ from .covariants import (
 from .lie import is_abelian, stabiliser_sample
 from .linalg import Matrix, rank  # noqa: F401 (re-export; the benchmark's tracer patches it)
 from .poly import CheckContext, CutoffExceeded, MultiPoly
-from .sampling import derive_rng
 from .semidirect import DualPoint, SemidirectProduct, index_estimate, rais_consistency
 
 __all__ = ["RunConfig", "Report", "run_suite", "run_target", "to_json", "to_text", "default_targets"]
@@ -359,7 +358,7 @@ def _check_degree_audit(cons: Construction) -> dict:
     return _row("degree_audit", "pass", detail=detail)
 
 
-def _check_bookkeeping(cons: Construction, q: SemidirectProduct) -> dict:
+def _check_bookkeeping(cons: Construction) -> dict:
     exp = cons.expected
     if exp.audit_verdict != "equality":
         audit = degree_audit(exp.degrees, exp.dim_v, exp.quotient_degree)
@@ -416,8 +415,8 @@ def _check_b_of_q(q: SemidirectProduct, cons: Construction, est) -> dict:
     return _row("b_of_q", "sampled-pass", detail="(dim q + ind q)/2 = %s = dim V + l" % b)
 
 
-def _check_rais(q: SemidirectProduct, cfg: RunConfig, sample: list, est) -> dict:
-    rep = rais_consistency(q, sample, est, seed=cfg.seed, bound=cfg.bound)
+def _check_rais(q: SemidirectProduct, ctx: CheckContext, sample: list, est) -> dict:
+    rep = rais_consistency(q, sample, est, ctx)
     if not rep.consistent:
         return _row(
             "rais_consistency",
@@ -512,10 +511,7 @@ def _timed(cfg: RunConfig, fn, *args, **kw) -> dict:
 def run_entry(name: str, cfg: RunConfig) -> dict:
     entry_id = resolve_id(name)
     entry = get_entry(entry_id)
-    overrides = {
-        k: v for k, v in cfg.override_dict().items() if k in {p.name for p in entry.params}
-    }
-    params = {p.name: overrides.get(p.name, p.default) for p in entry.params}
+    params = entry.resolve(cfg.override_dict())
     report = {
         "id": entry_id,
         "kind": "entry",
@@ -525,7 +521,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
         "table_row_comparison": [],
     }
     try:
-        cons = build_construction(entry, overrides)
+        cons = build_construction(entry, params)
     except ParameterError as err:
         report["checks"].append(_row("construction_audit", "skipped", detail=str(err)))
         return report
@@ -541,8 +537,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
     def gs():
         # the one sample of V that every row about the generic stabiliser reads
         nonlocal sample
-        rng = derive_rng(cfg.seed, "gs", entry_id)
-        sample = stabiliser_sample(cons.module, rng, cfg.samples, cfg.bound)
+        sample = stabiliser_sample(cons.module, ctx, "gs", entry_id)
         return _check_gs(cons, sample)
 
     checks.append(_timed(cfg, gs))
@@ -599,7 +594,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     def index_stabilized():
         nonlocal est
-        est = index_estimate(q.lie, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+        est = index_estimate(q.lie, ctx)
         return _check_index(est)
 
     # kirillov_even reads the ranks of the index sample; its row comes first
@@ -608,8 +603,8 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
     checks.append(_timed(cfg, _check_kirillov_even, q, est))
     checks.append(index_row)
     checks.append(_timed(cfg, _check_b_of_q, q, cons, est))
-    checks.append(_timed(cfg, _check_rais, q, cfg, sample, est))
-    checks.append(_timed(cfg, _check_bookkeeping, cons, q))
+    checks.append(_timed(cfg, _check_rais, q, ctx, sample, est))
+    checks.append(_timed(cfg, _check_bookkeeping, cons))
 
     checks.append(_timed(cfg, _table_comparison, report, cons))
 
@@ -664,7 +659,7 @@ def run_table_row(row_id: str, cfg: RunConfig) -> dict:
         # dim g - dim g_v, so the quotient estimate also gives the generic gs;
         # the ranking is timed under this row
         nonlocal est
-        est = quotient_dim_estimate(rep, seed=cfg.seed, samples=cfg.samples, bound=cfg.bound)
+        est = quotient_dim_estimate(rep, cfg.ctx)
         gs = rep.algebra.dim - rep.dim_v + est
         if gs != expected["gs"]:
             detail = "sampled stabiliser dim %d != printed %d" % (gs, expected["gs"])
@@ -744,6 +739,12 @@ def to_json(report: Report) -> str:
 _MARK = {"pass": "PASS", "sampled-pass": "pass*", "fail": "FAIL", "skipped": "skip"}
 
 
+def _runtime(check: dict) -> str:
+    """The ``--timings`` suffix of a check, or nothing without one."""
+    ms = check.get("runtime_ms")
+    return "" if ms is None else "  [%.3f ms]" % ms
+
+
 def to_text(report: Report) -> str:
     lines = []
     cfg = report.config
@@ -759,13 +760,9 @@ def to_text(report: Report) -> str:
         params = _param_str(entry["parameters"])
         lines.append("%s (%s)  %s" % (entry["id"], params, entry.get("title", "")))
         for check in entry["checks"]:
-            mark = _MARK[check["verdict"]]
             detail = check.get("detail", "")
-            suffix = "  - %s" % detail if detail else ""
-            ms = check.get("runtime_ms")
-            if ms is not None:
-                suffix += "  [%.3f ms]" % ms
-            lines.append("  [%5s] %-32s%s" % (mark, check["name"], suffix))
+            suffix = ("  - %s" % detail if detail else "") + _runtime(check)
+            lines.append("  [%5s] %-32s%s" % (_MARK[check["verdict"]], check["name"], suffix))
         for item in entry.get("table_row_comparison", []):
             if item["status"] == "match":
                 cols = ", ".join(
@@ -787,7 +784,8 @@ def to_text(report: Report) -> str:
                 printed = entry["printed"]
                 cols = " | ".join(str(v) for _, v in printed.items())
                 verdicts = ", ".join(
-                    "%s %s" % (c["name"], _MARK[c["verdict"]]) for c in entry["checks"]
+                    "%s %s%s" % (c["name"], _MARK[c["verdict"]], _runtime(c))
+                    for c in entry["checks"]
                 )
                 lines.append("  %-12s %s" % (entry["id"], cols))
                 lines.append("      %s" % verdicts)

@@ -177,16 +177,16 @@ def test_phi_detects_non_kernel():
 def _zero_first_draws(monkeypatch, count):
     """Make the first `count` sampled points of covariant checks the origin;
     returns the list of every point drawn."""
-    import semicov.covariants as cov
+    import semicov.poly as poly
 
-    real = cov.rand_vector
+    real = poly.rand_vector
     drawn = []
 
-    def draw(rng, n, bound=10):
+    def draw(rng, n, bound):
         drawn.append([0] * n if len(drawn) < count else real(rng, n, bound))
         return drawn[-1]
 
-    monkeypatch.setattr(cov, "rand_vector", draw)
+    monkeypatch.setattr(poly, "rand_vector", draw)
     return drawn
 
 
@@ -293,7 +293,7 @@ def test_sl3_kernel_and_equivariance():
 
 def test_kernel_span_sl3():
     _, F1, F2 = sl3_pair()
-    sample = stabiliser_sample(F1.rep, random.Random(0), samples=5)
+    sample = stabiliser_sample(F1.rep, CheckContext(samples=5), "kernel-span")
     report = kernel_span_check([F1, F2], sample)
     assert report.contained
     assert report.generic_stab_dim == 2
@@ -430,13 +430,24 @@ def test_independence_rank_at():
 
 
 def test_degree_audit_cases():
+    from semicov.verify import _check_bookkeeping
+
     eq = degree_audit([2, 2], dim_v=8, q_quotient=4)
     assert (eq.total, eq.codim, eq.surplus) == (4, 4, 0)
-    assert eq.verdict == "equality" and eq.books
+    assert eq.verdict == "equality"
+    # q + sum(deg+1) = dim V + l holds at an equality entry ...
+    assert _check_bookkeeping(build_construction(get_entry("ex5.2"))) == {
+        "name": "bq_bookkeeping", "verdict": "pass", "detail": "q + sum(deg+1) = 10 = dim V + l"
+    }
 
     surplus = degree_audit([2, 6], dim_v=16, q_quotient=10)
     assert (surplus.total, surplus.codim, surplus.surplus) == (8, 6, 2)
-    assert surplus.verdict == "surplus" and not surplus.books
+    assert surplus.verdict == "surplus"
+    # ... and is not claimed at a surplus one
+    assert _check_bookkeeping(build_construction(get_entry("ex6.1"), {"n": 4})) == {
+        "name": "bq_bookkeeping", "verdict": "skipped",
+        "detail": "identity applies to equality entries; this instantiation has surplus 2",
+    }
 
     deficit = degree_audit([1], dim_v=4, q_quotient=2)
     assert deficit.verdict == "deficit" and deficit.surplus == -1

@@ -31,6 +31,7 @@ from semicov.lie import (
     tensor,
     Subspace,
 )
+from semicov.poly import CheckContext
 
 
 def check_homomorphism(rep):
@@ -191,7 +192,8 @@ def test_stabiliser_adjoint():
 
 
 def _generic_dim(r, seed, samples=20):
-    return min(s.dim for _, s in stabiliser_sample(r, random.Random(seed), samples))
+    sample = stabiliser_sample(r, CheckContext(seed=seed, samples=samples), "generic")
+    return min(s.dim for _, s in sample)
 
 
 def test_generic_stabiliser_dim_adjoint():
@@ -210,9 +212,10 @@ def test_generic_point_matches_estimate():
     # the sample pairs each drawn point, in [-bound, bound], with its exact
     # stabiliser; one stream gives one sample
     r = adjoint_rep(sl(3))
-    sample = stabiliser_sample(r, random.Random(5), samples=6, bound=3)
+    ctx = CheckContext(seed=5, samples=6, bound=3)
+    sample = stabiliser_sample(r, ctx, "point")
     assert len(sample) == 6
-    assert sample == stabiliser_sample(r, random.Random(5), samples=6, bound=3)
+    assert sample == stabiliser_sample(r, ctx, "point")
     for v, s in sample:
         assert len(v) == 8 and all(-3 <= x <= 3 for x in v)
         assert s.dim == stabiliser(r, v).dim

@@ -28,7 +28,7 @@ from semicov.linalg import (
     rank_and_kernel,
     solve,
 )
-from semicov.poly import MultiPoly
+from semicov.poly import CheckContext, MultiPoly
 
 
 def perm_det(m: Matrix):
@@ -441,7 +441,7 @@ def test_stabilisers_match_fraction_oracle(entry, params):
     oracle's kernels, entry by entry and type by type."""
     rep = build_construction(get_entry(entry), params).module
     nonint = 0
-    for v, stab in stabiliser_sample(rep, random.Random(7), samples=10):
+    for v, stab in stabiliser_sample(rep, CheckContext(seed=7, samples=10), "oracle"):
         want = oracle_kernel(action_matrix_at(rep, v))
         assert len(stab.vectors) == len(want) > 0
         for got_v, want_v in zip(stab.vectors, want):

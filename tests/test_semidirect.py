@@ -16,7 +16,7 @@ from semicov.semidirect import (
     moment_map,
     rais_consistency,
 )
-from semicov.sampling import derive_rng, rand_vector
+from semicov.poly import CheckContext
 
 
 def q_adjoint_sl2():
@@ -67,9 +67,9 @@ def test_coadjoint_unipotent_fixes_v():
 
 def test_kirillov_rank_even():
     q = q_adjoint_sl2()
-    rng = derive_rng(3, "test")
+    draw = CheckContext(seed=3).draw(3, "test")
     for _ in range(10):
-        eta = DualPoint(rand_vector(rng, 3), rand_vector(rng, 3))
+        eta = DualPoint(draw(), draw())
         r = kirillov_rank(q, eta)
         assert r % 2 == 0
         form = kirillov_form(q.lie, eta.combined())
@@ -78,23 +78,24 @@ def test_kirillov_rank_even():
 
 def test_index_adjoint_sl2():
     q = q_adjoint_sl2()
-    est = index_estimate(q.lie, seed=0)
+    est = index_estimate(q.lie, CheckContext(seed=0))
     assert est.index == 2
     assert est.stabilised
-    assert b_of(q.lie, seed=0) == Fraction(4)
+    assert b_of(q.lie, CheckContext(seed=0)) == Fraction(4)
 
 
 def test_index_defining_sl2():
     q = q_defining_sl2()
-    est = index_estimate(q.lie, seed=0)
+    est = index_estimate(q.lie, CheckContext(seed=0))
     assert est.index == 1
-    assert b_of(q.lie, seed=0) == Fraction(3)
+    assert b_of(q.lie, CheckContext(seed=0)) == Fraction(3)
 
 
 def test_rais_consistency():
     for q, stab_dim in ((q_adjoint_sl2(), 1), (q_defining_sl2(), 1)):
-        sample = stabiliser_sample(q.rep, derive_rng(0, "gs"))
-        rep = rais_consistency(q, sample, index_estimate(q.lie, seed=0), seed=0)
+        ctx = CheckContext(seed=0)
+        sample = stabiliser_sample(q.rep, ctx, "gs")
+        rep = rais_consistency(q, sample, index_estimate(q.lie, ctx), ctx)
         assert rep.consistent
         assert rep.stabilised
         assert rep.stab_dim == stab_dim
@@ -106,30 +107,31 @@ def test_rais_consistency_takes_the_index_estimate(monkeypatch):
     import semicov.semidirect as semidirect
 
     q = q_adjoint_sl2()
-    est = index_estimate(q.lie, seed=0, bound=5)
+    ctx = CheckContext(samples=4, bound=5)
+    est = index_estimate(q.lie, ctx)
     # the zero point first: x is the first point of minimal stabiliser dimension
     points = [[0, 0, 0], [1, 0, 0], [2, 3, -1], [0, 0, 1]]
     sample = [(v, stabiliser(q.rep, v)) for v in points]
     inner = semidirect.index_estimate
     calls = []
 
-    def recording(lie_alg, seed=0, samples=20, bound=10):
-        calls.append((lie_alg.dim, samples, bound))
-        return inner(lie_alg, seed=seed, samples=samples, bound=bound)
+    def recording(lie_alg, ctx):
+        calls.append((lie_alg.dim, ctx.samples, ctx.bound))
+        return inner(lie_alg, ctx)
 
     def no_stabiliser(rep, v):
         raise AssertionError("rais_consistency must read the sample, not redraw it")
 
     monkeypatch.setattr(semidirect, "index_estimate", recording)
     monkeypatch.setattr(lie, "stabiliser", no_stabiliser)
-    rep = rais_consistency(q, sample, est, seed=0, bound=5)
-    # only the stabiliser's own index is estimated, over len(sample) points
+    rep = rais_consistency(q, sample, est, ctx)
+    # only the stabiliser's own index is estimated, over ctx.samples = len(sample) points
     assert calls == [(1, 4, 5)]
     assert rep.stab_dim == 1 and rep.index_q == est.index == 2 and rep.consistent
     assert rep.stabilised == est.stabilised
 
 
 def test_index_of_simple_algebra_is_rank():
-    est = index_estimate(sl(3), seed=1)
+    est = index_estimate(sl(3), CheckContext(seed=1))
     assert est.index == 2
     assert est.stabilised

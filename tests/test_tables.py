@@ -16,8 +16,6 @@ Oracles used here:
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from semicov.catalog import (
@@ -30,6 +28,7 @@ from semicov.catalog import (
     rows_for_entry,
 )
 from semicov.lie import stabiliser_sample
+from semicov.poly import CheckContext
 
 
 def test_row_count_and_tables():
@@ -106,7 +105,7 @@ def test_cheap_module_rows_sampled_stabiliser(row_id):
     params = dict(spec.default_params)
     expected = spec.expected(params)
     rep = spec.build(params)
-    sample = stabiliser_sample(rep, random.Random(3))
+    sample = stabiliser_sample(rep, CheckContext(seed=3), "table")
     assert min(s.dim for _, s in sample) == expected["gs"]
 
 
@@ -116,4 +115,4 @@ def test_smallest_quotient_estimate_matches_printed_value():
     params = dict(spec.default_params)
     expected = spec.expected(params)
     rep = spec.build(params)
-    assert quotient_dim_estimate(rep, seed=5) == expected["quotient_dim"]
+    assert quotient_dim_estimate(rep, CheckContext(seed=5)) == expected["quotient_dim"]

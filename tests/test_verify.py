@@ -34,6 +34,7 @@ Covered here:
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -117,6 +118,12 @@ def test_timings_reach_every_row():
     plain = run_suite(RunConfig(entries=cfg.entries, negative_controls=True))
     assert "runtime_ms" not in to_json(plain)
     assert _untimed(report) == _untimed(plain)
+    # the text report prints every time, on a table target's verdict line too
+    text = to_text(report)
+    verdicts = [line for line in text.splitlines() if "construction_audit PASS" in line]
+    assert len(verdicts) == 1 and verdicts[0].count(" ms]") == 3
+    assert text.count(" ms]") == len(rows)
+    assert re.sub(r"  \[\d+\.\d{3} ms\]", "", text) == to_text(plain)
 
 
 def test_jobs_pool_matches_serial_bytes():
@@ -174,9 +181,9 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
     inner = semidirect.index_estimate
     calls = []
 
-    def recording(lie, seed=0, samples=20, bound=10):
-        calls.append((lie.dim, bound))
-        return inner(lie, seed=seed, samples=samples, bound=bound)
+    def recording(lie, ctx):
+        calls.append((lie.dim, ctx.bound))
+        return inner(lie, ctx)
 
     monkeypatch.setattr(semidirect, "index_estimate", recording)
     monkeypatch.setattr(verify, "index_estimate", recording)
@@ -222,7 +229,7 @@ def test_samples_and_bound_reach_every_sampled_row(monkeypatch):
     inner = sampling.rand_vector
     bounds = []
 
-    def recording(rng, n, bound=10):
+    def recording(rng, n, bound):
         bounds.append(bound)
         return inner(rng, n, bound)
 
