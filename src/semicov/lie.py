@@ -2,8 +2,9 @@
 
 Algebras carry sparse structure constants over the rationals, plus (when
 available) a faithful matrix realisation used to build modules.  Classical
-families gl, sl, so, sp are constructed from explicit matrix conditions; so
-and sp accept a user-chosen invariant form.  ``coords`` is the one map from
+families gl, sl, so, sp are constructed from explicit matrix conditions, once
+per size and process (each call returns a fresh algebra); so and sp accept a
+user-chosen invariant form, never memoised.  ``coords`` is the one map from
 g's matrix realisation to its basis coordinates.  Products keep factor index
 bookkeeping so projections to factors stay exact.  ``generating_subset``
 certifies, by exact bracket closure, a set of basis elements that generates
@@ -12,6 +13,8 @@ the subalgebra they span.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -229,11 +232,32 @@ def _nonzero_rows(m: Matrix) -> list:
     return [(i, row) for i, row in rows if row]
 
 
+def _built_once(build):
+    """Memoise the classical algebra ``build(n)`` per process.  Each call
+    returns a fresh shallow copy of the first build: the brackets and their
+    table, the basis and the solver are shared, and nothing mutates them;
+    the ``generating_subset`` cache starts empty, so a certificate stays
+    with the algebra that computed it."""
+    built: dict[int, LieAlgebra] = {}
+
+    @functools.wraps(build)
+    def fresh(n: int) -> LieAlgebra:
+        if n not in built:
+            built[n] = build(n)
+        out = copy.copy(built[n])
+        out._generators = {}
+        return out
+
+    return fresh
+
+
+@_built_once
 def gl(n: int) -> LieAlgebra:
     mats = [Matrix.unit(n, n, i, j) for i in range(n) for j in range(n)]
     return LieAlgebra.from_matrices("gl%d" % n, mats)
 
 
+@_built_once
 def sl(n: int) -> LieAlgebra:
     mats = [Matrix.unit(n, n, i, j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
@@ -270,14 +294,26 @@ def _form_algebra(n: int, form: Matrix, sign: int) -> LieAlgebra:
     return g
 
 
+@_built_once
+def _default_so(n: int) -> LieAlgebra:
+    return _form_algebra(n, FormConvention.default_symmetric(n), 1)
+
+
+@_built_once
+def _default_sp(n: int) -> LieAlgebra:
+    return _form_algebra(n, FormConvention.default_skew(n), -1)
+
+
 def so(n: int, form: Matrix | None = None) -> LieAlgebra:
-    return _form_algebra(n, FormConvention.default_symmetric(n) if form is None else form, 1)
+    """so_n of ``form``; the default form's algebra is built once per n."""
+    return _default_so(n) if form is None else _form_algebra(n, form, 1)
 
 
 def sp(n: int, form: Matrix | None = None) -> LieAlgebra:
+    """sp_n of ``form``; the default form's algebra is built once per n."""
     if n % 2:
         raise ValueError("sp needs even size")
-    return _form_algebra(n, FormConvention.default_skew(n) if form is None else form, -1)
+    return _default_sp(n) if form is None else _form_algebra(n, form, -1)
 
 
 def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:

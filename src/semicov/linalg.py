@@ -7,9 +7,13 @@ scalar (rational) entries; determinants, adjugates and characteristic
 polynomials also accept symbolic entries.  Rank, kernel, solve, span
 coordinates, inverse and scalar determinant share one fraction-free
 elimination on integer rows; a Fraction appears only when a pivot row is
-finally divided by its pivot.  Symbolic determinants and adjugates (every
-order, every ring) read one memoised minor expansion; characteristic
-polynomials use the Faddeev-LeVerrier loop.  ``block_diag`` is the one
+finally divided by its pivot.  Rank eliminates the shorter of m and its
+transpose; rank and scalar det, which need only the echelon shape, pivot on
+the entry of least absolute value, while kernel, solve, span coordinates
+and inverse keep the first nonzero entry and so their canonical rows.
+Symbolic determinants and adjugates (every order, every ring) read one
+memoised minor expansion; characteristic polynomials use the
+Faddeev-LeVerrier loop.  ``block_diag`` is the one
 block-diagonal assembly: product algebras, catalog covariants.
 """
 
@@ -259,24 +263,39 @@ def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> l
     """Fraction-free elimination (Bareiss 1968) of int ``rows`` in place over
     the first ``ncols`` columns; returns the pivot columns.
 
-    The one row operation is ``r_i <- p r_i - x r_piv``, after which the row is
-    divided by the gcd of its entries.  Rows with 0 in the pivot column are
-    skipped.  Pivots are the first nonzero entry at or below the current row,
-    so the result is deterministic.  Forward only, rows end in echelon form
-    and ``factors`` (if given) collects ``(g, p)`` for each operation and
+    The one row operation is ``r_i <- (p/g0) r_i - (x/g0) r_piv`` with
+    ``g0 = gcd(p, x)``, after which the row is divided by the gcd of its
+    entries (the same row as with ``p`` and ``x`` themselves).  Rows with 0 in
+    the pivot column are skipped.  Forward only, rows end in echelon form and
+    ``factors`` (if given) collects ``(g, p/g0)`` for each operation and
     ``(-1, 1)`` for each swap, so det(rows before) = det(rows after) * prod g
-    / prod p.  With ``full``, rows above each pivot are cleared too, and each
-    pivot row is then divided by its pivot: the unique reduced echelon form,
-    int wherever integral.  Later columns (a right-hand side, an identity
-    block) are carried along through the same row operations.
+    / prod (p/g0).  With ``full``, rows above each pivot are cleared too, and
+    each pivot row is then divided by its pivot: the unique reduced echelon
+    form, int wherever integral.  Later columns (a right-hand side, an
+    identity block) are carried along through the same row operations.
+
+    The pivot is the first nonzero entry at or below the current row, except
+    forward with nothing carried (rank, scalar det), where only the echelon
+    shape counts: there it is the entry of least absolute value, the first
+    among ties (a +-1 ends the scan).  Either rule is deterministic.
     """
     nrows = len(rows)
     pivots: list[int] = []
+    smallest = not full and all(len(row) == ncols for row in rows)
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if smallest:
+            piv = None
+            for i in range(r, nrows):
+                x = rows[i][c]
+                if x and (piv is None or abs(x) < least):
+                    piv, least = i, abs(x)
+                    if least == 1:
+                        break
+        else:
+            piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
@@ -291,13 +310,15 @@ def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> l
             if not x or i == r:
                 continue
             start = pivots[i] if i < r else c
-            new = [p * a - x * b for a, b in zip(ri[start:], rr[start:])]
+            g0 = math.gcd(p, x)
+            pg, xg = p // g0, x // g0
+            new = [pg * a - xg * b for a, b in zip(ri[start:], rr[start:])]
             g = math.gcd(*new)
             if g > 1:
                 new = [a // g for a in new]
             ri[start:] = new
             if factors is not None:
-                factors.append((g, p))
+                factors.append((g, pg))
         pivots.append(c)
     if full:
         for rr, c in zip(rows, pivots):
@@ -308,8 +329,10 @@ def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> l
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by forward fraction-free elimination on integer rows."""
-    return len(_eliminate(int_rows(m.rows)[0], m.ncols, False))
+    """Exact rank by forward fraction-free elimination on integer rows: of
+    m, or of its transpose when that has fewer rows."""
+    rows = m.rows if m.nrows <= m.ncols else zip(*m.rows)
+    return len(_eliminate(int_rows(rows)[0], max(m.nrows, m.ncols), False))
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:

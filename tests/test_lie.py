@@ -79,6 +79,22 @@ def test_so_with_custom_form():
         assert (m.transpose() * form + form * m).is_zero()
 
 
+def test_classical_algebras_are_built_once_and_handed_out_fresh():
+    """Each default classical algebra is built once per process; every call
+    returns a new algebra on the shared brackets, basis and solver, so a
+    certificate computed on one never reaches another.  An explicit form is
+    never memoised."""
+    for build, n in ((gl, 2), (sl, 3), (so, 4), (sp, 4)):
+        a, b = build(n), build(n)
+        assert a is not b and a.name == b.name
+        assert a.brackets is b.brackets and a.basis is b.basis and a._solver is b._solver
+        a.generating_subset(range(a.dim))
+        assert a._generators and b._generators == {} and build(n)._generators == {}
+    form = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert so(3, form).brackets is not so(3, form).brackets
+    assert so(3).brackets is not so(3, Matrix.identity(3)).brackets
+
+
 def test_jacobi_exact():
     for g in (sl(3), so(4), sp(4)):
         ok, witness = g.check_jacobi()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linalg_oracles import kernel as oracle_kernel, rref as oracle_rref
-from semicov.catalog import build_construction, get_entry
+from semicov.catalog import build_construction, get_entry, get_row
 from semicov.lie import action_matrix_at, stabiliser_sample
 from semicov.linalg import (
     inverse,
@@ -461,3 +461,100 @@ def test_core_entries_stay_within_hadamard_bound():
         bound = math.prod(max(1, math.isqrt(sum(a * a for a in r)) + 1) for r in rows)
         _eliminate(rows, n, False)
         assert max(abs(a) for r in rows for a in r) <= bound
+
+
+# -- the pivot rules, at the sizes where the choice of pivot matters --------
+
+
+def test_pivot_rule_depends_on_the_carried_block():
+    """Forward with nothing carried, the row with the least |entry| in the
+    column becomes the pivot (the first of -2 and 2) and ``factors`` records
+    the swap.  With a carried block the first nonzero entry stays the pivot,
+    and each operation records the reduced multiplier p / gcd(p, x)."""
+    rows = [[4, 1, 0], [-2, 3, 1], [2, 5, 7], [6, 0, 1]]
+    forward = [list(r) for r in rows]
+    factors: list = []
+    assert _eliminate(forward, 3, False, factors) == [0, 1, 2]
+    assert forward[0] == [-2, 3, 1] and factors[0] == (-1, 1)
+    assert det(Matrix(rows[:3])) == perm_det(Matrix(rows[:3]))
+
+    carried = [r + [int(i == j) for j in range(4)] for i, r in enumerate(rows)]
+    factors = []
+    assert _eliminate(carried, 3, False, factors) == [0, 1, 2]
+    assert carried[0] == [4, 1, 0, 1, 0, 0, 0]
+    # row 1: gcd(4, -2) = 2, so 2 r_1 + r_0 = [0, 7, 2, 1, 2, 0, 0]
+    assert factors[0] == (1, 2) and carried[1] == [0, 7, 2, 1, 2, 0, 0]
+
+
+def _orbit_matrices(row_id: str, generic: int) -> list[Matrix]:
+    """Orbit matrices of a table row's module at ``generic`` seeded points
+    and at one sparse point, where the rank drops."""
+    spec = get_row(row_id).module_spec
+    rep = spec.build(dict(spec.default_params))
+    draw = CheckContext(seed=3).draw(rep.dim_v, "oracle", row_id)
+    points = [draw() for _ in range(generic)]
+    points.append([int(i in (0, rep.dim_v - 1)) for i in range(rep.dim_v)])
+    return [action_matrix_at(rep, v) for v in points]
+
+
+@pytest.mark.parametrize(
+    "row_id, shape", [("table1/2", (45, 35)), ("table1/3a", (45, 43)), ("table1/4a", (28, 24))]
+)
+def test_orbit_rank_matches_sympy(row_id, shape):
+    """rank of real table-row orbit matrices, whose transpose is eliminated,
+    equals sympy's.  sympy's DomainMatrix over QQ is the oracle:
+    ``sympy.Matrix.rank`` takes minutes at 45 x 35."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ranks = []
+    for m in _orbit_matrices(row_id, 2):
+        assert (m.nrows, m.ncols) == shape
+        want = DomainMatrix.from_Matrix(_sym(m)).convert_to(sympy.QQ).rank()
+        assert rank(m) == rank(m.transpose()) == want
+        ranks.append(want)
+    assert ranks[-1] < ranks[0]  # the sparse point is not generic
+
+
+def test_det_matches_sympy_with_pivot_ties():
+    """Scalar det against sympy on 8 x 8 to 12 x 12 int and Fraction
+    matrices whose columns repeat |entry| values, so the least one is often
+    not the first; some are singular, by a zero column or a dependent row."""
+    pytest.importorskip("sympy")
+    rng = random.Random(29)
+    values = [0, 0, 1, 2, -2, 3, -3, 4, 6, -6]
+    for n in range(8, 13):
+        for trial in range(4):
+            rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+            if trial == 1:
+                rows = [[normalize_scalar(Fraction(a, rng.choice((1, 2, 3)))) for a in r]
+                        for r in rows]
+            elif trial == 2:
+                for r in rows:
+                    r[n // 2] = 0
+            elif trial == 3:
+                rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+            m = Matrix(rows)
+            d = det(m)
+            assert d == _frac(_sym(m).det())
+            assert type(d) is (int if Fraction(d).denominator == 1 else Fraction)
+            assert (d == 0) == (trial >= 2)
+
+
+def test_rank_eliminates_the_short_side(monkeypatch):
+    """rank of the 45 x 35 orbit matrix of an sl6 table row hands the core
+    its 35 columns as rows, not its 45 rows."""
+    import semicov.linalg as linalg
+
+    seen = []
+    inner = linalg._eliminate
+
+    def spy(rows, ncols, full, factors=None):
+        seen.append((len(rows), ncols, full))
+        return inner(rows, ncols, full, factors)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    m = _orbit_matrices("table1/2", 1)[0]
+    assert (m.nrows, m.ncols) == (45, 35)
+    assert rank(m) == 34
+    assert seen == [(35, 45, False)]
