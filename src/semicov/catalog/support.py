@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ..lie import LieAlgebra, Representation, action_matrix_at
+from ..lie import LieAlgebra, Representation
 from ..linalg import Matrix, det, rank
 from ..poly import CheckContext
 
@@ -144,6 +144,9 @@ def minor_skew(m: Matrix) -> Matrix:
 
 def quotient_dim_estimate(rep: Representation, ctx: CheckContext = CheckContext()) -> int:
     """dim V minus the maximal sampled orbit-map rank: the quotient dimension
-    as seen by the action at ``ctx.samples`` random integer points."""
+    as seen by the action at ``ctx.samples`` random integer points.  The
+    orbit map at v is ranked by its rows x_a.v, one per basis element."""
     draw = ctx.draw(rep.dim_v, "quotient", rep.label or "V")
-    return rep.dim_v - max(rank(action_matrix_at(rep, draw())) for _ in range(ctx.samples))
+    points = (draw() for _ in range(ctx.samples))
+    dg = rep.algebra.dim
+    return rep.dim_v - max(rank(Matrix([rep.act_basis(a, v) for a in range(dg)])) for v in points)

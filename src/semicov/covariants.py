@@ -54,7 +54,8 @@ rings of the lifts (dim g + 2 dim V variables, and dim q): the expansions on
 V have fewer variables and no higher degree, so every row resolves as before
 and no exact row is refused.  ``components`` and ``phi_polys`` are cached on
 the covariant, so kernel_phi, equivariance, the lift rows and Poisson share
-one expansion of each covariant.
+one expansion of each covariant; ``phi_polys`` shifts exponents of the
+components and forms no polynomial product.
 """
 
 from __future__ import annotations
@@ -328,10 +329,31 @@ def phi_polys(F: Covariant) -> list[MultiPoly]:
     """phi(F)(v) = F(v).v as coordinate polynomials on V (built once from
     ``F.components``, cached on F)."""
     if F._phi is None:
-        nv = F.rep.dim_v
-        out = F.rep.act(F.components, MultiPoly.variables(nv))
-        F._phi = [_as_poly(o, nv) for o in out]
+        F._phi = _phi_expansion(F.rep, F.components)
     return F._phi
+
+
+def _phi_expansion(rep: Representation, comps: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """(F(v).v)_i = sum_a sum_j rho_a[i, j] F_a v_j, term by term.  Times v_j
+    shifts exponent j: each term of F_a is shifted once per column j of rho_a
+    and added to every row i it reaches, so no polynomial product is formed,
+    and a sum that cancels is dropped at once."""
+    out: list[dict] = [{} for _ in range(rep.dim_v)]
+    for comp, rows in zip(comps, rep.nonzero_rows):
+        cols: dict = {}
+        for i, row in rows:
+            for j, r in row:
+                cols.setdefault(j, []).append((out[i], r))
+        for j, targets in cols.items():
+            for e, c in comp.terms.items():
+                key = e[:j] + (e[j] + 1,) + e[j + 1:]
+                for acc, r in targets:
+                    s = acc.get(key, 0) + r * c
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
+    return [MultiPoly(rep.dim_v, acc) for acc in out]
 
 
 def phi_at(F: Covariant, v: Sequence) -> list:

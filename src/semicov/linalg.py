@@ -11,10 +11,13 @@ finally divided by its pivot.  Rank eliminates the shorter of m and its
 transpose; rank and scalar det, which need only the echelon shape, pivot on
 the entry of least absolute value, while kernel, solve, span coordinates
 and inverse keep the first nonzero entry and so their canonical rows.
-Symbolic determinants and adjugates (every order, every ring) read one
-memoised minor expansion; characteristic polynomials use the
-Faddeev-LeVerrier loop.  ``block_diag`` is the one
-block-diagonal assembly: product algebras, catalog covariants.
+The one other elimination, ``skew_rank``, ranks skew-symmetric matrices
+(Kirillov forms): no row-echelon order can use the symmetry, while each of
+its 2x2 pivot blocks removes two indices and updates only the upper
+triangle, about a quarter of the element operations.  Symbolic determinants
+and adjugates (every order, every ring) read one memoised minor expansion;
+characteristic polynomials use the Faddeev-LeVerrier loop.  ``block_diag``
+is the one block-diagonal assembly: product algebras, catalog covariants.
 """
 
 from __future__ import annotations
@@ -333,6 +336,56 @@ def rank(m: Matrix) -> int:
     m, or of its transpose when that has fewer rows."""
     rows = m.rows if m.nrows <= m.ncols else zip(*m.rows)
     return len(_eliminate(int_rows(rows)[0], max(m.nrows, m.ncols), False))
+
+
+def skew_rank(m: Matrix) -> int:
+    """Exact rank of a skew-symmetric m, eliminating 2x2 pivot blocks.
+
+    One common lcm clears the denominators, so the integer matrix stays skew.
+    The pivot row is the first index whose row is nonzero (zero rows before
+    it are dropped); the pivot a = A_ij is its entry of least absolute value,
+    the first among ties (a +-1 ends the scan).  i and j leave, the rank grows
+    by 2, and the upper triangle of the rest becomes (a A_kl - A_kj A_il +
+    A_ki A_jl) / prev: a Pfaffian, so the division by the previous pivot is
+    exact (Knuth, "Overlapping Pfaffians", 1996); a remainder raises.
+    """
+    n, rows = m.nrows, m.rows
+    if m.ncols != n or any(r != [-a for a in c] for r, c in zip(rows, zip(*rows))):
+        raise ValueError("skew_rank needs a skew-symmetric matrix")
+    lcm = math.lcm(*[a.denominator for r in rows for a in r if type(a) is Fraction])
+    # up[p] holds the entries of row p right of the diagonal, as ints
+    up = [[a.numerator * (lcm // a.denominator) if type(a) is Fraction else a * lcm
+           for a in r[p + 1:]] for p, r in enumerate(rows)]
+    prev, r = 1, 0
+    while up:
+        head = up[0]
+        j = None
+        for q, x in enumerate(head):
+            if x and (j is None or abs(x) < least):
+                j, least = q, abs(x)
+                if least == 1:
+                    break
+        if j is None:
+            del up[0]
+            continue
+        a = head[j]
+        j += 1  # position of the pivot column in the current matrix
+        # minus column 0 and minus column j (A_k0 = -A_0k), over the rest
+        rest = [p for p in range(1, len(up)) if p != j]
+        u = [head[p - 1] for p in rest]
+        w = [-up[p][j - p - 1] if p < j else up[j][p - j - 1] for p in rest]
+        new = []
+        for t, p in enumerate(rest):
+            row = up[p] if p > j else up[p][: j - p - 1] + up[p][j - p:]
+            uk, wk = u[t], w[t]
+            vals = [a * x + wk * y - uk * z for x, y, z in zip(row, u[t + 1:], w[t + 1:])]
+            if prev != 1:
+                if math.gcd(prev, *vals) != abs(prev):
+                    raise ArithmeticError("Pfaffian elimination: inexact division")
+                vals = list(map(prev.__rfloordiv__, vals))
+            new.append(vals)
+        up, prev, r = new, a, r + 2
+    return r
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:

@@ -3,9 +3,10 @@
 The combined basis is the g-basis followed by the dual basis of V*.  Points
 of the dual space q* = g* + V are stored as (xi, v) coordinate pairs.  The
 index of q is estimated from the rank of the Kirillov form at random integer
-points (the rank is always even, and two disjoint sample batches must agree
-for the estimate to count as stabilised).  The estimators read their seed,
-sample count and bound from a ``poly.CheckContext``, as every sampled row does.
+points, by the skew elimination ``linalg.skew_rank`` (the rank is always
+even, and two disjoint sample batches must agree for the estimate to count
+as stabilised).  The estimators read their seed, sample count and bound
+from a ``poly.CheckContext``, as every sampled row does.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lie import LieAlgebra, Representation, Subspace, subalgebra
-from .linalg import Matrix, normalize_scalar, rank
+from .linalg import Matrix, normalize_scalar, rank, skew_rank  # noqa: F401 (rank: re-export)
 from .poly import CheckContext
 
 
@@ -94,7 +95,7 @@ def kirillov_form(lie: LieAlgebra, eta_combined: Sequence) -> Matrix:
 
 
 def kirillov_rank(q: SemidirectProduct, eta: DualPoint) -> int:
-    r = rank(kirillov_form(q.lie, eta.combined()))
+    r = skew_rank(kirillov_form(q.lie, eta.combined()))
     if r % 2:
         raise AssertionError("Kirillov form rank must be even")
     return r
@@ -123,7 +124,7 @@ def index_estimate(lie: LieAlgebra, ctx: CheckContext = CheckContext()) -> Index
         draw = ctx.draw(lie.dim, "kirillov", "batch%d" % batch)
         for _ in range(max(1, ctx.samples // 2)):
             eta = draw()
-            r = rank(kirillov_form(lie, eta))
+            r = skew_rank(kirillov_form(lie, eta))
             ranks.append((eta, r))
             if r > best[batch]:
                 best[batch] = r

@@ -5,6 +5,8 @@ forms on V (see the ``semicov.covariants`` module docstring).  The functions
 here build the lifts F_hat(xi, v) = <xi, F(v)> as polynomials on q* and
 apply the definitions directly: the unipotent substitution xi -> xi + mu(v,
 zeta) and the Lie-Poisson bracket of q*.  Tests compare both sides.
+``phi_by_products`` expands phi(F) = F(v).v with polynomial products, the
+oracle for the exponent-shift expansion of ``covariants.phi_polys``.
 """
 
 from __future__ import annotations
@@ -111,3 +113,11 @@ def poisson_bracket_at(lie, f: MultiPoly, g: MultiPoly, eta: Sequence):
         lin = sum(coeff * eta[c] for c, coeff in entry.items())
         acc = acc + lin * cross
     return normalize_scalar(acc)
+
+
+def phi_by_products(F: Covariant) -> list[MultiPoly]:
+    """phi(F)(v) = F(v).v by polynomial products: the components of F act,
+    through ``Representation.act``, on V's coordinate polynomials."""
+    nv = F.rep.dim_v
+    out = F.rep.act(F.components, MultiPoly.variables(nv))
+    return [o if isinstance(o, MultiPoly) else MultiPoly.const(nv, o) for o in out]

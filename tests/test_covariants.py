@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import pytest
 
+import semicov.covariants as covariants
 from semicov.covariants import (
     Covariant,
     _algebra_matrix,
@@ -55,9 +56,9 @@ from semicov.covariants import (
     resolve_mode,
     weight_under,
 )
-from semicov.catalog import build_construction, get_entry
+from semicov.catalog import all_entries, build_construction, get_entry
 from semicov.lie import (
-    Representation, adjoint_rep, defining, direct_sum, product, sl, so, stabiliser_sample,
+    adjoint_rep, defining, direct_sum, product, sl, so, stabiliser_sample,
 )
 from semicov.linalg import Matrix
 from semicov.poly import CheckContext, CutoffExceeded, MultiPoly
@@ -67,6 +68,7 @@ from lift_oracles import (
     lift_change_polynomial,
     lift_polynomial,
     lift_value,
+    phi_by_products,
     poisson_bracket_at,
     poisson_bracket_polys,
     shift,
@@ -761,17 +763,73 @@ def test_phi_expanded_once_per_covariant(monkeypatch):
     q = SemidirectProduct(rep)
     R = random_covariant(rep, random.Random(8), "R")
     family = [F1, F2, formula_view(R)]
-    inner = Representation.act
-    symbolic = []
+    inner = covariants._phi_expansion
+    expanded = []
 
-    def counting(self, x, v):
-        if v and isinstance(v[0], MultiPoly):
-            symbolic.append(len(v))
-        return inner(self, x, v)
+    def counting(rep, comps):
+        expanded.append(len(comps))
+        return inner(rep, comps)
 
-    monkeypatch.setattr(Representation, "act", counting)
+    monkeypatch.setattr(covariants, "_phi_expansion", counting)
     for F in family:
         assert kernel_phi_check(F, CheckContext("exact")).mode == "exact"
         assert lift_invariance_check(q, F, CheckContext("exact")).mode == "exact"
     assert poisson_commute_check(q, family, CheckContext("exact")).mode == "exact"
-    assert len(symbolic) == len(family)
+    assert len(expanded) == len(family)
+
+
+# -- phi(F) by exponent shifts, against the product oracle ---------------
+
+
+def _phi_same_terms(F: Covariant) -> list[MultiPoly]:
+    """phi_polys(F), after checking it term for term against the oracle."""
+    got, want = phi_polys(F), phi_by_products(F)
+    assert len(got) == len(want) == F.rep.dim_v
+    for p, w in zip(got, want):
+        assert p.num_vars == w.num_vars and p.terms == w.terms
+    return got
+
+
+@pytest.mark.parametrize("entry", [e.id for e in all_entries()])
+def test_phi_matches_products_on_every_family(entry):
+    cons = build_construction(get_entry(entry))
+    for F in cons.family:
+        _phi_same_terms(F)
+    for control in cons.controls:
+        assert any(not p.is_zero() for p in _phi_same_terms(control.covariant)), control.name
+
+
+@pytest.mark.parametrize("entry", ["ex5.1", "ex6.1", "ex6.3/iii", "ex-adjoint"])
+def test_phi_matches_products_on_random_covariants(entry):
+    rep = build_construction(get_entry(entry)).module
+    rng = random.Random("phi-" + entry)
+    for k in range(3):
+        R = random_covariant(rep, rng, "R%d" % k)
+        phi = _phi_same_terms(R)
+        assert any(not p.is_zero() for p in phi)
+        # the matrix-formula view expands its components first; same terms
+        _phi_same_terms(formula_view(R))
+
+
+def test_phi_nonzero_on_negative_control():
+    phi = _phi_same_terms(bad_covariant())
+    assert [p.terms for p in phi] == [{(2, 1): 1}, {}]  # (x^2 y, 0)
+
+
+def test_phi_forms_no_polynomial_product(monkeypatch):
+    """The expansion shifts exponents: ``MultiPoly.__mul__`` is never called."""
+    cons = build_construction(get_entry("ex6.1"), {"n": 4})
+    for F in cons.family:
+        F.components  # built by the formula, which does multiply
+    calls = []
+    inner = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return inner(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    for F in cons.family:
+        assert all(p.is_zero() for p in phi_polys(F))
+    assert calls == []

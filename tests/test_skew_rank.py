@@ -1,0 +1,150 @@
+"""Rank of skew-symmetric matrices by 2x2 pivot blocks, against oracles.
+
+``linalg.skew_rank`` eliminates a skew matrix two indices at a time and keeps
+only the upper triangle.  Its oracles are sympy's ``DomainMatrix`` rank over
+QQ and the row-echelon ``linalg.rank``: on Kirillov forms of catalog
+semidirect products at seeded points, and on random skew matrices with a
+planted rank, zero rows and Fraction entries.  The index estimate, which
+ranks only Kirillov forms, must not reach the row-echelon rank at all.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+import semicov.linalg as linalg
+from semicov.catalog import build_construction, get_entry
+from semicov.linalg import Matrix, rank, skew_rank
+from semicov.poly import CheckContext
+from semicov.semidirect import SemidirectProduct, index_estimate, kirillov_form
+
+
+def _qq_rank(m: Matrix) -> int:
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    if m.nrows == 0:
+        return 0
+    sm = sympy.Matrix(m.nrows, m.ncols, lambda i, j: sympy.Rational(m.rows[i][j]))
+    return DomainMatrix.from_Matrix(sm).convert_to(sympy.QQ).rank()
+
+
+def _agrees(m: Matrix) -> int:
+    r = skew_rank(m)
+    assert r == rank(m) == _qq_rank(m)
+    assert r % 2 == 0
+    return r
+
+
+@pytest.mark.parametrize(
+    "entry, params, generic", [("ex6.1", {"n": 4}, 26), ("ex6.1", {"n": 5}, 44), ("ex5.2", {}, None)]
+)
+def test_kirillov_forms_match_sympy(entry, params, generic):
+    q = SemidirectProduct(build_construction(get_entry(entry), params).module)
+    draw = CheckContext(seed=3).draw(q.lie.dim, "skew-rank", entry)
+    ranks = [_agrees(kirillov_form(q.lie, draw())) for _ in range(3)]
+    # a sparse point: eta is one coordinate of V, so the form has rank deficit
+    sparse = [0] * q.lie.dim
+    sparse[-1] = 1
+    ranks.append(_agrees(kirillov_form(q.lie, sparse)))
+    assert ranks[-1] < max(ranks)
+    if generic is not None:
+        assert max(ranks) == generic
+
+
+def _planted(rng: random.Random, n: int, k: int, fractions: bool) -> Matrix:
+    """B^T S B with S a random skew k x k and B random k x n: rank <= k."""
+    B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    S = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            x = rng.randint(-4, 4)
+            if fractions:
+                x = Fraction(x, rng.choice((1, 2, 3, 5)))
+            S[i][j], S[j][i] = x, -x
+    return Matrix([[linalg.normalize_scalar(sum(B[p][i] * S[p][t] * B[t][j]
+                                                for p in range(k) for t in range(k)))
+                    for j in range(n)] for i in range(n)])
+
+
+def _with_zero_index(m: Matrix, at: int) -> Matrix:
+    rows = [r[:at] + [0] + r[at:] for r in m.rows]
+    return Matrix(rows[:at] + [[0] * (m.nrows + 1)] + rows[at:])
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_random_skew_matrices_match_sympy(fractions):
+    rng = random.Random(41 + fractions)
+    deficient = 0
+    for trial in range(40):
+        n = rng.randint(2, 11)
+        k = rng.randint(0, n)
+        m = _planted(rng, n, k, fractions)
+        if trial % 3 == 0:
+            m = _with_zero_index(m, rng.randint(0, n))
+        r = _agrees(m)
+        assert r <= k
+        deficient += r < m.nrows
+    assert deficient > 20  # most planted ranks are below full
+
+
+def test_fraction_entries_share_one_denominator():
+    """Denominators differ per row, so scaling each row apart would break
+    skew symmetry; one common lcm keeps it."""
+    m = Matrix([
+        [0, Fraction(1, 2), Fraction(1, 3), 1],
+        [Fraction(-1, 2), 0, Fraction(2, 5), Fraction(1, 7)],
+        [Fraction(-1, 3), Fraction(-2, 5), 0, 3],
+        [-1, Fraction(-1, 7), -3, 0],
+    ])
+    assert _agrees(m) == 4
+    # Pf = a01 a23 - a02 a13 + a03 a12 = a23/2 - 1/21 + 2/5, zero at -74/105
+    m.rows[2][3], m.rows[3][2] = Fraction(-74, 105), Fraction(74, 105)
+    assert _agrees(m) == 2
+
+
+def test_small_and_zero_sizes():
+    assert skew_rank(Matrix([])) == 0
+    assert skew_rank(Matrix([[0]])) == 0
+    assert skew_rank(Matrix([[0, 0], [0, 0]])) == 0
+    assert skew_rank(Matrix([[0, Fraction(3, 4)], [Fraction(-3, 4), 0]])) == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],  # symmetric, not skew
+    [[0, 1, 2], [-1, 0, 3], [-2, -3, 1]],  # nonzero diagonal
+    [[1]],
+    [[0, 1, 0], [-1, 0, 0]],  # not square
+])
+def test_non_skew_input_raises(rows):
+    with pytest.raises(ValueError):
+        skew_rank(Matrix(rows))
+
+
+def test_index_estimate_makes_no_row_echelon_rank(monkeypatch):
+    """ex6.1 at n=4: the 20 Kirillov ranks of the index estimate all go to
+    ``skew_rank``; ``rank`` and its row-echelon core are never called."""
+    import semicov.semidirect as semidirect
+
+    calls = []
+
+    def spy(name, inner):
+        def counting(*args):
+            calls.append(name)
+            return inner(*args)
+        return counting
+
+    for name in ("rank", "_eliminate"):
+        inner = getattr(linalg, name)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("semicov") and getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, spy(name, inner))
+    monkeypatch.setattr(semidirect, "skew_rank", spy("skew_rank", skew_rank))
+    q = SemidirectProduct(build_construction(get_entry("ex6.1"), {"n": 4}).module)
+    est = index_estimate(q.lie, CheckContext())
+    assert calls == ["skew_rank"] * 20
+    assert (est.index, est.max_rank, est.stabilised) == (5, 26, True)

@@ -169,7 +169,7 @@ def test_table_row_ranks_each_point_once(monkeypatch):
     rows = _checks_by_name(report)
     assert rows["gs_dimension_toral"]["verdict"] == "sampled-pass"
     assert rows["quotient_dim_estimate"]["verdict"] == "sampled-pass"
-    # one orbit-map matrix (dim V rows, dim g columns) per sampled point
+    # one orbit-map matrix (dim g rows x_a.v, dim V columns) per sampled point
     assert len(shapes) == cfg.samples and len(set(shapes)) == 1
 
 
@@ -200,14 +200,14 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
 def test_kirillov_even_reads_the_index_sample(monkeypatch, samples):
     import semicov.semidirect as semidirect
 
-    inner = semidirect.rank
+    inner = semidirect.skew_rank
     shapes = []
 
     def counting(m):
         shapes.append(m.nrows)
         return inner(m)
 
-    monkeypatch.setattr(semidirect, "rank", counting)
+    monkeypatch.setattr(semidirect, "skew_rank", counting)
     report = run_entry("ex5.2", RunConfig(samples=samples))
     names = [c["name"] for c in report["checks"]]
     assert names.index("kirillov_even") + 1 == names.index("index_stabilized")
