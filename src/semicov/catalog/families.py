@@ -15,7 +15,7 @@ points of ``invariant_degrees`` (each invariant homogeneous of its degree)
 fail with ``(name, v, "degree")``, and those of ``witness_plane`` with
 ``(alpha, beta, rank)``.
 
-Every module is a ``support.MatrixPairModule`` of matrix slots.
+Every module but the adjoint and the cube is a ``support.MatrixPairModule``.
 """
 from __future__ import annotations
 

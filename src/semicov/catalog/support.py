@@ -2,9 +2,9 @@
 
 Every module of the catalog is a tuple of matrix slots acted on by
 multiplication.  ``MatrixPairModule`` lays out the slots' coordinates and
-turns a matrix-level action into action matrices on that coordinate basis;
-covariants become matrix formulas over the same coordinate ring.  A slot is
-one of
+reads the action entries off one call of the (linear) matrix-level action
+per basis element, on the slots of the coordinate variables; covariants
+become matrix formulas over the same coordinate ring.  A slot is one of
 
 * ``(rows, cols)``: a full matrix, coordinates its row-major entries;
 * ``(SYM, n)``: a symmetric n x n matrix, coordinates the upper triangle
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from ..lie import LieAlgebra, Representation
 from ..linalg import Matrix, det, rank
-from ..poly import CheckContext
+from ..poly import CheckContext, MultiPoly
 
 __all__ = [
     "quotient_dim_estimate",
@@ -80,8 +80,11 @@ class MatrixPairModule:
     """Module of a tuple of matrix slots (module docstring) acted on by
     ``fields``: a callable (s, mats) -> list of image matrices, where s is the
     acting basis matrix of the algebra.  Each image must again lie in its
-    slot's kind.  ``decode`` and ``encode`` convert between coordinates, in
-    any ring, and the slot matrices.
+    slot's kind, and be linear in the slots.  ``decode`` and ``encode``
+    convert between coordinates, in any ring, and the slot matrices.
+
+    One call per basis element on the slots of the variables x gives rho:
+    image entry i is sum_j rho[i, j] x_j; one not linear in x raises ValueError.
     """
 
     def __init__(
@@ -91,17 +94,14 @@ class MatrixPairModule:
         fields: Callable[[Matrix, list[Matrix]], list[Matrix]],
         label: str = "",
     ):
-        self.algebra = algebra
-        self.shapes = list(shapes)
-        self.fields = fields
-        self._slots = [_slot(shape) for shape in self.shapes]
+        self._slots = [_slot(shape) for shape in shapes]
         self.dim_v = sum(len(cells) for *_, cells in self._slots)
-        units = [[int(i == j) for i in range(self.dim_v)] for j in range(self.dim_v)]
-        mats = [
-            Matrix.from_cols([self.encode(fields(s, self.decode(u))) for u in units])
+        slots = self.decode(MultiPoly.variables(self.dim_v))
+        cells = [
+            [(i, j, c) for i, e in enumerate(self.encode(fields(s, slots))) for j, c in _linear_terms(e)]
             for s in algebra.basis
         ]
-        self.rep = Representation(algebra, mats, label=label)
+        self.rep = Representation(algebra, cells=cells, dim_v=self.dim_v, label=label)
 
     def decode(self, coords: Sequence) -> list[Matrix]:
         out = []
@@ -118,6 +118,15 @@ class MatrixPairModule:
 
     def encode(self, mats: Sequence[Matrix]) -> list:
         return [m.rows[i][j] for m, (*_, cells) in zip(mats, self._slots) for i, j in cells]
+
+
+def _linear_terms(e) -> list:
+    """(j, c) for the terms c x_j of an image entry: 0, or linear in x."""
+    if isinstance(e, MultiPoly) and all(sum(t) == 1 for t in e.terms):
+        return [(t.index(1), c) for t, c in e.terms.items()]
+    if e == 0:
+        return []
+    raise ValueError("fields must be linear in the slots; got image entry %s" % e)
 
 
 # -- minor covariants --------------------------------------------------------

@@ -137,19 +137,10 @@ def _sp6_phi2(g6: LieAlgebra | None = None) -> Representation:
     """The 14-dimensional summand of the second exterior power of Sp_6."""
     r = ext_power(defining(g6 if g6 is not None else sp(6)), 2)
     pairs = list(itertools.combinations(range(6), 2))
-    idx = {p: i for i, p in enumerate(pairs)}
     form_pairs = [(0, 3), (1, 4), (2, 5)]  # pairs with J(e_i, e_j) = 1
-    vectors = []
-    for p in pairs:
-        if p not in form_pairs:
-            v = [Fraction(0)] * len(pairs)
-            v[idx[p]] = Fraction(1)
-            vectors.append(v)
+    vectors = [[Fraction(q == p) for q in pairs] for p in pairs if p not in form_pairs]
     for a, b in ((0, 1), (1, 2)):
-        v = [Fraction(0)] * len(pairs)
-        v[idx[form_pairs[a]]] = Fraction(1)
-        v[idx[form_pairs[b]]] = Fraction(-1)
-        vectors.append(v)
+        vectors.append([Fraction((q == form_pairs[a]) - (q == form_pairs[b])) for q in pairs])
     return subrepresentation(r, vectors, label="phi2(sp6)")
 
 

@@ -2,13 +2,14 @@
 
 Algebras carry sparse structure constants over the rationals, plus (when
 available) a faithful matrix realisation used to build modules.  Classical
-families gl, sl, so, sp are constructed from explicit matrix conditions, once
-per size and process (each call returns a fresh algebra); so and sp accept a
+families gl, sl, so, sp come from explicit matrix conditions, once per size
+and process (each call returns a fresh algebra); so and sp accept a
 user-chosen invariant form, never memoised.  ``coords`` is the one map from
 g's matrix realisation to its basis coordinates.  Products keep factor index
 bookkeeping so projections to factors stay exact.  ``generating_subset``
 certifies, by exact bracket closure, a set of basis elements that generates
-the subalgebra they span.
+the subalgebra they span.  A representation stores only the nonzero entries
+of its action matrices, and every builder writes those entries directly.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class LieAlgebra:
         size = mats[0].nrows if mats else 0
         solver = SpanSolver([m.vec() for m in mats]) if mats else None
         # nonzero entries of each basis matrix, by row and as (i, j, value)
-        by_row = [dict(_nonzero_rows(m)) for m in mats]
+        by_row = [dict(_nonzero_rows(m, size)) for m in mats]
         entries = [[(i, j, x) for i, r in rows.items() for j, x in r] for rows in by_row]
         brackets: dict = {}
         for a in range(dim):
@@ -226,10 +227,19 @@ class LieAlgebra:
         return range(f.basis_offset, f.basis_offset + f.algebra.dim)
 
 
-def _nonzero_rows(m: Matrix) -> list:
-    """The nonzero rows of m as (i, [(j, m_ij), ...]), zero entries left out."""
-    rows = ((i, [(j, x) for j, x in enumerate(r) if x != 0]) for i, r in enumerate(m.rows))
-    return [(i, row) for i, row in rows if row]
+def _nonzero_rows(cells, n: int) -> list:
+    """The nonzero entries of an n x n matrix as rows (i, [(j, x), ...]),
+    rows and entries sorted by index.  ``cells`` is the Matrix itself, or
+    its (i, j, x) triples with each (i, j) at most once."""
+    if isinstance(cells, Matrix):
+        cells = ((i, j, x) for i, r in enumerate(cells.rows) for j, x in enumerate(r))
+    rows: dict = {}
+    for i, j, x in cells:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError("cell (%d, %d) outside a %d x %d action" % (i, j, n, n))
+        if x != 0:
+            rows.setdefault(i, []).append((j, x))
+    return [(i, sorted(rows[i], key=lambda e: e[0])) for i in sorted(rows)]
 
 
 def _built_once(build):
@@ -338,27 +348,43 @@ def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
 
 
 class Representation:
-    """A module given by one action matrix per algebra basis element.
+    """A module of ``algebra`` on V = Q^dim_v, stored sparsely.
 
-    Nothing mutates ``action`` after construction, so ``nonzero_rows[a]``
-    (the nonzero rows of ``action[a]`` as (i, [(j, entry), ...])) is read
-    once here, and every action on a vector uses it.
+    ``nonzero_rows[a]`` holds the nonzero rows of rho_a as (i, [(j, entry),
+    ...]), rows and entries sorted by index; every action on a vector reads
+    it, and nothing mutates it.  The builders below pass ``cells``, per basis
+    element (i, j, entry) triples with each (i, j) at most once, and
+    ``dim_v``; dense ``action`` matrices are accepted too.  ``action`` is a
+    dense view for tests and oracles, rebuilt on every access.
     """
 
-    def __init__(self, algebra: LieAlgebra, action: Sequence[Matrix], label: str = ""):
-        self.algebra = algebra
-        self.action = list(action)
-        if len(self.action) != algebra.dim:
-            raise ValueError("need one action matrix per basis element")
-        self.dim_v = self.action[0].nrows if self.action else 0
-        for m in self.action:
-            if m.nrows != self.dim_v or m.ncols != self.dim_v:
+    def __init__(
+        self, algebra: LieAlgebra, action: Sequence[Matrix] = (), label: str = "", cells=None, dim_v=0
+    ):
+        if cells is None:
+            cells = list(action)
+            dim_v = cells[0].nrows if cells else 0
+            if any(m.nrows != dim_v or m.ncols != dim_v for m in cells):
                 raise ValueError("action matrices must be square of equal size")
-        self.label = label
-        self.nonzero_rows = [_nonzero_rows(m) for m in self.action]
+        if len(cells) != algebra.dim:
+            raise ValueError("need one action matrix per basis element")
+        self.algebra, self.dim_v, self.label = algebra, dim_v, label
+        self.nonzero_rows = [_nonzero_rows(c, dim_v) for c in cells]
 
     def __repr__(self):
         return "Representation(%s on %s, dim=%d)" % (self.label or "V", self.algebra.name, self.dim_v)
+
+    @property
+    def action(self) -> list[Matrix]:
+        mats = [Matrix.zeros(self.dim_v, self.dim_v) for _ in self.nonzero_rows]
+        for a, m in enumerate(mats):
+            for i, j, x in self.cells(a):
+                m.rows[i][j] = x
+        return mats
+
+    def cells(self, a: int) -> list:
+        """The nonzero entries of rho_a as (i, j, entry) triples."""
+        return [(i, j, x) for i, row in self.nonzero_rows[a] for j, x in row]
 
     def _row_values(self, a: int, v: Sequence):
         """(i, (rho_a v)_i) over the nonzero rows i of rho_a."""
@@ -395,37 +421,46 @@ def defining(g: LieAlgebra) -> Representation:
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
-    mats = []
-    for a in range(g.dim):
-        m = Matrix.zeros(g.dim, g.dim)
-        for b in range(g.dim):
-            for c, v in g.bracket_basis(a, b).items():
-                m.rows[c][b] = v
-        mats.append(m)
-    return Representation(g, mats, label="ad(%s)" % g.name)
+    """ad(e_a) e_b = [e_a, e_b], read from the bracket table."""
+    n = g.dim
+    cells = [[(c, b, v) for b in range(n) for c, v in g.bracket_basis(a, b).items()] for a in range(n)]
+    return Representation(g, cells=cells, dim_v=n, label="ad(%s)" % g.name)
 
 
 def dual(r: Representation) -> Representation:
-    mats = [-(m.transpose()) for m in r.action]
-    return Representation(r.algebra, mats, label="dual(%s)" % (r.label or "V"))
+    """rho*_a = -rho_a^t."""
+    cells = [[(j, i, -x) for i, j, x in r.cells(a)] for a in range(r.algebra.dim)]
+    return Representation(r.algebra, cells=cells, dim_v=r.dim_v, label="dual(%s)" % (r.label or "V"))
 
 
 def direct_sum(*reps: Representation) -> Representation:
     alg = reps[0].algebra
-    for r in reps:
-        if r.algebra is not alg:
-            raise ValueError("direct sum needs modules over one algebra")
-    mats = [block_diag([r.action[a] for r in reps]) for a in range(alg.dim)]
-    return Representation(alg, mats, label=" + ".join(r.label or "V" for r in reps))
+    if any(r.algebra is not alg for r in reps):
+        raise ValueError("direct sum needs modules over one algebra")
+    offsets = list(itertools.accumulate((r.dim_v for r in reps), initial=0))
+    cells = [
+        [(o + i, o + j, x) for r, o in zip(reps, offsets) for i, j, x in r.cells(a)]
+        for a in range(alg.dim)
+    ]
+    label = " + ".join(r.label or "V" for r in reps)
+    return Representation(alg, cells=cells, dim_v=offsets[-1], label=label)
 
 
 def tensor(r1: Representation, r2: Representation) -> Representation:
+    """rho_1 (x) 1 + 1 (x) rho_2 on the basis e_i (x) f_k, index i * dim r2 + k."""
     if r1.algebra is not r2.algebra:
         raise ValueError("tensor product needs modules over one algebra")
     n1, n2 = r1.dim_v, r2.dim_v
-    i1, i2 = Matrix.identity(n1), Matrix.identity(n2)
-    mats = [r1.action[a].kron(i2) + i1.kron(r2.action[a]) for a in range(r1.algebra.dim)]
-    return Representation(r1.algebra, mats, label="(%s)x(%s)" % (r1.label or "V", r2.label or "W"))
+    cells = []
+    for a in range(r1.algebra.dim):
+        m = {(i * n2 + k, j * n2 + k): x for i, j, x in r1.cells(a) for k in range(n2)}
+        for k, l, y in r2.cells(a):
+            for i in range(n1):
+                ij = (i * n2 + k, i * n2 + l)
+                m[ij] = m[ij] + y if ij in m else y
+        cells.append([(i, j, x) for (i, j), x in m.items()])
+    label = "(%s)x(%s)" % (r1.label or "V", r2.label or "W")
+    return Representation(r1.algebra, cells=cells, dim_v=n1 * n2, label=label)
 
 
 def sym_power(r: Representation, d: int) -> Representation:
@@ -444,15 +479,17 @@ def _power(r: Representation, d: int, skew: bool) -> Representation:
     pick = itertools.combinations if skew else itertools.combinations_with_replacement
     basis = list(pick(range(r.dim_v), d))
     index = {b: i for i, b in enumerate(basis)}
-    mats = []
-    for rho in r.action:
-        m = Matrix.zeros(len(basis), len(basis))
+    cells = []
+    for a in range(r.algebra.dim):
+        by_col: dict = {}  # column ik of rho_a: its nonzero (j, rho_a[j, ik]), by j
+        for j, ik, c in r.cells(a):
+            by_col.setdefault(ik, []).append((j, c))
+        m: dict = {}
         for col, mono in enumerate(basis):
             for k, ik in enumerate(mono):
                 others = mono[:k] + mono[k + 1 :]
-                for j in range(r.dim_v):
-                    c = rho[j, ik]
-                    if c == 0 or (skew and j in others):
+                for j, c in by_col.get(ik, ()):
+                    if skew and j in others:
                         continue
                     sign = 1
                     if skew:
@@ -461,26 +498,21 @@ def _power(r: Representation, d: int, skew: bool) -> Representation:
                         for o in others:
                             if (o > j) != (o > ik):
                                 sign = -sign
-                    row = index[tuple(sorted(mono[:k] + (j,) + mono[k + 1 :]))]
-                    m.rows[row][col] = normalize_scalar(m.rows[row][col] + sign * c)
-        mats.append(m)
+                    ij = (index[tuple(sorted(mono[:k] + (j,) + mono[k + 1 :]))], col)
+                    m[ij] = normalize_scalar(m.get(ij, 0) + sign * c)
+        cells.append([(i, j, x) for (i, j), x in m.items()])
     label = "%s^%d(%s)" % ("L" if skew else "S", d, r.label or "V")
-    return Representation(r.algebra, mats, label=label)
+    return Representation(r.algebra, cells=cells, dim_v=len(basis), label=label)
 
 
 def subrepresentation(r: Representation, vectors: Sequence[Sequence], label: str = "") -> Representation:
     """Restrict to an invariant subspace, in the coordinates of `vectors`."""
     solver = SpanSolver(vectors)
-    k = len(vectors)
     mats = []
     for a in range(r.algebra.dim):
-        cols = []
-        for v in vectors:
-            img = r.act_basis(a, v)
-            coords = solver.coords(img)
-            if coords is None:
-                raise ValueError("subspace is not invariant under basis element %d" % a)
-            cols.append(coords)
+        cols = [solver.coords(r.act_basis(a, v)) for v in vectors]
+        if any(c is None for c in cols):
+            raise ValueError("subspace is not invariant under basis element %d" % a)
         mats.append(Matrix.from_cols(cols))
     return Representation(r.algebra, mats, label=label or "sub(%s)" % (r.label or "V"))
 
@@ -490,14 +522,9 @@ def lift_factor(prod: LieAlgebra, idx: int, rep: Representation) -> Representati
     f = prod.factors[idx]
     if rep.algebra.dim != f.algebra.dim:
         raise ValueError("module does not match the chosen factor")
-    zero = Matrix.zeros(rep.dim_v, rep.dim_v)
-    mats = []
-    for a in range(prod.dim):
-        if f.basis_offset <= a < f.basis_offset + f.algebra.dim:
-            mats.append(rep.action[a - f.basis_offset])
-        else:
-            mats.append(zero)
-    return Representation(prod, mats, label="%s@%s" % (rep.label or "V", f.name))
+    own = prod.factor_basis_range(idx)
+    cells = [rep.cells(a - f.basis_offset) if a in own else [] for a in range(prod.dim)]
+    return Representation(prod, cells=cells, dim_v=rep.dim_v, label="%s@%s" % (rep.label or "V", f.name))
 
 
 @dataclass

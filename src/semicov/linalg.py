@@ -202,21 +202,6 @@ class Matrix:
         keep = [j for j in range(self.ncols) if j not in set(drop)]
         return self.submatrix(range(self.nrows), keep)
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = Matrix.zeros(self.nrows * other.nrows, self.ncols * other.ncols)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                a = self.rows[i][j]
-                if a == 0:
-                    continue
-                for k in range(other.nrows):
-                    orow = other.rows[k]
-                    trow = out.rows[i * other.nrows + k]
-                    for l in range(other.ncols):
-                        if orow[l] != 0:
-                            trow[j * other.ncols + l] = a * orow[l]
-        return out
-
     def vec(self) -> list:
         """Row-major flattening."""
         return [a for r in self.rows for a in r]

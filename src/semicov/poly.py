@@ -246,22 +246,15 @@ class MultiPoly:
             im if isinstance(im, MultiPoly) else MultiPoly.const(num_vars_out, im)
             for im in images
         ]
-        pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-        def ipow(i: int, k: int) -> MultiPoly:
-            key = (i, k)
-            got = pow_cache.get(key)
-            if got is None:
-                got = imgs[i] ** k
-                pow_cache[key] = got
-            return got
-
+        powers: dict[tuple[int, int], MultiPoly] = {}  # (i, k) -> images[i]^k
         acc = MultiPoly(num_vars_out)
         for e, c in self.terms.items():
             t = MultiPoly.const(num_vars_out, c)
             for i, k in enumerate(e):
                 if k:
-                    t = t * ipow(i, k)
+                    if (i, k) not in powers:
+                        powers[i, k] = imgs[i] ** k
+                    t = t * powers[i, k]
             acc = acc + t
         return acc
 
@@ -277,12 +270,7 @@ class MultiPoly:
             k = e[-1]
             buckets.setdefault(k, {})[e[:-1]] = c
         top = max(buckets) if buckets else -1
-        out = []
-        for i in range(top + 1):
-            p = MultiPoly(nv)
-            p.terms = dict(buckets.get(i, {}))
-            out.append(p)
-        return out
+        return [MultiPoly(nv, buckets.get(i)) for i in range(top + 1)]
 
     # -- display ----------------------------------------------------------
 

@@ -1,0 +1,86 @@
+"""Dense module constructions: the oracles for the sparse module builders.
+
+``semicov.lie`` and ``catalog.support.MatrixPairModule`` write only the
+nonzero entries of each action matrix.  The functions here build the dense
+action matrices the textbook way, one Matrix per basis element of the
+algebra: Kronecker products for the tensor product, block-diagonal matrices
+for the direct sum, the negated transpose for the dual, the derivation
+action scanned over every row index for symmetric and exterior powers, and
+the slot action applied to every unit vector of V.  Tests compare them with
+``Representation.action``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from semicov.catalog.support import MatrixPairModule
+from semicov.lie import Representation
+from semicov.linalg import Matrix, block_diag, normalize_scalar
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: entry (i, j) of a times the block b."""
+    out = Matrix.zeros(a.nrows * b.nrows, a.ncols * b.ncols)
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            x = a.rows[i][j]
+            if x == 0:
+                continue
+            for k in range(b.nrows):
+                brow = b.rows[k]
+                orow = out.rows[i * b.nrows + k]
+                for l in range(b.ncols):
+                    if brow[l] != 0:
+                        orow[j * b.ncols + l] = x * brow[l]
+    return out
+
+
+def tensor(r1: Representation, r2: Representation) -> list[Matrix]:
+    """rho_1 (x) 1 + 1 (x) rho_2 as sums of Kronecker products."""
+    i1, i2 = Matrix.identity(r1.dim_v), Matrix.identity(r2.dim_v)
+    return [kron(m1, i2) + kron(i1, m2) for m1, m2 in zip(r1.action, r2.action)]
+
+
+def direct_sum(*reps: Representation) -> list[Matrix]:
+    return [block_diag(list(blocks)) for blocks in zip(*(r.action for r in reps))]
+
+
+def dual(r: Representation) -> list[Matrix]:
+    return [-(m.transpose()) for m in r.action]
+
+
+def power(r: Representation, d: int, skew: bool) -> list[Matrix]:
+    """The derivation action on sorted index tuples, every row index j of
+    rho scanned for each factor of each basis monomial or wedge."""
+    pick = itertools.combinations if skew else itertools.combinations_with_replacement
+    basis = list(pick(range(r.dim_v), d))
+    index = {b: i for i, b in enumerate(basis)}
+    mats = []
+    for rho in r.action:
+        m = Matrix.zeros(len(basis), len(basis))
+        for col, mono in enumerate(basis):
+            for k, ik in enumerate(mono):
+                others = mono[:k] + mono[k + 1 :]
+                for j in range(r.dim_v):
+                    c = rho[j, ik]
+                    if c == 0 or (skew and j in others):
+                        continue
+                    image = mono[:k] + (j,) + mono[k + 1 :]
+                    # a wedge changes sign with each inversion the sort removes
+                    inversions = sum(image[p] > image[q] for p in range(d) for q in range(p + 1, d))
+                    sign = -1 if skew and inversions % 2 else 1
+                    row = index[tuple(sorted(image))]
+                    m.rows[row][col] = normalize_scalar(m.rows[row][col] + sign * c)
+        mats.append(m)
+    return mats
+
+
+def matrix_pair_action(mod: MatrixPairModule, fields) -> list[Matrix]:
+    """Column j of each action matrix is the slot action on the j-th unit
+    vector of V, encoded back into coordinates."""
+    units = [[int(i == j) for i in range(mod.dim_v)] for j in range(mod.dim_v)]
+    return [
+        Matrix.from_cols([mod.encode(fields(s, mod.decode(u))) for u in units])
+        for s in mod.rep.algebra.basis
+    ]

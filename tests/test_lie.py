@@ -38,12 +38,13 @@ def check_homomorphism(rep):
     """rho([e_a, e_b]) == [rho_a, rho_b] over every basis pair, exactly.
     Returns (ok, first failing pair)."""
     g = rep.algebra
+    action = rep.action  # a dense view, built anew on each access
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
-            comm = rep.action[a] * rep.action[b] - rep.action[b] * rep.action[a]
+            comm = action[a] * action[b] - action[b] * action[a]
             expect = Matrix.zeros(rep.dim_v, rep.dim_v)
             for c, v in g.bracket_basis(a, b).items():
-                expect = expect + rep.action[c] * v
+                expect = expect + action[c] * v
             if comm != expect:
                 return False, (a, b)
     return True, None
@@ -149,8 +150,9 @@ def test_lift_factor_acts_by_zero_elsewhere():
     g = product(sl(2), sl(3))
     r = lift_factor(g, 0, defining(sl(2)))
     assert r.dim_v == 2
+    action = r.action
     for a in range(3, g.dim):
-        assert r.action[a].is_zero()
+        assert action[a].is_zero()
     ok, _ = check_homomorphism(r)
     assert ok
 
@@ -376,12 +378,13 @@ def test_act_matches_dense_apply():
     reps = [adjoint_rep(g), defining(g), dual(defining(g)), sym_power(defining(g), 2),
             ext_power(defining(sp(4)), 2), direct_sum(defining(g), adjoint_rep(g))]
     for r in reps:
+        action = r.action
         for _ in range(5):
             v = [rng.choice([0, 0, 1, -3, 5, Fraction(2, 3)]) for _ in range(r.dim_v)]
             x = [rng.choice([0, 0, 2, -1, Fraction(-1, 2)]) for _ in range(r.algebra.dim)]
             for a in range(r.algebra.dim):
-                assert r.act_basis(a, v) == r.action[a].apply(v)
+                assert r.act_basis(a, v) == action[a].apply(v)
             dense = [0] * r.dim_v
             for a, xa in enumerate(x):
-                dense = [o + xa * w for o, w in zip(dense, r.action[a].apply(v))]
+                dense = [o + xa * w for o, w in zip(dense, action[a].apply(v))]
             assert r.act(x, v) == dense

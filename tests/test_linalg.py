@@ -208,14 +208,11 @@ def test_span_solver_polynomial_target():
     assert coords == [x, y]
 
 
-def test_block_diag_and_kron():
+def test_block_diag():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[5]])
     bd = block_diag([a, b])
     assert bd.rows == [[1, 2, 0], [3, 4, 0], [0, 0, 5]]
-    k = a.kron(Matrix.identity(2))
-    assert k.nrows == k.ncols == 4
-    assert k.rows[0] == [1, 0, 2, 0]
 
 
 @settings(max_examples=40, deadline=None)

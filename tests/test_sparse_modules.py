@@ -1,0 +1,170 @@
+"""Sparse module builders against their dense oracles, and what they cost.
+
+``tests/module_oracles.py`` builds every module densely, the way the
+library did before it stored only nonzero action entries.  The modules
+here are ones the construction digest does not cover: both tensor factors
+acting, duals of duals, Fraction entries (sp_4 of a custom skew form),
+degree-3 powers, and matrix-slot modules over custom-form so and sp.
+The count tests fix the cost of a build without a clock: a slot module
+calls its ``fields`` once per basis element, and the sparse builders
+construct no ``Matrix``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+import module_oracles as oracle
+from semicov.catalog.support import SKEW, SYM, MatrixPairModule, left_right_fields
+from semicov.lie import (
+    Representation,
+    defining,
+    direct_sum,
+    dual,
+    ext_power,
+    lift_factor,
+    product,
+    sl,
+    so,
+    sp,
+    sym_power,
+    tensor,
+)
+from semicov.linalg import Matrix, normalize_scalar
+
+SYM_FORM = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, -3]])
+SKEW_FORM = Matrix([[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]])
+
+
+def typed(mats: list[Matrix]) -> list:
+    """Entries with their types.  No builder stores a zero entry, so a zero
+    is compared by value only (a dense sum may leave a Fraction zero)."""
+    return [[[(type(x), x) if x != 0 else 0 for x in row] for row in m.rows] for m in mats]
+
+
+def _so3() -> Representation:
+    return defining(so(3, SYM_FORM))
+
+
+def _sp4() -> Representation:
+    return defining(sp(4, SKEW_FORM))
+
+
+def test_sp4_form_has_fraction_entries():
+    # the Fraction cases below need a module whose action holds Fractions
+    assert any(type(x) is Fraction for m in _sp4().action for row in m.rows for x in row)
+
+
+def test_tensor_with_both_factors_acting_matches_kronecker():
+    for r in (defining(sl(3)), _sp4(), _so3()):
+        for r2 in (dual(r), r):
+            assert typed(tensor(r, r2).action) == typed(oracle.tensor(r, r2))
+
+
+def test_dual_and_double_dual_match_transpose():
+    for r in (defining(sl(3)), _so3(), _sp4(), ext_power(_sp4(), 2)):
+        assert typed(dual(r).action) == typed(oracle.dual(r))
+        assert typed(dual(dual(r)).action) == typed(r.action)
+
+
+def test_direct_sums_with_fraction_entries_match_block_diag():
+    for r in (_so3(), _sp4()):
+        parts = (r, dual(r), sym_power(r, 2))
+        assert typed(direct_sum(*parts).action) == typed(oracle.direct_sum(*parts))
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_degree3_powers_match_dense_derivation(skew):
+    build = ext_power if skew else sym_power
+    so3 = _so3()
+    for r in (so3, _sp4(), direct_sum(so3, dual(so3))):
+        assert typed(build(r, 3).action) == typed(oracle.power(r, 3, skew))
+
+
+def _congruence(s: Matrix, mats: list[Matrix]) -> list[Matrix]:
+    """M -> s M + M s^t on square slots, M -> s M on full ones: linear, and
+    it keeps symmetric and skew slots in their kind."""
+    return [s * M + M * s.transpose() if M.nrows == M.ncols else s * M for M in mats]
+
+
+@pytest.mark.parametrize("shape", ["full", SYM, SKEW])
+def test_matrix_pair_module_matches_unit_loop(shape):
+    for g in (so(3, SYM_FORM), sp(4, SKEW_FORM)):
+        n = g.matrix_size
+        slots = [(n, 2)] if shape == "full" else [(shape, n)]
+        mod = MatrixPairModule(g, slots, _congruence)
+        want = oracle.matrix_pair_action(mod, _congruence)
+        # the unit loop leaves integer sums such as 1/2 + 1/2 as Fractions;
+        # the linear read gives them as ints, like every catalog module
+        assert typed(mod.rep.action) == typed([m.map(normalize_scalar) for m in want])
+
+
+def test_kron_oracle():
+    a = Matrix([[1, 2], [3, 4]])
+    k = oracle.kron(a, Matrix.identity(2))
+    assert k.nrows == k.ncols == 4
+    assert k.rows[0] == [1, 0, 2, 0]
+    assert k.rows[3] == [0, 3, 0, 4]
+
+
+# -- the linearity premise and the sparse constructor ----------------------------
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [lambda s, mats: [M * M for M in mats], lambda s, mats: [M + Matrix.identity(M.nrows) for M in mats]],
+    ids=["quadratic", "affine"],
+)
+def test_matrix_pair_module_rejects_nonlinear_fields(fields):
+    with pytest.raises(ValueError, match="linear"):
+        MatrixPairModule(sl(2), [(2, 2)], fields)
+
+
+def test_sparse_constructor_rejects_bad_cells():
+    g = sl(2)
+    with pytest.raises(ValueError, match="one action matrix per basis element"):
+        Representation(g, cells=[[]] * (g.dim - 1), dim_v=2)
+    for cell in ((0, 2, 1), (2, 0, 1), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            Representation(g, cells=[[cell], [], []], dim_v=2)
+    with pytest.raises(ValueError, match="square"):
+        Representation(g, [Matrix.zeros(2, 3)] * g.dim)
+
+
+# -- build cost, by count ----------------------------------------------------------
+
+
+def test_matrix_pair_module_calls_fields_once_per_basis_element():
+    g = product(sl(3), sl(2))
+    lr = left_right_fields(g)
+    calls = []
+
+    def fields(s, mats):
+        calls.append(s)
+        return lr(s, mats)
+
+    mod = MatrixPairModule(g, [(3, 2)], fields)
+    assert len(calls) == g.dim < g.dim * mod.dim_v
+
+
+def test_sparse_builders_construct_no_matrix(monkeypatch):
+    g = product(sl(3), sl(2))
+    r = defining(sl(3))
+    rd = dual(r)
+    built = []
+    init = Matrix.__init__
+
+    def counting_init(self, rows):
+        built.append(len(rows))
+        init(self, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    tensor(r, rd)
+    direct_sum(r, rd)
+    dual(rd)
+    lift_factor(g, 0, r)
+    sym_power(r, 3)
+    ext_power(r, 2)
+    assert built == []
