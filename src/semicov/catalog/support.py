@@ -122,7 +122,7 @@ class MatrixPairModule:
 
 def _linear_terms(e) -> list:
     """(j, c) for the terms c x_j of an image entry: 0, or linear in x."""
-    if isinstance(e, MultiPoly) and all(sum(t) == 1 for t in e.terms):
+    if isinstance(e, MultiPoly) and e.is_homogeneous(1):
         return [(t.index(1), c) for t, c in e.terms.items()]
     if e == 0:
         return []

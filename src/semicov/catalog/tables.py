@@ -166,6 +166,11 @@ def _sl4_sl2_module(params: dict) -> Representation:
 # -- the rows -----------------------------------------------------------------
 
 
+def _toral_row(build: Callable[[dict], Representation], dim_v: int, quotient_dim: int) -> ModuleSpec:
+    """A parameter-free module with a one-dimensional generic stabiliser."""
+    return ModuleSpec(build, {}, lambda p: {"dim_v": dim_v, "gs": 1, "quotient_dim": quotient_dim})
+
+
 def _row(table: int, id: str, *printed: str, **kw) -> TableRow:
     """Row ``id`` of ``table``, printing its ``TABLE_COLUMNS`` in order."""
     return TableRow(
@@ -207,59 +212,31 @@ _ROWS: list[TableRow] = [
     ),
     _row(
         1, "2", "SL_6", "2phi2 + phi2*", "45", "11", "36", "yes", "no",
-        module_spec=ModuleSpec(
-            build=_sl6_two_ext2_plus_dual,
-            default_params={},
-            expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 11},
-        ),
+        module_spec=_toral_row(_sl6_two_ext2_plus_dual, 45, 11),
     ),
     _row(
         1, "3a", "SL_6 x SL_3", "phi2 phi1'", "45", "3", "36", "yes", "yes",
-        module_spec=ModuleSpec(
-            build=_sl6_sl3_module,
-            default_params={},
-            expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 3},
-        ),
+        module_spec=_toral_row(_sl6_sl3_module, 45, 3),
     ),
     _row(
         1, "3b", "SL_6 x SL_2", "phi2 phi'^2", "45", "8", "36", "no", "no",
-        module_spec=ModuleSpec(
-            build=_sl6_sl2_module,
-            default_params={},
-            expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 8},
-        ),
+        module_spec=_toral_row(_sl6_sl2_module, 45, 8),
     ),
     _row(
         1, "3c", "SL_6", "3phi2", "45", "11", "36", "yes", "no",
-        module_spec=ModuleSpec(
-            build=_sl6_three_ext2,
-            default_params={},
-            expected=lambda p: {"dim_v": 45, "gs": 1, "quotient_dim": 11},
-        ),
+        module_spec=_toral_row(_sl6_three_ext2, 45, 11),
     ),
     _row(
         1, "4a", "Sp_6 x SL_2", "phi2 phi'", "28", "5", "22", "no", "no",
-        module_spec=ModuleSpec(
-            build=_sp6_sl2_module,
-            default_params={},
-            expected=lambda p: {"dim_v": 28, "gs": 1, "quotient_dim": 5},
-        ),
+        module_spec=_toral_row(_sp6_sl2_module, 28, 5),
     ),
     _row(
         1, "4b", "Sp_6", "2phi2", "28", "8", "22", "yes", "yes",
-        module_spec=ModuleSpec(
-            build=_sp6_two_phi2,
-            default_params={},
-            expected=lambda p: {"dim_v": 28, "gs": 1, "quotient_dim": 8},
-        ),
+        module_spec=_toral_row(_sp6_two_phi2, 28, 8),
     ),
     _row(
         1, "5", "SL_4 x SL_2", "phi2 phi'^3", "24", "7", "20", "no", "no",
-        module_spec=ModuleSpec(
-            build=_sl4_sl2_module,
-            default_params={},
-            expected=lambda p: {"dim_v": 24, "gs": 1, "quotient_dim": 7},
-        ),
+        module_spec=_toral_row(_sl4_sl2_module, 24, 7),
     ),
     # Table 2
     _row(

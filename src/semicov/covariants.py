@@ -54,8 +54,8 @@ rings of the lifts (dim g + 2 dim V variables, and dim q): the expansions on
 V have fewer variables and no higher degree, so every row resolves as before
 and no exact row is refused.  ``components`` and ``phi_polys`` are cached on
 the covariant, so kernel_phi, equivariance, the lift rows and Poisson share
-one expansion of each covariant; ``phi_polys`` shifts exponents of the
-components and forms no polynomial product.
+one expansion of each covariant; ``phi_polys`` adds unit keys to the packed
+exponents of the components and forms no polynomial product.
 """
 
 from __future__ import annotations
@@ -65,7 +65,10 @@ from typing import Callable, Sequence
 
 from .lie import Representation, Subspace
 from .linalg import Matrix, normalize_scalar, rank, solve
-from .poly import CheckContext, MultiPoly, ZeroCheck, identity_check, resolve_mode  # noqa: F401 (re-export)
+from .poly import (  # noqa: F401 (re-export)
+    FIELD_MASK, CheckContext, MultiPoly, ZeroCheck, check_degree, field_shift, identity_check, resolve_mode,
+    unit_key,
+)
 from .semidirect import SemidirectProduct
 
 
@@ -112,8 +115,7 @@ class Covariant:
             if len(self._components) != rep.algebra.dim:
                 raise ValueError("need one component per algebra basis element")
             if degree is None:
-                degs = [p.degree() for p in self._components if not p.is_zero()]
-                degree = max(int(d) for d in degs) if degs else 0
+                degree = max(0, *(p.degree() for p in self._components))
         self.degree = degree
         self._phi: list[MultiPoly] | None = None
 
@@ -149,8 +151,7 @@ class Covariant:
             coords = self.coords_at(vs)
             self._components = [_as_poly(c, self.rep.dim_v) for c in coords]
             if self.degree is None:
-                degs = [p.degree() for p in self._components if not p.is_zero()]
-                self.degree = max(int(d) for d in degs) if degs else 0
+                self.degree = max(0, *(p.degree() for p in self._components))
         return self._components
 
 
@@ -245,8 +246,8 @@ def act_on_matrix_polys(F: Covariant, x: Sequence) -> Matrix:
     fmat = F.matrix_at(MultiPoly.variables(nv)).map(lambda e: _as_poly(e, nv))
     xmat = _algebra_matrix(F.rep.algebra, x)
     bracket = xmat * fmat - fmat * xmat
-    rows = _operator_rows(F.rep, x)
-    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(e, rows))
+    moves = _operator_rows(F.rep, x)
+    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(e, moves))
 
 
 def act_on_components(F: Covariant, x: Sequence) -> list[MultiPoly]:
@@ -254,12 +255,12 @@ def act_on_components(F: Covariant, x: Sequence) -> list[MultiPoly]:
     nv = F.rep.dim_v
     comps = F.components
     bracket = F.rep.algebra.bracket_coords(list(x), comps)
-    rows = _operator_rows(F.rep, x)
-    return [_as_poly(br, nv) - _derivative_along(comp, rows) for br, comp in zip(bracket, comps)]
+    moves = _operator_rows(F.rep, x)
+    return [_as_poly(br, nv) - _derivative_along(comp, moves) for br, comp in zip(bracket, comps)]
 
 
 def _operator_rows(rep: Representation, x: Sequence) -> list:
-    """The rows of rho(x) = sum_a x_a rho_a, shaped like ``rep.nonzero_rows[a]``."""
+    """The nonzero rows of rho(x) = sum_a x_a rho_a, as ``_moves``."""
     rows: dict = {}
     for a, xa in enumerate(x):
         if xa != 0:
@@ -267,33 +268,37 @@ def _operator_rows(rep: Representation, x: Sequence) -> list:
                 acc = rows.setdefault(j, {})
                 for i, c in row:
                     acc[i] = normalize_scalar(acc.get(i, 0) + xa * c)
-    return [(j, [(i, c) for i, c in acc.items() if c != 0]) for j, acc in sorted(rows.items())]
+    nonzero = [(j, [(i, c) for i, c in acc.items() if c != 0]) for j, acc in sorted(rows.items())]
+    return _moves(rep.dim_v, nonzero)
 
 
-def _derivative_along(p: MultiPoly, rows: list) -> MultiPoly:
-    """Derivative of p along the linear vector field v -> op.v.
+def _moves(n: int, rows: list) -> list:
+    """Rows (j, [(i, c), ...]) of an operator on V, shaped like
+    ``Representation.nonzero_rows[a]``, as packed-key moves: the field shift
+    of j, and (u_i - u_j, c) per entry.  Built once per operator."""
+    return [(field_shift(n, j), [(unit_key(n, i) - unit_key(n, j), c) for i, c in row]) for j, row in rows]
 
-    ``rows`` are the nonzero rows of op, shaped like
-    ``Representation.nonzero_rows[a]``.  Computed term by term:
-    sum_j d_j(p) (op.v)_j sends c v^e to sum_{j, i} c e_j op[j, i]
-    v^(e - u_j + u_i), with no polynomial products.
+
+def _derivative_along(p: MultiPoly, moves: list) -> MultiPoly:
+    """Derivative of p along the linear vector field v -> op.v, given the
+    ``_moves`` of op.
+
+    Computed term by term on packed keys: sum_j d_j(p) (op.v)_j sends c v^e
+    to sum_{j, i} c e_j op[j, i] v^(e - u_j + u_i), one int add per term and
+    no polynomial product.  The total degree does not change, so no exponent
+    outgrows its field.
     """
     out: dict = {}
-    for e, c in p.terms.items():
-        exp = list(e)
-        for j, row in rows:
-            k = e[j]
-            if not k:
-                continue
-            ck = c * k
-            exp[j] = k - 1
-            for i, a in row:
-                exp[i] += 1
-                key = tuple(exp)
-                exp[i] -= 1
-                out[key] = out.get(key, 0) + ck * a
-            exp[j] = k
-    return MultiPoly(p.num_vars, out)
+    get = out.get
+    for e, c in p.packed.items():
+        for shift, row in moves:
+            k = e >> shift & FIELD_MASK
+            if k:
+                ck = c * k
+                for d, a in row:
+                    key = e + d
+                    out[key] = get(key, 0) + ck * a
+    return MultiPoly.from_packed(p.num_vars, out)
 
 
 def _along_field(p: MultiPoly, field: Sequence[MultiPoly]) -> MultiPoly:
@@ -335,25 +340,26 @@ def phi_polys(F: Covariant) -> list[MultiPoly]:
 
 def _phi_expansion(rep: Representation, comps: Sequence[MultiPoly]) -> list[MultiPoly]:
     """(F(v).v)_i = sum_a sum_j rho_a[i, j] F_a v_j, term by term.  Times v_j
-    shifts exponent j: each term of F_a is shifted once per column j of rho_a
-    and added to every row i it reaches, so no polynomial product is formed,
-    and a sum that cancels is dropped at once."""
-    out: list[dict] = [{} for _ in range(rep.dim_v)]
+    adds the unit key u_j: each term of F_a is shifted once per column j of
+    rho_a and added to every row i it reaches, so no polynomial product is
+    formed.  Each F_a's degree is checked against the field width once."""
+    n = rep.dim_v
+    out: list[dict] = [{} for _ in range(n)]
     for comp, rows in zip(comps, rep.nonzero_rows):
+        if comp.is_zero():
+            continue
+        check_degree(comp.degree() + 1)
         cols: dict = {}
         for i, row in rows:
             for j, r in row:
                 cols.setdefault(j, []).append((out[i], r))
         for j, targets in cols.items():
-            for e, c in comp.terms.items():
-                key = e[:j] + (e[j] + 1,) + e[j + 1:]
+            u = unit_key(n, j)
+            for e, c in comp.packed.items():
+                key = e + u
                 for acc, r in targets:
-                    s = acc.get(key, 0) + r * c
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-    return [MultiPoly(rep.dim_v, acc) for acc in out]
+                    acc[key] = acc.get(key, 0) + r * c
+    return [MultiPoly.from_packed(n, acc) for acc in out]
 
 
 def phi_at(F: Covariant, v: Sequence) -> list:
@@ -449,6 +455,13 @@ def covariant_match_check(
 # -- linear span of a family ----------------------------------------------
 
 
+def _coefficient_rows(polys: Sequence[Sequence[MultiPoly]]) -> list[list]:
+    """One row per list of polynomials: its coefficients over every (index,
+    monomial) that any of the lists uses, in sorted order."""
+    keys = sorted({(i, e) for comps in polys for i, p in enumerate(comps) for e in p.packed})
+    return [[comps[i].packed.get(e, 0) for i, e in keys] for comps in polys]
+
+
 def express_in_span(target: Sequence[MultiPoly], family: Sequence[Sequence[MultiPoly]]):
     """Exact coefficients writing target in the linear span of the family.
 
@@ -456,33 +469,16 @@ def express_in_span(target: Sequence[MultiPoly], family: Sequence[Sequence[Multi
     covariant components).  Returns the coefficient list, or None when the
     target lies outside the span.
     """
-    monomials = set()
-    for comps in list(family) + [list(target)]:
-        for i, p in enumerate(comps):
-            for exp in p.terms:
-                monomials.add((i, exp))
-    keys = sorted(monomials)
-    if not keys:
+    *cols, rhs = _coefficient_rows(list(family) + [target])
+    if not rhs:
         return [0] * len(family)
-    rows = []
-    rhs = []
-    for (i, exp) in keys:
-        rows.append([comps[i].terms.get(exp, 0) for comps in family])
-        rhs.append(target[i].terms.get(exp, 0))
-    return solve(Matrix(rows), rhs)
+    return solve(Matrix([[c[r] for c in cols] for r in range(len(rhs))]), rhs)
 
 
 def family_rank(family: Sequence[Covariant]) -> int:
     """Rank of the family as vectors of coefficient data (exact)."""
-    monomials = set()
-    for F in family:
-        for i, p in enumerate(F.components):
-            monomials.update((i, exp) for exp in p.terms)
-    keys = sorted(monomials)
-    rows = [[F.components[i].terms.get(exp, 0) for (i, exp) in keys] for F in family]
-    if not keys:
-        return 0
-    return rank(Matrix(rows))
+    rows = _coefficient_rows([F.components for F in family])
+    return rank(Matrix(rows)) if rows and rows[0] else 0
 
 
 def action_matrix_on_span(family: Sequence[Covariant], x: Sequence):
@@ -750,7 +746,7 @@ def invariant_check(
 
     def polys():
         for a in range(rep.algebra.dim):
-            yield None, _derivative_along(poly, rep.nonzero_rows[a])
+            yield None, _derivative_along(poly, _moves(nv, rep.nonzero_rows[a]))
 
     def residual(v):
         for a in range(rep.algebra.dim):

@@ -29,6 +29,7 @@ from .linalg import (
     normalize_scalar,
     rank,
     rank_and_kernel,
+    solve_all,
 )
 from .poly import CheckContext
 
@@ -506,15 +507,21 @@ def _power(r: Representation, d: int, skew: bool) -> Representation:
 
 
 def subrepresentation(r: Representation, vectors: Sequence[Sequence], label: str = "") -> Representation:
-    """Restrict to an invariant subspace, in the coordinates of `vectors`."""
-    solver = SpanSolver(vectors)
-    mats = []
+    """Restrict to an invariant subspace, in the coordinates of `vectors`.
+    The images of every basis vector under every rho_a are solved for
+    through one elimination."""
+    k = len(vectors)
+    images = [r.act_basis(a, v) for a in range(r.algebra.dim) for v in vectors]
+    found, coords = solve_all(Matrix.from_cols(vectors), images)
+    if found < k:
+        raise ValueError("basis vectors are linearly dependent")
+    cells = []
     for a in range(r.algebra.dim):
-        cols = [solver.coords(r.act_basis(a, v)) for v in vectors]
-        if any(c is None for c in cols):
+        cols = coords[a * k : (a + 1) * k]
+        if None in cols:
             raise ValueError("subspace is not invariant under basis element %d" % a)
-        mats.append(Matrix.from_cols(cols))
-    return Representation(r.algebra, mats, label=label or "sub(%s)" % (r.label or "V"))
+        cells.append([(i, j, x) for j, col in enumerate(cols) for i, x in enumerate(col)])
+    return Representation(r.algebra, cells=cells, dim_v=k, label=label or "sub(%s)" % (r.label or "V"))
 
 
 def lift_factor(prod: LieAlgebra, idx: int, rep: Representation) -> Representation:

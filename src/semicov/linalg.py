@@ -395,15 +395,24 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:
 
 def solve(m: Matrix, b: Sequence):
     """One exact solution of m x = b, or None if inconsistent."""
+    return solve_all(m, [b])[1][0]
+
+
+def solve_all(m: Matrix, rhs: Sequence[Sequence]) -> tuple[int, list]:
+    """The rank of m and one exact solution of m x = b for each b of ``rhs``
+    (None where inconsistent), all through one elimination."""
     ncols = m.ncols
-    rows = int_rows([list(r) + [bv] for r, bv in zip(m.rows, b)])[0]
+    rows = int_rows([list(r) + [b[i] for b in rhs] for i, r in enumerate(m.rows)])[0]
     pivots = _eliminate(rows, ncols, True)
-    if any(row[ncols] != 0 for row in rows[len(pivots):]):
-        return None
-    x = [0] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = rows[ri][ncols]
-    return x
+    out = []
+    for t in range(ncols, ncols + len(rhs)):
+        x = None
+        if not any(row[t] for row in rows[len(pivots):]):
+            x = [0] * ncols
+            for row, pc in zip(rows, pivots):
+                x[pc] = row[t]
+        out.append(x)
+    return len(pivots), out
 
 
 class SpanSolver:

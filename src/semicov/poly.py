@@ -1,8 +1,18 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms are stored as a dict mapping exponent tuples to nonzero coefficients
-(``int`` or ``Fraction``).  The representation is canonical, so equality and
-zero-testing are exact.
+Terms are stored in ``packed``, a dict from packed exponent keys to nonzero
+coefficients (``int`` or ``Fraction``).  A key holds the exponent vector in
+fields of ``FIELD_BITS``, variable 0 in the most significant field and the
+total degree in the lowest (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  So a
+product of terms adds their keys, a factor v_i adds ``unit_key(n, i)``, and
+sorted keys are the exponent tuples in order.  No field carries into the
+next while the total degree fits one; each operation that raises the degree
+checks that once (``check_degree``) and raises OverflowError rather than
+wrap.  ``pack``, ``unpack``, ``unit_key`` and ``field_shift`` are the one
+reading of the layout.  ``terms`` is a read-only view keyed by exponent
+tuples, and the constructor takes such a dict.  The representation is
+canonical, so equality and zero-testing are exact.
 
 Every identity check (``poly_is_zero``, the ``covariants`` checks and the
 catalog's extra rows) runs through ``identity_check``, which decides it
@@ -28,6 +38,7 @@ shows as a skipped row.  A check with no exact form samples in every mode.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -46,44 +57,118 @@ class CutoffExceeded(Exception):
     """Exact zero-testing refused; the identity is past the symbolic cutoffs."""
 
 
+FIELD_BITS = 8  # a byte: ``bytes`` packs and unpacks a key's fields
+FIELD_MASK = (1 << FIELD_BITS) - 1  # also the largest total degree a key holds
+
+
+def pack(e: Sequence[int]) -> int:
+    """The key of the exponent vector e: e_0 in the most significant field,
+    then e_1, ..., and the total degree in the lowest field."""
+    d = sum(e)
+    check_degree(d)
+    return int.from_bytes(bytes(e) + bytes((d,)), "big")  # bytes() rejects e_i < 0
+
+
+def unpack(key: int, n: int) -> bytes:
+    """The exponents e_0, ..., e_(n-1) of a key of n variables."""
+    return key.to_bytes(n + 1, "big")[:n]
+
+
+def unit_key(n: int, i: int) -> int:
+    """The key of v_i among n variables; adding it multiplies a term by v_i."""
+    return (1 << FIELD_BITS * (n - i)) | 1
+
+
+def field_shift(n: int, i: int) -> int:
+    """e_i of a key of n variables is ``key >> field_shift(n, i) & FIELD_MASK``."""
+    return FIELD_BITS * (n - i)
+
+
+def check_degree(d: int) -> None:
+    """Raise OverflowError when a term of total degree d would outgrow a field."""
+    if d > FIELD_MASK:
+        raise OverflowError("total degree %d past the %d-bit exponent field" % (d, FIELD_BITS))
+
+
+def _degrees(keys):
+    return map(FIELD_MASK.__and__, keys)
+
+
+class TermsView(Mapping):
+    """The terms of a polynomial as a read-only dict from exponent tuples to
+    coefficients, unpacked on access."""
+
+    __slots__ = ("_packed", "_n")
+
+    def __init__(self, packed: dict, n: int):
+        self._packed, self._n = packed, n
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __iter__(self):
+        return (tuple(unpack(k, self._n)) for k in self._packed)
+
+    def __getitem__(self, e):
+        try:
+            return self._packed[pack(e) if len(e) == self._n else None]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise KeyError(e) from None
+
+    def items(self):
+        return [(tuple(unpack(k, self._n)), c) for k, c in self._packed.items()]
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _wrap(num_vars: int, packed: dict) -> "MultiPoly":
+    p = object.__new__(MultiPoly)
+    p.num_vars, p.packed = num_vars, packed
+    return p
+
+
 class MultiPoly:
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "packed")
 
     def __init__(self, num_vars: int, terms: dict | None = None):
+        """``terms`` maps exponent tuples to coefficients; zeros are dropped."""
         self.num_vars = num_vars
-        clean: dict[tuple, object] = {}
+        clean: dict[int, object] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != num_vars:
                     raise ValueError("exponent tuple of wrong length")
                 c = normalize_scalar(c)
                 if c != 0:
-                    clean[tuple(e)] = c
-        self.terms = clean
+                    clean[pack(e)] = c
+        self.packed = clean
+
+    @property
+    def terms(self) -> TermsView:
+        return TermsView(self.packed, self.num_vars)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def from_packed(num_vars: int, packed: dict) -> "MultiPoly":
+        """The polynomial of a dict of packed keys, zero sums dropped."""
+        return _wrap(num_vars, {k: normalize_scalar(c) for k, c in packed.items() if c})
+
+    @staticmethod
     def zero(num_vars: int) -> "MultiPoly":
-        return MultiPoly(num_vars)
+        return _wrap(num_vars, {})
 
     @staticmethod
     def const(num_vars: int, c) -> "MultiPoly":
-        p = MultiPoly(num_vars)
         c = normalize_scalar(c)
-        if c != 0:
-            p.terms[(0,) * num_vars] = c
-        return p
+        return _wrap(num_vars, {0: c} if c != 0 else {})
 
     @staticmethod
     def variable(num_vars: int, i: int) -> "MultiPoly":
         if not 0 <= i < num_vars:
             raise ValueError("variable index out of range")
-        e = [0] * num_vars
-        e[i] = 1
-        p = MultiPoly(num_vars)
-        p.terms[tuple(e)] = 1
-        return p
+        return _wrap(num_vars, {unit_key(num_vars, i): 1})
 
     @staticmethod
     def variables(num_vars: int) -> list:
@@ -92,31 +177,26 @@ class MultiPoly:
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def degree(self):
         """Total degree; -inf for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(_degrees(self.packed), default=NEG_INF)
 
     def is_homogeneous(self, d: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        if len(degs) != 1:
-            return False
-        return d is None or degs == {d}
+        degs = set(_degrees(self.packed))
+        return len(degs) <= 1 and (d is None or degs <= {d})
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.num_vars == other.num_vars and self.terms == other.terms
+            return self.num_vars == other.num_vars and self.packed == other.packed
         if is_scalar(other):
-            return self == MultiPoly.const(self.num_vars, other)
+            t = self.packed
+            return not t if other == 0 else len(t) == 1 and t.get(0) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash((self.num_vars, frozenset(self.packed.items())))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -133,23 +213,19 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
+        out = dict(self.packed)
+        for e, c in o.packed.items():
             s = out.get(e, 0) + c
             if s == 0:
                 out.pop(e, None)
             else:
                 out[e] = normalize_scalar(s)
-        p = MultiPoly(self.num_vars)
-        p.terms = out
-        return p
+        return _wrap(self.num_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = MultiPoly(self.num_vars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _wrap(self.num_vars, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -164,31 +240,29 @@ class MultiPoly:
         return o + (-self)
 
     def __mul__(self, other):
+        """A product of terms adds their keys; the degrees of the factors
+        are checked against the field width once, before the loop."""
         if is_scalar(other):
             if other == 0:
                 return MultiPoly(self.num_vars)
-            p = MultiPoly(self.num_vars)
-            p.terms = {e: normalize_scalar(c * other) for e, c in self.terms.items()}
-            return p
+            return _wrap(self.num_vars, {e: normalize_scalar(c * other) for e, c in self.packed.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if other.num_vars != self.num_vars:
             raise ValueError("mixing polynomials from different rings")
-        a, b = self.terms, other.terms
+        a, b = self.packed, other.packed
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple, object] = {}
+        if not a:
+            return MultiPoly(self.num_vars)
+        check_degree(max(_degrees(a)) + max(_degrees(b)))
+        out: dict[int, object] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        p = MultiPoly(self.num_vars)
-        p.terms = {e: normalize_scalar(c) for e, c in out.items()}
-        return p
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+        return MultiPoly.from_packed(self.num_vars, out)
 
     __rmul__ = __mul__
 
@@ -213,26 +287,22 @@ class MultiPoly:
     # -- calculus and substitution ---------------------------------------
 
     def partial(self, i: int) -> "MultiPoly":
-        out: dict[tuple, object] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[i] = k - 1
-            out[tuple(ne)] = normalize_scalar(c * k)
-        p = MultiPoly(self.num_vars)
-        p.terms = out
-        return p
+        shift, u = field_shift(self.num_vars, i), unit_key(self.num_vars, i)
+        out: dict[int, object] = {}
+        for e, c in self.packed.items():
+            k = e >> shift & FIELD_MASK
+            if k:
+                out[e - u] = normalize_scalar(c * k)
+        return _wrap(self.num_vars, out)
 
     def evaluate(self, point: Sequence):
         """Exact evaluation at a point of scalars."""
         if len(point) != self.num_vars:
             raise ValueError("point of wrong length")
         acc = 0
-        for e, c in self.terms.items():
+        for e, c in self.packed.items():
             t = c
-            for x, k in zip(point, e):
+            for x, k in zip(point, unpack(e, self.num_vars)):
                 if k:
                     t = t * x**k
             acc = acc + t
@@ -248,9 +318,9 @@ class MultiPoly:
         ]
         powers: dict[tuple[int, int], MultiPoly] = {}  # (i, k) -> images[i]^k
         acc = MultiPoly(num_vars_out)
-        for e, c in self.terms.items():
+        for e, c in self.packed.items():
             t = MultiPoly.const(num_vars_out, c)
-            for i, k in enumerate(e):
+            for i, k in enumerate(unpack(e, self.num_vars)):
                 if k:
                     if (i, k) not in powers:
                         powers[i, k] = imgs[i] ** k
@@ -266,29 +336,30 @@ class MultiPoly:
             raise ValueError("no variables")
         nv = self.num_vars - 1
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = e[-1]
-            buckets.setdefault(k, {})[e[:-1]] = c
+        for e, c in self.packed.items():
+            *rest, k = unpack(e, self.num_vars)
+            buckets.setdefault(k, {})[pack(rest)] = c
         top = max(buckets) if buckets else -1
-        return [MultiPoly(nv, buckets.get(i)) for i in range(top + 1)]
+        return [_wrap(nv, buckets.get(i, {})) for i in range(top + 1)]
 
     # -- display ----------------------------------------------------------
 
     def __repr__(self):
-        return "MultiPoly(%d vars, %d terms)" % (self.num_vars, len(self.terms))
+        return "MultiPoly(%d vars, %d terms)" % (self.num_vars, len(self.packed))
 
     def __str__(self):
         return self.pretty()
 
     def pretty(self, names: Sequence[str] | None = None) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         if names is None:
             names = ["v%d" % i for i in range(self.num_vars)]
         parts = []
-        for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0])):
+        # sorted keys are the exponent tuples in order
+        for e, c in sorted(self.packed.items(), key=lambda t: (-(t[0] & FIELD_MASK), t[0])):
             factors = []
-            for i, k in enumerate(e):
+            for i, k in enumerate(unpack(e, self.num_vars)):
                 if k == 1:
                     factors.append(names[i])
                 elif k > 1:

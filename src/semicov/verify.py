@@ -211,26 +211,13 @@ def _check_construction_audit(cons: Construction) -> dict:
     degs = tuple(F.degree for F in cons.family)
     if degs != exp.degrees:
         problems.append("degrees %s != expected %s" % (degs, exp.degrees))
-    dim_g = cons.algebra.dim
-    if exp.quotient_dim != exp.dim_v - dim_g + exp.rank:
-        problems.append(
-            "quotient dim %d != dim V - dim g + l = %d"
-            % (exp.quotient_dim, exp.dim_v - dim_g + exp.rank)
-        )
-    computed = [
-        ("dim_v", exp.dim_v),
-        ("l", exp.rank),
-        ("q", exp.quotient_degree),
-        ("degrees", exp.degrees),
-        ("audit", exp.audit_verdict),
-        ("quotient_dim", exp.quotient_dim),
-    ]
-    detail = "dim V=%d, l=%d, q=%d, degrees=%s" % (
-        exp.dim_v,
-        exp.rank,
-        exp.quotient_degree,
-        ",".join(str(d) for d in exp.degrees),
-    )
+    want = exp.dim_v - cons.algebra.dim + exp.rank
+    if exp.quotient_dim != want:
+        problems.append("quotient dim %d != dim V - dim g + l = %d" % (exp.quotient_dim, want))
+    computed = [("dim_v", exp.dim_v), ("l", exp.rank), ("q", exp.quotient_degree), ("degrees", exp.degrees),
+                ("audit", exp.audit_verdict), ("quotient_dim", exp.quotient_dim)]
+    degrees = ",".join(str(d) for d in exp.degrees)
+    detail = "dim V=%d, l=%d, q=%d, degrees=%s" % (exp.dim_v, exp.rank, exp.quotient_degree, degrees)
     return _audit_row("check", cons.entry_id, cons.params, problems, computed, "computed", detail)
 
 
@@ -255,19 +242,12 @@ def _check_gs(cons: Construction, sample: list) -> dict:
             witness = ("stabiliser not closed under bracket", v)
             break
     if best != cons.expected.rank:
-        return _row(
-            "gs_dimension_toral",
-            "fail",
-            detail="sampled generic stabiliser dim %s != %d" % (best, cons.expected.rank),
-            witness=sample[0][0],
-        )
+        detail = "sampled generic stabiliser dim %s != %d" % (best, cons.expected.rank)
+        return _row("gs_dimension_toral", "fail", detail=detail, witness=sample[0][0])
     if witness is not None:
         return _row("gs_dimension_toral", "fail", witness=witness)
-    return _row(
-        "gs_dimension_toral",
-        "sampled-pass",
-        detail="dim %d, abelian at all %d minimal-dimension samples" % (best, len(sample)),
-    )
+    detail = "dim %d, abelian at all %d minimal-dimension samples" % (best, len(sample))
+    return _row("gs_dimension_toral", "sampled-pass", detail=detail)
 
 
 def _check_quotient_estimate(cons: Construction, sample: list) -> dict:
@@ -275,16 +255,10 @@ def _check_quotient_estimate(cons: Construction, sample: list) -> dict:
     rep = cons.module
     est = rep.dim_v - rep.algebra.dim + min(s.dim for _, s in sample)
     if est != cons.expected.quotient_dim:
-        return _row(
-            "quotient_dim_estimate",
-            "fail",
-            detail="sampled estimate %d != expected %d" % (est, cons.expected.quotient_dim),
-        )
-    return _row(
-        "quotient_dim_estimate",
-        "sampled-pass",
-        detail="dim V - max orbit rank = %d over %d samples" % (est, len(sample)),
-    )
+        detail = "sampled estimate %d != expected %d" % (est, cons.expected.quotient_dim)
+        return _row("quotient_dim_estimate", "fail", detail=detail)
+    detail = "dim V - max orbit rank = %d over %d samples" % (est, len(sample))
+    return _row("quotient_dim_estimate", "sampled-pass", detail=detail)
 
 
 def _check_independence(cons: Construction, sample: list) -> dict:
@@ -292,34 +266,20 @@ def _check_independence(cons: Construction, sample: list) -> dict:
     for v, _ in sample:
         r = independence_rank_at(cons.family, v)
         if r == want:
-            return _row(
-                "independence_generic",
-                "sampled-pass",
-                detail="values span rank %d at a sampled point" % want,
-            )
-    return _row(
-        "independence_generic",
-        "fail",
-        detail="rank %s < %d at every sampled point" % (r, want),
-        witness=v,
-    )
+            detail = "values span rank %d at a sampled point" % want
+            return _row("independence_generic", "sampled-pass", detail=detail)
+    detail = "rank %s < %d at every sampled point" % (r, want)
+    return _row("independence_generic", "fail", detail=detail, witness=v)
 
 
 def _check_witness_exact(cons: Construction) -> dict:
     r = independence_rank_at(cons.family, cons.witness)
     want = len(cons.family)
     if r != want:
-        return _row(
-            "independence_witness_exact",
-            "fail",
-            detail="rank %d != %d at the designated witness" % (r, want),
-            witness=cons.witness,
-        )
-    return _row(
-        "independence_witness_exact",
-        "pass",
-        detail="rank %d at the designated exact witness point" % want,
-    )
+        detail = "rank %d != %d at the designated witness" % (r, want)
+        return _row("independence_witness_exact", "fail", detail=detail, witness=cons.witness)
+    detail = "rank %d at the designated exact witness point" % want
+    return _row("independence_witness_exact", "pass", detail=detail)
 
 
 def _check_kernel_span(cons: Construction, sample: list) -> dict:
@@ -327,30 +287,20 @@ def _check_kernel_span(cons: Construction, sample: list) -> dict:
     if not rep_report.contained:
         return _row("kernel_span", "fail", detail="value outside the stabiliser", witness=rep_report.witness)
     if not rep_report.spans_generically:
-        return _row(
-            "kernel_span",
-            "fail",
-            detail="values do not span the stabiliser at minimal-dimension points",
-            witness=rep_report.samples,
-        )
-    return _row(
-        "kernel_span",
-        "sampled-pass",
-        detail="values span the %d-dim stabiliser at all %d generic samples"
-        % (rep_report.generic_stab_dim, len(sample)),
-    )
+        detail = "values do not span the stabiliser at minimal-dimension points"
+        return _row("kernel_span", "fail", detail=detail, witness=rep_report.samples)
+    detail = "values span the %d-dim stabiliser at all %d generic samples" % (
+        rep_report.generic_stab_dim, len(sample))
+    return _row("kernel_span", "sampled-pass", detail=detail)
 
 
 def _check_degree_audit(cons: Construction) -> dict:
     exp = cons.expected
     audit = degree_audit(exp.degrees, exp.dim_v, exp.quotient_degree)
     if audit.verdict != exp.audit_verdict:
-        return _row(
-            "degree_audit",
-            "fail",
-            detail="computed %s, expected %s" % (audit.verdict, exp.audit_verdict),
-            witness={"sum_degrees": audit.total, "codim": audit.codim},
-        )
+        detail = "computed %s, expected %s" % (audit.verdict, exp.audit_verdict)
+        witness = {"sum_degrees": audit.total, "codim": audit.codim}
+        return _row("degree_audit", "fail", detail=detail, witness=witness)
     detail = "sum deg = %d, dim V - q = %d (%s" % (audit.total, audit.codim, audit.verdict)
     if audit.verdict == "surplus":
         detail += " %d" % audit.surplus
@@ -362,20 +312,12 @@ def _check_bookkeeping(cons: Construction) -> dict:
     exp = cons.expected
     if exp.audit_verdict != "equality":
         audit = degree_audit(exp.degrees, exp.dim_v, exp.quotient_degree)
-        return _row(
-            "bq_bookkeeping",
-            "skipped",
-            detail="identity applies to equality entries; this instantiation has surplus %d"
-            % audit.surplus,
-        )
+        detail = "identity applies to equality entries; this instantiation has surplus %d" % audit.surplus
+        return _row("bq_bookkeeping", "skipped", detail=detail)
     lhs = exp.quotient_degree + sum(d + 1 for d in exp.degrees)
     rhs = exp.dim_v + exp.rank
     if lhs != rhs:
-        return _row(
-            "bq_bookkeeping",
-            "fail",
-            detail="q + sum(deg+1) = %d != dim V + l = %d" % (lhs, rhs),
-        )
+        return _row("bq_bookkeeping", "fail", detail="q + sum(deg+1) = %d != dim V + l = %d" % (lhs, rhs))
     return _row("bq_bookkeeping", "pass", detail="q + sum(deg+1) = %d = dim V + l" % lhs)
 
 
@@ -384,55 +326,33 @@ def _check_kirillov_even(q: SemidirectProduct, est) -> dict:
     for eta, r in est.ranks:
         if r % 2:
             return _row("kirillov_even", "fail", witness=DualPoint(eta[: q.dim_g], eta[q.dim_g :]))
-    return _row(
-        "kirillov_even", "sampled-pass", detail="form rank even at %d sampled points" % len(est.ranks)
-    )
+    detail = "form rank even at %d sampled points" % len(est.ranks)
+    return _row("kirillov_even", "sampled-pass", detail=detail)
 
 
 def _check_index(est) -> dict:
     if est.stabilised:
-        return _row(
-            "index_stabilized",
-            "sampled-pass",
-            detail="ind q = %d, stable across two disjoint batches" % est.index,
-        )
-    return _row(
-        "index_stabilized",
-        "fail",
-        detail="index estimate did not stabilise (max rank %d)" % est.max_rank,
-    )
+        detail = "ind q = %d, stable across two disjoint batches" % est.index
+        return _row("index_stabilized", "sampled-pass", detail=detail)
+    detail = "index estimate did not stabilise (max rank %d)" % est.max_rank
+    return _row("index_stabilized", "fail", detail=detail)
 
 
 def _check_b_of_q(q: SemidirectProduct, cons: Construction, est) -> dict:
     b = Fraction(q.dim + est.index, 2)
     want = cons.expected.dim_v + cons.expected.rank
     if b != want:
-        return _row(
-            "b_of_q",
-            "fail",
-            detail="(dim q + ind q)/2 = %s != dim V + l = %d" % (b, want),
-        )
+        return _row("b_of_q", "fail", detail="(dim q + ind q)/2 = %s != dim V + l = %d" % (b, want))
     return _row("b_of_q", "sampled-pass", detail="(dim q + ind q)/2 = %s = dim V + l" % b)
 
 
 def _check_rais(q: SemidirectProduct, ctx: CheckContext, sample: list, est) -> dict:
     rep = rais_consistency(q, sample, est, ctx)
     if not rep.consistent:
-        return _row(
-            "rais_consistency",
-            "fail",
-            witness={
-                "dim_v": rep.dim_v,
-                "dim_g": rep.dim_g,
-                "stab_dim": rep.stab_dim,
-                "stab_index": rep.stab_index,
-                "index_q": rep.index_q,
-            },
-        )
-    detail = "ind q = dim V - dim g + dim g_x + ind g_x = %d (stabiliser %s)" % (
-        rep.index_q,
-        "abelian" if rep.stab_abelian else "non-abelian",
-    )
+        keys = ("dim_v", "dim_g", "stab_dim", "stab_index", "index_q")
+        return _row("rais_consistency", "fail", witness={k: getattr(rep, k) for k in keys})
+    stab = "abelian" if rep.stab_abelian else "non-abelian"
+    detail = "ind q = dim V - dim g + dim g_x + ind g_x = %d (stabiliser %s)" % (rep.index_q, stab)
     verdict = "sampled-pass" if rep.stabilised else "fail"
     return _row("rais_consistency", verdict, detail=detail)
 
@@ -449,21 +369,16 @@ def _table_comparison(report: dict, cons: Construction) -> dict:
             item["reason"] = "row is pinned to %s" % _param_str(link.pinned)
             comparisons.append(item)
             continue
-        below = [
-            "%s >= %d" % (k, v) for k, v in (link.minimum or {}).items() if params.get(k, v) < v
-        ]
+        below = ["%s >= %d" % (k, v) for k, v in (link.minimum or {}).items() if params.get(k, v) < v]
         if below:
             item["status"] = "skipped"
             item["reason"] = "row applies for %s" % ", ".join(below)
             comparisons.append(item)
             continue
         want = link.values(params) if link.values else {}
-        got_map = {
-            "l": cons.expected.rank,
-            "dim_v": cons.expected.dim_v,
-            "q": cons.expected.quotient_degree,
-            "quotient_dim": cons.expected.quotient_dim,
-        }
+        exp = cons.expected
+        got_map = {"l": exp.rank, "dim_v": exp.dim_v, "q": exp.quotient_degree,
+                   "quotient_dim": exp.quotient_dim}
         compared = {}
         bad = []
         for key, val in want.items():
@@ -481,12 +396,9 @@ def _table_comparison(report: dict, cons: Construction) -> dict:
     if not comparisons:
         return _row("table_row_comparison", "skipped", detail="no table rows reference this entry")
     if mismatch:
-        return _row(
-            "table_row_comparison",
-            "fail",
-            detail="printed table values differ from computed ones",
-            witness=[c for c in comparisons if c["status"] == "mismatch"],
-        )
+        witness = [c for c in comparisons if c["status"] == "mismatch"]
+        detail = "printed table values differ from computed ones"
+        return _row("table_row_comparison", "fail", detail=detail, witness=witness)
     n_match = sum(1 for c in comparisons if c["status"] == "match")
     n_skip = len(comparisons) - n_match
     detail = "%d row(s) match" % n_match

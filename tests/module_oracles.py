@@ -6,7 +6,8 @@ action matrices the textbook way, one Matrix per basis element of the
 algebra: Kronecker products for the tensor product, block-diagonal matrices
 for the direct sum, the negated transpose for the dual, the derivation
 action scanned over every row index for symmetric and exterior powers, and
-the slot action applied to every unit vector of V.  Tests compare them with
+the slot action applied to every unit vector of V, and a subrepresentation
+solved one image at a time.  Tests compare them with
 ``Representation.action``.
 """
 
@@ -16,7 +17,7 @@ import itertools
 
 from semicov.catalog.support import MatrixPairModule
 from semicov.lie import Representation
-from semicov.linalg import Matrix, block_diag, normalize_scalar
+from semicov.linalg import Matrix, SpanSolver, block_diag, normalize_scalar
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -84,3 +85,16 @@ def matrix_pair_action(mod: MatrixPairModule, fields) -> list[Matrix]:
         Matrix.from_cols([mod.encode(fields(s, mod.decode(u))) for u in units])
         for s in mod.rep.algebra.basis
     ]
+
+
+def subrepresentation(r: Representation, vectors) -> list[Matrix]:
+    """Column j of matrix a holds the coordinates of rho_a(vectors[j]), one
+    ``SpanSolver.coords`` solve per image."""
+    solver = SpanSolver(vectors)
+    mats = []
+    for a in range(r.algebra.dim):
+        cols = [solver.coords(r.act_basis(a, v)) for v in vectors]
+        if any(c is None for c in cols):
+            raise ValueError("subspace is not invariant under basis element %d" % a)
+        mats.append(Matrix.from_cols(cols))
+    return mats

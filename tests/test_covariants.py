@@ -17,7 +17,10 @@ Oracles used here:
   forms on V that both modes use; the gradient form built from
   ``lift_gradient_at``; and ``sympy.diff`` of the components (dual-number
   derivatives), on catalog modules with random non-kernel component
-  covariants.
+  covariants;
+* for the two kernels that rewrite packed exponent keys term by term,
+  ``_derivative_along`` and ``_phi_expansion``: their exponent-tuple forms
+  in ``poly_oracles``, term for term.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 import pytest
 
 import semicov.covariants as covariants
+import semicov.poly as poly
 from semicov.covariants import (
     Covariant,
     _algebra_matrix,
@@ -64,6 +68,7 @@ from semicov.linalg import Matrix
 from semicov.poly import CheckContext, CutoffExceeded, MultiPoly
 from semicov.semidirect import SemidirectProduct
 
+import poly_oracles
 from lift_oracles import (
     lift_change_polynomial,
     lift_polynomial,
@@ -833,3 +838,77 @@ def test_phi_forms_no_polynomial_product(monkeypatch):
     for F in cons.family:
         assert all(p.is_zero() for p in phi_polys(F))
     assert calls == []
+
+
+# -- packed-key kernels, against the exponent-tuple oracle -------------------
+
+
+def _ex61_with_randoms(count: int = 2) -> list[Covariant]:
+    cons = build_construction(get_entry("ex6.1"), {"n": 4})
+    rng = random.Random("packed-ex6.1")
+    randoms = [random_covariant(cons.module, rng, "R%d" % k) for k in range(count)]
+    return list(cons.family) + randoms
+
+
+def _directions(dim: int, rng: random.Random) -> list[list]:
+    """Every basis element, then a random combination with Fraction entries."""
+    mixed = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim)]
+    return [_unit(dim, a) for a in range(dim)] + [mixed]
+
+
+def _same_terms(got: MultiPoly, want) -> None:
+    assert got.num_vars == want.num_vars
+    assert {e: (type(c), c) for e, c in got.terms.items()} == {
+        e: (type(c), c) for e, c in want.terms.items()
+    }
+
+
+@pytest.mark.parametrize("entry", ["ex6.1", "ex5.1", "ex-adjoint"])
+def test_act_and_phi_match_tuple_oracle_term_for_term(entry):
+    """act_on_components and phi_polys against the bracket minus the tuple
+    oracle's derivative, and against its phi expansion, on the family and
+    on random Fraction covariants (ex6.1 at n=4)."""
+    if entry == "ex6.1":
+        family = _ex61_with_randoms()
+    else:
+        cons = build_construction(get_entry(entry))
+        family = list(cons.family) + [random_covariant(cons.module, random.Random(entry), "R")]
+    rng = random.Random("packed-" + entry)
+    for F in family:
+        rep, nv = F.rep, F.rep.dim_v
+        for x in _directions(rep.algebra.dim, rng):
+            rows = poly_oracles.operator_rows(rep, x)
+            bracket = rep.algebra.bracket_coords(list(x), F.components)
+            for got, b, comp in zip(act_on_components(F, x), bracket, F.components):
+                want = poly_oracles.TuplePoly.of(covariants._as_poly(b, nv))
+                _same_terms(got, want - poly_oracles.derivative_along(comp, rows))
+        for got, want in zip(phi_polys(F), poly_oracles.phi_expansion(rep, F.components)):
+            _same_terms(got, want)
+
+
+def test_kernels_build_no_exponent_tuples(monkeypatch):
+    """``_derivative_along`` and ``_phi_expansion`` add and mask int keys:
+    with every tuple reading of the layout disabled they give the same
+    terms as the oracle."""
+    family = _ex61_with_randoms()
+    rep = family[0].rep
+    x = _directions(rep.algebra.dim, random.Random("no-tuples"))[-1]
+    rows = poly_oracles.operator_rows(rep, x)
+    moves = covariants._operator_rows(rep, x)
+    want_d = [[poly_oracles.derivative_along(p, rows) for p in F.components] for F in family]
+    want_phi = [poly_oracles.phi_expansion(rep, F.components) for F in family]
+
+    def refused(*args):
+        raise AssertionError("exponent tuple built")
+
+    for name in ("pack", "unpack"):
+        monkeypatch.setattr(poly, name, refused)
+        monkeypatch.setattr(covariants, name, refused, raising=False)
+    monkeypatch.setattr(MultiPoly, "terms", property(refused))
+    got_d = [[covariants._derivative_along(p, moves) for p in F.components] for F in family]
+    got_phi = [covariants._phi_expansion(rep, F.components) for F in family]
+    monkeypatch.undo()
+    for got, want in zip(got_d + got_phi, want_d + want_phi):
+        for g, w in zip(got, want):
+            _same_terms(g, w)
+    assert any(not p.is_zero() for polys in got_d + got_phi for p in polys)

@@ -4,19 +4,22 @@
 library did before it stored only nonzero action entries.  The modules
 here are ones the construction digest does not cover: both tensor factors
 acting, duals of duals, Fraction entries (sp_4 of a custom skew form),
-degree-3 powers, and matrix-slot modules over custom-form so and sp.
-The count tests fix the cost of a build without a clock: a slot module
-calls its ``fields`` once per basis element, and the sparse builders
-construct no ``Matrix``.
+degree-3 powers, matrix-slot modules over custom-form so and sp, and
+subrepresentations.  The count tests fix the cost of a build without a
+clock: a slot module calls its ``fields`` once per basis element, the
+sparse builders construct no ``Matrix``, and a subrepresentation runs one
+elimination.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import module_oracles as oracle
+import semicov.linalg as linalg
 from semicov.catalog.support import SKEW, SYM, MatrixPairModule, left_right_fields
 from semicov.lie import (
     Representation,
@@ -29,6 +32,7 @@ from semicov.lie import (
     sl,
     so,
     sp,
+    subrepresentation,
     sym_power,
     tensor,
 )
@@ -101,6 +105,44 @@ def test_matrix_pair_module_matches_unit_loop(shape):
         assert typed(mod.rep.action) == typed([m.map(normalize_scalar) for m in want])
 
 
+def _phi2_sp6() -> tuple:
+    """The second exterior power of Sp_6 and a basis of its 14-dim summand,
+    as ``catalog.tables`` builds them."""
+    r = ext_power(defining(sp(6)), 2)
+    pairs = list(itertools.combinations(range(6), 2))
+    form_pairs = [(0, 3), (1, 4), (2, 5)]
+    vectors = [[Fraction(q == p) for q in pairs] for p in pairs if p not in form_pairs]
+    for a, b in ((0, 1), (1, 2)):
+        vectors.append([Fraction((q == form_pairs[a]) - (q == form_pairs[b])) for q in pairs])
+    return r, vectors
+
+
+def _diagonal_sp4() -> tuple:
+    """The diagonal copy of sp(4, form) in its square, on a Fraction basis."""
+    r = _sp4()
+    rows = [[1, Fraction(1, 2), 0, 0], [0, 1, -3, 0], [0, 0, 1, Fraction(2, 3)], [1, 0, 0, 1]]
+    return direct_sum(r, r), [row + row for row in rows]
+
+
+@pytest.mark.parametrize("build", [_phi2_sp6, _diagonal_sp4], ids=["phi2_sp6", "diagonal_sp4"])
+def test_subrepresentation_matches_one_solve_per_image(build):
+    r, vectors = build()
+    sub = subrepresentation(r, vectors)
+    assert sub.dim_v == len(vectors)
+    assert typed(sub.action) == typed(oracle.subrepresentation(r, vectors))
+
+
+def test_subrepresentation_rejects_non_invariant_and_dependent_vectors():
+    r, vectors = _diagonal_sp4()
+    plane = [row[:4] + [0] * 4 for row in vectors[:2]]  # sp4 acts irreducibly
+    with pytest.raises(ValueError, match="not invariant"):
+        subrepresentation(r, plane)
+    with pytest.raises(ValueError, match="not invariant"):
+        oracle.subrepresentation(r, plane)
+    with pytest.raises(ValueError, match="dependent"):
+        subrepresentation(r, vectors[:3] + [[2 * x for x in vectors[0]]])
+
+
 def test_kron_oracle():
     a = Matrix([[1, 2], [3, 4]])
     k = oracle.kron(a, Matrix.identity(2))
@@ -168,3 +210,23 @@ def test_sparse_builders_construct_no_matrix(monkeypatch):
     sym_power(r, 3)
     ext_power(r, 2)
     assert built == []
+
+
+def test_subrepresentation_runs_one_elimination(monkeypatch):
+    """One elimination solves every image; no per-image solve, and no
+    Matrix but the one of the spanning vectors."""
+    r, vectors = _phi2_sp6()
+    calls = []
+
+    def counted(name, inner):
+        def call(*a, **k):
+            calls.append(name)
+            return inner(*a, **k)
+
+        return call
+
+    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", linalg._eliminate))
+    monkeypatch.setattr(linalg.SpanSolver, "coords", counted("coords", linalg.SpanSolver.coords))
+    monkeypatch.setattr(Matrix, "__init__", counted("matrix", Matrix.__init__))
+    subrepresentation(r, vectors)
+    assert sorted(calls) == ["eliminate", "matrix"]
