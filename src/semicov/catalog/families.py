@@ -56,6 +56,7 @@ from ..linalg import (
     char_poly,
     det,
     inverse,
+    minor_skew,
     rank,
 )
 from ..poly import CheckContext, MultiPoly, identity_check
@@ -65,7 +66,6 @@ from .support import (
     MatrixPairModule,
     diag_block,
     left_right_fields,
-    minor_skew,
     traceless_part,
 )
 
@@ -353,8 +353,6 @@ def tri_sl_construction(n: int) -> Construction:
     widths = _tri_lambda_covariants(mod, n)
     family = widths[: n - 1]
     top = widths[n - 1]
-    for i, F in enumerate(family):
-        F.degree = n
     sl_scope = list(range(galg.factors[2].basis_offset))
     sl2_scope = list(galg.factor_basis_range(2))
     e_idx, f_idx, h_idx = sl2_scope[0], sl2_scope[1], sl2_scope[2]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ..lie import LieAlgebra, Representation
-from ..linalg import Matrix, det, rank
+from ..linalg import Matrix, rank
 from ..poly import CheckContext, MultiPoly
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "diag_block",
     "left_right_fields",
     "traceless_part",
-    "minor_skew",
     "SYM",
     "SKEW",
 ]
@@ -127,28 +126,6 @@ def _linear_terms(e) -> list:
     if e == 0:
         return []
     raise ValueError("fields must be linear in the slots; got image entry %s" % e)
-
-
-# -- minor covariants --------------------------------------------------------
-
-
-def minor_skew(m: Matrix) -> Matrix:
-    """Skew matrix of signed maximal minors, indexed by deleted column pairs.
-
-    For a 2k by (2k+2) matrix the (i, j) entry with i < j is
-    (-1)^(i+j) det(m with columns i and j removed).  Row pairs are the
-    column pairs of ``m.transpose()``.
-    """
-    n = m.ncols
-    out = Matrix.zeros(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = det(m.delete_cols([i, j]))
-            if (i + j) % 2:
-                val = -val
-            out.rows[i][j] = val
-            out.rows[j][i] = -val
-    return out
 
 
 def quotient_dim_estimate(rep: Representation, ctx: CheckContext = CheckContext()) -> int:

@@ -105,37 +105,27 @@ def _two_factor_pairs_module(params: dict) -> Representation:
     return MatrixPairModule(galg, shapes, left_right_fields(galg), label="pairs(%d)" % n).rep
 
 
-def _sl6_ext2() -> Representation:
-    return ext_power(defining(sl(6)), 2)
+def _ext2(g: LieAlgebra) -> Representation:
+    return ext_power(defining(g), 2)
+
+
+def _sym(k: int) -> Callable[[LieAlgebra], Representation]:
+    return lambda g: sym_power(defining(g), k)
 
 
 def _sl6_two_ext2_plus_dual(params: dict) -> Representation:
-    r = _sl6_ext2()
+    r = _ext2(sl(6))
     return direct_sum(r, r, dual(r))
 
 
 def _sl6_three_ext2(params: dict) -> Representation:
-    r = _sl6_ext2()
+    r = _ext2(sl(6))
     return direct_sum(r, r, r)
 
 
-def _sl6_sl3_module(params: dict) -> Representation:
-    galg = product(sl(6), sl(3))
-    r0 = lift_factor(galg, 0, ext_power(defining(galg.factors[0].algebra), 2))
-    r1 = lift_factor(galg, 1, defining(galg.factors[1].algebra))
-    return tensor(r0, r1)
-
-
-def _sl6_sl2_module(params: dict) -> Representation:
-    galg = product(sl(6), sl(2))
-    r0 = lift_factor(galg, 0, ext_power(defining(galg.factors[0].algebra), 2))
-    r1 = lift_factor(galg, 1, sym_power(defining(galg.factors[1].algebra), 2))
-    return tensor(r0, r1)
-
-
-def _sp6_phi2(g6: LieAlgebra | None = None) -> Representation:
+def _sp6_phi2(g6: LieAlgebra) -> Representation:
     """The 14-dimensional summand of the second exterior power of Sp_6."""
-    r = ext_power(defining(g6 if g6 is not None else sp(6)), 2)
+    r = _ext2(g6)
     pairs = list(itertools.combinations(range(6), 2))
     form_pairs = [(0, 3), (1, 4), (2, 5)]  # pairs with J(e_i, e_j) = 1
     vectors = [[Fraction(q == p) for q in pairs] for p in pairs if p not in form_pairs]
@@ -145,22 +135,21 @@ def _sp6_phi2(g6: LieAlgebra | None = None) -> Representation:
 
 
 def _sp6_two_phi2(params: dict) -> Representation:
-    r = _sp6_phi2()
+    r = _sp6_phi2(sp(6))
     return direct_sum(r, r)
 
 
-def _sp6_sl2_module(params: dict) -> Representation:
-    galg = product(sp(6), sl(2))
-    r0 = lift_factor(galg, 0, _sp6_phi2(galg.factors[0].algebra))
-    r1 = lift_factor(galg, 1, defining(galg.factors[1].algebra))
-    return tensor(r0, r1)
+def _two_factor_module(*factors) -> Callable[[dict], Representation]:
+    """Builder of the tensor product, over g_0 x g_1, of one module of each
+    factor; ``factors`` are (algebra builder, its size, module of the
+    algebra) for g_0 and g_1."""
 
+    def build(params: dict) -> Representation:
+        galg = product(*(alg(n) for alg, n, _ in factors))
+        return tensor(*(lift_factor(galg, i, mod(galg.factors[i].algebra))
+                        for i, (*_, mod) in enumerate(factors)))
 
-def _sl4_sl2_module(params: dict) -> Representation:
-    galg = product(sl(4), sl(2))
-    r0 = lift_factor(galg, 0, ext_power(defining(galg.factors[0].algebra), 2))
-    r1 = lift_factor(galg, 1, sym_power(defining(galg.factors[1].algebra), 3))
-    return tensor(r0, r1)
+    return build
 
 
 # -- the rows -----------------------------------------------------------------
@@ -216,11 +205,11 @@ _ROWS: list[TableRow] = [
     ),
     _row(
         1, "3a", "SL_6 x SL_3", "phi2 phi1'", "45", "3", "36", "yes", "yes",
-        module_spec=_toral_row(_sl6_sl3_module, 45, 3),
+        module_spec=_toral_row(_two_factor_module((sl, 6, _ext2), (sl, 3, defining)), 45, 3),
     ),
     _row(
         1, "3b", "SL_6 x SL_2", "phi2 phi'^2", "45", "8", "36", "no", "no",
-        module_spec=_toral_row(_sl6_sl2_module, 45, 8),
+        module_spec=_toral_row(_two_factor_module((sl, 6, _ext2), (sl, 2, _sym(2))), 45, 8),
     ),
     _row(
         1, "3c", "SL_6", "3phi2", "45", "11", "36", "yes", "no",
@@ -228,7 +217,7 @@ _ROWS: list[TableRow] = [
     ),
     _row(
         1, "4a", "Sp_6 x SL_2", "phi2 phi'", "28", "5", "22", "no", "no",
-        module_spec=_toral_row(_sp6_sl2_module, 28, 5),
+        module_spec=_toral_row(_two_factor_module((sp, 6, _sp6_phi2), (sl, 2, defining)), 28, 5),
     ),
     _row(
         1, "4b", "Sp_6", "2phi2", "28", "8", "22", "yes", "yes",
@@ -236,7 +225,7 @@ _ROWS: list[TableRow] = [
     ),
     _row(
         1, "5", "SL_4 x SL_2", "phi2 phi'^3", "24", "7", "20", "no", "no",
-        module_spec=_toral_row(_sl4_sl2_module, 24, 7),
+        module_spec=_toral_row(_two_factor_module((sl, 4, _ext2), (sl, 2, _sym(3))), 24, 7),
     ),
     # Table 2
     _row(

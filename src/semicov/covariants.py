@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .lie import Representation, Subspace
-from .linalg import Matrix, normalize_scalar, rank, solve
+from .linalg import Matrix, normalize_scalar, power, rank, solve
 from .poly import (  # noqa: F401 (re-export)
     FIELD_MASK, CheckContext, MultiPoly, ZeroCheck, check_degree, field_shift, identity_check, resolve_mode,
     unit_key,
@@ -193,14 +193,7 @@ class _Dual:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        out = _Dual(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, lambda: _Dual(1))
 
     def __eq__(self, other):
         if isinstance(other, _Dual):

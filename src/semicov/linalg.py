@@ -5,19 +5,22 @@ ring element supporting ``+``, ``-``, ``*`` (polynomials).  Every routine here
 is exact: no floating point anywhere.  Rank and kernel computations require
 scalar (rational) entries; determinants, adjugates and characteristic
 polynomials also accept symbolic entries.  Rank, kernel, solve, span
-coordinates, inverse and scalar determinant share one fraction-free
-elimination on integer rows; a Fraction appears only when a pivot row is
-finally divided by its pivot.  Rank eliminates the shorter of m and its
-transpose; rank and scalar det, which need only the echelon shape, pivot on
-the entry of least absolute value, while kernel, solve, span coordinates
-and inverse keep the first nonzero entry and so their canonical rows.
+coordinates and scalar determinant share one fraction-free elimination on
+integer rows, and ``inverse`` is ``solve_all`` on the identity columns; a
+Fraction appears only when a pivot row is finally divided by its pivot.
+Rank eliminates the shorter of m and its transpose; rank and scalar det,
+which need only the echelon shape, pivot on the entry of least absolute
+value, while kernel, solve, span coordinates and inverse keep the first
+nonzero entry and so their canonical rows.
 The one other elimination, ``skew_rank``, ranks skew-symmetric matrices
 (Kirillov forms): no row-echelon order can use the symmetry, while each of
 its 2x2 pivot blocks removes two indices and updates only the upper
-triangle, about a quarter of the element operations.  Symbolic determinants
-and adjugates (every order, every ring) read one memoised minor expansion;
-characteristic polynomials use the Faddeev-LeVerrier loop.  ``block_diag``
-is the one block-diagonal assembly: product algebras, catalog covariants.
+triangle, about a quarter of the element operations.  Symbolic
+determinants, adjugates and ``minor_skew`` (every order, every ring) read
+one memoised minor table, ``_minors``; characteristic polynomials use the
+Faddeev-LeVerrier loop.  ``power`` is the one repeated-squaring loop, for
+matrices, polynomials and dual numbers.  ``block_diag`` is the one
+block-diagonal assembly: product algebras, catalog covariants.
 """
 
 from __future__ import annotations
@@ -144,20 +147,7 @@ class Matrix:
     def __pow__(self, exponent: int) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("matrix power needs a non-negative integer")
-        if exponent == 0:
-            return Matrix.identity(self.nrows)
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, exponent, lambda: Matrix.identity(self.nrows))
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product."""
@@ -198,10 +188,6 @@ class Matrix:
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "Matrix":
         return Matrix([[self.rows[i][j] for j in keep_cols] for i in keep_rows])
 
-    def delete_cols(self, drop: Sequence[int]) -> "Matrix":
-        keep = [j for j in range(self.ncols) if j not in set(drop)]
-        return self.submatrix(range(self.nrows), keep)
-
     def vec(self) -> list:
         """Row-major flattening."""
         return [a for r in self.rows for a in r]
@@ -214,6 +200,22 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % (self.rows,)
+
+
+def power(x, e: int, one):
+    """x**e by repeated squaring, for any ring element with ``*`` (matrices,
+    polynomials, dual numbers); ``one()`` builds x**0, called only for
+    e = 0, and no product takes it."""
+    if e < 0:
+        raise ValueError("negative power %d" % e)
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return one() if result is None else result
 
 
 def block_diag(blocks: Sequence[Matrix | None], sizes: Sequence[int] | None = None) -> Matrix:
@@ -578,8 +580,33 @@ def adjugate(m: Matrix) -> Matrix:
     return Matrix(rows)
 
 
+def minor_skew(m: Matrix) -> Matrix:
+    """Skew matrix of signed maximal minors, indexed by deleted column pairs.
+
+    For a k by (k+2) matrix the (i, j) entry with i < j is (-1)^(i+j) times
+    the minor of m on all rows and the columns other than i and j, all read
+    from one memoised ``_minors``.  Row pairs are the column pairs of
+    ``m.transpose()``.
+    """
+    n = m.ncols
+    if n != m.nrows + 2:
+        raise ValueError("minor_skew needs a k x (k+2) matrix")
+    rowmask, full = (1 << m.nrows) - 1, (1 << n) - 1
+    minor = _minors(m)
+    out = Matrix.zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = minor(rowmask, full & ~(1 << i) & ~(1 << j))
+            val = -val if (i + j) % 2 else val
+            val = normalize_scalar(val) if is_scalar(val) else val
+            out.rows[i][j] = val
+            out.rows[j][i] = -val
+    return out
+
+
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix with scalar entries.
+    """Exact inverse of a square matrix with scalar entries: ``solve_all``
+    on the columns of the identity.
 
     Raises ValueError on singular or symbolic input.
     """
@@ -587,8 +614,7 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("inverse of non-square matrix")
     if not all(is_scalar(a) for r in m.rows for a in r):
         raise ValueError("inverse needs scalar entries")
-    n = m.nrows
-    rows = int_rows([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)])[0]
-    if len(_eliminate(rows, n, True)) < n:
+    r, cols = solve_all(m, Matrix.identity(m.nrows).rows)
+    if r < m.nrows:
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in rows])
+    return Matrix.from_cols(cols)

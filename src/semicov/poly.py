@@ -10,9 +10,10 @@ sorted keys are the exponent tuples in order.  No field carries into the
 next while the total degree fits one; each operation that raises the degree
 checks that once (``check_degree``) and raises OverflowError rather than
 wrap.  ``pack``, ``unpack``, ``unit_key`` and ``field_shift`` are the one
-reading of the layout.  ``terms`` is a read-only view keyed by exponent
-tuples, and the constructor takes such a dict.  The representation is
-canonical, so equality and zero-testing are exact.
+reading of the layout.  ``terms`` is a fresh dict keyed by exponent tuples,
+built from ``packed`` on each access, and the constructor takes such a
+dict.  The representation is canonical, so equality and zero-testing are
+exact.
 
 Every identity check (``poly_is_zero``, the ``covariants`` checks and the
 catalog's extra rows) runs through ``identity_check``, which decides it
@@ -27,7 +28,11 @@ shows as a skipped row.  A check with no exact form samples in every mode.
 * exact: stops at the first nonzero polynomial.  ``proved_nonzero`` carries
   the witness ``(point, value)``, an integer point and the nonzero value
   there, prefixed as ``(tag, (point, value))`` when the polynomial's tag is
-  not None.  ``trials`` is 0.
+  not None.  ``trials`` is 0.  Unless the caller passes ``rng`` (only
+  ``poly_is_zero`` may), the point is searched on a fixed stream,
+  ``random.Random(1)`` at bounds 10, 50, 500 and 5000, then by the
+  deterministic ``_nonvanishing_point``, whatever the context's ``seed``
+  and ``bound`` say (moving it onto ``ctx`` changes the witness bytes).
 * sampled (Schwartz-Zippel): ``ctx.samples`` points are evaluated; ``trials``
   is the number evaluated, up to and including the failing one for
   ``proved_nonzero``.  The witness is what the check's residual function
@@ -38,12 +43,11 @@ shows as a skipped row.  A check with no exact form samples in every mode.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .linalg import is_scalar, normalize_scalar
+from .linalg import is_scalar, normalize_scalar, power
 from .sampling import derive_rng, rand_vector
 
 NEG_INF = float("-inf")
@@ -94,34 +98,6 @@ def _degrees(keys):
     return map(FIELD_MASK.__and__, keys)
 
 
-class TermsView(Mapping):
-    """The terms of a polynomial as a read-only dict from exponent tuples to
-    coefficients, unpacked on access."""
-
-    __slots__ = ("_packed", "_n")
-
-    def __init__(self, packed: dict, n: int):
-        self._packed, self._n = packed, n
-
-    def __len__(self):
-        return len(self._packed)
-
-    def __iter__(self):
-        return (tuple(unpack(k, self._n)) for k in self._packed)
-
-    def __getitem__(self, e):
-        try:
-            return self._packed[pack(e) if len(e) == self._n else None]
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise KeyError(e) from None
-
-    def items(self):
-        return [(tuple(unpack(k, self._n)), c) for k, c in self._packed.items()]
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
 def _wrap(num_vars: int, packed: dict) -> "MultiPoly":
     p = object.__new__(MultiPoly)
     p.num_vars, p.packed = num_vars, packed
@@ -145,8 +121,9 @@ class MultiPoly:
         self.packed = clean
 
     @property
-    def terms(self) -> TermsView:
-        return TermsView(self.packed, self.num_vars)
+    def terms(self) -> dict:
+        """A fresh dict from exponent tuples to coefficients."""
+        return {tuple(unpack(k, self.num_vars)): c for k, c in self.packed.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -272,17 +249,7 @@ class MultiPoly:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.num_vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, lambda: MultiPoly.const(self.num_vars, 1))
 
     # -- calculus and substitution ---------------------------------------
 

@@ -59,6 +59,8 @@ class RunConfig:
     timings: bool = False
 
     def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1, got %d" % self.jobs)
         self.ctx  # bad knobs raise here, before any target runs
 
     @property

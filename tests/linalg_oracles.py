@@ -1,5 +1,7 @@
 """Gauss-Jordan elimination in Fraction arithmetic: the oracle for the
-fraction-free elimination core of ``semicov.linalg``.
+fraction-free elimination core of ``semicov.linalg``; and skew matrices of
+maximal minors, one determinant per deleted column pair, the oracle for
+``minor_skew``, which reads every minor from one memoised table.
 
 ``rref`` normalises each pivot row by its pivot and clears its column with
 Fraction row operations, the textbook way.  The library scales rows to
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from semicov.linalg import Matrix, normalize_scalar
+from semicov.linalg import Matrix, det, normalize_scalar
 
 
 def rref(rows: list[list], ncols: int) -> list[int]:
@@ -62,4 +64,19 @@ def kernel(m: Matrix) -> list[list]:
         for ri, pc in enumerate(pivots):
             v[pc] = normalize_scalar(-rows[ri][fc])
         out.append(v)
+    return out
+
+
+def minor_skew(m: Matrix) -> Matrix:
+    """Entry (i, j), i < j, is (-1)^(i+j) det(m without columns i and j);
+    the matrix is skew."""
+    n = m.ncols
+    out = Matrix.zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = det(m.submatrix(range(m.nrows), [c for c in range(n) if c not in (i, j)]))
+            if (i + j) % 2:
+                val = -val
+            out.rows[i][j] = val
+            out.rows[j][i] = -val
     return out

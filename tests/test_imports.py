@@ -1,9 +1,12 @@
-"""Every module-level import in ``src/semicov`` and ``tests/`` is used.
+"""Every module-level import in ``src/semicov`` and ``tests/`` is used, and
+no ``semicov`` module takes a private name from another.
 
 An import counts as used when its bound name is read anywhere in the module,
 is listed in the module's ``__all__``, or is one of the deliberate re-exports
-named in ``REEXPORTS``.  The scan is syntactic (``ast``), so it needs no
-linter and imports none of the scanned modules.
+named in ``REEXPORTS``.  A private name starts with one underscore; it stays
+inside its module (``linalg._minors`` serves ``det``, ``adjugate`` and
+``minor_skew`` there and nowhere else).  The scans are syntactic (``ast``),
+so they need no linter and import none of the scanned modules.
 """
 
 from __future__ import annotations
@@ -80,3 +83,47 @@ def test_scanner_flags_unused_imports():
     )
     assert unused_imports(source) == [("os", 1), ("List", 4), ("json", 6)]
     assert unused_imports(source, {"os", "List"}) == [("json", 6)]
+
+
+def private_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each private name the module takes from another
+    ``semicov`` module, at any depth: ``from .mod import _name``, or
+    ``mod._name`` on a module bound by ``from . import mod``."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "semicov"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((alias.name, node.lineno))
+                if node.module is None or node.module == "semicov":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.attr, node.lineno))
+    return sorted(found, key=lambda t: t[1])
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "semicov").rglob("*.py")),
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_private_names_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_scanner_flags_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from .linalg import _minors, det\n"
+        "from . import poly\n"
+        "from semicov.poly import _wrap as w\n"
+        "from os import _exit\n"
+        "def f(m):\n    from ..linalg import _eliminate\n"
+        "    return poly._nonzero_point(m), m._private, poly.__name__\n"
+    )
+    assert private_imports(source) == [
+        ("_minors", 2), ("_wrap", 4), ("_eliminate", 7), ("_nonzero_point", 8)]

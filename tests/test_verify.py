@@ -28,7 +28,7 @@ Covered here:
 * the command line resolves aliases, prints one line per catalog entry or
   table row, emits parseable JSON (text is the default), and uses exit
   codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
-  identifier, --samples or --bound below 1, nothing verified).
+  identifier, --samples, --bound or --jobs below 1, nothing verified).
 """
 
 from __future__ import annotations
@@ -394,7 +394,8 @@ def test_cli_reports_failure_exit_code(monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("knob", [("--samples", "0"), ("--samples", "-1"), ("--bound", "0")])
+@pytest.mark.parametrize("knob", [("--samples", "0"), ("--samples", "-1"), ("--bound", "0"),
+                                  ("--jobs", "0"), ("--jobs", "-1")])
 def test_cli_bad_knob_is_usage_error(knob, capsys):
     assert cli.main(["run", "--entry", "ex5.2", *knob]) == 2
     captured = capsys.readouterr()
