@@ -36,7 +36,10 @@ The catalog's extras reuse these or ``catalog.families.identity_extra``.
 
 Sampled checks evaluate each covariant once per point.  Directional
 derivatives come from one evaluation at dual numbers ``v + eps w`` (``_Dual``,
-exact int/Fraction parts).  Both rows about the lifts
+exact int/Fraction parts); DF_v is linear in w, so w = 0 costs no evaluation.
+Exact derivatives along a linear field v -> op.v read each polynomial's
+``_partials``, a per-variable table built once (cached on the covariant
+beside ``components`` and ``phi_polys``).  Both rows about the lifts
 ``F_hat(xi, v) = <xi, F(v)>`` use one closed form each, in both modes:
 
     F_hat(xi + mu(v, zeta), v) - F_hat(xi, v) = <zeta, phi(F)(v)>,
@@ -55,7 +58,8 @@ V have fewer variables and no higher degree, so every row resolves as before
 and no exact row is refused.  ``components`` and ``phi_polys`` are cached on
 the covariant, so kernel_phi, equivariance, the lift rows and Poisson share
 one expansion of each covariant; ``phi_polys`` adds unit keys to the packed
-exponents of the components and forms no polynomial product.
+exponents of the components and forms no polynomial product.  For a kernel
+family phi(F)(v) = 0, so the sampled bracket takes no derivative at all.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from typing import Callable, Sequence
 from .lie import Representation, Subspace
 from .linalg import Matrix, normalize_scalar, power, rank, solve
 from .poly import (  # noqa: F401 (re-export)
-    FIELD_MASK, CheckContext, MultiPoly, ZeroCheck, check_degree, field_shift, identity_check, resolve_mode,
+    FIELD_BITS, CheckContext, MultiPoly, ZeroCheck, check_degree, field_shift, identity_check, resolve_mode,
     unit_key,
 )
 from .semidirect import SemidirectProduct
@@ -118,6 +122,7 @@ class Covariant:
                 degree = max(0, *(p.degree() for p in self._components))
         self.degree = degree
         self._phi: list[MultiPoly] | None = None
+        self._partials: list[tuple] | None = None
 
     def __repr__(self):
         return "Covariant(%s: %s -> %s)" % (
@@ -225,7 +230,10 @@ def directional_derivative(F: Covariant, v: Sequence, w: Sequence) -> Matrix:
 
 
 def _derivative_coords(F: Covariant, v: Sequence, w: Sequence) -> list:
-    """DF_v(w) at a numeric point, in g's basis coordinates."""
+    """DF_v(w) at a numeric point, in g's basis coordinates.  DF_v is linear
+    in w, so w = 0 gives zeros and F is not evaluated."""
+    if all(x == 0 for x in w):
+        return [0] * F.rep.algebra.dim
     return [_eps(c) for c in F.coords_at(_dual_point(v, w))]
 
 
@@ -240,16 +248,18 @@ def act_on_matrix_polys(F: Covariant, x: Sequence) -> Matrix:
     xmat = _algebra_matrix(F.rep.algebra, x)
     bracket = xmat * fmat - fmat * xmat
     moves = _operator_rows(F.rep, x)
-    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(e, moves))
+    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(_partials(e), moves))
 
 
 def act_on_components(F: Covariant, x: Sequence) -> list[MultiPoly]:
-    """(x*F) in g's basis coordinates, one polynomial per basis element."""
+    """(x*F) in g's basis coordinates, one polynomial per basis element.
+    The ``_partials`` of F's components are built once, cached on F."""
     nv = F.rep.dim_v
-    comps = F.components
-    bracket = F.rep.algebra.bracket_coords(list(x), comps)
+    bracket = F.rep.algebra.bracket_coords(list(x), F.components)
+    if F._partials is None:
+        F._partials = [_partials(p) for p in F.components]
     moves = _operator_rows(F.rep, x)
-    return [_as_poly(br, nv) - _derivative_along(comp, moves) for br, comp in zip(bracket, comps)]
+    return [_as_poly(br, nv) - _derivative_along(d, moves) for br, d in zip(bracket, F._partials)]
 
 
 def _operator_rows(rep: Representation, x: Sequence) -> list:
@@ -272,26 +282,42 @@ def _moves(n: int, rows: list) -> list:
     return [(field_shift(n, j), [(unit_key(n, i) - unit_key(n, j), c) for i, c in row]) for j, row in rows]
 
 
-def _derivative_along(p: MultiPoly, moves: list) -> MultiPoly:
-    """Derivative of p along the linear vector field v -> op.v, given the
-    ``_moves`` of op.
+def _partials(p: MultiPoly) -> tuple:
+    """The partial derivatives of p as ``_derivative_along`` reads them:
+    ``(num_vars, {field shift of v_j: [e, c * e_j, e', c' * e'_j, ...]})``
+    over the terms c v^e of p with e_j > 0, flat pairs (a third of the memory
+    of tuples).  Built once per polynomial, read per operator."""
+    n = p.num_vars
+    table: dict = {field_shift(n, j): [] for j in range(n)}
+    for e, c in p.packed.items():
+        x = e >> FIELD_BITS << FIELD_BITS  # the exponents, without the degree
+        while x:  # one step per variable of the term, top field first
+            shift = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+            k = x >> shift
+            x -= k << shift
+            table[shift] += (e, c * k)
+    return n, table
 
-    Computed term by term on packed keys: sum_j d_j(p) (op.v)_j sends c v^e
-    to sum_{j, i} c e_j op[j, i] v^(e - u_j + u_i), one int add per term and
-    no polynomial product.  The total degree does not change, so no exponent
-    outgrows its field.
+
+def _derivative_along(partials: tuple, moves: list) -> MultiPoly:
+    """Derivative of a polynomial p along the linear vector field v -> op.v,
+    given the ``_partials`` of p and the ``_moves`` of op.
+
+    Computed on packed keys: sum_j d_j(p) (op.v)_j sends c v^e to
+    sum_{j, i} c e_j op[j, i] v^(e - u_j + u_i), one int add per entry of
+    d_j(p) and of row j, and no polynomial product.  The total degree does
+    not change, so no exponent outgrows its field.
     """
+    n, table = partials
     out: dict = {}
     get = out.get
-    for e, c in p.packed.items():
-        for shift, row in moves:
-            k = e >> shift & FIELD_MASK
-            if k:
-                ck = c * k
-                for d, a in row:
-                    key = e + d
-                    out[key] = get(key, 0) + ck * a
-    return MultiPoly.from_packed(p.num_vars, out)
+    for shift, row in moves:
+        pairs = iter(table[shift])
+        for e, ck in zip(pairs, pairs):
+            for d, a in row:
+                key = e + d
+                out[key] = get(key, 0) + ck * a
+    return MultiPoly.from_packed(n, out)
 
 
 def _along_field(p: MultiPoly, field: Sequence[MultiPoly]) -> MultiPoly:
@@ -590,9 +616,10 @@ def poisson_pair_at(
     """{F_hat, G_hat} at the dual point (xi, v), by the module docstring's
     closed form <xi, [F(v), G(v)] - DG_v(F(v).v) + DF_v(G(v).v)>.
 
-    Costs one evaluation of each covariant at v and two dual-number
-    derivatives; ``lifted`` is the pair of ``_lift_data`` of F and G at v
-    when the caller has already evaluated them.
+    Costs one evaluation of each covariant at v, plus one dual-number
+    derivative for each of phi(F)(v), phi(G)(v) that is not zero (none for
+    a kernel family); ``lifted`` is the pair of ``_lift_data`` of F and G at
+    v when the caller has already evaluated them.
     """
     if lifted is None:
         lifted = (_lift_data(q, F, v), _lift_data(q, G, v))
@@ -738,8 +765,9 @@ def invariant_check(
     deg = poly.degree()
 
     def polys():
+        partials = _partials(poly)
         for a in range(rep.algebra.dim):
-            yield None, _derivative_along(poly, _moves(nv, rep.nonzero_rows[a]))
+            yield None, _derivative_along(partials, _moves(nv, rep.nonzero_rows[a]))
 
     def residual(v):
         for a in range(rep.algebra.dim):

@@ -10,9 +10,10 @@ sorted keys are the exponent tuples in order.  No field carries into the
 next while the total degree fits one; each operation that raises the degree
 checks that once (``check_degree``) and raises OverflowError rather than
 wrap.  ``pack``, ``unpack``, ``unit_key`` and ``field_shift`` are the one
-reading of the layout.  ``terms`` is a fresh dict keyed by exponent tuples,
-built from ``packed`` on each access, and the constructor takes such a
-dict.  The representation is canonical, so equality and zero-testing are
+reading of the layout, but for ``covariants._partials``, which finds a key's
+nonzero fields by bit length.  ``terms`` is a fresh dict keyed by exponent
+tuples, built from ``packed`` on each access, and the constructor takes such
+a dict.  The representation is canonical, so equality and zero-testing are
 exact.
 
 Every identity check (``poly_is_zero``, the ``covariants`` checks and the

@@ -20,7 +20,11 @@ Oracles used here:
   covariants;
 * for the two kernels that rewrite packed exponent keys term by term,
   ``_derivative_along`` and ``_phi_expansion``: their exponent-tuple forms
-  in ``poly_oracles``, term for term.
+  in ``poly_oracles``, term for term; and ``_derivative_along`` read from
+  ``_partials`` against ``_along_field`` of the operator's vector field, on
+  random polynomials and sparse operators;
+* for the derivatives a kernel family makes dead: ``poisson_coords``, the
+  exact bracket, on negative controls, where phi is not zero.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semicov.covariants as covariants
 import semicov.poly as poly
@@ -905,10 +910,101 @@ def test_kernels_build_no_exponent_tuples(monkeypatch):
         monkeypatch.setattr(poly, name, refused)
         monkeypatch.setattr(covariants, name, refused, raising=False)
     monkeypatch.setattr(MultiPoly, "terms", property(refused))
-    got_d = [[covariants._derivative_along(p, moves) for p in F.components] for F in family]
+    got_d = [[covariants._derivative_along(covariants._partials(p), moves) for p in F.components]
+             for F in family]
     got_phi = [covariants._phi_expansion(rep, F.components) for F in family]
     monkeypatch.undo()
     for got, want in zip(got_d + got_phi, want_d + want_phi):
         for g, w in zip(got, want):
             _same_terms(g, w)
     assert any(not p.is_zero() for polys in got_d + got_phi for p in polys)
+
+
+_coeffs = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([2, 3])),
+)
+
+
+@st.composite
+def _poly_and_operator(draw):
+    """A polynomial in 1 to 5 variables and a sparse operator's cells."""
+    n = draw(st.integers(1, 5))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), _coeffs, max_size=6))
+    index = st.integers(0, n - 1)
+    cells = draw(st.dictionaries(st.tuples(index, index), _coeffs, max_size=2 * n))
+    return MultiPoly(n, terms), cells
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_and_operator())
+def test_derivative_along_partials_matches_the_vector_field(data):
+    """sum_j d_j(p) (op.v)_j from ``_partials`` and ``_moves``, against the
+    products of ``_along_field`` with (op.v)_j = sum_i op[j, i] v_i."""
+    p, cells = data
+    n = p.num_vars
+    rows: dict = {}
+    for (j, i), c in sorted(cells.items()):
+        rows.setdefault(j, []).append((i, c))
+    field = [MultiPoly.zero(n) for _ in range(n)]
+    for j, row in rows.items():
+        for i, c in row:
+            field[j] = field[j] + MultiPoly.variable(n, i) * c
+    got = covariants._derivative_along(covariants._partials(p), covariants._moves(n, sorted(rows.items())))
+    _same_terms(got, poly_oracles.TuplePoly.of(covariants._along_field(p, field)))
+
+
+# -- derivatives along phi(F)(v) = 0 are not taken -----------------------------
+
+
+def _no_dual_evaluation(monkeypatch):
+    inner = Covariant.coords_at
+
+    def coords_at(self, v):
+        if any(isinstance(x, covariants._Dual) for x in v):
+            raise AssertionError("covariant evaluated at a dual point")
+        return inner(self, v)
+
+    monkeypatch.setattr(Covariant, "coords_at", coords_at)
+
+
+def test_derivative_along_zero_evaluates_nothing(monkeypatch):
+    """DF_v(0) = 0 with no evaluation of F, so the sampled bracket of a
+    kernel family (ex6.1 at n=4) evaluates no covariant at a dual point."""
+    cons = build_construction(get_entry("ex6.1"), {"n": 4})
+    q = SemidirectProduct(cons.module)
+    rng = random.Random("w=0")
+    _no_dual_evaluation(monkeypatch)
+    F, G = cons.family
+    v = [rng.randint(-5, 5) for _ in range(q.dim_v)]
+    assert covariants._derivative_coords(F, v, [0] * q.dim_v) == [0] * q.dim_g
+    with pytest.raises(AssertionError, match="dual point"):
+        covariants._derivative_coords(F, v, _unit(q.dim_v, 0))
+    for _ in range(3):
+        xi = [rng.randint(-5, 5) for _ in range(q.dim_g)]
+        v = [rng.randint(-5, 5) for _ in range(q.dim_v)]
+        assert poisson_pair_at(q, F, G, xi, v) == 0
+
+
+@pytest.mark.parametrize("entry", ["ex5.2", "ex6.2"])
+def test_poisson_pair_at_matches_coords_off_the_kernel(entry):
+    """A negative control has phi != 0, so its bracket keeps the derivative
+    terms: at random (xi, v) it is <xi, poisson_coords(v)>, in both orders,
+    against the family members on its module and a random covariant."""
+    cons = build_construction(get_entry(entry))
+    rng = random.Random("off-kernel-" + entry)
+    nonzero = 0
+    for control in cons.controls:
+        C = control.covariant
+        assert any(not p.is_zero() for p in phi_polys(C))
+        q = SemidirectProduct(C.rep)
+        partners = [F for F in cons.family if F.rep is C.rep] + [random_covariant(C.rep, rng, "R")]
+        for F, G in [(C, P) for P in partners] + [(P, C) for P in partners]:
+            coords = poisson_coords(F, G)
+            for _ in range(3):
+                xi = [rng.randint(-5, 5) for _ in range(q.dim_g)]
+                v = [rng.randint(-5, 5) for _ in range(q.dim_v)]
+                want = sum(x * p.evaluate(v) for x, p in zip(xi, coords))
+                assert poisson_pair_at(q, F, G, xi, v) == want
+                nonzero += want != 0
+    assert nonzero > 0

@@ -347,6 +347,92 @@ def test_sparse_jacobi_matches_dense_reference():
     assert verdicts == {True, False}
 
 
+def _triple_scan(g):
+    """The sparse scan of every triple a < b < c, with no ideal split."""
+    n = g.dim
+
+    def jac(a, b, c):
+        total: dict = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for d, s in g.bracket_basis(y, z).items():
+                for e, t in g.bracket_basis(x, d).items():
+                    total[e] = total.get(e, 0) + s * t
+        return all(v == 0 for v in total.values())
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                if not jac(a, b, c):
+                    return False, (a, b, c)
+    return True, None
+
+
+def _entry_products():
+    from semicov.catalog import all_entries, build_construction
+    from semicov.semidirect import SemidirectProduct
+
+    for e in all_entries():
+        for overrides in ({}, {"n": 4}):
+            if not overrides or "n" in [p.name for p in e.params]:
+                yield e.id, overrides, SemidirectProduct(build_construction(e, overrides).module)
+
+
+def _nudged(q, keys, rng):
+    """q's bracket table with one coefficient of one of ``keys`` moved by 1."""
+    brackets = {k: dict(v) for k, v in q.lie.brackets.items()}
+    key = rng.choice(sorted(keys))
+    c = rng.choice(sorted(brackets[key]))
+    brackets[key][c] += 1
+    return LieAlgebra("nudged", q.dim, brackets)
+
+
+def test_jacobi_split_matches_triple_scan_on_every_entry():
+    """V* is the abelian tail of every q, at default sizes and at n=4, and the
+    split scan gives the full scan's verdict and witness; so it does after
+    one rho_a entry or one g bracket is nudged."""
+    rng = random.Random(21)
+    seen = set()
+    for entry, overrides, q in _entry_products():
+        assert q.lie._abelian_tail() == q.dim_g, (entry, overrides)
+        assert q.lie.check_jacobi() == _triple_scan(q.lie) == (True, None)
+        rho_keys = [k for k in q.lie.brackets if k[1] >= q.dim_g]
+        g_keys = [k for k in q.lie.brackets if k[1] < q.dim_g]
+        for keys, where in ((rho_keys, "rho"), (g_keys, "g")):
+            broken = _nudged(q, keys, rng)
+            assert broken._abelian_tail() == q.dim_g
+            ok, witness = want = _triple_scan(broken)
+            assert not ok and broken.check_jacobi() == want, (entry, overrides, where)
+            if where == "rho":  # a failure in a one-ideal triple
+                assert witness[1] < q.dim_g <= witness[2]
+            seen.add((where, witness[2] >= q.dim_g))
+    assert ("g", False) in seen and ("g", True) in seen  # both halves of the split failed
+
+
+def test_jacobi_off_the_ideal_shape_takes_the_full_scan():
+    """[zeta_0, zeta_1] = e_0 in sl_2 x (sl_2)*: no tail is an abelian ideal,
+    so every triple is scanned, and the verdict is the full scan's."""
+    from semicov.semidirect import SemidirectProduct
+
+    q = SemidirectProduct(adjoint_rep(sl(2)))
+    broken = LieAlgebra("broken", q.dim, {**q.lie.brackets, (3, 4): {0: 1}})
+    assert q.lie._abelian_tail() == 3 and broken._abelian_tail() == broken.dim
+    want = _triple_scan(broken)
+    assert not want[0] and broken.check_jacobi() == want
+
+
+def test_abelian_tail_reads_the_table():
+    abelian = LieAlgebra("abelian", 3, {})
+    assert abelian._abelian_tail() == 0 and abelian.check_jacobi() == (True, None)
+    assert sl(2)._abelian_tail() == 3  # simple: no proper ideal
+    # e_2 central, e_1 not: [e_0, e_1] = e_2 is a Heisenberg algebra
+    heis = LieAlgebra("heisenberg", 3, {(0, 1): {2: 1}})
+    assert heis._abelian_tail() == 1 and heis.check_jacobi() == (True, None)
+    # span(e_2) is not an ideal, as [e_0, e_2] = e_1; span(e_1, e_2) is
+    assert LieAlgebra("open", 3, {(0, 2): {1: 1}})._abelian_tail() == 1
+    # [e_0, e_1] = e_0: the abelian ideal span(e_0) is no tail
+    assert LieAlgebra("affine", 2, {(0, 1): {0: 1}})._abelian_tail() == 2
+
+
 def _dense_brackets(mats):
     """Structure constants from dense commutators and a dense solve."""
     from semicov.linalg import solve
