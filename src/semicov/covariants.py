@@ -37,9 +37,10 @@ The catalog's extras reuse these or ``catalog.families.identity_extra``.
 Sampled checks evaluate each covariant once per point.  Directional
 derivatives come from one evaluation at dual numbers ``v + eps w`` (``_Dual``,
 exact int/Fraction parts); DF_v is linear in w, so w = 0 costs no evaluation.
-Exact derivatives along a linear field v -> op.v read each polynomial's
-``_partials``, a per-variable table built once (cached on the covariant
-beside ``components`` and ``phi_polys``).  Both rows about the lifts
+Exact derivatives are ``poly.derivative_along`` along fields this module
+builds: v -> x.v by ``Representation.act`` on V's coordinate polynomials
+(equivariance, invariants) and ``phi_polys`` (Poisson); partials tables are
+cached beside ``components`` and ``phi_polys``.  Both rows about the lifts
 ``F_hat(xi, v) = <xi, F(v)>`` use one closed form each, in both modes:
 
     F_hat(xi + mu(v, zeta), v) - F_hat(xi, v) = <zeta, phi(F)(v)>,
@@ -70,8 +71,8 @@ from typing import Callable, Sequence
 from .lie import Representation, Subspace
 from .linalg import Matrix, normalize_scalar, power, rank, solve
 from .poly import (  # noqa: F401 (re-export)
-    FIELD_BITS, CheckContext, MultiPoly, ZeroCheck, check_degree, field_shift, identity_check, resolve_mode,
-    unit_key,
+    CheckContext, MultiPoly, ZeroCheck, check_degree, derivative_along, field_moves, identity_check,
+    partials_table, resolve_mode, unit_key,
 )
 from .semidirect import SemidirectProduct
 
@@ -122,7 +123,7 @@ class Covariant:
                 degree = max(0, *(p.degree() for p in self._components))
         self.degree = degree
         self._phi: list[MultiPoly] | None = None
-        self._partials: list[tuple] | None = None
+        self._tables: list[tuple] | None = None
 
     def __repr__(self):
         return "Covariant(%s: %s -> %s)" % (
@@ -247,86 +248,28 @@ def act_on_matrix_polys(F: Covariant, x: Sequence) -> Matrix:
     fmat = F.matrix_at(MultiPoly.variables(nv)).map(lambda e: _as_poly(e, nv))
     xmat = _algebra_matrix(F.rep.algebra, x)
     bracket = xmat * fmat - fmat * xmat
-    moves = _operator_rows(F.rep, x)
-    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: _derivative_along(_partials(e), moves))
+    moves = field_moves(F.rep.act(x, MultiPoly.variables(nv)))
+    return bracket.map(lambda e: _as_poly(e, nv)) - fmat.map(lambda e: derivative_along(partials_table(e), moves))
 
 
 def act_on_components(F: Covariant, x: Sequence) -> list[MultiPoly]:
-    """(x*F) in g's basis coordinates, one polynomial per basis element.
-    The ``_partials`` of F's components are built once, cached on F."""
+    """(x*F) in g's basis coordinates, one polynomial per basis element:
+    the bracket with x minus the derivative along the linear field v -> x.v."""
     nv = F.rep.dim_v
     bracket = F.rep.algebra.bracket_coords(list(x), F.components)
-    if F._partials is None:
-        F._partials = [_partials(p) for p in F.components]
-    moves = _operator_rows(F.rep, x)
-    return [_as_poly(br, nv) - _derivative_along(d, moves) for br, d in zip(bracket, F._partials)]
+    moved = _along(F, F.rep.act(x, MultiPoly.variables(nv)))
+    return [_as_poly(br, nv) - d for br, d in zip(bracket, moved)]
 
 
-def _operator_rows(rep: Representation, x: Sequence) -> list:
-    """The nonzero rows of rho(x) = sum_a x_a rho_a, as ``_moves``."""
-    rows: dict = {}
-    for a, xa in enumerate(x):
-        if xa != 0:
-            for j, row in rep.nonzero_rows[a]:
-                acc = rows.setdefault(j, {})
-                for i, c in row:
-                    acc[i] = normalize_scalar(acc.get(i, 0) + xa * c)
-    nonzero = [(j, [(i, c) for i, c in acc.items() if c != 0]) for j, acc in sorted(rows.items())]
-    return _moves(rep.dim_v, nonzero)
-
-
-def _moves(n: int, rows: list) -> list:
-    """Rows (j, [(i, c), ...]) of an operator on V, shaped like
-    ``Representation.nonzero_rows[a]``, as packed-key moves: the field shift
-    of j, and (u_i - u_j, c) per entry.  Built once per operator."""
-    return [(field_shift(n, j), [(unit_key(n, i) - unit_key(n, j), c) for i, c in row]) for j, row in rows]
-
-
-def _partials(p: MultiPoly) -> tuple:
-    """The partial derivatives of p as ``_derivative_along`` reads them:
-    ``(num_vars, {field shift of v_j: [e, c * e_j, e', c' * e'_j, ...]})``
-    over the terms c v^e of p with e_j > 0, flat pairs (a third of the memory
-    of tuples).  Built once per polynomial, read per operator."""
-    n = p.num_vars
-    table: dict = {field_shift(n, j): [] for j in range(n)}
-    for e, c in p.packed.items():
-        x = e >> FIELD_BITS << FIELD_BITS  # the exponents, without the degree
-        while x:  # one step per variable of the term, top field first
-            shift = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
-            k = x >> shift
-            x -= k << shift
-            table[shift] += (e, c * k)
-    return n, table
-
-
-def _derivative_along(partials: tuple, moves: list) -> MultiPoly:
-    """Derivative of a polynomial p along the linear vector field v -> op.v,
-    given the ``_partials`` of p and the ``_moves`` of op.
-
-    Computed on packed keys: sum_j d_j(p) (op.v)_j sends c v^e to
-    sum_{j, i} c e_j op[j, i] v^(e - u_j + u_i), one int add per entry of
-    d_j(p) and of row j, and no polynomial product.  The total degree does
-    not change, so no exponent outgrows its field.
-    """
-    n, table = partials
-    out: dict = {}
-    get = out.get
-    for shift, row in moves:
-        pairs = iter(table[shift])
-        for e, ck in zip(pairs, pairs):
-            for d, a in row:
-                key = e + d
-                out[key] = get(key, 0) + ck * a
-    return MultiPoly.from_packed(n, out)
-
-
-def _along_field(p: MultiPoly, field: Sequence[MultiPoly]) -> MultiPoly:
-    """Derivative of p along the polynomial vector field v -> field(v)."""
-    acc = MultiPoly.zero(p.num_vars)
-    for k, f in enumerate(field):
-        if not f.is_zero():
-            acc = acc + f * p.partial(k)
-    return acc
+def _along(F: Covariant, field: list) -> list[MultiPoly]:
+    """The derivatives of F's components along a vector field on V.  Each
+    ``partials_table`` is built once, cached on F; a zero field builds none."""
+    moves = field_moves(field)
+    if not moves[1]:
+        return [MultiPoly.zero(F.rep.dim_v)] * len(F.components)
+    if F._tables is None:
+        F._tables = [partials_table(p) for p in F.components]
+    return [derivative_along(t, moves) for t in F._tables]
 
 
 def _algebra_matrix(algebra, x: Sequence) -> Matrix:
@@ -583,11 +526,9 @@ def poisson_coords(F: Covariant, G: Covariant) -> list[MultiPoly]:
     vanish where phi does, so a kernel family costs one bracket per pair.
     """
     nv = F.rep.dim_v
-    fc, gc = F.components, G.components
-    bracket = F.rep.algebra.bracket_coords(fc, gc)
-    phi_f, phi_g = phi_polys(F), phi_polys(G)
-    return [_as_poly(b, nv) - _along_field(g, phi_f) + _along_field(f, phi_g)
-            for b, f, g in zip(bracket, fc, gc)]
+    bracket = F.rep.algebra.bracket_coords(F.components, G.components)
+    dg, df = _along(G, phi_polys(F)), _along(F, phi_polys(G))
+    return [_as_poly(b, nv) - g + f for b, g, f in zip(bracket, dg, df)]
 
 
 def lift_gradient_at(F: Covariant, xi: Sequence, v: Sequence) -> list:
@@ -765,9 +706,9 @@ def invariant_check(
     deg = poly.degree()
 
     def polys():
-        partials = _partials(poly)
+        table, vs = partials_table(poly), MultiPoly.variables(nv)
         for a in range(rep.algebra.dim):
-            yield None, _derivative_along(partials, _moves(nv, rep.nonzero_rows[a]))
+            yield None, derivative_along(table, field_moves(rep.act_basis(a, vs)))
 
     def residual(v):
         for a in range(rep.algebra.dim):

@@ -467,16 +467,14 @@ class SpanSolver:
         free = self._free if self.k else range(len(w))
         if not all(_ring_is_zero(residual[i]) for i in free):
             return None
-        return [normalize_scalar(x) if is_scalar(x) else x for x in out]
+        return [normalize_scalar(x) for x in out]
 
 
 def _ring_is_zero(a) -> bool:
     if is_scalar(a):
         return a == 0
     z = getattr(a, "is_zero", None)
-    if z is not None:
-        return z() if callable(z) else bool(z)
-    return a == 0
+    return z() if z is not None else a == 0
 
 
 def det(m: Matrix):
@@ -549,8 +547,7 @@ def char_poly(m: Matrix) -> list:
     M = Matrix.identity(n)
     for k in range(1, n + 1):
         AM = m * M
-        c = AM.trace() * Fraction(-1, k)
-        c = normalize_scalar(c) if is_scalar(c) else c
+        c = normalize_scalar(AM.trace() * Fraction(-1, k))
         coeffs.append(c)
         if k < n:
             M = AM + Matrix.identity(n) * c
@@ -575,7 +572,7 @@ def adjugate(m: Matrix) -> Matrix:
         for j in range(n):
             cof = minor(full & ~(1 << j), full & ~(1 << i))
             cof = -cof if (i + j) % 2 else cof
-            row.append(normalize_scalar(cof) if is_scalar(cof) else cof)
+            row.append(normalize_scalar(cof))
         rows.append(row)
     return Matrix(rows)
 
@@ -598,7 +595,7 @@ def minor_skew(m: Matrix) -> Matrix:
         for j in range(i + 1, n):
             val = minor(rowmask, full & ~(1 << i) & ~(1 << j))
             val = -val if (i + j) % 2 else val
-            val = normalize_scalar(val) if is_scalar(val) else val
+            val = normalize_scalar(val)
             out.rows[i][j] = val
             out.rows[j][i] = -val
     return out

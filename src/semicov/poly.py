@@ -9,12 +9,17 @@ product of terms adds their keys, a factor v_i adds ``unit_key(n, i)``, and
 sorted keys are the exponent tuples in order.  No field carries into the
 next while the total degree fits one; each operation that raises the degree
 checks that once (``check_degree``) and raises OverflowError rather than
-wrap.  ``pack``, ``unpack``, ``unit_key`` and ``field_shift`` are the one
-reading of the layout, but for ``covariants._partials``, which finds a key's
-nonzero fields by bit length.  ``terms`` is a fresh dict keyed by exponent
-tuples, built from ``packed`` on each access, and the constructor takes such
-a dict.  The representation is canonical, so equality and zero-testing are
-exact.
+wrap.  The layout is read only in this module: outside it, keys are made
+by ``unit_key`` and added, never decoded.  ``terms`` is a fresh dict keyed
+by exponent tuples, built from ``packed`` on each access, and the
+constructor takes such a dict.  The representation is canonical, so
+equality and zero-testing are exact.  No polynomial is changed after it is
+built, so adding 0 or multiplying by 1 returns the operand itself.
+
+Every derivative is one kernel, sum_j d_j(p) field_j along a vector field
+of polynomials or scalars (linear x.v, polynomial phi(F), constant e_i for
+``partial(i)``): ``partials_table(p)`` once per polynomial, ``field_moves``
+once per field, and ``derivative_along``, one int add per pair of terms.
 
 Every identity check (``poly_is_zero``, the ``covariants`` checks and the
 catalog's extra rows) runs through ``identity_check``, which decides it
@@ -82,11 +87,6 @@ def unpack(key: int, n: int) -> bytes:
 def unit_key(n: int, i: int) -> int:
     """The key of v_i among n variables; adding it multiplies a term by v_i."""
     return (1 << FIELD_BITS * (n - i)) | 1
-
-
-def field_shift(n: int, i: int) -> int:
-    """e_i of a key of n variables is ``key >> field_shift(n, i) & FIELD_MASK``."""
-    return FIELD_BITS * (n - i)
 
 
 def check_degree(d: int) -> None:
@@ -191,6 +191,8 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.packed or not self.packed:
+            return o if not self.packed else self
         out = dict(self.packed)
         for e, c in o.packed.items():
             s = out.get(e, 0) + c
@@ -223,6 +225,8 @@ class MultiPoly:
         if is_scalar(other):
             if other == 0:
                 return MultiPoly(self.num_vars)
+            if other == 1:
+                return self
             return _wrap(self.num_vars, {e: normalize_scalar(c * other) for e, c in self.packed.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -255,13 +259,12 @@ class MultiPoly:
     # -- calculus and substitution ---------------------------------------
 
     def partial(self, i: int) -> "MultiPoly":
-        shift, u = field_shift(self.num_vars, i), unit_key(self.num_vars, i)
-        out: dict[int, object] = {}
-        for e, c in self.packed.items():
-            k = e >> shift & FIELD_MASK
-            if k:
-                out[e - u] = normalize_scalar(c * k)
-        return _wrap(self.num_vars, out)
+        """d/dv_i, the derivative along the constant field e_i."""
+        if not 0 <= i < self.num_vars:
+            raise ValueError("variable index out of range")
+        field = [0] * self.num_vars
+        field[i] = 1
+        return derivative_along(partials_table(self), field_moves(field))
 
     def evaluate(self, point: Sequence):
         """Exact evaluation at a point of scalars."""
@@ -343,6 +346,58 @@ class MultiPoly:
                 parts.append("%s*%s" % (c, mono))
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
+
+
+# -- derivatives along vector fields ---------------------------------------
+
+
+def partials_table(p: MultiPoly) -> tuple:
+    """The partials of p as ``derivative_along`` reads them: ``(num_vars,
+    degree, rows)``, rows[j] the flat pairs e, c * e_j over the terms c v^e
+    of p with e_j > 0 (a third of the memory of tuples)."""
+    n = p.num_vars
+    rows: list = [[] for _ in range(n)]
+    for e, c in p.packed.items():
+        x = e >> FIELD_BITS  # the exponents, without the degree
+        while x:  # one step per variable of the term, top field first
+            b = (x.bit_length() - 1) // FIELD_BITS  # the field of v_(n-1-b)
+            k = x >> b * FIELD_BITS
+            x -= k << b * FIELD_BITS
+            rows[n - 1 - b] += (e, c * k)
+    return n, p.degree(), rows
+
+
+def field_moves(field: Sequence) -> tuple:
+    """The vector field v -> (field_0(v), ..., field_(n-1)(v)), polynomials or
+    scalars, as ``derivative_along`` reads it: ``(degree, [(j, [(f - u_j, c),
+    ...]), ...])`` over the terms c v^f of each nonzero field_j."""
+    n, deg, moves = len(field), NEG_INF, []
+    for j, f in enumerate(field):
+        f = f if isinstance(f, MultiPoly) else MultiPoly.const(n, f)
+        if f.packed:
+            u = unit_key(n, j)
+            moves.append((j, [(k - u, c) for k, c in f.packed.items()]))
+            deg = max(deg, f.degree())
+    return deg, moves
+
+
+def derivative_along(partials: tuple, moves: tuple) -> MultiPoly:
+    """sum_j d_j(p) field_j from the ``partials_table`` of p and the
+    ``field_moves`` of the field: an entry (e, c e_j) of rows[j] and a move
+    (f - u_j, c') give c e_j c' v^(e - u_j + f), one int add and no polynomial
+    product.  The degree bound deg p - 1 + deg field is checked once."""
+    n, deg, table = partials
+    field_deg, rows = moves
+    check_degree(deg - 1 + field_deg)
+    out: dict = {}
+    get = out.get
+    for j, row in rows:
+        pairs = iter(table[j])
+        for e, ck in zip(pairs, pairs):
+            for d, a in row:
+                key = e + d
+                out[key] = get(key, 0) + ck * a
+    return MultiPoly.from_packed(n, out)
 
 
 class ZeroCheck:

@@ -603,9 +603,8 @@ def run_target(name: str, cfg: RunConfig) -> dict:
     return run_entry(name, cfg)
 
 
-def _worker(args) -> tuple[int, dict]:
-    pos, name, cfg = args
-    return pos, run_target(name, cfg)
+def _worker(args) -> dict:
+    return run_target(*args)
 
 
 def run_suite(cfg: RunConfig) -> Report:
@@ -630,16 +629,15 @@ def run_suite(cfg: RunConfig) -> Report:
     overrides = cfg.override_dict()
     if overrides:
         config_dict["parameters"] = dict(sorted(overrides.items()))
-    jobs = [(i, name, cfg) for i, name in enumerate(targets)]
+    jobs = [(name, cfg) for name in targets]
     if cfg.jobs > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(min(cfg.jobs, len(jobs))) as pool:
-            results = pool.map(_worker, jobs)
+            results = pool.map(_worker, jobs)  # in the order of jobs
     else:
         results = [_worker(j) for j in jobs]
-    ordered = [r for _, r in sorted(results, key=lambda t: t[0])]
-    return Report(config=config_dict, entries=ordered)
+    return Report(config=config_dict, entries=results)
 
 
 # -- output formats -----------------------------------------------------------

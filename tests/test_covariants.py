@@ -19,10 +19,10 @@ Oracles used here:
   derivatives), on catalog modules with random non-kernel component
   covariants;
 * for the two kernels that rewrite packed exponent keys term by term,
-  ``_derivative_along`` and ``_phi_expansion``: their exponent-tuple forms
-  in ``poly_oracles``, term for term; and ``_derivative_along`` read from
-  ``_partials`` against ``_along_field`` of the operator's vector field, on
-  random polynomials and sparse operators;
+  ``poly.derivative_along`` and ``_phi_expansion``: their exponent-tuple
+  forms in ``poly_oracles``, term for term; and ``derivative_along`` against
+  ``sympy``'s sum_j dp/dv_j field_j, on random polynomials and constant,
+  linear and degree <= 3 fields, with its degree check at the field width;
 * for the derivatives a kernel family makes dead: ``poisson_coords``, the
   exact bracket, on negative controls, where phi is not zero.
 """
@@ -70,7 +70,9 @@ from semicov.lie import (
     adjoint_rep, defining, direct_sum, product, sl, so, stabiliser_sample,
 )
 from semicov.linalg import Matrix
-from semicov.poly import CheckContext, CutoffExceeded, MultiPoly
+from semicov.poly import (
+    FIELD_MASK, CheckContext, CutoffExceeded, MultiPoly, derivative_along, field_moves, partials_table,
+)
 from semicov.semidirect import SemidirectProduct
 
 import poly_oracles
@@ -892,14 +894,13 @@ def test_act_and_phi_match_tuple_oracle_term_for_term(entry):
 
 
 def test_kernels_build_no_exponent_tuples(monkeypatch):
-    """``_derivative_along`` and ``_phi_expansion`` add and mask int keys:
-    with every tuple reading of the layout disabled they give the same
-    terms as the oracle."""
+    """``derivative_along``, its field and table, and ``_phi_expansion`` add
+    and mask int keys: with every tuple reading of the layout disabled they
+    give the same terms as the oracle."""
     family = _ex61_with_randoms()
     rep = family[0].rep
     x = _directions(rep.algebra.dim, random.Random("no-tuples"))[-1]
     rows = poly_oracles.operator_rows(rep, x)
-    moves = covariants._operator_rows(rep, x)
     want_d = [[poly_oracles.derivative_along(p, rows) for p in F.components] for F in family]
     want_phi = [poly_oracles.phi_expansion(rep, F.components) for F in family]
 
@@ -910,7 +911,8 @@ def test_kernels_build_no_exponent_tuples(monkeypatch):
         monkeypatch.setattr(poly, name, refused)
         monkeypatch.setattr(covariants, name, refused, raising=False)
     monkeypatch.setattr(MultiPoly, "terms", property(refused))
-    got_d = [[covariants._derivative_along(covariants._partials(p), moves) for p in F.components]
+    moves = covariants.field_moves(rep.act(x, MultiPoly.variables(rep.dim_v)))
+    got_d = [[covariants.derivative_along(covariants.partials_table(p), moves) for p in F.components]
              for F in family]
     got_phi = [covariants._phi_expansion(rep, F.components) for F in family]
     monkeypatch.undo()
@@ -927,31 +929,48 @@ _coeffs = st.one_of(
 
 
 @st.composite
-def _poly_and_operator(draw):
-    """A polynomial in 1 to 5 variables and a sparse operator's cells."""
+def _poly_and_field(draw):
+    """A polynomial in 1 to 5 variables and a vector field on them: constant
+    (scalars), linear, or of degree at most 3, with scalar zeros among the
+    entries."""
     n = draw(st.integers(1, 5))
     terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), _coeffs, max_size=6))
-    index = st.integers(0, n - 1)
-    cells = draw(st.dictionaries(st.tuples(index, index), _coeffs, max_size=2 * n))
-    return MultiPoly(n, terms), cells
+    kind = draw(st.sampled_from(["constant", "linear", "cubic"]))
+    if kind == "constant":
+        return MultiPoly(n, terms), draw(st.lists(st.one_of(st.just(0), _coeffs), min_size=n, max_size=n))
+    factors = st.lists(st.integers(0, n - 1), min_size=kind == "linear", max_size=1 if kind == "linear" else 3)
+    monomial = factors.map(lambda vs: tuple(vs.count(i) for i in range(n)))
+    entry = st.dictionaries(monomial, _coeffs, max_size=4).map(lambda t: MultiPoly(n, t))
+    return MultiPoly(n, terms), draw(st.lists(st.one_of(st.just(0), entry), min_size=n, max_size=n))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_poly_and_operator())
+@settings(max_examples=120, deadline=None)
+@given(_poly_and_field())
 def test_derivative_along_partials_matches_the_vector_field(data):
-    """sum_j d_j(p) (op.v)_j from ``_partials`` and ``_moves``, against the
-    products of ``_along_field`` with (op.v)_j = sum_i op[j, i] v_i."""
-    p, cells = data
+    """sum_j d_j(p) field_j from ``partials_table`` and ``field_moves``,
+    against ``sympy``'s derivatives times the field entries."""
+    sympy = pytest.importorskip("sympy")
+    p, field = data
     n = p.num_vars
-    rows: dict = {}
-    for (j, i), c in sorted(cells.items()):
-        rows.setdefault(j, []).append((i, c))
-    field = [MultiPoly.zero(n) for _ in range(n)]
-    for j, row in rows.items():
-        for i, c in row:
-            field[j] = field[j] + MultiPoly.variable(n, i) * c
-    got = covariants._derivative_along(covariants._partials(p), covariants._moves(n, sorted(rows.items())))
-    _same_terms(got, poly_oracles.TuplePoly.of(covariants._along_field(p, field)))
+    syms = sympy.symbols("x0:%d" % n)
+    got = derivative_along(partials_table(p), field_moves(field))
+    want = sum((sympy.diff(_to_sympy(p, syms), s) * _to_sympy(f + MultiPoly.zero(n), syms)
+                for s, f in zip(syms, field)), sympy.Integer(0))
+    assert sympy.Poly(_to_sympy(got, syms), *syms, domain="QQ") == sympy.Poly(want, *syms, domain="QQ")
+    assert all(type(c) is int or c.denominator > 1 for c in got.packed.values())
+
+
+def test_derivative_along_checks_the_degree_once_at_the_field_width():
+    """deg p - 1 + deg field may reach FIELD_MASK and not pass it: past it,
+    ``derivative_along`` raises OverflowError rather than wrap a key."""
+    x, y = MultiPoly.variables(2)
+    table = partials_table(x ** (FIELD_MASK - 1))
+    top = derivative_along(table, field_moves([x * y, 0]))
+    assert top.degree() == FIELD_MASK and top == (FIELD_MASK - 1) * x ** (FIELD_MASK - 1) * y
+    with pytest.raises(OverflowError):
+        derivative_along(table, field_moves([x * y * y, 0]))
+    with pytest.raises(OverflowError):
+        derivative_along(partials_table(x ** FIELD_MASK), field_moves([y * y, 1]))
 
 
 # -- derivatives along phi(F)(v) = 0 are not taken -----------------------------

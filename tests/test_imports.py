@@ -1,12 +1,16 @@
-"""Every module-level import in ``src/semicov`` and ``tests/`` is used, and
-no ``semicov`` module takes a private name from another.
+"""Every module-level import in ``src/semicov`` and ``tests/`` is used, no
+``semicov`` module takes a private name from another, and only ``poly``
+reads its packed exponent keys.
 
 An import counts as used when its bound name is read anywhere in the module,
 is listed in the module's ``__all__``, or is one of the deliberate re-exports
 named in ``REEXPORTS``.  A private name starts with one underscore; it stays
 inside its module (``linalg._minors`` serves ``det``, ``adjugate`` and
-``minor_skew`` there and nowhere else).  The scans are syntactic (``ast``),
-so they need no linter and import none of the scanned modules.
+``minor_skew`` there and nowhere else).  The names that decode a key's layout
+(``LAYOUT``) stay in ``poly``: other modules make keys with ``unit_key`` and
+add them, and differentiate through ``poly.derivative_along``.  The scans
+are syntactic (``ast``), so they need no linter and import none of the
+scanned modules.
 """
 
 from __future__ import annotations
@@ -127,3 +131,44 @@ def test_scanner_flags_private_imports():
     )
     assert private_imports(source) == [
         ("_minors", 2), ("_wrap", 4), ("_eliminate", 7), ("_nonzero_point", 8)]
+
+
+LAYOUT = {"FIELD_BITS", "FIELD_MASK", "field_shift", "pack", "unpack"}
+
+
+def layout_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each ``LAYOUT`` name the module takes from ``poly``,
+    at any depth: ``from .poly import pack``, or ``poly.pack`` on a module
+    bound by ``from . import poly``."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "semicov"):
+            if (node.module or "").split(".")[-1] == "poly":
+                found += [(alias.name, node.lineno) for alias in node.names if alias.name in LAYOUT]
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "poly")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in LAYOUT
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.attr, node.lineno))
+    return sorted(found, key=lambda t: t[1])
+
+
+@pytest.mark.parametrize("path", [p for p in sorted((ROOT / "src" / "semicov").rglob("*.py"))
+                                  if p.name != "poly.py"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_key_layout_outside_poly(path):
+    assert layout_imports(path.read_text()) == []
+
+
+def test_scanner_flags_layout_imports():
+    source = (
+        "from .poly import (\n    FIELD_BITS, MultiPoly, field_shift, unit_key,\n)\n"
+        "from . import poly as P\n"
+        "from semicov.poly import unpack as u\n"
+        "from .linalg import pack\n"
+        "def f(k):\n    from ..poly import FIELD_MASK\n"
+        "    return P.pack(k), P.unit_key(2, 0), k.unpack\n"
+    )
+    assert layout_imports(source) == [
+        ("FIELD_BITS", 1), ("field_shift", 1), ("unpack", 5), ("FIELD_MASK", 8), ("pack", 9)]

@@ -50,6 +50,18 @@ def test_arithmetic_frozen():
     assert x / 2 == x * Fraction(1, 2)
 
 
+def test_identities_return_the_operand_and_keep_the_ring_check():
+    x, y = MultiPoly.variables(2)
+    p, zero = x * y - 3, MultiPoly.zero(2)
+    assert p + 0 is p and 0 + p is p and p + zero is p and zero + p is p
+    assert p * 1 is p and 1 * p is p and p - 0 is p
+    assert (p + x) == x * y + x - 3 and p.terms == {(1, 1): 1, (0, 0): -3}
+    with pytest.raises(ValueError):
+        p + MultiPoly.zero(3)
+    with pytest.raises(ValueError):
+        MultiPoly.zero(3) + p
+
+
 def test_evaluate_exact():
     x, y = MultiPoly.variables(2)
     p = x**2 * y - Fraction(1, 3) * y
@@ -62,6 +74,9 @@ def test_partial_derivative():
     p = x**3 * y + 2 * x
     assert p.partial(0) == 3 * x**2 * y + 2
     assert p.partial(1) == x**3
+    for i in (-1, 2):
+        with pytest.raises(ValueError):
+            p.partial(i)
 
 
 def test_substitute_composition():

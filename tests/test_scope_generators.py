@@ -189,7 +189,7 @@ def test_equivariance_row_work_count_on_ex61_n4(monkeypatch):
     covariants, against 15 directions each for the full scan (450 calls)."""
     calls: dict = {}
     row = [None]
-    orig_row, orig_along = verify._identity_row, covariants._derivative_along
+    orig_row, orig_along = verify._identity_row, covariants.derivative_along
 
     def identity_row(name, *args):
         row[0] = name
@@ -200,7 +200,7 @@ def test_equivariance_row_work_count_on_ex61_n4(monkeypatch):
         return orig_along(p, rows)
 
     monkeypatch.setattr(verify, "_identity_row", identity_row)
-    monkeypatch.setattr(covariants, "_derivative_along", along)
+    monkeypatch.setattr(covariants, "derivative_along", along)
     cfg = RunConfig(entries=("ex6.1",), overrides=(("n", 4),), mode="exact")
     report = run_entry("ex6.1", cfg)
     res = _row(report, "equivariance_scope")
