@@ -59,7 +59,8 @@ from ..linalg import (
     minor_skew,
     rank,
 )
-from ..poly import CheckContext, MultiPoly, identity_check
+from ..poly import (CheckContext, MultiPoly, derivative_along, field_moves, identity_check,
+                    partials_table)
 from .support import (
     SKEW,
     SYM,
@@ -188,16 +189,13 @@ def adjoint_construction(n: int) -> Construction:
         [[(g.basis[a] * g.basis[b]).trace() for b in range(g.dim)] for a in range(g.dim)]
     )
     gram_inv = inverse(gram)
+    units = [field_moves(e) for e in Matrix.identity(g.dim).rows]  # the fields e_a
     family = []
     for j in range(2, n + 1):
-        grad = [coeffs[j].partial(a) for a in range(g.dim)]
-        comps = [
-            sum(
-                (gram_inv.rows[a][b] * grad[b] for b in range(g.dim)),
-                MultiPoly.zero(g.dim),
-            )
-            for a in range(g.dim)
-        ]
+        table = partials_table(coeffs[j])  # built once, read along each e_a
+        grad = [derivative_along(table, e) for e in units]
+        comps = [sum((c * d for c, d in zip(row, grad)), MultiPoly.zero(g.dim))
+                 for row in gram_inv.rows]
         family.append(Covariant(rep, components=comps, name="F%d" % (j - 1), degree=j - 1))
     expected = Expected(
         dim_v=n * n - 1,

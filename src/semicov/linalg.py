@@ -15,12 +15,15 @@ nonzero entry and so their canonical rows.
 The one other elimination, ``skew_rank``, ranks skew-symmetric matrices
 (Kirillov forms): no row-echelon order can use the symmetry, while each of
 its 2x2 pivot blocks removes two indices and updates only the upper
-triangle, about a quarter of the element operations.  Symbolic
-determinants, adjugates and ``minor_skew`` (every order, every ring) read
-one memoised minor table, ``_minors``; characteristic polynomials use the
-Faddeev-LeVerrier loop.  ``power`` is the one repeated-squaring loop, for
-matrices, polynomials and dual numbers.  ``block_diag`` is the one
-block-diagonal assembly: product algebras, catalog covariants.
+triangle, about a quarter of the element operations.  It stores only the
+rows above the trailing zero block (V* in q = g x V*) and pivots into that
+block first, which keeps it zero; any pivot order keeps the Pfaffian
+division exact.  Symbolic determinants, adjugates and ``minor_skew``
+(every order, every ring) read one memoised minor table, ``_minors``;
+characteristic polynomials use the Faddeev-LeVerrier loop.  ``power`` is
+the one repeated-squaring loop, for matrices, polynomials and dual numbers.
+``block_diag`` is the one block-diagonal assembly: product algebras,
+catalog covariants.
 """
 
 from __future__ import annotations
@@ -329,40 +332,48 @@ def skew_rank(m: Matrix) -> int:
     """Exact rank of a skew-symmetric m, eliminating 2x2 pivot blocks.
 
     One common lcm clears the denominators, so the integer matrix stays skew.
+    The indices from h on, h least with A[h:, h:] = 0, are the tail (V* in a
+    Kirillov form of q = g x V*, h = dim g); only the h head rows are stored.
     The pivot row is the first index whose row is nonzero (zero rows before
-    it are dropped); the pivot a = A_ij is its entry of least absolute value,
-    the first among ties (a +-1 ends the scan).  i and j leave, the rank grows
-    by 2, and the upper triangle of the rest becomes (a A_kl - A_kj A_il +
-    A_ki A_jl) / prev: a Pfaffian, so the division by the previous pivot is
-    exact (Knuth, "Overlapping Pfaffians", 1996); a remainder raises.
+    it are dropped); the pivot a = A_ij is its entry of least absolute value
+    among its tail columns, or among its head columns if those are all zero,
+    the first among ties.  i and j leave, the rank grows by 2, and the upper
+    triangle of the rest becomes (a A_kl - A_kj A_il + A_ki A_jl) / prev: a
+    Pfaffian whatever the pivot order, so the division by the previous pivot
+    is exact (Knuth, "Overlapping Pfaffians", 1996); a remainder raises.
+    The tail block stays zero (a tail j has A_kj = A_jl = 0 for k, l in the
+    tail, a head j comes with A_il = 0 on the tail), so its rows are never
+    built, and the rank is complete once no head row is left.
     """
     n, rows = m.nrows, m.rows
     if m.ncols != n or any(r != [-a for a in c] for r, c in zip(rows, zip(*rows))):
         raise ValueError("skew_rank needs a skew-symmetric matrix")
+    h = n
+    while h and not any(rows[h - 1][h - 1:]):
+        h -= 1
     lcm = math.lcm(*[a.denominator for r in rows for a in r if type(a) is Fraction])
-    # up[p] holds the entries of row p right of the diagonal, as ints
+    # up[p] holds the entries of head row p right of the diagonal, as ints
     up = [[a.numerator * (lcm // a.denominator) if type(a) is Fraction else a * lcm
-           for a in r[p + 1:]] for p, r in enumerate(rows)]
+           for a in r[p + 1:]] for p, r in enumerate(rows[:h])]
     prev, r = 1, 0
     while up:
-        head = up[0]
-        j = None
-        for q, x in enumerate(head):
-            if x and (j is None or abs(x) < least):
-                j, least = q, abs(x)
-                if least == 1:
-                    break
-        if j is None:
+        head, h = up[0], len(up)
+        # columns q >= h - 1 of head are the tail; a nonzero one comes first
+        nz = [q for q in range(h - 1, len(head)) if head[q]] or [q for q, x in enumerate(head) if x]
+        if not nz:
             del up[0]
             continue
+        j = min(nz, key=lambda q: abs(head[q]))
         a = head[j]
         j += 1  # position of the pivot column in the current matrix
-        # minus column 0 and minus column j (A_k0 = -A_0k), over the rest
-        rest = [p for p in range(1, len(up)) if p != j]
+        # minus column 0 and minus column j (A_k0 = -A_0k), over the rest;
+        # A_jk = 0 where neither j nor k is a stored head row
+        rest = [p for p in range(1, len(head) + 1) if p != j]
         u = [head[p - 1] for p in rest]
-        w = [-up[p][j - p - 1] if p < j else up[j][p - j - 1] for p in rest]
+        w = [(-up[p][j - p - 1] if p < j else up[j][p - j - 1]) if p < h or j < h else 0
+             for p in rest]
         new = []
-        for t, p in enumerate(rest):
+        for t, p in enumerate(rest[: h - 1 - (j < h)]):
             row = up[p] if p > j else up[p][: j - p - 1] + up[p][j - p:]
             uk, wk = u[t], w[t]
             vals = [a * x + wk * y - uk * z for x, y, z in zip(row, u[t + 1:], w[t + 1:])]

@@ -5,8 +5,10 @@ of the dual space q* = g* + V are stored as (xi, v) coordinate pairs.  The
 index of q is estimated from the rank of the Kirillov form at random integer
 points, by the skew elimination ``linalg.skew_rank`` (the rank is always
 even, and two disjoint sample batches must agree for the estimate to count
-as stabilised).  The estimators read their seed, sample count and bound
-from a ``poly.CheckContext``, as every sampled row does.
+as stabilised).  V* is abelian, so each form is zero on V* x V*: only its
+dim g rows are eliminated, with pivots taken in V* first.  The estimators
+read their seed, sample count and bound from a ``poly.CheckContext``, as
+every sampled row does.
 """
 
 from __future__ import annotations
