@@ -8,8 +8,10 @@ user-chosen invariant form, never memoised.  ``coords`` is the one map from
 g's matrix realisation to its basis coordinates.  Products keep factor index
 bookkeeping so projections to factors stay exact.  ``generating_subset``
 certifies, by exact bracket closure, a set of basis elements that generates
-the subalgebra they span.  A representation stores only the nonzero entries
-of its action matrices, and every builder writes those entries directly.
+the subalgebra they span, trying the algebra's seeds first (on sl_n the n
+root vectors E_(i,i+1) and E_(n,1), which a product keeps per factor).
+A representation stores only the nonzero entries of its action matrices,
+and every builder writes those entries directly.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .poly import CheckContext
 
 class FormConvention:
     """The default invariant forms: the identity for so, [[0, I], [-I, 0]] for sp."""
-
-    @staticmethod
-    def default_symmetric(n: int) -> Matrix:
-        return Matrix.identity(n)
 
     @staticmethod
     def default_skew(n: int) -> Matrix:
@@ -78,6 +76,7 @@ class LieAlgebra:
         basis: list[Matrix] | None = None,
         matrix_size: int | None = None,
         factors: list[Factor] | None = None,
+        seeds: Sequence[int] = (),
     ):
         self.name = name
         self.dim = dim
@@ -88,6 +87,7 @@ class LieAlgebra:
         self.basis = basis
         self.matrix_size = matrix_size
         self.factors = factors or []
+        self.seeds = tuple(seeds)  # indices that generating_subset tries first
         self._generators: dict = {}  # generating_subset, per index tuple
         self._solver: SpanSolver | None = None  # coords, built on first use
 
@@ -155,10 +155,12 @@ class LieAlgebra:
         generate span(e_a : a in indices) as a Lie algebra; None when that
         span is not a subalgebra.  Computed on first use, cached.
 
-        Greedy and exact: e_a becomes a generator when it is not yet in the
-        closure, which then grows under ad(e_s) of every chosen generator
-        until it is stable (the subalgebra a set generates is the least
-        subspace holding it that ad of its members preserves).
+        Greedy and exact, over the ``seeds`` among ``indices`` first and
+        then the other indices in order: e_a becomes a generator when it is
+        not yet in the closure, which then grows under ad(e_s) of every
+        chosen generator until it is stable (the subalgebra a set generates
+        is the least subspace holding it that ad of its members preserves).
+        The seeds of sl_n, E_(i,i+1) and E_(n,1), generate it alone.
         """
         key = tuple(indices)
         if key not in self._generators:
@@ -167,6 +169,7 @@ class LieAlgebra:
 
     def _generating_subset(self, indices: tuple) -> tuple | None:
         inside = set(indices)
+        seeds = [a for a in self.seeds if a in inside]
         rows: list = []  # the closure: (pivot, sparse row with 1 there), in echelon order
         gens: list = []
 
@@ -183,7 +186,7 @@ class LieAlgebra:
                 rows.append((p, {j: Fraction(x) / vec[p] for j, x in vec.items()}))
             return bool(vec)
 
-        for a in indices:
+        for a in seeds + [a for a in indices if a not in seeds]:
             if not grow({a: 1}):
                 continue
             gens.append(a)
@@ -199,7 +202,7 @@ class LieAlgebra:
                 if grow(br):
                     work.extend((t, rows[-1][1]) for t in gens)
             if len(rows) == len(indices):
-                return tuple(gens)
+                return tuple(a for a in indices if a in gens)
         return None
 
     def check_jacobi(self):
@@ -291,9 +294,9 @@ def _nonzero_rows(cells, n: int) -> list:
 def _built_once(build):
     """Memoise the classical algebra ``build(n)`` per process.  Each call
     returns a fresh shallow copy of the first build: the brackets and their
-    table, the basis and the solver are shared, and nothing mutates them;
-    the ``generating_subset`` cache starts empty, so a certificate stays
-    with the algebra that computed it."""
+    table, the basis, the seeds and the solver are shared, and nothing
+    mutates them; the ``generating_subset`` cache starts empty, so a
+    certificate stays with the algebra that computed it."""
     built: dict[int, LieAlgebra] = {}
 
     @functools.wraps(build)
@@ -321,7 +324,9 @@ def sl(n: int) -> LieAlgebra:
         h.rows[i][i] = 1
         h.rows[i + 1][i + 1] = -1
         mats.append(h)
-    return LieAlgebra.from_matrices("sl%d" % n, mats)
+    g = LieAlgebra.from_matrices("sl%d" % n, mats)
+    g.seeds = tuple(range(0, n * n - n, n)) + ((n - 1) ** 2,)  # E_(i,i+1), E_(n,1)
+    return g
 
 
 def _form_algebra(n: int, form: Matrix, sign: int) -> LieAlgebra:
@@ -352,7 +357,7 @@ def _form_algebra(n: int, form: Matrix, sign: int) -> LieAlgebra:
 
 @_built_once
 def _default_so(n: int) -> LieAlgebra:
-    return _form_algebra(n, FormConvention.default_symmetric(n), 1)
+    return _form_algebra(n, Matrix.identity(n), 1)
 
 
 @_built_once
@@ -390,7 +395,8 @@ def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
         off += g.dim
         block += g.matrix_size
     pname = name or " x ".join(g.name for g in algebras)
-    return LieAlgebra(pname, off, brackets, basis=basis, matrix_size=block, factors=factors)
+    return LieAlgebra(pname, off, brackets, basis=basis, matrix_size=block, factors=factors,
+                      seeds=[f.basis_offset + s for f in factors for s in f.algebra.seeds])
 
 
 class Representation:

@@ -268,13 +268,14 @@ def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> l
     identity block) are carried along through the same row operations.
 
     The pivot is the first nonzero entry at or below the current row, except
-    forward with nothing carried (rank, scalar det), where only the echelon
-    shape counts: there it is the entry of least absolute value, the first
-    among ties (a +-1 ends the scan).  Either rule is deterministic.
+    with nothing carried (rank, scalar det, ``rank_and_kernel``), where only
+    the echelon shape, or the unique reduced form, counts: there it is the
+    entry of least absolute value, the first among ties (a +-1 ends the
+    scan).  Either rule is deterministic.
     """
     nrows = len(rows)
     pivots: list[int] = []
-    smallest = not full and all(len(row) == ncols for row in rows)
+    smallest = all(len(row) == ncols for row in rows)
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:

@@ -6,7 +6,8 @@ structure, degree audits, lifts, Poisson brackets, index bookkeeping and
 table comparisons) and assembles a deterministic report.  Nothing aborts on
 a failed check; every failure carries a re-evaluatable witness.  Once the
 exhaustive jacobi row passes, ``equivariance_scope`` is proved on Lie
-generators of the scope (``LieAlgebra.generating_subset``).
+generators of the scope (``LieAlgebra.generating_subset``: n root vectors
+on each sl_n factor), and again on the whole scope on a nonzero defect.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .covariants import (
 )
 from .lie import is_abelian, stabiliser_sample
 from .linalg import Matrix, rank  # noqa: F401 (re-export; the benchmark's tracer patches it)
-from .poly import CheckContext, CutoffExceeded, MultiPoly
+from .poly import CheckContext, CutoffExceeded
 from .semidirect import DualPoint, SemidirectProduct, index_estimate, rais_consistency
 
 __all__ = ["RunConfig", "Report", "run_suite", "run_target", "to_json", "to_text", "default_targets"]
@@ -95,17 +96,10 @@ class Report:
 
 
 def jsonable(obj):
-    """Exact-arithmetic objects to JSON-stable values; rationals as 'p/q'."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool) or obj is None:
+    """Exact-arithmetic objects to JSON-stable values; rationals as 'p/q',
+    polynomials by ``str``."""
+    if obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, MultiPoly):
-        return str(obj)
     if isinstance(obj, Matrix):
         return [jsonable(row) for row in obj.rows]
     if isinstance(obj, DualPoint):

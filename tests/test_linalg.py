@@ -312,6 +312,34 @@ def test_elimination_against_sympy(data):
         assert all(type(t) is int or t.denominator > 1 for row in ss.transform for t in row)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rank_and_kernel_is_the_sympy_rref_nullspace(data):
+    """Least-|x| pivots still give the one reduced echelon form: the kernel
+    read off sympy's RREF, entry by entry and type by type (an integral
+    entry is an int), on int and on Fraction matrices."""
+    sympy = pytest.importorskip("sympy")
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    ints = st.integers(-9, 9)
+    cell = data.draw(st.sampled_from([ints, st.one_of(ints, small_rationals)]))
+    rows = data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    if nrows > 2 and data.draw(st.booleans()):
+        rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+    m = Matrix(rows)
+    reduced, pivots = _sym(m).rref()
+    want = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = -_frac(reduced[ri, fc])
+        want.append(v)
+    r, kern = rank_and_kernel(m)
+    assert r == len(pivots) and kern == want
+    assert all(type(x) is int or x.denominator > 1 for v in kern for x in v)
+
+
 def _dense_coords(ss: SpanSolver, w):
     """SpanSolver.coords as it was first written: dense transform and residual."""
     c_red = [w[p] for p in ss.pivots]
