@@ -2,9 +2,7 @@
 
 from ..linalg import minor_skew
 from .entries import (
-    CatalogEntry,
     ParameterError,
-    ParamSpec,
     UnknownEntryError,
     all_entries,
     build_construction,
@@ -14,8 +12,6 @@ from .entries import (
 from .families import (
     CheckContext,
     Construction,
-    Control,
-    Expected,
     ExtraCheck,
     adjoint_construction,
     cubic_construction,
@@ -28,22 +24,17 @@ from .families import (
     sym_skewdual_construction,
     tri_sl_construction,
 )
-from .manifest import ManifestLine, find_line, load_manifest
-from .support import MatrixPairModule, quotient_dim_estimate, traceless_part
+from .manifest import find_line, load_manifest
+from .support import quotient_dim_estimate, traceless_part
 from .tables import (
     TABLE_CAPTIONS,
     TABLE_COLUMNS,
-    EntryLink,
-    ModuleSpec,
-    TableRow,
     all_rows,
     get_row,
     rows_for_entry,
 )
 
 __all__ = [
-    "CatalogEntry",
-    "ParamSpec",
     "ParameterError",
     "UnknownEntryError",
     "all_entries",
@@ -52,8 +43,6 @@ __all__ = [
     "build_construction",
     "CheckContext",
     "Construction",
-    "Control",
-    "Expected",
     "ExtraCheck",
     "adjoint_construction",
     "cubic_construction",
@@ -65,18 +54,13 @@ __all__ = [
     "sym_skew_construction",
     "sym_skewdual_construction",
     "tri_sl_construction",
-    "ManifestLine",
     "find_line",
     "load_manifest",
-    "MatrixPairModule",
     "minor_skew",
     "quotient_dim_estimate",
     "traceless_part",
     "TABLE_CAPTIONS",
     "TABLE_COLUMNS",
-    "EntryLink",
-    "ModuleSpec",
-    "TableRow",
     "all_rows",
     "get_row",
     "rows_for_entry",

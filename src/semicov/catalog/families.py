@@ -36,10 +36,10 @@ from ..covariants import (
     weight_under,
 )
 from ..lie import (
-    FormConvention,
     LieAlgebra,
     Representation,
     adjoint_rep,
+    default_skew,
     defining,
     gl,
     lift_factor,
@@ -730,7 +730,7 @@ def sp_so_construction(m: int, case: str = "i") -> Construction:
         raise ValueError("case must be i, ii or iii")
     n = {"i": 2 * m, "ii": 2 * m + 1, "iii": 2 * m + 2}[case]
     galg = product(sp(2 * m), so(n))
-    jmat = FormConvention.default_skew(2 * m)
+    jmat = default_skew(2 * m)
 
     label = "sp-so(%d;%s)" % (m, case)
     mod = MatrixPairModule(galg, [(2 * m, n)], left_right_fields(galg), label=label)

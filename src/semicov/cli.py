@@ -1,12 +1,14 @@
 """Command-line interface: run verification suites, list and show entries.
 
 Exit codes: 0 when no check failed (skips allowed), 1 when at least one
-check failed, 2 for usage errors: an unknown entry id, ``--samples`` or
-``--bound`` below 1, or a run in which every check was skipped.
+check failed, 2 for usage errors: an unknown entry id, ``--samples``,
+``--bound`` or ``--jobs`` below 1, an ``--out`` that cannot be written (in a
+missing directory, or a directory), or a run in which every check was skipped.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .catalog import (
@@ -93,16 +95,20 @@ def _cmd_run(args) -> int:
         print("error: %s" % err.args[0], file=sys.stderr)
         return 2
     try:
-        report = run_suite(cfg)
-    except (UnknownEntryError, KeyError) as err:
-        print("error: %s" % err.args[0], file=sys.stderr)
+        # checked before any target runs; append mode keeps an old report on a usage error
+        out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        print("error: cannot write %s: %s" % (args.out, err.strerror), file=sys.stderr)
         return 2
-    text = to_json(report) if args.format == "json" else to_text(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        try:
+            report = run_suite(cfg)
+        except (UnknownEntryError, KeyError) as err:
+            print("error: %s" % err.args[0], file=sys.stderr)
+            return 2
+        if args.out:
+            fh.truncate(0)
+        fh.write(to_json(report) if args.format == "json" else to_text(report))
     if report.failed:
         return 1
     if report.ran_nothing:

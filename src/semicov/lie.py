@@ -2,21 +2,21 @@
 
 Algebras carry sparse structure constants over the rationals, plus (when
 available) a faithful matrix realisation used to build modules.  Classical
-families gl, sl, so, sp come from explicit matrix conditions, once per size
-and process (each call returns a fresh algebra); so and sp accept a
-user-chosen invariant form, never memoised.  ``coords`` is the one map from
-g's matrix realisation to its basis coordinates.  Products keep factor index
-bookkeeping so projections to factors stay exact.  ``generating_subset``
-certifies, by exact bracket closure, a set of basis elements that generates
-the subalgebra they span, trying the algebra's seeds first (on sl_n the n
-root vectors E_(i,i+1) and E_(n,1), which a product keeps per factor).
+families gl, sl, so, sp come from explicit matrix conditions, built once per
+size and process and shared, so no caller may mutate them; so and sp accept
+a user-chosen invariant form, never memoised.  ``coords`` is the one map
+from g's matrix realisation to its basis coordinates.  Products keep factor
+index bookkeeping so projections to factors stay exact.  ``generating_subset``
+certifies, by exact bracket closure and with no cache, a set of basis
+elements that generates the subalgebra they span, trying the algebra's seeds
+first (on sl_n the n root vectors E_(i,i+1) and E_(n,1), which a product
+keeps per factor).
 A representation stores only the nonzero entries of its action matrices,
 and every builder writes those entries directly.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -36,19 +36,16 @@ from .linalg import (
 from .poly import CheckContext
 
 
-class FormConvention:
-    """The default invariant forms: the identity for so, [[0, I], [-I, 0]] for sp."""
-
-    @staticmethod
-    def default_skew(n: int) -> Matrix:
-        if n % 2:
-            raise ValueError("symplectic form needs even size")
-        m = n // 2
-        out = Matrix.zeros(n, n)
-        for i in range(m):
-            out.rows[i][m + i] = 1
-            out.rows[m + i][i] = -1
-        return out
+def default_skew(n: int) -> Matrix:
+    """The default symplectic form [[0, I], [-I, 0]] (so's is the identity)."""
+    if n % 2:
+        raise ValueError("symplectic form needs even size")
+    m = n // 2
+    out = Matrix.zeros(n, n)
+    for i in range(m):
+        out.rows[i][m + i] = 1
+        out.rows[m + i][i] = -1
+    return out
 
 
 @dataclass
@@ -88,7 +85,6 @@ class LieAlgebra:
         self.matrix_size = matrix_size
         self.factors = factors or []
         self.seeds = tuple(seeds)  # indices that generating_subset tries first
-        self._generators: dict = {}  # generating_subset, per index tuple
         self._solver: SpanSolver | None = None  # coords, built on first use
 
     def __repr__(self):
@@ -153,7 +149,7 @@ class LieAlgebra:
     def generating_subset(self, indices: Sequence[int]) -> tuple | None:
         """A subset of ``indices``, in their order, whose basis elements
         generate span(e_a : a in indices) as a Lie algebra; None when that
-        span is not a subalgebra.  Computed on first use, cached.
+        span is not a subalgebra.
 
         Greedy and exact, over the ``seeds`` among ``indices`` first and
         then the other indices in order: e_a becomes a generator when it is
@@ -162,12 +158,6 @@ class LieAlgebra:
         is the least subspace holding it that ad of its members preserves).
         The seeds of sl_n, E_(i,i+1) and E_(n,1), generate it alone.
         """
-        key = tuple(indices)
-        if key not in self._generators:
-            self._generators[key] = self._generating_subset(key)
-        return self._generators[key]
-
-    def _generating_subset(self, indices: tuple) -> tuple | None:
         inside = set(indices)
         seeds = [a for a in self.seeds if a in inside]
         rows: list = []  # the closure: (pivot, sparse row with 1 there), in echelon order
@@ -291,32 +281,13 @@ def _nonzero_rows(cells, n: int) -> list:
     return [(i, sorted(rows[i], key=lambda e: e[0])) for i in sorted(rows)]
 
 
-def _built_once(build):
-    """Memoise the classical algebra ``build(n)`` per process.  Each call
-    returns a fresh shallow copy of the first build: the brackets and their
-    table, the basis, the seeds and the solver are shared, and nothing
-    mutates them; the ``generating_subset`` cache starts empty, so a
-    certificate stays with the algebra that computed it."""
-    built: dict[int, LieAlgebra] = {}
-
-    @functools.wraps(build)
-    def fresh(n: int) -> LieAlgebra:
-        if n not in built:
-            built[n] = build(n)
-        out = copy.copy(built[n])
-        out._generators = {}
-        return out
-
-    return fresh
-
-
-@_built_once
+@functools.cache
 def gl(n: int) -> LieAlgebra:
     mats = [Matrix.unit(n, n, i, j) for i in range(n) for j in range(n)]
     return LieAlgebra.from_matrices("gl%d" % n, mats)
 
 
-@_built_once
+@functools.cache
 def sl(n: int) -> LieAlgebra:
     mats = [Matrix.unit(n, n, i, j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
@@ -355,23 +326,25 @@ def _form_algebra(n: int, form: Matrix, sign: int) -> LieAlgebra:
     return g
 
 
-@_built_once
+@functools.cache
 def _default_so(n: int) -> LieAlgebra:
     return _form_algebra(n, Matrix.identity(n), 1)
 
 
-@_built_once
+@functools.cache
 def _default_sp(n: int) -> LieAlgebra:
-    return _form_algebra(n, FormConvention.default_skew(n), -1)
+    return _form_algebra(n, default_skew(n), -1)
 
 
 def so(n: int, form: Matrix | None = None) -> LieAlgebra:
-    """so_n of ``form``; the default form's algebra is built once per n."""
+    """so_n of ``form``.  The identity form's algebra is built once per n and
+    shared by every call; any other form builds a fresh algebra."""
     return _default_so(n) if form is None else _form_algebra(n, form, 1)
 
 
 def sp(n: int, form: Matrix | None = None) -> LieAlgebra:
-    """sp_n of ``form``; the default form's algebra is built once per n."""
+    """sp_n of ``form``.  The ``default_skew`` algebra is built once per n and
+    shared by every call; any other form builds a fresh algebra."""
     if n % 2:
         raise ValueError("sp needs even size")
     return _default_sp(n) if form is None else _form_algebra(n, form, -1)
@@ -402,22 +375,15 @@ def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
 class Representation:
     """A module of ``algebra`` on V = Q^dim_v, stored sparsely.
 
-    ``nonzero_rows[a]`` holds the nonzero rows of rho_a as (i, [(j, entry),
-    ...]), rows and entries sorted by index; every action on a vector reads
-    it, and nothing mutates it.  The builders below pass ``cells``, per basis
-    element (i, j, entry) triples with each (i, j) at most once, and
-    ``dim_v``; dense ``action`` matrices are accepted too.  ``action`` is a
-    dense view for tests and oracles, rebuilt on every access.
+    ``cells`` holds, per basis element, the nonzero entries of rho_a as
+    (i, j, entry) triples with each (i, j) at most once, or the Matrix of
+    rho_a itself.  ``nonzero_rows[a]`` holds the nonzero rows of rho_a as
+    (i, [(j, entry), ...]), rows and entries sorted by index; every action
+    on a vector reads it, and nothing mutates it.  ``action`` is a dense
+    view for tests and oracles, rebuilt on every access.
     """
 
-    def __init__(
-        self, algebra: LieAlgebra, action: Sequence[Matrix] = (), label: str = "", cells=None, dim_v=0
-    ):
-        if cells is None:
-            cells = list(action)
-            dim_v = cells[0].nrows if cells else 0
-            if any(m.nrows != dim_v or m.ncols != dim_v for m in cells):
-                raise ValueError("action matrices must be square of equal size")
+    def __init__(self, algebra: LieAlgebra, cells: Sequence, dim_v: int, label: str = ""):
         if len(cells) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
         self.algebra, self.dim_v, self.label = algebra, dim_v, label
@@ -469,7 +435,7 @@ def defining(g: LieAlgebra) -> Representation:
     """The matrix realisation itself, acting on column coordinates."""
     if g.basis is None:
         raise ValueError("algebra has no matrix realisation")
-    return Representation(g, g.basis, label="defining(%s)" % g.name)
+    return Representation(g, g.basis, g.matrix_size, label="defining(%s)" % g.name)
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
@@ -587,7 +553,6 @@ def lift_factor(prod: LieAlgebra, idx: int, rep: Representation) -> Representati
 
 @dataclass
 class Subspace:
-    ambient: int
     vectors: list = field(default_factory=list)
     _solver: SpanSolver | None = None
 
@@ -614,7 +579,7 @@ def action_matrix_at(r: Representation, v: Sequence) -> Matrix:
 def stabiliser(r: Representation, v: Sequence) -> Subspace:
     """Exact annihilator {x in g : x . v = 0}."""
     _, kern = rank_and_kernel(action_matrix_at(r, v))
-    return Subspace(r.algebra.dim, kern)
+    return Subspace(kern)
 
 
 def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> list[tuple[list, Subspace]]:

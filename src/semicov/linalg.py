@@ -461,7 +461,9 @@ class SpanSolver:
         ]
 
     def coords(self, w: Sequence):
-        """Coefficients of w in the basis, or None if not in the span."""
+        """Coefficients of w in the basis, or None if w is outside the span or of another length."""
+        if self.k and len(w) != self.m:
+            return None
         c_red = [w[p] for p in self.pivots]
         # coefficients on the original basis: c = c_red @ transform
         out = []

@@ -69,9 +69,6 @@ class RunConfig:
         """The knobs every identity check of the run reads."""
         return CheckContext(self.mode, self.seed, self.samples, self.bound)
 
-    def override_dict(self) -> dict:
-        return dict(self.overrides)
-
 
 @dataclass
 class Report:
@@ -419,7 +416,7 @@ def _timed(cfg: RunConfig, fn, *args, **kw) -> dict:
 def run_entry(name: str, cfg: RunConfig) -> dict:
     entry_id = resolve_id(name)
     entry = get_entry(entry_id)
-    params = entry.resolve(cfg.override_dict())
+    params = entry.resolve(dict(cfg.overrides))
     report = {
         "id": entry_id,
         "kind": "entry",
@@ -458,20 +455,25 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
 
     identity("kernel_phi", _aggregate, family, lambda F: kernel_phi_check(F, ctx))
 
-    def equivariant(F):
+    def equivariance(name):
         # once the jacobi row has proved rho and ad to be representations,
         # x -> x*F is one too, so {x : x*F = 0} is a subalgebra and Lie
-        # generators of the scope suffice.  Without that premise or a
-        # certificate, and on any nonzero defect, the whole scope is scanned
+        # generators of the scope, certified once for the family, suffice.
+        # Without that premise or a certificate, and on any nonzero defect,
+        # the whole scope is scanned
         scope = range(q.dim_g) if cons.scope is None else cons.scope
         gens = q.g.generating_subset(scope) if jacobi_ok else None
-        if gens is not None:
-            res = equivariance_check(F, gens, ctx)
-            if res.is_zero:
-                return res
-        return equivariance_check(F, cons.scope, ctx)
 
-    identity("equivariance_scope", _aggregate, family, equivariant, "scope: " + cons.scope_label)
+        def equivariant(F):
+            if gens is not None:
+                res = equivariance_check(F, gens, ctx)
+                if res.is_zero:
+                    return res
+            return equivariance_check(F, cons.scope, ctx)
+
+        return _aggregate(name, family, equivariant, "scope: " + cons.scope_label)
+
+    identity("equivariance_scope", equivariance)
 
     if cons.complement is not None:
 
@@ -620,7 +622,7 @@ def run_suite(cfg: RunConfig) -> Report:
         "bound": cfg.bound,
         "negative_controls": cfg.negative_controls,
     }
-    overrides = cfg.override_dict()
+    overrides = dict(cfg.overrides)
     if overrides:
         config_dict["parameters"] = dict(sorted(overrides.items()))
     jobs = [(name, cfg) for name in targets]

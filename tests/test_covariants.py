@@ -67,7 +67,7 @@ from semicov.covariants import (
 )
 from semicov.catalog import all_entries, build_construction, get_entry
 from semicov.lie import (
-    adjoint_rep, defining, direct_sum, product, sl, so, stabiliser_sample,
+    adjoint_rep, defining, direct_sum, product, sl, so, stabiliser, stabiliser_sample,
 )
 from semicov.linalg import Matrix
 from semicov.poly import (
@@ -673,6 +673,18 @@ def test_covariant_leaving_its_algebra_raises():
         F.coords_at([1, 2])
     with pytest.raises(ValueError, match="left the algebra"):
         parameter_coefficients(rep, lambda c: Matrix([[c[-1], 0], [0, c[0]]]))
+
+
+def test_wrong_length_is_outside_the_span():
+    # a 3 x 3 matrix is not in sl_2, whatever its top-left block holds
+    g = sl(2)
+    big = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 7]])
+    assert g.coords(big) is None and g.coords(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is None
+    s = stabiliser(adjoint_rep(g), [1, 0, 0])  # span(E_12) in sl_2's coordinates
+    assert s.contains([1, 0, 0]) and not s.contains([1, 0, 0, 0]) and not s.contains([1, 0])
+    F = Covariant(defining(g), matrix_formula=lambda c: big * c[0], name="big")
+    with pytest.raises(ValueError, match="left its algebra"):
+        F.coords_at([1, 2])
 
 
 def _counted(F: Covariant, calls: dict) -> Covariant:

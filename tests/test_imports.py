@@ -11,11 +11,16 @@ inside its module (``linalg._minors`` serves ``det``, ``adjugate`` and
 add them, and differentiate through ``poly.derivative_along``.  The scans
 are syntactic (``ast``), so they need no linter and import none of the
 scanned modules.
+
+The ``semicov.catalog`` facade re-exports only names that some module of
+``src/``, ``tests/``, ``demos/`` or ``bench/``, or the README's Python code,
+imports from it; every other name is imported from its submodule.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -172,3 +177,43 @@ def test_scanner_flags_layout_imports():
     )
     assert layout_imports(source) == [
         ("FIELD_BITS", 1), ("field_shift", 1), ("unpack", 5), ("FIELD_MASK", 8), ("pack", 9)]
+
+
+FACADE = ROOT / "src" / "semicov" / "catalog" / "__init__.py"
+FACADE_READERS = [p for p in sorted((ROOT / "src").rglob("*.py")) if p != FACADE] + [
+    p for d in ("tests", "demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+
+
+def facade_imports(source: str, package: str = "") -> set[str]:
+    """The names ``source`` imports from ``semicov.catalog``, at any depth;
+    a relative import resolves against ``package``, the module's own."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = package.split(".")[: len(package.split(".")) + 1 - node.level] if node.level else []
+            if ".".join(parts + [node.module or ""]).strip(".") == "semicov.catalog":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_catalog_facade_exports_only_imported_names():
+    used: set[str] = set()
+    for path in FACADE_READERS:
+        package = ".".join(path.relative_to(ROOT / "src").parts[:-1]) if ROOT / "src" in path.parents else ""
+        used |= facade_imports(path.read_text(), package)
+    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        used |= facade_imports(block)
+    assert sorted(_dunder_all(ast.parse(FACADE.read_text())) - used) == []
+
+
+def test_scanner_finds_facade_imports():
+    source = (
+        "from .catalog import get_row\n"
+        "from .catalog.entries import ParamSpec\n"
+        "def f():\n    from semicov.catalog import (\n        all_rows,\n    )\n"
+        "from . import catalog\n"
+    )
+    assert facade_imports(source, "semicov") == {"get_row", "all_rows"}
+    assert facade_imports("from . import support\nfrom .. import catalog", "semicov.catalog") == {
+        "support"}
+    assert facade_imports("from .catalog import get_row") == set()

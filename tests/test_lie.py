@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from semicov.lie import (
-    FormConvention,
     LieAlgebra,
     Matrix,
     adjoint_rep,
+    default_skew,
     defining,
     direct_sum,
     dual,
@@ -61,7 +61,7 @@ def test_classical_dimensions():
 
 
 def test_classical_matrix_conditions():
-    form = FormConvention.default_skew(4)
+    form = default_skew(4)
     g = sp(4)
     for m in g.basis:
         cond = m.transpose() * form + form * m
@@ -80,20 +80,27 @@ def test_so_with_custom_form():
         assert (m.transpose() * form + form * m).is_zero()
 
 
-def test_classical_algebras_are_built_once_and_handed_out_fresh():
-    """Each default classical algebra is built once per process; every call
-    returns a new algebra on the shared brackets, basis and solver, so a
-    certificate computed on one never reaches another.  An explicit form is
-    never memoised."""
-    for build, n in ((gl, 2), (sl, 3), (so, 4), (sp, 4)):
-        a, b = build(n), build(n)
-        assert a is not b and a.name == b.name
-        assert a.brackets is b.brackets and a.basis is b.basis and a._solver is b._solver
-        a.generating_subset(range(a.dim))
-        assert a._generators and b._generators == {} and build(n)._generators == {}
+def test_classical_algebras_are_built_once_and_handed_out_fresh(monkeypatch):
+    """Each default classical algebra is built once per n and process, and
+    every call returns that one algebra.  An explicit form is never
+    memoised, even the default one: each call builds a fresh algebra."""
+    from semicov import lie
+
+    built = []
+    orig = lie.LieAlgebra.from_matrices
+    monkeypatch.setattr(lie.LieAlgebra, "from_matrices",
+                        staticmethod(lambda name, mats: built.append(name) or orig(name, mats)))
+    for build, n in ((gl, 2), (sl, 3), (sl, 4), (so, 4), (sp, 4)):
+        first = build(n)
+        built.clear()
+        assert all(build(n) is first for _ in range(3)) and built == []
+        assert build(n) is not build(n + 2)
+    so(3)
+    built.clear()
     form = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert so(3, form).brackets is not so(3, form).brackets
-    assert so(3).brackets is not so(3, Matrix.identity(3)).brackets
+    assert so(3, form) is not so(3, form)
+    assert so(3, Matrix.identity(3)) is not so(3)
+    assert built == ["so3", "so3", "so3"]
 
 
 def test_jacobi_exact():
@@ -170,7 +177,7 @@ def test_tensor_over_product_factors():
 def test_subrepresentation_primitive_ext2_sp4():
     g = sp(4)
     r = ext_power(defining(g), 2)
-    form = FormConvention.default_skew(4)
+    form = default_skew(4)
     import itertools
 
     wedge = list(itertools.combinations(range(4), 2))
@@ -248,7 +255,7 @@ def test_is_abelian_and_subalgebra():
     h1[6] = 1
     h2 = [0] * 8
     h2[7] = 1
-    cartan = Subspace(8, [h1, h2])
+    cartan = Subspace([h1, h2])
     assert is_abelian(g, cartan)
     sub = subalgebra(g, cartan)
     assert sub.dim == 2 and not sub.brackets
@@ -257,7 +264,7 @@ def test_is_abelian_and_subalgebra():
     g2 = sl(2)
     e = [1, 0, 0]
     h = [0, 0, 1]
-    borel = Subspace(3, [e, h])
+    borel = Subspace([e, h])
     assert is_abelian(g2, borel) is False
 
     # not closed: span{E12, E23} in sl3 (bracket is E13)
@@ -268,7 +275,7 @@ def test_is_abelian_and_subalgebra():
     # (0,1),(0,2),(1,0),(1,2),(2,0),(2,1) -> E23 is (1,2) at index 3
     e23[3] = 1
     with pytest.raises(ValueError):
-        is_abelian(g, Subspace(8, [e12, e23]))
+        is_abelian(g, Subspace([e12, e23]))
 
 
 def test_structure_constants_from_matrices_rejects_open_sets():

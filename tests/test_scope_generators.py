@@ -3,9 +3,10 @@
 ``LieAlgebra.generating_subset`` is checked against an independent closure:
 brackets of every pair of spanning vectors, ``bracket_coords``, with the
 span taken by ``sympy`` until its rank stops growing.  ``run_entry`` may use
-the generators only when the jacobi row passed; the tests below break that
-premise, and feed it a covariant that is not equivariant, and see the row
-keep the verdict and witness of a scan over the whole scope.
+the generators only when the jacobi row passed, and certifies them once per
+entry for the whole family; the tests below count the certificates, break
+that premise, and feed it a covariant that is not equivariant, and see the
+row keep the verdict and witness of a scan over the whole scope.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ def test_generating_subset_matches_bracket_closure(g, indices):
     assert set(gens) <= set(indices)
     assert list(gens) == sorted(gens, key=list(indices).index)
     assert _spans(g, gens, indices)
-    assert g.generating_subset(list(indices)) is gens  # cached per index tuple
 
 
 def test_generating_subset_is_greedy_in_seeds_then_index_order():
@@ -118,14 +118,6 @@ def test_seeds_outside_the_scope_fall_back_to_index_order(indices):
     assert g.generating_subset(indices) == unseeded.generating_subset(indices) == indices
 
 
-def test_built_once_copy_keeps_seeds_with_an_empty_cache():
-    a = sl(3)
-    a.generating_subset(range(a.dim))
-    b = sl(3)
-    assert b is not a and b.seeds == a.seeds == (0, 3, 4)
-    assert a._generators and b._generators == {}
-
-
 def test_non_closed_set_has_no_certificate():
     g = sl(3)
     # E_12 and E_21 without their bracket H_12
@@ -137,13 +129,6 @@ def test_non_closed_set_has_no_certificate():
     # E_13 makes three, as many as the closure of the first two: it is the
     # bracket leaving the span that rules the set out
     assert g.generating_subset((e12, e21, 1)) is None
-
-
-def test_certificate_is_lazy():
-    g = sl(3)
-    assert g._generators == {}
-    g.generating_subset(range(g.dim))
-    assert list(g._generators) == [tuple(range(g.dim))]
 
 
 # -- the row in run_entry -------------------------------------------------------
@@ -166,23 +151,45 @@ def _full_scan_witness(cons, ctx):
     return None
 
 
+def _count_certificates(monkeypatch) -> list:
+    """The scope of each ``generating_subset`` call from here on."""
+    calls, orig = [], LieAlgebra.generating_subset
+    monkeypatch.setattr(LieAlgebra, "generating_subset",
+                        lambda g, indices: calls.append(tuple(indices)) or orig(g, indices))
+    return calls
+
+
+@pytest.mark.parametrize("entry,overrides,family", [("ex6.1", (), 2), ("ex6.3/iii", (("m", 2),), 3)])
+def test_scope_is_certified_once_per_entry(monkeypatch, entry, overrides, family):
+    certified = _count_certificates(monkeypatch)
+    report = run_entry(entry, RunConfig(entries=(entry,), overrides=overrides))
+    assert _row(report, "jacobi")["verdict"] == "pass"
+    row = _row(report, "equivariance_scope")
+    assert row["verdict"] == "pass" and row["detail"].startswith("%d covariants" % family)
+    assert len(certified) == 1
+
+
 @pytest.mark.parametrize("mode", ["auto", "sampled"])
 def test_broken_jacobi_falls_back_to_the_full_scan(monkeypatch, mode):
     cons = build_construction(get_entry("ex-adjoint"), {})
     g, rep = cons.module.algebra, cons.module
     gens = g.generating_subset(range(g.dim))
     b = next(a for a in range(g.dim) if a not in gens)
-    action = list(rep.action)
-    action[b] = action[b] + Matrix.unit(rep.dim_v, rep.dim_v, 0, 0)
-    broken = Representation(g, action, label=rep.label)
+    cells = [rep.cells(a) for a in range(g.dim)]
+    entries = {(i, j): x for i, j, x in cells[b]}
+    entries[0, 0] = entries.get((0, 0), 0) + 1
+    cells[b] = [(i, j, x) for (i, j), x in entries.items()]
+    broken = Representation(g, cells, rep.dim_v, label=rep.label)
     for F in cons.family:
         F.rep = broken
     cons = replace(cons, module=broken)
     ctx = RunConfig(mode=mode).ctx
     # the generators alone see nothing wrong: only the premise stops a PASS
     assert all(equivariance_check(F, gens, ctx).is_zero for F in cons.family)
+    certified = _count_certificates(monkeypatch)
     report = _run(monkeypatch, cons, mode=mode)
     assert _row(report, "jacobi")["verdict"] == "fail"
+    assert certified == []  # no certificate without its premise
     row = _row(report, "equivariance_scope")
     assert row["verdict"] == "fail"
     want = _full_scan_witness(cons, ctx)

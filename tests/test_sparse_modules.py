@@ -167,12 +167,10 @@ def test_matrix_pair_module_rejects_nonlinear_fields(fields):
 def test_sparse_constructor_rejects_bad_cells():
     g = sl(2)
     with pytest.raises(ValueError, match="one action matrix per basis element"):
-        Representation(g, cells=[[]] * (g.dim - 1), dim_v=2)
+        Representation(g, [[]] * (g.dim - 1), 2)
     for cell in ((0, 2, 1), (2, 0, 1), (-1, 0, 1)):
         with pytest.raises(ValueError, match="outside"):
-            Representation(g, cells=[[cell], [], []], dim_v=2)
-    with pytest.raises(ValueError, match="square"):
-        Representation(g, [Matrix.zeros(2, 3)] * g.dim)
+            Representation(g, [[cell], [], []], 2)
 
 
 # -- build cost, by count ----------------------------------------------------------

@@ -28,7 +28,8 @@ Covered here:
 * the command line resolves aliases, prints one line per catalog entry or
   table row, emits parseable JSON (text is the default), and uses exit
   codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
-  identifier, --samples, --bound or --jobs below 1, nothing verified).
+  identifier, --samples, --bound or --jobs below 1, an --out that cannot
+  be written, nothing verified).
 """
 
 from __future__ import annotations
@@ -377,8 +378,12 @@ def test_cli_run_writes_out_file(tmp_path, capsys):
     assert payload["entries"][0]["id"] == "ex5.2"
 
 
-def test_cli_unknown_ids_exit_2(capsys):
+def test_cli_unknown_ids_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--entry", "no-such-thing"]) == 2
+    old = tmp_path / "report.txt"
+    old.write_text("old report\n")
+    assert cli.main(["run", "--entry", "no-such-thing", "--out", str(old)]) == 2
+    assert old.read_text() == "old report\n"
     assert cli.main(["show", "no-such-thing"]) == 2
     capsys.readouterr()
 
@@ -395,11 +400,16 @@ def test_cli_reports_failure_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("knob", [("--samples", "0"), ("--samples", "-1"), ("--bound", "0"),
-                                  ("--jobs", "0"), ("--jobs", "-1")])
-def test_cli_bad_knob_is_usage_error(knob, capsys):
+                                  ("--jobs", "0"), ("--jobs", "-1"),
+                                  ("--out", "/nonexistent/dir/x.json"), ("--out", ".")])
+def test_cli_bad_knob_is_usage_error(knob, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("a target ran"))
     assert cli.main(["run", "--entry", "ex5.2", *knob]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    if knob[0] == "--out":
+        assert captured.err.startswith("error: cannot write %s: " % knob[1])
+        return
     assert captured.err.startswith("error: %s must be at least 1" % knob[0][2:])
     with pytest.raises(ValueError):
         RunConfig(**{knob[0][2:]: int(knob[1])})
