@@ -1,9 +1,12 @@
 """Command-line interface: run verification suites, list and show entries.
 
 Exit codes: 0 when no check failed (skips allowed), 1 when at least one
-check failed, 2 for usage errors: an unknown entry id, ``--samples``,
-``--bound`` or ``--jobs`` below 1, an ``--out`` that cannot be written (in a
-missing directory, or a directory), or a run in which every check was skipped.
+check failed, 2 for usage errors: an unknown entry or table row id,
+``--samples``, ``--bound`` or ``--jobs`` below 1, an ``--n``/``--m``/``--k``
+that no entry target takes (table rows keep their pinned parameters), an
+``--out`` that cannot be written (in a missing directory, or a directory), or
+a run in which every check was skipped.  Every usage error but the last is
+reported before ``--out`` is opened, so none of them creates or changes it.
 """
 from __future__ import annotations
 
@@ -11,16 +14,7 @@ import argparse
 import contextlib
 import sys
 
-from .catalog import (
-    TABLE_CAPTIONS,
-    all_entries,
-    all_rows,
-    get_entry,
-    get_row,
-    resolve_id,
-    rows_for_entry,
-)
-from .catalog.entries import UnknownEntryError
+from .catalog import TABLE_CAPTIONS, all_entries, all_rows, get_entry, get_row, rows_for_entry
 from .verify import RunConfig, run_suite, to_json, to_text
 
 
@@ -74,15 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    overrides = []
-    for key in ("n", "m", "k"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides.append((key, val))
+    overrides = tuple((k, getattr(args, k)) for k in ("n", "m", "k") if getattr(args, k) is not None)
     try:
         cfg = RunConfig(
             entries=tuple(args.entry),
-            overrides=tuple(overrides),
+            overrides=overrides,
             seed=args.seed,
             mode=args.mode,
             samples=args.samples,
@@ -91,21 +81,17 @@ def _cmd_run(args) -> int:
             negative_controls=args.negative_controls,
             timings=args.timings,
         )
-    except ValueError as err:
+    except (KeyError, ValueError) as err:  # a bad knob, an unknown id or an unused override
         print("error: %s" % err.args[0], file=sys.stderr)
         return 2
     try:
-        # checked before any target runs; append mode keeps an old report on a usage error
+        # append mode keeps an old report until the new one is written
         out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as err:
         print("error: cannot write %s: %s" % (args.out, err.strerror), file=sys.stderr)
         return 2
     with out as fh:
-        try:
-            report = run_suite(cfg)
-        except (UnknownEntryError, KeyError) as err:
-            print("error: %s" % err.args[0], file=sys.stderr)
-            return 2
+        report = run_suite(cfg)
         if args.out:
             fh.truncate(0)
         fh.write(to_json(report) if args.format == "json" else to_text(report))
@@ -132,8 +118,8 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _show_entry(entry_id: str) -> None:
-    entry = get_entry(entry_id)
+def _show_entry(name: str) -> None:
+    entry = get_entry(name)
     print("%s (executable)" % entry.id)
     print("  title:   %s" % entry.title)
     print("  group:   %s" % entry.group)
@@ -172,20 +158,15 @@ def _show_row(row_id: str) -> None:
 
 
 def _cmd_show(args) -> int:
-    name = args.id
-    if name.startswith("table"):
-        try:
-            _show_row(name)
-            return 0
-        except KeyError as err:
-            print("error: %s" % err.args[0], file=sys.stderr)
-            return 2
     try:
-        _show_entry(resolve_id(name))
-        return 0
-    except UnknownEntryError as err:
+        if args.id.startswith("table"):
+            _show_row(args.id)
+        else:
+            _show_entry(args.id)
+    except KeyError as err:  # an unknown entry or row id
         print("error: %s" % err.args[0], file=sys.stderr)
         return 2
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -156,8 +156,10 @@ class LieAlgebra:
         not yet in the closure, which then grows under ad(e_s) of every
         chosen generator until it is stable (the subalgebra a set generates
         is the least subspace holding it that ad of its members preserves).
-        The seeds of sl_n, E_(i,i+1) and E_(n,1), generate it alone.
+        The seeds of sl_n, E_(i,i+1) and E_(n,1), generate it alone.  Each
+        generator comes once; the empty scope gives ``()``.
         """
+        indices = tuple(dict.fromkeys(indices))
         inside = set(indices)
         seeds = [a for a in self.seeds if a in inside]
         rows: list = []  # the closure: (pivot, sparse row with 1 there), in echelon order
@@ -192,8 +194,8 @@ class LieAlgebra:
                 if grow(br):
                     work.extend((t, rows[-1][1]) for t in gens)
             if len(rows) == len(indices):
-                return tuple(a for a in indices if a in gens)
-        return None
+                break
+        return tuple(a for a in indices if a in gens)
 
     def check_jacobi(self):
         """Exact Jacobi identity on the basis triples a < b < c (the others

@@ -174,7 +174,10 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.packed.items())))
+        t = self.packed
+        if t.keys() <= {0}:  # a constant equals, so hashes as, its scalar
+            return hash(t.get(0, 0))
+        return hash((self.num_vars, frozenset(t.items())))
 
     # -- arithmetic -----------------------------------------------------
 

@@ -166,18 +166,16 @@ def rais_consistency(
 
     ``sample`` holds (point, stabiliser) pairs of V, as drawn by
     ``lie.stabiliser_sample``; x is its first point of minimal stabiliser
-    dimension.  The index of g_x is sampled inside the subalgebra under
-    ``ctx``, whose ``samples`` is the size of ``sample`` in a verify run.
+    dimension.  The index of an abelian g_x is its dimension; that of a
+    non-abelian one is sampled inside the subalgebra under ``ctx``, whose
+    ``samples`` is the size of ``sample`` in a verify run.
     ``est`` is the estimate of ind q, ``index_estimate(q.lie, ctx)``.
     """
     stab = min((s for _, s in sample), key=lambda s: s.dim)
-    if stab.dim == 0:
-        stab_index = 0
-        stab_abelian = True
-    else:
-        sub = subalgebra(q.g, stab)
-        stab_index = index_estimate(sub, ctx).index
-        stab_abelian = not sub.brackets
+    sub = subalgebra(q.g, stab)
+    stab_abelian = not sub.brackets
+    # an abelian g_x has a zero Kirillov form, so ind g_x = dim g_x exactly
+    stab_index = stab.dim if stab_abelian else index_estimate(sub, ctx).index
     expected = q.dim_v - q.dim_g + stab.dim + stab_index
     return RaisReport(
         dim_v=q.dim_v,

@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .catalog import (
     Construction,
@@ -40,7 +41,7 @@ from .covariants import (
     poisson_commute_check,
 )
 from .lie import is_abelian, stabiliser_sample
-from .linalg import Matrix, rank  # noqa: F401 (re-export; the benchmark's tracer patches it)
+from .linalg import rank  # noqa: F401 (re-export; the benchmark's tracer patches it)
 from .poly import CheckContext, CutoffExceeded
 from .semidirect import DualPoint, SemidirectProduct, index_estimate, rais_consistency
 
@@ -62,7 +63,24 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1, got %d" % self.jobs)
-        self.ctx  # bad knobs raise here, before any target runs
+        self.ctx  # bad knobs raise here, before any target runs;
+        self.targets  # so do unknown ids and overrides no entry target takes
+
+    @cached_property
+    def targets(self) -> tuple[str, ...]:
+        """Canonical target ids in the order given, each once; the default
+        suite when ``entries`` is empty.  Table rows keep their pinned
+        parameters, so an override must be taken by some entry target."""
+        names = self.entries or default_targets()
+        targets = tuple(dict.fromkeys(n if n.startswith("table") else resolve_id(n) for n in names))
+        for t in targets:
+            if t.startswith("table"):
+                get_row(t)  # raises on an unknown row id
+        taken = {p.name for t in targets if not t.startswith("table") for p in get_entry(t).params}
+        unused = sorted({k for k, _ in self.overrides} - taken)
+        if unused:
+            raise ValueError("no target takes parameter(s) %s" % ", ".join(unused))
+        return targets
 
     @property
     def ctx(self) -> CheckContext:
@@ -97,8 +115,6 @@ def jsonable(obj):
     polynomials by ``str``."""
     if obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, Matrix):
-        return [jsonable(row) for row in obj.rows]
     if isinstance(obj, DualPoint):
         return {"xi": jsonable(obj.xi), "v": jsonable(obj.v)}
     if isinstance(obj, dict):
@@ -111,14 +127,12 @@ def jsonable(obj):
 _VERDICT = {"proved_zero": "pass", "sampled_zero": "sampled-pass", "proved_nonzero": "fail"}
 
 
-def _row(name: str, verdict: str, detail: str = "", witness=None, ms=None) -> dict:
+def _row(name: str, verdict: str, detail: str = "", witness=None) -> dict:
     out = {"name": name, "verdict": verdict}
     if detail:
         out["detail"] = detail
     if witness is not None:
         out["witness"] = jsonable(witness)
-    if ms is not None:
-        out["runtime_ms"] = ms
     return out
 
 
@@ -414,8 +428,8 @@ def _timed(cfg: RunConfig, fn, *args, **kw) -> dict:
 
 
 def run_entry(name: str, cfg: RunConfig) -> dict:
-    entry_id = resolve_id(name)
-    entry = get_entry(entry_id)
+    entry = get_entry(name)
+    entry_id = entry.id
     params = entry.resolve(dict(cfg.overrides))
     report = {
         "id": entry_id,
@@ -599,40 +613,25 @@ def run_target(name: str, cfg: RunConfig) -> dict:
     return run_entry(name, cfg)
 
 
-def _worker(args) -> dict:
-    return run_target(*args)
-
-
 def run_suite(cfg: RunConfig) -> Report:
-    if cfg.entries:
-        targets = []
-        for name in cfg.entries:
-            canonical = name if name.startswith("table") else resolve_id(name)
-            if canonical.startswith("table"):
-                get_row(canonical)  # raises on unknown row id
-            if canonical not in targets:
-                targets.append(canonical)
-    else:
-        targets = default_targets()
     config_dict = {
-        "entries": list(targets),
+        "entries": list(cfg.targets),
         "seed": cfg.seed,
         "mode": cfg.mode,
         "samples": cfg.samples,
         "bound": cfg.bound,
         "negative_controls": cfg.negative_controls,
     }
-    overrides = dict(cfg.overrides)
-    if overrides:
-        config_dict["parameters"] = dict(sorted(overrides.items()))
-    jobs = [(name, cfg) for name in targets]
-    if cfg.jobs > 1 and len(jobs) > 1:
+    if cfg.overrides:
+        config_dict["parameters"] = dict(sorted(dict(cfg.overrides).items()))
+    if cfg.jobs > 1 and len(cfg.targets) > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(min(cfg.jobs, len(jobs))) as pool:
-            results = pool.map(_worker, jobs)  # in the order of jobs
+        with mp.get_context("fork").Pool(min(cfg.jobs, len(cfg.targets))) as pool:
+            # in the order of the targets
+            results = pool.starmap(run_target, [(name, cfg) for name in cfg.targets])
     else:
-        results = [_worker(j) for j in jobs]
+        results = [run_target(name, cfg) for name in cfg.targets]
     return Report(config=config_dict, entries=results)
 
 

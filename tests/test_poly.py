@@ -41,6 +41,19 @@ def test_degree_and_zero():
     assert (x * y).is_homogeneous(2)
 
 
+@pytest.mark.parametrize("num_vars", [1, 2, 5])
+@pytest.mark.parametrize("c", [0, 2, -3, Fraction(4, 2), Fraction(1, 3)])
+def test_a_constant_hashes_as_the_scalar_it_equals(num_vars, c):
+    # Python's contract: a == b implies hash(a) == hash(b)
+    p = MultiPoly.const(num_vars, c)
+    assert p == c and hash(p) == hash(c)
+    table = {c: "scalar"}
+    assert table[p] == "scalar"
+    assert {p: "constant"}[c] == "constant"
+    x = MultiPoly.variable(num_vars, 0)
+    assert (x + c) != c and (x + c) not in table
+
+
 def test_arithmetic_frozen():
     x, y = MultiPoly.variables(2)
     p = (x + y) * (x - y)

@@ -88,6 +88,16 @@ def test_abelian_and_single_index_need_every_index():
     assert g.generating_subset((5,)) == (5,)
 
 
+def test_empty_and_repeated_scopes():
+    g = sl(2)
+    # the empty set generates the zero subalgebra
+    assert g.generating_subset([]) == ()
+    # each generator once, in scope order, however often the scope names it
+    assert g.generating_subset([0, 0, 1, 2]) == g.generating_subset([0, 1, 2]) == (0, 1)
+    assert g.generating_subset([2, 1, 2, 0, 1]) == (1, 0)
+    assert g.generating_subset([2, 2]) == (2,)
+
+
 def test_generating_subset_counts_at_default_sizes():
     assert [len(sl(n).generating_subset(range(n * n - 1))) for n in (2, 3, 4, 5)] == [2, 3, 4, 5]
     assert len(sl(6).generating_subset(range(35))) == 6

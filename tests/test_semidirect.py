@@ -125,10 +125,17 @@ def test_rais_consistency_takes_the_index_estimate(monkeypatch):
     monkeypatch.setattr(semidirect, "index_estimate", recording)
     monkeypatch.setattr(lie, "stabiliser", no_stabiliser)
     rep = rais_consistency(q, sample, est, ctx)
-    # only the stabiliser's own index is estimated, over ctx.samples = len(sample) points
-    assert calls == [(1, 4, 5)]
-    assert rep.stab_dim == 1 and rep.index_q == est.index == 2 and rep.consistent
+    # g_x is abelian, so ind g_x = dim g_x with no estimate at all
+    assert calls == []
+    assert rep.stab_dim == rep.stab_index == 1 and rep.stab_abelian
+    assert rep.index_q == est.index == 2 and rep.consistent
     assert rep.stabilised == est.stabilised
+    # at the zero point alone g_x = sl2, whose index (its rank, 1) is sampled
+    # inside the stabiliser over ctx.samples points under ctx.bound
+    rep = rais_consistency(q, sample[:1], est, ctx)
+    assert calls == [(3, 4, 5)]
+    assert rep.stab_dim == 3 and rep.stab_index == 1 and not rep.stab_abelian
+    assert not rep.consistent  # the zero point is not generic
 
 
 def test_index_of_simple_algebra_is_rank():

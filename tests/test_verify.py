@@ -19,7 +19,12 @@ Covered here:
 * an entry draws one sample of V, in the gs row, and computes each sampled
   stabiliser once for all five rows that read it; a table row makes one
   orbit-map rank per sampled point; the rais row reuses the
-  index_stabilized estimate and passes --bound to every index estimate;
+  index_stabilized estimate, takes ind g_x = dim g_x for an abelian g_x and
+  passes --bound to the estimate of a non-abelian one;
+* RunConfig settles the targets once (canonical ids, each once, the
+  default suite when none is named) and rejects an override no entry
+  target takes, table rows keeping their pinned parameters; run_suite
+  resolves nothing again;
 * --samples and --bound reach every sampled row of an entry, family rows,
   extras and the stabiliser and index rows alike (witness_plane keeps its
   fixed 10 points); every identity extra follows --mode sampled;
@@ -28,8 +33,10 @@ Covered here:
 * the command line resolves aliases, prints one line per catalog entry or
   table row, emits parseable JSON (text is the default), and uses exit
   codes 0 (green), 1 (some check failed) and 2 (usage errors: unknown
-  identifier, --samples, --bound or --jobs below 1, an --out that cannot
-  be written, nothing verified).
+  identifier, --samples, --bound or --jobs below 1, an override no target
+  takes, an --out that cannot be written, nothing verified); every usage
+  error but the last comes before --out is opened, so it neither creates
+  nor changes the file.
 """
 
 from __future__ import annotations
@@ -178,6 +185,7 @@ def test_table_row_ranks_each_point_once(monkeypatch):
 def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
     import semicov.semidirect as semidirect
     import semicov.verify as verify
+    from semicov.lie import stabiliser
 
     inner = semidirect.index_estimate
     calls = []
@@ -192,9 +200,22 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
     rows = _checks_by_name(report)
     assert rows["index_stabilized"]["verdict"] == "sampled-pass"
     assert rows["rais_consistency"]["verdict"] == "sampled-pass"
-    # one estimate of ind q (shared by both rows) and one inside the stabiliser
-    assert len(calls) == 2 and calls[0][0] > calls[1][0]
-    assert all(b == bound for _, b in calls)
+    # one estimate of ind q, shared by both rows; g_x is abelian, so its
+    # index is its dimension and is not estimated
+    assert len(calls) == 1 and calls[0][1] == bound
+
+    # a sample holding only the zero point of the adjoint sl2 module: g_x = sl2
+    def zero_point(rep, ctx, *labels):
+        return [([0] * rep.dim_v, stabiliser(rep, [0] * rep.dim_v))]
+
+    calls.clear()
+    monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
+    rows = _checks_by_name(run_entry("ex-adjoint", RunConfig(overrides=(("n", 2),), bound=bound)))
+    # ind q, then the index of the 3-dimensional non-abelian stabiliser
+    assert calls == [(6, bound), (3, bound)]
+    witness = rows["rais_consistency"]["witness"]
+    assert witness["stab_dim"] == 3 and witness["stab_index"] == 1
+    assert rows["rais_consistency"]["verdict"] == "fail"  # the zero point is not generic
 
 
 @pytest.mark.parametrize("samples", [20, 7])
@@ -315,6 +336,36 @@ def test_unknown_table_target_raises():
         run_suite(RunConfig(entries=("table9/9",)))
 
 
+def test_run_config_settles_its_targets(monkeypatch):
+    import dataclasses
+
+    import semicov.verify as verify
+
+    cfg = RunConfig(entries=("adjoint", "ex-adjoint", "table1/1a", "EX5.2", "table1/1a"))
+    # canonical ids in the order given, each once
+    assert cfg.targets == ("ex-adjoint", "table1/1a", "ex5.2")
+    assert cfg.targets is cfg.targets
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.targets = ()
+    assert RunConfig().targets == tuple(verify.default_targets())
+    with pytest.raises(ValueError, match=r"no target takes parameter\(s\) k, m$"):
+        RunConfig(entries=("ex6.1",), overrides=(("m", 2), ("k", 3)))
+    with pytest.raises(ValueError, match=r"no target takes parameter\(s\) n$"):
+        RunConfig(entries=("table1/1a",), overrides=(("n", 5),))
+    # run_suite maps run_target over the settled targets and resolves nothing
+    for name in ("resolve_id", "get_row", "get_entry"):
+        monkeypatch.setattr(verify, name, lambda *a: pytest.fail("resolved again"))
+    monkeypatch.setattr(verify, "run_target", lambda name, c: {"id": name, "checks": []})
+    assert [e["id"] for e in run_suite(cfg).entries] == list(cfg.targets)
+
+
+def test_table_rows_keep_their_pinned_parameters():
+    # ex6.4 takes n; table1/1a runs at its pinned n = 3
+    report = run_suite(RunConfig(entries=("ex6.4", "table1/1a"), overrides=(("n", 4),)))
+    assert [e["parameters"] for e in report.entries] == [{"n": 4}, {"n": 3}]
+    assert report.config["parameters"] == {"n": 4}
+
+
 def test_metadata_table_row_reports_single_skip():
     rep = run_table_row("table2/6", RunConfig())
     assert rep["kind"] == "table"
@@ -386,6 +437,20 @@ def test_cli_unknown_ids_exit_2(tmp_path, capsys):
     assert old.read_text() == "old report\n"
     assert cli.main(["show", "no-such-thing"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--entry", "nope"], ["--entry", "table9/9"],
+                                  ["--entry", "ex6.1", "--m", "2"],
+                                  ["--entry", "table1/1a", "--n", "5"]])
+def test_cli_usage_errors_come_before_out(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("a target ran"))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("old report\n")
+    for out in (None, new, old):
+        assert cli.main(["run", *argv] + (["--out", str(out)] if out else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert not new.exists() and old.read_text() == "old report\n"
 
 
 def test_cli_reports_failure_exit_code(monkeypatch, capsys):
