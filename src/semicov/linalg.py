@@ -20,10 +20,12 @@ rows above the trailing zero block (V* in q = g x V*) and pivots into that
 block first, which keeps it zero; any pivot order keeps the Pfaffian
 division exact.  Symbolic determinants, adjugates and ``minor_skew``
 (every order, every ring) read one memoised minor table, ``_minors``;
-characteristic polynomials use the Faddeev-LeVerrier loop.  ``power`` is
-the one repeated-squaring loop, for matrices, polynomials and dual numbers.
-``block_diag`` is the one block-diagonal assembly: product algebras,
-catalog covariants.
+characteristic polynomials use the Faddeev-LeVerrier loop.
+``rank_mod_p`` ranks modulo a word-size prime: it can fall below the rank
+over Q, never above, so it proves only lower bounds on a rank (a full
+rank, say).  ``power`` is the one repeated-squaring loop, for matrices,
+polynomials and dual numbers.  ``block_diag`` is the one block-diagonal
+assembly: product algebras, catalog covariants.
 """
 
 from __future__ import annotations
@@ -327,6 +329,31 @@ def rank(m: Matrix) -> int:
     m, or of its transpose when that has fewer rows."""
     rows = m.rows if m.nrows <= m.ncols else zip(*m.rows)
     return len(_eliminate(int_rows(rows)[0], max(m.nrows, m.ncols), False))
+
+
+WORD_PRIME = 2**30 - 35  # the largest prime below 2**30
+
+
+def rank_mod_p(m: Matrix, p: int = WORD_PRIME) -> int:
+    """Rank modulo the prime p of m scaled to integer rows (``int_rows``),
+    by Gaussian elimination over GF(p).  A lower bound on the rank over Q,
+    and only that: a minor nonzero mod p is nonzero over Q, but p may divide
+    every nonzero maximal minor (rows of multiples of p reduce to zero).  So
+    only a result of min(nrows, ncols), full rank, proves anything."""
+    rows = [[a % p for a in r] for r in int_rows(m.rows)[0]]
+    r = 0
+    for c in range(m.ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is not None:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = pow(rows[r][c], -1, p)
+            rr = [a * inv % p for a in rows[r][c:]]
+            for ri in rows[r + 1:]:
+                x = ri[c]
+                if x:
+                    ri[c:] = [(a - x * b) % p for a, b in zip(ri[c:], rr)]
+            r += 1
+    return r
 
 
 def skew_rank(m: Matrix) -> int:

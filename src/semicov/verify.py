@@ -579,9 +579,8 @@ def run_table_row(row_id: str, cfg: RunConfig) -> dict:
     est = None
 
     def gs():
-        # one orbit-map rank per sampled point: the orbit rank at v is
-        # dim g - dim g_v, so the quotient estimate also gives the generic gs;
-        # the ranking is timed under this row
+        # the orbit rank at v is dim g - dim g_v, so the quotient estimate
+        # also gives the generic gs; the estimate is timed under this row
         nonlocal est
         est = quotient_dim_estimate(rep, cfg.ctx)
         gs = rep.algebra.dim - rep.dim_v + est

@@ -9,6 +9,11 @@ action scanned over every row index for symmetric and exterior powers, and
 the slot action applied to every unit vector of V, and a subrepresentation
 solved one image at a time.  Tests compare them with
 ``Representation.action``.
+
+``quotient_dim_estimate`` is the sampled estimator the fixed-point slice
+certificate of ``catalog.support.quotient_dim_estimate`` replaced: an exact
+orbit-map rank at every one of the ``ctx.samples`` points of the same
+stream, and dim V minus their maximum.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import itertools
 
 from semicov.catalog.support import MatrixPairModule
 from semicov.lie import Representation
-from semicov.linalg import Matrix, SpanSolver, block_diag, normalize_scalar
+from semicov.linalg import Matrix, SpanSolver, block_diag, normalize_scalar, rank
+from semicov.poly import CheckContext
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -98,3 +104,12 @@ def subrepresentation(r: Representation, vectors) -> list[Matrix]:
             raise ValueError("subspace is not invariant under basis element %d" % a)
         mats.append(Matrix.from_cols(cols))
     return mats
+
+
+def quotient_dim_estimate(rep: Representation, ctx: CheckContext) -> int:
+    """dim V minus the largest exact orbit-map rank over all ``ctx.samples``
+    points of the ("quotient", label) stream."""
+    draw = ctx.draw(rep.dim_v, "quotient", rep.label or "V")
+    points = [draw() for _ in range(ctx.samples)]
+    dg = rep.algebra.dim
+    return rep.dim_v - max(rank(Matrix([rep.act_basis(a, v) for a in range(dg)])) for v in points)

@@ -24,8 +24,10 @@ from semicov.linalg import (
     char_poly,
     det,
     normalize_scalar,
+    WORD_PRIME,
     rank,
     rank_and_kernel,
+    rank_mod_p,
     solve,
 )
 from semicov.poly import CheckContext, MultiPoly
@@ -583,3 +585,87 @@ def test_rank_eliminates_the_short_side(monkeypatch):
     assert (m.nrows, m.ncols) == (45, 35)
     assert rank(m) == 34
     assert seen == [(35, 45, False)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_rank_mod_p_is_a_lower_bound_on_the_sympy_rank(data):
+    """rank_mod_p never exceeds the rank over QQ, at the word-size prime and
+    at small primes that divide many minors, so it never calls a
+    rank-deficient matrix full.  Shapes run from tall to wide, with zero
+    rows, rows that repeat a combination of earlier rows (a deficient
+    matrix, a tall one always), and Fraction entries."""
+    pytest.importorskip("sympy")
+    nrows, ncols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    ints = st.integers(-9, 9)
+    cell = data.draw(st.sampled_from([ints, st.one_of(ints, small_rationals)]))
+    rows = data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    for i in data.draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+        rows[i] = [0] * ncols
+    if nrows > 2 and data.draw(st.booleans()):
+        rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+    m = Matrix(rows)
+    qq = _sym(m).rank()
+    for p in (WORD_PRIME, 2, 3, 7):
+        r = rank_mod_p(m, p)
+        assert r <= qq
+        if r == min(nrows, ncols):
+            assert qq == r
+    if min(nrows, ncols) <= 4:
+        # scaled rows have entries of at most 9 * 6, so every minor of order
+        # at most 4 is below (2 * 54)^4 < p (Hadamard): the ranks agree
+        assert rank_mod_p(m) == qq
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_mod_p_calls_rows_of_multiples_of_p_not_full(data):
+    """A matrix of full rank over QQ whose rows are all multiples of p is
+    the zero matrix mod p: rank 0, not full.  One row scaled by p leaves a
+    square one short of full."""
+    pytest.importorskip("sympy")
+    p = data.draw(st.sampled_from([WORD_PRIME, 7]))
+    n, extra = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+    ints = st.integers(-9, 9)
+    rows = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = [[100 if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    assert _sym(Matrix(rows)).rank() == n  # strictly diagonally dominant
+    tall = rows + data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                     min_size=extra, max_size=extra))
+    for shape in (tall, [list(c) for c in zip(*tall)]):  # tall and wide
+        scaled = Matrix([[p * x for x in r] for r in shape])
+        assert _sym(scaled).rank() == n and rank_mod_p(scaled, p) == 0
+    one = [list(r) for r in rows]
+    i = data.draw(st.integers(0, n - 1))
+    one[i] = [p * x for x in one[i]]
+    r = rank_mod_p(Matrix(one), p)
+    assert _sym(Matrix(one)).rank() == n and r < n
+    # the other rows' minors are below 102^4 < 2^30 - 35 (Hadamard)
+    assert r == n - 1 or p != WORD_PRIME
+
+
+def test_rank_mod_p_proves_the_full_slice_rank_of_every_table_module(monkeypatch):
+    """At seed 0 the density matrix of each table row's fixed-point slice
+    has full column rank mod p; sympy confirms it over QQ on the two
+    smallest modules."""
+    pytest.importorskip("sympy")
+    import semicov.catalog.support as support
+    from semicov.catalog import all_rows
+
+    seen = []
+    inner = support.rank_mod_p
+
+    def spy(m, p=WORD_PRIME):
+        r = inner(m, p)
+        seen.append((m, r))
+        return r
+
+    monkeypatch.setattr(support, "rank_mod_p", spy)
+    specs = [row.module_spec for row in all_rows() if row.module_spec is not None]
+    for spec in specs:
+        support.quotient_dim_estimate(spec.build(dict(spec.default_params)), CheckContext())
+    assert len(seen) == len(specs) == 10
+    assert all(r == m.ncols for m, r in seen)
+    for m, r in sorted(seen, key=lambda mr: mr[0].ncols)[:2]:
+        assert _sym(m).rank() == r

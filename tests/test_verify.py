@@ -17,10 +17,11 @@ Covered here:
   names the covariants of each group (stub checks); unmixed rows keep their
   wording;
 * an entry draws one sample of V, in the gs row, and computes each sampled
-  stabiliser once for all five rows that read it; a table row makes one
-  orbit-map rank per sampled point; the rais row reuses the
-  index_stabilized estimate, takes ind g_x = dim g_x for an abelian g_x and
-  passes --bound to the estimate of a non-abelian one;
+  stabiliser once for all five rows that read it; a table row ranks each
+  sampled point at most once (tests/test_fixed_slice.py counts the rest of
+  its work); the rais row reuses the index_stabilized estimate, takes
+  ind g_x = dim g_x for an abelian g_x and passes --bound to the estimate
+  of a non-abelian one;
 * RunConfig settles the targets once (canonical ids, each once, the
   default suite when none is named) and rejects an override no entry
   target takes, table rows keeping their pinned parameters; run_suite
@@ -162,23 +163,30 @@ def test_gs_row_computes_each_stabiliser_once(monkeypatch):
 
 
 def test_table_row_ranks_each_point_once(monkeypatch):
+    """gs and quotient read one estimate.  With the fixed-point slice
+    certificate refused, the row ranks each sampled point once: v1 by the
+    kernel that gives its stabiliser, every other point by one rank."""
     import semicov.catalog.support as support
 
-    inner = support.rank
-    shapes = []
+    shapes = {"rank": [], "rank_and_kernel": []}
 
-    def counting(m):
-        shapes.append((m.nrows, m.ncols))
-        return inner(m)
+    def counting(key, inner):
+        def wrapper(m):
+            shapes[key].append((m.nrows, m.ncols))
+            return inner(m)
+        return wrapper
 
-    monkeypatch.setattr(support, "rank", counting)
+    for key in shapes:
+        monkeypatch.setattr(support, key, counting(key, getattr(support, key)))
+    monkeypatch.setattr(support, "_fixed_slice_is_dense", lambda *args: False)
     cfg = RunConfig(samples=6)
     report = run_table_row("table1/1a", cfg)
     rows = _checks_by_name(report)
     assert rows["gs_dimension_toral"]["verdict"] == "sampled-pass"
     assert rows["quotient_dim_estimate"]["verdict"] == "sampled-pass"
-    # one orbit-map matrix (dim g rows x_a.v, dim V columns) per sampled point
-    assert len(shapes) == cfg.samples and len(set(shapes)) == 1
+    # one orbit-map matrix (dim g rows x_a.v, dim V columns) per later point
+    assert len(shapes["rank"]) == cfg.samples - 1 and set(shapes["rank"]) == {(13, 15)}
+    assert shapes["rank_and_kernel"] == [(15, 13)]
 
 
 @pytest.mark.parametrize("bound", [5, 10])
