@@ -52,11 +52,17 @@ def main() -> None:
     print()
     print("== index consistency against the module side ==")
     sample = stabiliser_sample(rep, ctx, "demo")
-    report = rais_consistency(q, sample, est, ctx)
+    _, t = sample.minimal[0]
+    report = rais_consistency(q, t, sample.abelian, est, ctx)
     predicted = report.dim_v - report.dim_g + report.stab_dim + report.stab_index
     print("ind q =", report.index_q)
     print("dim V - dim g + dim g_x + ind g_x =", predicted)
     print("agree:", report.consistent, "(generic stabiliser abelian: %s)" % report.stab_abelian)
+    if sample.proved and sample.abelian:
+        # Rais: no Kirillov form ranks above 2(dim g - dim t), so a batch stops there
+        bounded = index_estimate(q.lie, ctx, 2 * (q.dim_g - t.dim))
+        print("index with the Rais bound: %d, after %d of %d Kirillov ranks"
+              % (bounded.index, len(bounded.ranks), bounded.drawn))
 
     print()
     print("== stabiliser feeding the identity ==")

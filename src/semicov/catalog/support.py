@@ -14,15 +14,15 @@ become matrix formulas over the same coordinate ring.  A slot is one of
 
 The coordinates of V are those of the slots, concatenated in slot order.
 ``quotient_dim_estimate``, the table rows' estimator, proves its sampled
-maximum on the fixed-point slice of its first point.
+maximum on the fixed-point slice of its first point, as the entries do.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ..lie import LieAlgebra, Representation, action_matrix_at
-from ..linalg import Matrix, int_rows, rank, rank_and_kernel, rank_mod_p
+from ..lie import LieAlgebra, Representation, fixed_slice_is_dense, stabiliser
+from ..linalg import Matrix, rank
 from ..poly import CheckContext, MultiPoly
 
 __all__ = [
@@ -135,38 +135,16 @@ def quotient_dim_estimate(rep: Representation, ctx: CheckContext = CheckContext(
     integer points: the quotient dimension as seen by the action.  The
     orbit map at v is ranked by its rows x_a.v, one per basis element.
 
-    The maximum is proved after the first point v1.  One exact kernel gives
-    its rank r1 and stabiliser t, and no point ranks above r1 when r1 is
-    min(dim g, dim V) or ``_fixed_slice_is_dense``.  Otherwise the other
-    points of the stream are ranked too, so the result is the same integer.
+    The maximum is proved after the first point v1: its stabiliser t gives
+    its rank, dim g - dim t, and no point ranks higher when
+    ``lie.fixed_slice_is_dense``.  Otherwise the other points of the stream
+    are ranked too, so the result is the same integer.
     """
     dg, dv, label = rep.algebra.dim, rep.dim_v, rep.label or "V"
     draw = ctx.draw(dv, "quotient", label)
-    best, t = rank_and_kernel(action_matrix_at(rep, draw()))
-    if ctx.samples > 1 and best < min(dg, dv) and not _fixed_slice_is_dense(rep, t, ctx, label):
+    t = stabiliser(rep, draw())
+    best = dg - t.dim
+    if ctx.samples > 1 and not fixed_slice_is_dense(rep, t, ctx, "quotient", label):
         points = (draw() for _ in range(ctx.samples - 1))
         best = max([best] + [rank(Matrix([rep.act_basis(a, v) for a in range(dg)])) for v in points])
     return dv - best
-
-
-def _fixed_slice_is_dense(rep: Representation, t: list, ctx: CheckContext, label: str) -> bool:
-    """True when G.S is proved dense in V for S = V^t, so that dim g_v >=
-    dim t on all of V.  Every s in S has g_s containing t, so the closed
-    G-stable set {v : dim g_v >= dim t} holds G.S.  G.S is dense if
-    G x S -> V has an onto differential at one point s (Luna-Richardson,
-    Duke Math. J. 46 (1979) 487-496): rank [x_a.s ; basis of S] = dim V,
-    proved by ``rank_mod_p`` at s drawn from its own "slice" stream.
-    Premise: rho is the differential of a connected algebraic group acting
-    on V, as for every catalog module (tensor constructions on the defining
-    modules of products of gl, sl, so and sp).
-    """
-    dv = rep.dim_v
-    fixed = [[0] * dv for _ in range(len(t) * dv)]  # rho(x), x in t, stacked
-    for k, x in enumerate(int_rows(t)[0]):
-        for a, xa in enumerate(x):
-            for i, j, m in rep.cells(a) if xa else ():
-                fixed[k * dv + i][j] += xa * m
-    basis = int_rows(rank_and_kernel(Matrix(fixed))[1])[0]
-    c = ctx.draw(len(basis), "quotient", label, "slice")()
-    s = [sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(dv)]
-    return rank_mod_p(Matrix([rep.act_basis(a, s) for a in range(rep.algebra.dim)] + basis)) == dv

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .catalog import TABLE_CAPTIONS, all_entries, all_rows, get_entry, get_row, rows_for_entry
@@ -69,18 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     overrides = tuple((k, getattr(args, k)) for k in ("n", "m", "k") if getattr(args, k) is not None)
+    keys = ("seed", "mode", "samples", "bound", "jobs", "negative_controls", "timings")
     try:
-        cfg = RunConfig(
-            entries=tuple(args.entry),
-            overrides=overrides,
-            seed=args.seed,
-            mode=args.mode,
-            samples=args.samples,
-            bound=args.bound,
-            jobs=args.jobs,
-            negative_controls=args.negative_controls,
-            timings=args.timings,
-        )
+        cfg = RunConfig(entries=tuple(args.entry), overrides=overrides, **{k: getattr(args, k) for k in keys})
     except (KeyError, ValueError) as err:  # a bad knob, an unknown id or an unused override
         print("error: %s" % err.args[0], file=sys.stderr)
         return 2
@@ -92,7 +84,7 @@ def _cmd_run(args) -> int:
         return 2
     with out as fh:
         report = run_suite(cfg)
-        if args.out:
+        if args.out and os.path.isfile(args.out):  # /dev/null or a FIFO has nothing to truncate
             fh.truncate(0)
         fh.write(to_json(report) if args.format == "json" else to_text(report))
     if report.failed:

@@ -12,7 +12,9 @@ elements that generates the subalgebra they span, trying the algebra's seeds
 first (on sl_n the n root vectors E_(i,i+1) and E_(n,1), which a product
 keeps per factor).
 A representation stores only the nonzero entries of its action matrices,
-and every builder writes those entries directly.
+and every builder writes those entries directly.  ``stabiliser_sample``
+proves the stabiliser of its first point generic on its fixed-point slice
+(``fixed_slice_is_dense``) and computes the others only when read.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     normalize_scalar,
     rank,
     rank_and_kernel,
+    rank_mod_p,
     solve_all,
 )
 from .poly import CheckContext
@@ -556,21 +559,19 @@ def lift_factor(prod: LieAlgebra, idx: int, rep: Representation) -> Representati
 @dataclass
 class Subspace:
     vectors: list = field(default_factory=list)
-    _solver: SpanSolver | None = None
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
+    @functools.cached_property
     def solver(self) -> SpanSolver:
-        if self._solver is None:
-            self._solver = SpanSolver(self.vectors)
-        return self._solver
+        return SpanSolver(self.vectors)
 
     def contains(self, v: Sequence) -> bool:
         if not self.vectors:
             return all(x == 0 for x in v)
-        return self.solver().coords(v) is not None
+        return self.solver.coords(v) is not None
 
 
 def action_matrix_at(r: Representation, v: Sequence) -> Matrix:
@@ -584,16 +585,74 @@ def stabiliser(r: Representation, v: Sequence) -> Subspace:
     return Subspace(kern)
 
 
-def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> list[tuple[list, Subspace]]:
-    """``ctx.samples`` integer points of V in [-ctx.bound, ctx.bound], from
-    the stream of ``labels``, each paired with its exact stabiliser.
+def fixed_slice_is_dense(r: Representation, t: Subspace, ctx: CheckContext, *labels) -> bool:
+    """True when G.S is proved dense in V for S = V^t, t = g_v1, so that
+    dim g_v >= dim t on all of V (every s in S has g_s containing t, and
+    {v : dim g_v >= dim t} is closed and G-stable).  G.S is dense if
+    G x S -> V has an onto differential at one s in S (Luna-Richardson,
+    Duke Math. J. 46 (1979) 487-496): at v1 when its orbit rank is
+    min(dim g, dim V), else by ``rank_mod_p`` of [x_a.s ; basis of S] at s
+    drawn from the stream of ``labels`` and "slice".  Premise: g acts as the
+    Lie algebra of a connected algebraic group, as on every catalog module.
+    """
+    dg, dv = r.algebra.dim, r.dim_v
+    if dg - t.dim == min(dg, dv):
+        return True
+    fixed = [[0] * dv for _ in range(t.dim * dv)]  # rho(x), x in t, stacked
+    for k, x in enumerate(int_rows(t.vectors)[0]):
+        for a, xa in enumerate(x):
+            for i, j, m in r.cells(a) if xa else ():
+                fixed[k * dv + i][j] += xa * m
+    basis = int_rows(rank_and_kernel(Matrix(fixed))[1])[0]
+    c = ctx.draw(len(basis), *labels, "slice")()
+    s = [sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(dv)]
+    return rank_mod_p(Matrix([r.act_basis(a, s) for a in range(dg)] + basis)) == dv
 
-    This is the one sample of generic points per module: the generic
-    stabiliser dimension is the minimum over the pairs, and every check
-    about g_x at a generic x reads the same pairs.
+
+@dataclass
+class StabiliserSample:
+    """Points of V from one stream, and their exact stabilisers, each computed
+    once, when first read (``stabs`` are those of a prefix of ``points``).
+    ``proved``: the first, t = g_v1, has the least dimension on V.  Then, if
+    t is abelian, so is every g_v of that dimension: on that open set of V,
+    v -> g_v is a morphism to the Grassmannian, abelian planes form a closed
+    set, and G.(S meet the set) is dense in it.
+    """
+
+    rep: Representation
+    points: list
+    stabs: list
+    proved: bool = False
+
+    @property
+    def pairs(self) -> list:
+        self.stabs += [stabiliser(self.rep, v) for v in self.points[len(self.stabs) :]]
+        return list(zip(self.points, self.stabs))
+
+    @property
+    def minimal(self) -> list:
+        """The pairs of least stabiliser dimension, the generic one first;
+        (v1, t) alone when ``proved``."""
+        pairs = list(zip(self.points, self.stabs[:1])) if self.proved else self.pairs
+        least = min(s.dim for _, s in pairs)
+        return [(v, s) for v, s in pairs if s.dim == least]
+
+    @functools.cached_property
+    def abelian(self) -> bool:
+        """Whether the generic stabiliser is abelian: tested once, for every row."""
+        return is_abelian(self.rep.algebra, self.minimal[0][1])
+
+
+def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> StabiliserSample:
+    """The one sample of generic points per module: ``ctx.samples`` integer
+    points of V in [-ctx.bound, ctx.bound], from the stream of ``labels``,
+    and the stabiliser t of the first, ``proved`` when ``ctx.samples > 1``
+    and ``fixed_slice_is_dense``.  Every check about g_x at a generic x reads it.
     """
     draw = ctx.draw(r.dim_v, *labels)
-    return [(v, stabiliser(r, v)) for v in (draw() for _ in range(ctx.samples))]
+    points = [draw() for _ in range(ctx.samples)]
+    t = stabiliser(r, points[0])
+    return StabiliserSample(r, points, [t], ctx.samples > 1 and fixed_slice_is_dense(r, t, ctx, *labels))
 
 
 def is_abelian(g: LieAlgebra, s: Subspace) -> bool:
@@ -622,7 +681,7 @@ def subalgebra(g: LieAlgebra, s: Subspace, name: str = "") -> LieAlgebra:
             br = g.bracket_coords(s.vectors[i], s.vectors[j])
             if all(x == 0 for x in br):
                 continue
-            coords = s.solver().coords(br)
+            coords = s.solver.coords(br)
             if coords is None:
                 raise ValueError("subspace is not closed under the bracket")
             entry = {c: v for c, v in enumerate(coords) if v != 0}

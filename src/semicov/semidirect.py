@@ -6,9 +6,10 @@ index of q is estimated from the rank of the Kirillov form at random integer
 points, by the skew elimination ``linalg.skew_rank`` (the rank is always
 even, and two disjoint sample batches must agree for the estimate to count
 as stabilised).  V* is abelian, so each form is zero on V* x V*: only its
-dim g rows are eliminated, with pivots taken in V* first.  The estimators
-read their seed, sample count and bound from a ``poly.CheckContext``, as
-every sampled row does.
+dim g rows are eliminated, with pivots taken in V* first; a batch stops at
+a proved maximal rank (Rais' formula).  The estimators read their seed,
+sample count and bound from a ``poly.CheckContext``, as every sampled row
+does.
 """
 
 from __future__ import annotations
@@ -42,17 +43,13 @@ class SemidirectProduct:
         self.dim_g = rep.algebra.dim
         self.dim_v = rep.dim_v
         self.dim = self.dim_g + self.dim_v
-        brackets: dict = {}
-        for key, entry in self.g.brackets.items():
-            brackets[key] = dict(entry)
+        brackets = {key: dict(entry) for key, entry in self.g.brackets.items()}
         # [e_a, zeta_j] = - sum_i rho_a[j, i] zeta_i  (contragredient action)
         dg = self.dim_g
         for a in range(dg):
             for j, row in rep.nonzero_rows[a]:
                 brackets[(a, dg + j)] = {dg + i: -c for i, c in row}
-        self.lie = LieAlgebra(
-            name or "%s |x V*" % self.g.name, self.dim, brackets
-        )
+        self.lie = LieAlgebra(name or "%s |x V*" % self.g.name, self.dim, brackets)
 
     def __repr__(self):
         return "SemidirectProduct(%s, dim=%d+%d)" % (self.g.name, self.dim_g, self.dim_v)
@@ -108,35 +105,37 @@ class IndexEstimate:
     index: int
     max_rank: int
     stabilised: bool
-    # (eta, rank of the Kirillov form at eta) for every point drawn, in order
+    drawn: int  # the points of both batches, ranked or not
+    # (eta, rank of the Kirillov form at eta) for every point ranked, in order
     ranks: list = field(default_factory=list, repr=False)
 
 
-def index_estimate(lie: LieAlgebra, ctx: CheckContext = CheckContext()) -> IndexEstimate:
+def index_estimate(
+    lie: LieAlgebra, ctx: CheckContext = CheckContext(), bound: int | None = None
+) -> IndexEstimate:
     """ind(lie) = dim - max rank of the Kirillov form over sampled points.
 
     Runs two disjoint batches; the estimate is flagged stabilised only when
-    both batches attain the same maximal rank.  Every rank is recorded, so a
-    check on the form (its rank is even) reads the same points; an odd rank
-    is left for that check to report.
+    both batches attain the same maximal rank.  ``bound`` is a proved
+    maximal rank: a batch stops at its first point that reaches it, which
+    leaves the estimate as it is.  Every rank is recorded, so a check on
+    the form (its rank is even) reads the same points; an odd rank is left
+    for that check to report.
     """
     best = [0, 0]
     ranks = []
+    per_batch = max(1, ctx.samples // 2)
     for batch in range(2):
         draw = ctx.draw(lie.dim, "kirillov", "batch%d" % batch)
-        for _ in range(max(1, ctx.samples // 2)):
+        for _ in range(per_batch):
             eta = draw()
             r = skew_rank(kirillov_form(lie, eta))
             ranks.append((eta, r))
-            if r > best[batch]:
-                best[batch] = r
+            best[batch] = max(best[batch], r)
+            if bound is not None and r >= bound:
+                break
     max_rank = max(best)
-    return IndexEstimate(
-        index=lie.dim - max_rank,
-        max_rank=max_rank,
-        stabilised=best[0] == best[1],
-        ranks=ranks,
-    )
+    return IndexEstimate(lie.dim - max_rank, max_rank, best[0] == best[1], 2 * per_batch, ranks)
 
 
 def b_of(lie: LieAlgebra, ctx: CheckContext = CheckContext()) -> Fraction:
@@ -157,33 +156,19 @@ class RaisReport:
 
 
 def rais_consistency(
-    q: SemidirectProduct,
-    sample: Sequence[tuple[list, Subspace]],
-    est: IndexEstimate,
+    q: SemidirectProduct, stab: Subspace, abelian: bool, est: IndexEstimate,
     ctx: CheckContext = CheckContext(),
 ) -> RaisReport:
     """Check ind(q) = dim V - dim g + dim g_x + ind g_x at a generic x in V.
 
-    ``sample`` holds (point, stabiliser) pairs of V, as drawn by
-    ``lie.stabiliser_sample``; x is its first point of minimal stabiliser
-    dimension.  The index of an abelian g_x is its dimension; that of a
-    non-abelian one is sampled inside the subalgebra under ``ctx``, whose
-    ``samples`` is the size of ``sample`` in a verify run.
-    ``est`` is the estimate of ind q, ``index_estimate(q.lie, ctx)``.
+    ``stab`` is g_x and ``abelian`` says whether it is abelian, as
+    ``lie.StabiliserSample`` gives them.  The index of an abelian g_x is
+    its dimension; that of a non-abelian one is sampled inside the
+    subalgebra under ``ctx``.  ``est`` is the estimate of ind q,
+    ``index_estimate(q.lie, ctx)``.
     """
-    stab = min((s for _, s in sample), key=lambda s: s.dim)
-    sub = subalgebra(q.g, stab)
-    stab_abelian = not sub.brackets
     # an abelian g_x has a zero Kirillov form, so ind g_x = dim g_x exactly
-    stab_index = stab.dim if stab_abelian else index_estimate(sub, ctx).index
-    expected = q.dim_v - q.dim_g + stab.dim + stab_index
-    return RaisReport(
-        dim_v=q.dim_v,
-        dim_g=q.dim_g,
-        stab_dim=stab.dim,
-        stab_index=stab_index,
-        stab_abelian=stab_abelian,
-        index_q=est.index,
-        stabilised=est.stabilised,
-        consistent=est.index == expected,
-    )
+    stab_index = stab.dim if abelian else index_estimate(subalgebra(q.g, stab), ctx).index
+    return RaisReport(dim_v=q.dim_v, dim_g=q.dim_g, stab_dim=stab.dim, stab_index=stab_index,
+                      stab_abelian=abelian, index_q=est.index, stabilised=est.stabilised,
+                      consistent=est.index == q.dim_v - q.dim_g + stab.dim + stab_index)

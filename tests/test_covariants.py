@@ -307,7 +307,7 @@ def test_sl3_kernel_and_equivariance():
 
 def test_kernel_span_sl3():
     _, F1, F2 = sl3_pair()
-    sample = stabiliser_sample(F1.rep, CheckContext(samples=5), "kernel-span")
+    sample = stabiliser_sample(F1.rep, CheckContext(samples=5), "kernel-span").pairs
     report = kernel_span_check([F1, F2], sample)
     assert report.contained
     assert report.generic_stab_dim == 2

@@ -1,0 +1,140 @@
+"""The entries' generic stabiliser, proved on its fixed-point slice.
+
+``lie.stabiliser_sample`` computes t = g_v1 at the first point of an
+entry's ``("gs", entry_id)`` stream and proves it generic with
+``lie.fixed_slice_is_dense``, the certificate of the table rows.  The gs,
+quotient and rais rows then read t alone, independence reads the drawn
+points, and only ex-adjoint's kernel_span computes the other stabilisers.
+An abelian t gives the largest Kirillov rank by Rais' formula,
+2(dim g - dim t), and each index batch stops at its first point of that
+rank.  Covered here:
+
+* for the 11 entries at their defaults, ex6.1 at n=4 and ex6.3/iii at m=2,
+  seeds 0-2: the report equals that of a run with the certificate forced
+  false, which computes every stabiliser and ranks every Kirillov form as
+  before; 2(dim g - dim t) equals the largest rank of that run's unbounded
+  estimate.  The identity rows (kernel_phi, equivariance, the extras, the
+  lift and Poisson rows) read no stabiliser, so both runs stub them, which
+  keeps this test fast;
+* the work of the gs and index rows of ex6.1 at n=4, seed 0: two exact
+  kernels (t, then V^t), one modular rank and two Kirillov ranks;
+* each broken premise: a non-abelian t, even one marked proved, gets no
+  Rais bound and its gs row stays FAIL; a bound above every rank leaves
+  ``index_estimate`` as it is unbounded.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import semicov.lie as lie
+import semicov.semidirect as semidirect
+import semicov.verify as verify
+from semicov.catalog import all_entries, build_construction, get_entry
+from semicov.lie import StabiliserSample, stabiliser
+from semicov.poly import CheckContext
+from semicov.semidirect import SemidirectProduct, index_estimate
+from semicov.verify import RunConfig, run_entry
+
+CONFIGS = [(e.id, ()) for e in all_entries()] + [("ex6.1", (("n", 4),)), ("ex6.3/iii", (("m", 2),))]
+IDS = [entry_id + "".join("-%s%d" % kv for kv in overrides) for entry_id, overrides in CONFIGS]
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the calls below, and every (bound, estimate) of ind q."""
+    counts = dict.fromkeys(("stabiliser", "rank_and_kernel", "rank_mod_p", "skew_rank"), 0)
+
+    def counting(key, inner):
+        def wrapper(*args):
+            counts[key] += 1
+            return inner(*args)
+        return wrapper
+
+    for key, module in (("stabiliser", lie), ("rank_and_kernel", lie), ("rank_mod_p", lie),
+                        ("skew_rank", semidirect)):
+        monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
+    inner = verify.index_estimate
+    estimates = []
+
+    def recording(lie_alg, ctx, bound=None):
+        estimates.append((bound, inner(lie_alg, ctx, bound)))
+        return estimates[-1][1]
+
+    monkeypatch.setattr(verify, "index_estimate", recording)
+    return counts, estimates
+
+
+def _run(entry_id, overrides, seed, work):
+    counts, estimates = work
+    for key in counts:
+        counts[key] = 0
+    estimates.clear()
+    report = run_entry(entry_id, RunConfig(overrides=overrides, seed=seed))
+    return report, dict(counts), list(estimates)
+
+
+@pytest.mark.parametrize("entry_id, overrides", CONFIGS, ids=IDS)
+def test_certified_report_equals_the_fallback_report(monkeypatch, work, entry_id, overrides):
+    monkeypatch.setattr(verify, "_identity_row", lambda name, build, *args: {"name": name})
+    cons = build_construction(get_entry(entry_id), get_entry(entry_id).resolve(dict(overrides)))
+    dim_g = cons.algebra.dim
+    for seed in range(3):
+        report, counts, [(bound, est)] = _run(entry_id, overrides, seed, work)
+        sample = lie.stabiliser_sample(cons.module, CheckContext(seed=seed), "gs", entry_id)
+        t = sample.stabs[0]
+        # density holds at seed 0 everywhere; ex5.2 at seed 2 and ex6.2 and
+        # ex6.4 at seed 1 draw a slice point on a degenerate sub-slice
+        assert sample.proved or seed > 0, entry_id
+        if sample.proved:
+            assert sample.abelian and bound == 2 * (dim_g - t.dim)
+            assert counts["stabiliser"] == (20 if entry_id == "ex-adjoint" else 1)
+            assert 2 <= counts["skew_rank"] == len(est.ranks) <= est.drawn == 20
+        else:
+            assert bound is None and counts["stabiliser"] == counts["skew_rank"] == 20
+        with monkeypatch.context() as m:
+            m.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
+            fallback, counts, [(bound, est)] = _run(entry_id, overrides, seed, work)
+        assert fallback == report, (entry_id, seed)
+        # every stabiliser and every Kirillov form, each once, as before
+        assert counts["stabiliser"] == 20 and counts["rank_mod_p"] == 0
+        assert bound is None and counts["skew_rank"] == len(est.ranks) == 20
+        # Rais: the largest rank of the unbounded estimate is 2(dim g - dim t)
+        assert est.max_rank == 2 * (dim_g - t.dim) or not sample.proved
+
+
+def test_gs_and_index_work_of_ex61_n4_at_seed_0(work):
+    report, counts, [(bound, est)] = _run("ex6.1", (("n", 4),), 0, work)
+    assert all(c["verdict"] != "fail" for c in report["checks"])
+    # t and V^t; the density rank; one Kirillov form a batch
+    assert counts == {"stabiliser": 1, "rank_and_kernel": 2, "rank_mod_p": 1, "skew_rank": 2}
+    assert bound == est.max_rank == 2 * (15 - 2) and len(est.ranks) == 2  # sl4, t of dim 2
+
+
+def test_a_non_abelian_stabiliser_gets_no_rais_bound(monkeypatch, work):
+    """The zero point of the adjoint sl2 module has g_x = sl2.  Marked
+    proved, it still gives no bound, and the rows it reads stay FAIL."""
+
+    def zero_point(rep, ctx, *labels):
+        zero = [0] * rep.dim_v
+        return StabiliserSample(rep, [zero], [stabiliser(rep, zero)], proved=True)
+
+    monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
+    report, _, estimates = _run("ex-adjoint", (("n", 2),), 0, work)
+    assert [bound for bound, _ in estimates] == [None]
+    rows = {c["name"]: c for c in report["checks"]}
+    assert rows["gs_dimension_toral"]["verdict"] == "fail"
+    assert rows["gs_dimension_toral"]["witness"] == [0, 0, 0]
+    # ind g_x sampled inside sl2, not taken as dim g_x
+    assert rows["rais_consistency"]["verdict"] == "fail"
+    assert rows["rais_consistency"]["witness"]["stab_dim"] == 3
+    assert rows["rais_consistency"]["witness"]["stab_index"] == 1
+
+
+@pytest.mark.parametrize("samples", [1, 7, 20])
+def test_a_bound_above_every_rank_ranks_every_point(samples):
+    q = SemidirectProduct(build_construction(get_entry("ex5.2"), {}).module)
+    ctx = CheckContext(seed=4, samples=samples)
+    want = index_estimate(q.lie, ctx)
+    got = index_estimate(q.lie, ctx, q.dim + 1)
+    assert got == want and len(got.ranks) == got.drawn == 2 * max(1, samples // 2)

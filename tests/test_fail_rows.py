@@ -22,7 +22,7 @@ from semicov import cli, verify
 from semicov.catalog import build_construction, get_entry, get_row, rows_for_entry
 from semicov.catalog.families import Control
 from semicov.covariants import equivariance_check, independence_rank_at, kernel_phi_check
-from semicov.lie import Subspace, defining, is_abelian, sl, stabiliser, stabiliser_sample
+from semicov.lie import StabiliserSample, Subspace, defining, is_abelian, sl, stabiliser, stabiliser_sample
 from semicov.poly import CheckContext
 from semicov.verify import Report, RunConfig, run_entry, run_table_row, to_text
 
@@ -67,7 +67,7 @@ def gs_non_abelian(monkeypatch, capsys):
     # the zero point of the adjoint sl2 module: g_x = sl2, expected as l = 3
     cons = _expect(_adjoint(2), rank=3)
     zero = [0, 0, 0]
-    row = verify._check_gs(cons, [(zero, stabiliser(cons.module, zero))])
+    row = verify._check_gs(cons, StabiliserSample(cons.module, [zero], [stabiliser(cons.module, zero)]))
     kind, v = row["witness"]
     assert not is_abelian(cons.algebra, stabiliser(cons.module, v))
     return row, "non-abelian stabiliser"
@@ -77,7 +77,7 @@ def gs_not_closed(monkeypatch, capsys):
     # a broken stabiliser estimate: span(E, F) in sl2, without H = [E, F]
     cons = _expect(_adjoint(2), rank=2)
     broken = Subspace([[1, 0, 0], [0, 1, 0]])
-    row = verify._check_gs(cons, [([1, 2, 3], broken)])
+    row = verify._check_gs(cons, StabiliserSample(cons.module, [[1, 2, 3]], [broken]))
     with pytest.raises(ValueError):
         is_abelian(cons.algebra, broken)
     assert row["witness"][1] == [1, 2, 3]
@@ -123,7 +123,7 @@ def bq_bookkeeping(monkeypatch, capsys):
 def index_not_stabilised(monkeypatch, capsys):
     inner = verify.index_estimate
     monkeypatch.setattr(verify, "index_estimate",
-                        lambda lie, ctx: replace(inner(lie, ctx), stabilised=False))
+                        lambda lie, ctx, bound=None: replace(inner(lie, ctx, bound), stabilised=False))
     report = _run_adjoint(monkeypatch, _adjoint(2))
     assert _row(report, "rais_consistency")["verdict"] == "fail"
     return _row(report, "index_stabilized"), "index estimate did not stabilise (max rank 4)"
@@ -132,7 +132,7 @@ def index_not_stabilised(monkeypatch, capsys):
 def rais_inconsistent(monkeypatch, capsys):
     inner = verify.index_estimate
     monkeypatch.setattr(verify, "index_estimate",
-                        lambda lie, ctx: replace(inner(lie, ctx), index=4, max_rank=2))
+                        lambda lie, ctx, bound=None: replace(inner(lie, ctx, bound), index=4, max_rank=2))
     row = _row(_run_adjoint(monkeypatch, _adjoint(2)), "rais_consistency")
     w = row["witness"]
     assert w["index_q"] != w["dim_v"] - w["dim_g"] + w["stab_dim"] + w["stab_index"]

@@ -2,7 +2,9 @@
 
 With more than one sample the estimator ranks the orbit map at the first
 point v1 only, with its stabiliser t, and proves that no other point ranks
-higher: G.S is dense for S = V^t (``_fixed_slice_is_dense``).  Covered here:
+higher: G.S is dense for S = V^t (``lie.fixed_slice_is_dense``, which the
+entries' ``lie.stabiliser_sample`` shares; tests/test_entry_slice.py covers
+the entries).  Covered here:
 
 * on all 10 table-row modules, for seeds 0-29 at bounds 1, 3 and 10, the
   estimate equals that of the 20-rank estimator it replaced
@@ -24,6 +26,7 @@ import pytest
 
 import module_oracles as oracle
 import semicov.catalog.support as support
+import semicov.lie as lie
 import semicov.poly as poly
 from semicov.catalog import all_rows, quotient_dim_estimate
 from semicov.poly import CheckContext
@@ -50,8 +53,8 @@ def work(monkeypatch):
             return inner(*args)
         return wrapper
 
-    for key in ("rank", "rank_and_kernel", "rank_mod_p"):
-        monkeypatch.setattr(support, key, counting(key, getattr(support, key)))
+    for key, module in (("rank", support), ("rank_and_kernel", lie), ("rank_mod_p", lie)):
+        monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
     monkeypatch.setattr(poly, "rand_vector", counting("draws", poly.rand_vector))
     return counts
 
@@ -108,9 +111,10 @@ def test_one_sample_needs_no_certificate(modules, work):
     assert work == {"rank": 0, "rank_and_kernel": 10, "rank_mod_p": 0, "draws": 10}
 
 
-def test_table_row_work_count_at_seed_0(work):
+def test_table_row_work_count_at_seed_0(modules, work):
     """At the default knobs the certificate holds on every module row at its
-    first draw, so no point after v1 is ranked."""
+    first draw, so no point after v1 is ranked.  (``modules`` builds the
+    classical algebras, whose bases are kernels, before anything is counted.)"""
     for row in MODULE_ROWS:
         counts = dict(work)
         report = run_table_row(row.id, RunConfig())

@@ -256,7 +256,7 @@ def test_stabiliser_adjoint():
 
 def _generic_dim(r, seed, samples=20):
     sample = stabiliser_sample(r, CheckContext(seed=seed, samples=samples), "generic")
-    return min(s.dim for _, s in sample)
+    return min(s.dim for _, s in sample.pairs)
 
 
 def test_generic_stabiliser_dim_adjoint():
@@ -276,9 +276,9 @@ def test_generic_point_matches_estimate():
     # stabiliser; one stream gives one sample
     r = adjoint_rep(sl(3))
     ctx = CheckContext(seed=5, samples=6, bound=3)
-    sample = stabiliser_sample(r, ctx, "point")
+    sample = stabiliser_sample(r, ctx, "point").pairs
     assert len(sample) == 6
-    assert sample == stabiliser_sample(r, ctx, "point")
+    assert sample == stabiliser_sample(r, ctx, "point").pairs
     for v, s in sample:
         assert len(v) == 8 and all(-3 <= x <= 3 for x in v)
         assert s.dim == stabiliser(r, v).dim

@@ -468,7 +468,7 @@ def test_stabilisers_match_fraction_oracle(entry, params):
     oracle's kernels, entry by entry and type by type."""
     rep = build_construction(get_entry(entry), params).module
     nonint = 0
-    for v, stab in stabiliser_sample(rep, CheckContext(seed=7, samples=10), "oracle"):
+    for v, stab in stabiliser_sample(rep, CheckContext(seed=7, samples=10), "oracle").pairs:
         want = oracle_kernel(action_matrix_at(rep, v))
         assert len(stab.vectors) == len(want) > 0
         for got_v, want_v in zip(stab.vectors, want):
@@ -648,20 +648,22 @@ def test_rank_mod_p_calls_rows_of_multiples_of_p_not_full(data):
 def test_rank_mod_p_proves_the_full_slice_rank_of_every_table_module(monkeypatch):
     """At seed 0 the density matrix of each table row's fixed-point slice
     has full column rank mod p; sympy confirms it over QQ on the two
-    smallest modules."""
+    smallest modules.  The certificate lives in ``lie``, which serves the
+    table rows' estimator and the entries' stabiliser sample alike."""
     pytest.importorskip("sympy")
     import semicov.catalog.support as support
+    import semicov.lie as lie
     from semicov.catalog import all_rows
 
     seen = []
-    inner = support.rank_mod_p
+    inner = lie.rank_mod_p
 
     def spy(m, p=WORD_PRIME):
         r = inner(m, p)
         seen.append((m, r))
         return r
 
-    monkeypatch.setattr(support, "rank_mod_p", spy)
+    monkeypatch.setattr(lie, "rank_mod_p", spy)
     specs = [row.module_spec for row in all_rows() if row.module_spec is not None]
     for spec in specs:
         support.quotient_dim_estimate(spec.build(dict(spec.default_params)), CheckContext())

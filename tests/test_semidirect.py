@@ -95,7 +95,7 @@ def test_rais_consistency():
     for q, stab_dim in ((q_adjoint_sl2(), 1), (q_defining_sl2(), 1)):
         ctx = CheckContext(seed=0)
         sample = stabiliser_sample(q.rep, ctx, "gs")
-        rep = rais_consistency(q, sample, index_estimate(q.lie, ctx), ctx)
+        rep = rais_consistency(q, sample.minimal[0][1], sample.abelian, index_estimate(q.lie, ctx), ctx)
         assert rep.consistent
         assert rep.stabilised
         assert rep.stab_dim == stab_dim
@@ -109,31 +109,39 @@ def test_rais_consistency_takes_the_index_estimate(monkeypatch):
     q = q_adjoint_sl2()
     ctx = CheckContext(samples=4, bound=5)
     est = index_estimate(q.lie, ctx)
-    # the zero point first: x is the first point of minimal stabiliser dimension
-    points = [[0, 0, 0], [1, 0, 0], [2, 3, -1], [0, 0, 1]]
-    sample = [(v, stabiliser(q.rep, v)) for v in points]
-    inner = semidirect.index_estimate
-    calls = []
+    # g_x at the regular point 2E + 3F - H is a Cartan line; at the zero point it is sl2
+    regular, zero = stabiliser(q.rep, [2, 3, -1]), stabiliser(q.rep, [0, 0, 0])
+    inner, inner_sub = semidirect.index_estimate, semidirect.subalgebra
+    calls, built = [], []
 
-    def recording(lie_alg, ctx):
+    def recording(lie_alg, ctx, bound=None):
         calls.append((lie_alg.dim, ctx.samples, ctx.bound))
-        return inner(lie_alg, ctx)
+        return inner(lie_alg, ctx, bound)
+
+    def building(g, s, name=""):
+        built.append(s.dim)
+        return inner_sub(g, s, name)
 
     def no_stabiliser(rep, v):
-        raise AssertionError("rais_consistency must read the sample, not redraw it")
+        raise AssertionError("rais_consistency must read the stabiliser it is given")
+
+    def no_abelian_test(g, s):
+        raise AssertionError("rais_consistency must read the abelian flag it is given")
 
     monkeypatch.setattr(semidirect, "index_estimate", recording)
+    monkeypatch.setattr(semidirect, "subalgebra", building)
     monkeypatch.setattr(lie, "stabiliser", no_stabiliser)
-    rep = rais_consistency(q, sample, est, ctx)
-    # g_x is abelian, so ind g_x = dim g_x with no estimate at all
-    assert calls == []
+    monkeypatch.setattr(lie, "is_abelian", no_abelian_test)
+    rep = rais_consistency(q, regular, True, est, ctx)
+    # g_x is abelian, so ind g_x = dim g_x with no subalgebra and no estimate
+    assert calls == [] and built == []
     assert rep.stab_dim == rep.stab_index == 1 and rep.stab_abelian
     assert rep.index_q == est.index == 2 and rep.consistent
     assert rep.stabilised == est.stabilised
-    # at the zero point alone g_x = sl2, whose index (its rank, 1) is sampled
-    # inside the stabiliser over ctx.samples points under ctx.bound
-    rep = rais_consistency(q, sample[:1], est, ctx)
-    assert calls == [(3, 4, 5)]
+    # at the zero point g_x = sl2: the subalgebra is built, and its index
+    # (its rank, 1) is sampled inside it over ctx.samples points under ctx.bound
+    rep = rais_consistency(q, zero, False, est, ctx)
+    assert calls == [(3, 4, 5)] and built == [3]
     assert rep.stab_dim == 3 and rep.stab_index == 1 and not rep.stab_abelian
     assert not rep.consistent  # the zero point is not generic
 

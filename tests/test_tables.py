@@ -106,7 +106,7 @@ def test_cheap_module_rows_sampled_stabiliser(row_id):
     expected = spec.expected(params)
     rep = spec.build(params)
     sample = stabiliser_sample(rep, CheckContext(seed=3), "table")
-    assert min(s.dim for _, s in sample) == expected["gs"]
+    assert min(s.dim for _, s in sample.pairs) == expected["gs"]
 
 
 def test_smallest_quotient_estimate_matches_printed_value():

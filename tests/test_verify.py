@@ -17,11 +17,12 @@ Covered here:
   names the covariants of each group (stub checks); unmixed rows keep their
   wording;
 * an entry draws one sample of V, in the gs row, and computes each sampled
-  stabiliser once for all five rows that read it; a table row ranks each
-  sampled point at most once (tests/test_fixed_slice.py counts the rest of
-  its work); the rais row reuses the index_stabilized estimate, takes
-  ind g_x = dim g_x for an abelian g_x and passes --bound to the estimate
-  of a non-abelian one;
+  stabiliser at most once for all five rows that read it: only the first
+  once it is proved generic, unless kernel_span reads them all; a table row
+  ranks each sampled point at most once (tests/test_fixed_slice.py and
+  tests/test_entry_slice.py count the rest of the work); the rais row
+  reuses the index_stabilized estimate, takes ind g_x = dim g_x for an
+  abelian g_x and passes --bound to the estimate of a non-abelian one;
 * RunConfig settles the targets once (canonical ids, each once, the
   default suite when none is named) and rejects an override no entry
   target takes, table rows keeping their pinned parameters; run_suite
@@ -37,13 +38,16 @@ Covered here:
   identifier, --samples, --bound or --jobs below 1, an override no target
   takes, an --out that cannot be written, nothing verified); every usage
   error but the last comes before --out is opened, so it neither creates
-  nor changes the file.
+  nor changes the file; --out to os.devnull or a FIFO writes the report
+  without truncating and exits 0.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 
 import pytest
 
@@ -160,6 +164,10 @@ def test_gs_row_computes_each_stabiliser_once(monkeypatch):
                  "kernel_span", "rais_consistency"):
         assert rows[name]["verdict"] == "sampled-pass", name
     assert len(points) == cfg.samples == len(set(points))
+    # without kernel_span, the proved stabiliser of the first point is the only one
+    points.clear()
+    assert _checks_by_name(run_entry("ex5.2", cfg))["gs_dimension_toral"]["verdict"] == "sampled-pass"
+    assert len(points) == 1
 
 
 def test_table_row_ranks_each_point_once(monkeypatch):
@@ -167,6 +175,7 @@ def test_table_row_ranks_each_point_once(monkeypatch):
     certificate refused, the row ranks each sampled point once: v1 by the
     kernel that gives its stabiliser, every other point by one rank."""
     import semicov.catalog.support as support
+    import semicov.lie as lie
 
     shapes = {"rank": [], "rank_and_kernel": []}
 
@@ -176,9 +185,9 @@ def test_table_row_ranks_each_point_once(monkeypatch):
             return inner(m)
         return wrapper
 
-    for key in shapes:
-        monkeypatch.setattr(support, key, counting(key, getattr(support, key)))
-    monkeypatch.setattr(support, "_fixed_slice_is_dense", lambda *args: False)
+    for key, module in (("rank", support), ("rank_and_kernel", lie)):
+        monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
+    monkeypatch.setattr(support, "fixed_slice_is_dense", lambda *args: False)
     cfg = RunConfig(samples=6)
     report = run_table_row("table1/1a", cfg)
     rows = _checks_by_name(report)
@@ -193,14 +202,14 @@ def test_table_row_ranks_each_point_once(monkeypatch):
 def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
     import semicov.semidirect as semidirect
     import semicov.verify as verify
-    from semicov.lie import stabiliser
+    from semicov.lie import StabiliserSample, stabiliser
 
     inner = semidirect.index_estimate
     calls = []
 
-    def recording(lie, ctx):
+    def recording(lie, ctx, bound=None):
         calls.append((lie.dim, ctx.bound))
-        return inner(lie, ctx)
+        return inner(lie, ctx, bound)
 
     monkeypatch.setattr(semidirect, "index_estimate", recording)
     monkeypatch.setattr(verify, "index_estimate", recording)
@@ -214,7 +223,7 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
 
     # a sample holding only the zero point of the adjoint sl2 module: g_x = sl2
     def zero_point(rep, ctx, *labels):
-        return [([0] * rep.dim_v, stabiliser(rep, [0] * rep.dim_v))]
+        return StabiliserSample(rep, [[0] * rep.dim_v], [stabiliser(rep, [0] * rep.dim_v)])
 
     calls.clear()
     monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
@@ -228,26 +237,30 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
 
 @pytest.mark.parametrize("samples", [20, 7])
 def test_kirillov_even_reads_the_index_sample(monkeypatch, samples):
+    """The row checks every form the index estimate ranked and counts every
+    point it drew.  ex5.2's generic stabiliser is proved abelian, so each
+    batch stops at its first point of the Rais rank: one form a batch."""
     import semicov.semidirect as semidirect
 
     inner = semidirect.skew_rank
-    shapes = []
+    ranked = []  # (order, rank) of every skew form ranked
 
     def counting(m):
-        shapes.append(m.nrows)
-        return inner(m)
+        ranked.append((m.nrows, inner(m)))
+        return ranked[-1][1]
 
     monkeypatch.setattr(semidirect, "skew_rank", counting)
     report = run_entry("ex5.2", RunConfig(samples=samples))
     names = [c["name"] for c in report["checks"]]
     assert names.index("kirillov_even") + 1 == names.index("index_stabilized")
     row = _checks_by_name(report)["kirillov_even"]
-    ranked = 2 * max(1, samples // 2)
+    drawn = 2 * max(1, samples // 2)
     assert row == {"name": "kirillov_even", "verdict": "sampled-pass",
-                   "detail": "form rank even at %d sampled points" % ranked}
-    # Kirillov forms of q are ranked only by the index estimate
-    dim_q = max(shapes)
-    assert shapes.count(dim_q) == ranked
+                   "detail": "form rank even at %d sampled points" % drawn}
+    # Kirillov forms of q are ranked only by the index estimate, and each is even
+    dim_q = max(n for n, _ in ranked)
+    forms = [r for n, r in ranked if n == dim_q]
+    assert len(forms) == 2 and all(r % 2 == 0 for r in forms)
 
 
 def test_samples_and_bound_reach_every_sampled_row(monkeypatch):
@@ -296,7 +309,7 @@ def test_kirillov_even_fails_on_an_odd_rank_with_its_point():
     q = SemidirectProduct(build_construction(get_entry("ex5.2"), {}).module)
     eta = list(range(q.dim))
     ranks = [([1] * q.dim, 4), (eta, 3), ([2] * q.dim, 5)]
-    est = IndexEstimate(index=0, max_rank=5, stabilised=True, ranks=ranks)
+    est = IndexEstimate(index=0, max_rank=5, stabilised=True, drawn=3, ranks=ranks)
     row = _check_kirillov_even(q, est)
     assert row["verdict"] == "fail"
     assert row["witness"] == {"xi": eta[: q.dim_g], "v": eta[q.dim_g :]}
@@ -435,6 +448,26 @@ def test_cli_run_writes_out_file(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(out.read_text())
     assert payload["entries"][0]["id"] == "ex5.2"
+
+
+def test_cli_run_out_to_devnull_or_a_fifo(tmp_path, capsys):
+    """os.devnull and a FIFO cannot be truncated: the report is written to
+    them as they are, and the run exits 0.  A regular file is still
+    rewritten from its start."""
+    assert cli.main(["run", "--entry", "ex5.2", "--out", os.devnull]) == 0
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert cli.main(["run", "--entry", "ex5.2", "--format", "json", "--out", str(fifo)]) == 0
+    reader.join(60)
+    assert json.loads(got[0])["entries"][0]["id"] == "ex5.2"
+    out = tmp_path / "report.json"
+    out.write_text("an older and longer report\n" * 1000)
+    assert cli.main(["run", "--entry", "ex5.2", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"][0]["id"] == "ex5.2"
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_unknown_ids_exit_2(tmp_path, capsys):
