@@ -13,16 +13,17 @@ become matrix formulas over the same coordinate ring.  A slot is one of
   triangle, row by row.
 
 The coordinates of V are those of the slots, concatenated in slot order.
-``quotient_dim_estimate``, the table rows' estimator, proves its sampled
-maximum on the fixed-point slice of its first point, as the entries do.
+``quotient_dim_estimate``, the table rows' estimator, reads the generic
+stabiliser from ``lie.stabiliser_sample``, the one sampler the entries use.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ..lie import LieAlgebra, Representation, fixed_slice_is_dense, stabiliser
-from ..linalg import Matrix, rank
+from ..lie import LieAlgebra, Representation, stabiliser_sample
+from ..linalg import Matrix
+from ..linalg import rank  # noqa: F401 (re-export; the benchmark's tracer patches it)
 from ..poly import CheckContext, MultiPoly
 
 __all__ = [
@@ -132,19 +133,10 @@ def _linear_terms(e) -> list:
 
 def quotient_dim_estimate(rep: Representation, ctx: CheckContext = CheckContext()) -> int:
     """dim V minus the maximal orbit-map rank over ``ctx.samples`` random
-    integer points: the quotient dimension as seen by the action.  The
-    orbit map at v is ranked by its rows x_a.v, one per basis element.
-
-    The maximum is proved after the first point v1: its stabiliser t gives
-    its rank, dim g - dim t, and no point ranks higher when
-    ``lie.fixed_slice_is_dense``.  Otherwise the other points of the stream
-    are ranked too, so the result is the same integer.
+    integer points: the quotient dimension as seen by the action.  The orbit
+    rank at v is dim g - dim g_v, so this reads the least stabiliser
+    dimension of ``lie.stabiliser_sample`` on the ``("quotient", label)``
+    stream, proved at the first point or else taken over the whole stream.
     """
-    dg, dv, label = rep.algebra.dim, rep.dim_v, rep.label or "V"
-    draw = ctx.draw(dv, "quotient", label)
-    t = stabiliser(rep, draw())
-    best = dg - t.dim
-    if ctx.samples > 1 and not fixed_slice_is_dense(rep, t, ctx, "quotient", label):
-        points = (draw() for _ in range(ctx.samples - 1))
-        best = max([best] + [rank(Matrix([rep.act_basis(a, v) for a in range(dg)])) for v in points])
-    return dv - best
+    sample = stabiliser_sample(rep, ctx, "quotient", rep.label or "V")
+    return rep.dim_v - rep.algebra.dim + sample.minimal[0][1].dim

@@ -12,9 +12,10 @@ elements that generates the subalgebra they span, trying the algebra's seeds
 first (on sl_n the n root vectors E_(i,i+1) and E_(n,1), which a product
 keeps per factor).
 A representation stores only the nonzero entries of its action matrices,
-and every builder writes those entries directly.  ``stabiliser_sample``
-proves the stabiliser of its first point generic on its fixed-point slice
-(``fixed_slice_is_dense``) and computes the others only when read.
+and every builder writes those entries directly.  ``stabiliser_sample``,
+the one sampler of generic stabilisers (entries and table rows), proves t =
+g_v1 generic on its fixed-point slice (``fixed_slice_is_dense``) and draws
+the other points only when read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import (
     Matrix,
@@ -611,29 +612,33 @@ def fixed_slice_is_dense(r: Representation, t: Subspace, ctx: CheckContext, *lab
 
 @dataclass
 class StabiliserSample:
-    """Points of V from one stream, and their exact stabilisers, each computed
-    once, when first read (``stabs`` are those of a prefix of ``points``).
-    ``proved``: the first, t = g_v1, has the least dimension on V.  Then, if
+    """Points of V from one stream and their exact stabilisers: v1 and
+    t = g_v1 now, the points of ``rest()`` and their stabilisers each once,
+    when first read.  ``proved``: t has the least dimension on V.  Then, if
     t is abelian, so is every g_v of that dimension: on that open set of V,
     v -> g_v is a morphism to the Grassmannian, abelian planes form a closed
     set, and G.(S meet the set) is dense in it.
     """
 
     rep: Representation
-    points: list
-    stabs: list
+    v1: list
+    t: Subspace
     proved: bool = False
+    rest: Callable[[], list] = list
 
-    @property
+    @functools.cached_property
+    def points(self) -> list:
+        return [self.v1] + self.rest()
+
+    @functools.cached_property
     def pairs(self) -> list:
-        self.stabs += [stabiliser(self.rep, v) for v in self.points[len(self.stabs) :]]
-        return list(zip(self.points, self.stabs))
+        return [(self.v1, self.t)] + [(v, stabiliser(self.rep, v)) for v in self.points[1:]]
 
     @property
     def minimal(self) -> list:
         """The pairs of least stabiliser dimension, the generic one first;
         (v1, t) alone when ``proved``."""
-        pairs = list(zip(self.points, self.stabs[:1])) if self.proved else self.pairs
+        pairs = [(self.v1, self.t)] if self.proved else self.pairs
         least = min(s.dim for _, s in pairs)
         return [(v, s) for v, s in pairs if s.dim == least]
 
@@ -644,15 +649,16 @@ class StabiliserSample:
 
 
 def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> StabiliserSample:
-    """The one sample of generic points per module: ``ctx.samples`` integer
-    points of V in [-ctx.bound, ctx.bound], from the stream of ``labels``,
-    and the stabiliser t of the first, ``proved`` when ``ctx.samples > 1``
-    and ``fixed_slice_is_dense``.  Every check about g_x at a generic x reads it.
+    """The one sampler of a module's generic stabiliser: ``ctx.samples``
+    integer points of V in [-ctx.bound, ctx.bound] from the stream of
+    ``labels``, each after v1 drawn only when read, and t = g_v1, ``proved``
+    when ``ctx.samples > 1`` and ``fixed_slice_is_dense``.
     """
     draw = ctx.draw(r.dim_v, *labels)
-    points = [draw() for _ in range(ctx.samples)]
-    t = stabiliser(r, points[0])
-    return StabiliserSample(r, points, [t], ctx.samples > 1 and fixed_slice_is_dense(r, t, ctx, *labels))
+    v1 = draw()
+    t = stabiliser(r, v1)
+    proved = ctx.samples > 1 and fixed_slice_is_dense(r, t, ctx, *labels)
+    return StabiliserSample(r, v1, t, proved, lambda: [draw() for _ in range(ctx.samples - 1)])
 
 
 def is_abelian(g: LieAlgebra, s: Subspace) -> bool:

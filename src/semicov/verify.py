@@ -242,7 +242,7 @@ def _check_gs(cons: Construction, sample: StabiliserSample) -> dict:
     best = minimal[0][1].dim
     if best != cons.expected.rank:
         detail = "sampled generic stabiliser dim %s != %d" % (best, cons.expected.rank)
-        return _row("gs_dimension_toral", "fail", detail=detail, witness=sample.points[0])
+        return _row("gs_dimension_toral", "fail", detail=detail, witness=sample.v1)
     for k, (v, s) in enumerate(minimal):
         try:
             # the first is the generic stabiliser, whose test every row reads
@@ -518,7 +518,7 @@ def run_entry(name: str, cfg: RunConfig) -> dict:
         # Rais (C. R. Acad. Sci. Paris 287 (1978) 195-197): a proved abelian generic stabiliser t
         # gives ind q = dim V - dim g + 2 dim t, so no Kirillov form ranks above 2(dim g - dim t)
         nonlocal est
-        rais = 2 * (q.dim_g - sample.stabs[0].dim) if sample.proved and sample.abelian else None
+        rais = 2 * (q.dim_g - sample.t.dim) if sample.proved and sample.abelian else None
         est = index_estimate(q.lie, ctx, rais)
         return _check_index(est)
 

@@ -10,8 +10,9 @@ the slot action applied to every unit vector of V, and a subrepresentation
 solved one image at a time.  Tests compare them with
 ``Representation.action``.
 
-``quotient_dim_estimate`` is the sampled estimator the fixed-point slice
-certificate of ``catalog.support.quotient_dim_estimate`` replaced: an exact
+``quotient_dim_estimate`` is the sampled estimator that
+``catalog.support.quotient_dim_estimate`` replaced by a read of
+``lie.stabiliser_sample`` and its fixed-point slice certificate: an exact
 orbit-map rank at every one of the ``ctx.samples`` points of the same
 stream, and dim V minus their maximum.
 """

@@ -82,7 +82,7 @@ def test_certified_report_equals_the_fallback_report(monkeypatch, work, entry_id
     for seed in range(3):
         report, counts, [(bound, est)] = _run(entry_id, overrides, seed, work)
         sample = lie.stabiliser_sample(cons.module, CheckContext(seed=seed), "gs", entry_id)
-        t = sample.stabs[0]
+        t = sample.t
         # density holds at seed 0 everywhere; ex5.2 at seed 2 and ex6.2 and
         # ex6.4 at seed 1 draw a slice point on a degenerate sub-slice
         assert sample.proved or seed > 0, entry_id
@@ -117,7 +117,7 @@ def test_a_non_abelian_stabiliser_gets_no_rais_bound(monkeypatch, work):
 
     def zero_point(rep, ctx, *labels):
         zero = [0] * rep.dim_v
-        return StabiliserSample(rep, [zero], [stabiliser(rep, zero)], proved=True)
+        return StabiliserSample(rep, zero, stabiliser(rep, zero), proved=True)
 
     monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
     report, _, estimates = _run("ex-adjoint", (("n", 2),), 0, work)

@@ -67,7 +67,7 @@ def gs_non_abelian(monkeypatch, capsys):
     # the zero point of the adjoint sl2 module: g_x = sl2, expected as l = 3
     cons = _expect(_adjoint(2), rank=3)
     zero = [0, 0, 0]
-    row = verify._check_gs(cons, StabiliserSample(cons.module, [zero], [stabiliser(cons.module, zero)]))
+    row = verify._check_gs(cons, StabiliserSample(cons.module, zero, stabiliser(cons.module, zero)))
     kind, v = row["witness"]
     assert not is_abelian(cons.algebra, stabiliser(cons.module, v))
     return row, "non-abelian stabiliser"
@@ -77,7 +77,7 @@ def gs_not_closed(monkeypatch, capsys):
     # a broken stabiliser estimate: span(E, F) in sl2, without H = [E, F]
     cons = _expect(_adjoint(2), rank=2)
     broken = Subspace([[1, 0, 0], [0, 1, 0]])
-    row = verify._check_gs(cons, StabiliserSample(cons.module, [[1, 2, 3]], [broken]))
+    row = verify._check_gs(cons, StabiliserSample(cons.module, [1, 2, 3], broken))
     with pytest.raises(ValueError):
         is_abelian(cons.algebra, broken)
     assert row["witness"][1] == [1, 2, 3]

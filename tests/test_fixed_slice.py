@@ -1,20 +1,23 @@
-"""The fixed-point slice certificate of ``catalog.support.quotient_dim_estimate``.
+"""The fixed-point slice certificate behind ``catalog.support.quotient_dim_estimate``.
 
-With more than one sample the estimator ranks the orbit map at the first
-point v1 only, with its stabiliser t, and proves that no other point ranks
-higher: G.S is dense for S = V^t (``lie.fixed_slice_is_dense``, which the
-entries' ``lie.stabiliser_sample`` shares; tests/test_entry_slice.py covers
-the entries).  Covered here:
+The table rows' estimator reads ``lie.stabiliser_sample``, the one sampler
+of a generic stabiliser, which the entries read too
+(tests/test_entry_slice.py covers the entries).  With more than one sample
+it computes the stabiliser t of the first point v1 only, and proves that no
+other point ranks higher: G.S is dense for S = V^t
+(``lie.fixed_slice_is_dense``).  Covered here:
 
 * on all 10 table-row modules, for seeds 0-29 at bounds 1, 3 and 10, the
   estimate equals that of the 20-rank estimator it replaced
   (``module_oracles.quotient_dim_estimate``), whether the certificate holds
   or the row falls back;
-* each broken premise makes the row fall back to ranking the remaining
-  points of the same stream, with the oracle's estimate: slice
-  coefficients forced to 0, v1 forced to 0, and one sample;
+* each broken premise makes the row fall back to the stabilisers of the
+  remaining points of the same stream, t not recomputed, with the oracle's
+  estimate: slice coefficients forced to 0, v1 forced to 0, and one sample;
 * the work of a table row at seed 0: no ``rank``, two ``rank_and_kernel``
-  (orbit map at v1, then V^t), one ``rank_mod_p`` and two draws.
+  (orbit map at v1, then V^t), one ``rank_mod_p`` and two draws;
+* the points after v1 are drawn only when read, on a table module and on
+  ex6.1 at n=4.
 """
 
 from __future__ import annotations
@@ -91,13 +94,15 @@ def test_estimate_matches_the_twenty_rank_oracle(modules, bound):
 @pytest.mark.parametrize("stream", ["slice", "v1"])
 def test_a_zero_draw_falls_back_to_ranking_the_stream(modules, work, stream):
     """s = 0 spans only S, and v1 = 0 has t = g and S = V^g, which holds no
-    dense orbit: density fails and the other 19 points are ranked."""
+    dense orbit: density fails and the stabilisers of the other 19 points
+    are computed, after the kernels of t and V^t."""
     for rep, row in zip(modules, MODULE_ROWS):
         labels = ("quotient", rep.label) + (("slice",) if stream == "slice" else ())
         ctx = ZeroDraw(labels=labels)
-        before = work["rank"]
+        before = dict(work)
         est = quotient_dim_estimate(rep, ctx)
-        assert work["rank"] - before == ctx.samples - 1
+        assert work["rank_and_kernel"] - before["rank_and_kernel"] == 2 + ctx.samples - 1
+        assert work["rank"] == before["rank"]
         assert est == oracle.quotient_dim_estimate(rep, ctx), rep.label
         spec = row.module_spec
         assert est == rep.dim_v - rep.algebra.dim + spec.expected(dict(spec.default_params))["gs"]
@@ -121,3 +126,23 @@ def test_table_row_work_count_at_seed_0(modules, work):
         assert all(c["verdict"] != "fail" for c in report["checks"]), row.id
         assert {k: work[k] - counts[k] for k in work} == {
             "rank": 0, "rank_and_kernel": 2, "rank_mod_p": 1, "draws": 2}, row.id
+
+
+def test_points_after_v1_are_drawn_when_read(modules, work):
+    """The sampler draws v1 and the slice point; the other 19 points of the
+    stream are drawn when ``points`` is first read, once, and with v1 they
+    are the stream's first 20 draws."""
+    from semicov.catalog import build_construction, get_entry
+
+    entry = get_entry("ex6.1")
+    ex61 = build_construction(entry, entry.resolve({"n": 4})).module
+    ctx = CheckContext()
+    for rep, labels in ((modules[0], ("quotient", modules[0].label)), (ex61, ("gs", "ex6.1"))):
+        work.update(dict.fromkeys(work, 0))
+        sample = lie.stabiliser_sample(rep, ctx, *labels)
+        assert sample.proved and work["draws"] == 2, labels
+        draw = ctx.draw(rep.dim_v, *labels)
+        stream = [draw() for _ in range(ctx.samples)]
+        work["draws"] = 0
+        assert sample.points == stream and work["draws"] == ctx.samples - 1, labels
+        assert sample.points is sample.points and work["draws"] == ctx.samples - 1

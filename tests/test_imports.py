@@ -30,6 +30,7 @@ SCANNED = sorted((ROOT / "src" / "semicov").rglob("*.py")) + sorted((ROOT / "tes
 
 # (module path relative to the repository root, imported name) kept on purpose
 REEXPORTS = {
+    ("src/semicov/catalog/support.py", "rank"),
     ("src/semicov/covariants.py", "resolve_mode"),
     ("src/semicov/semidirect.py", "rank"),
     ("src/semicov/verify.py", "rank"),

@@ -65,11 +65,12 @@ def check_homomorphism(rep):
 
 
 def test_table_modules_are_lie_homomorphisms():
-    """The premise of the fixed-point slice certificate in
-    ``catalog.support.quotient_dim_estimate``: rho is the differential of
-    an action of a connected algebraic group on V, so at least a Lie
-    algebra homomorphism.  Checked exactly on every basis pair of every
-    table row's module."""
+    """The premise of the fixed-point slice certificate that
+    ``lie.stabiliser_sample``, the one sampler of a generic stabiliser,
+    runs for the entries and for the table rows' quotient estimate: rho is
+    the differential of an action of a connected algebraic group on V, so
+    at least a Lie algebra homomorphism.  Checked exactly on every basis
+    pair of every table row's module."""
     from semicov.catalog import all_rows
 
     specs = [row.module_spec for row in all_rows() if row.module_spec is not None]

@@ -172,8 +172,8 @@ def test_gs_row_computes_each_stabiliser_once(monkeypatch):
 
 def test_table_row_ranks_each_point_once(monkeypatch):
     """gs and quotient read one estimate.  With the fixed-point slice
-    certificate refused, the row ranks each sampled point once: v1 by the
-    kernel that gives its stabiliser, every other point by one rank."""
+    certificate refused, the row ranks each sampled point once, by the
+    kernel that gives its stabiliser, and makes no other rank."""
     import semicov.catalog.support as support
     import semicov.lie as lie
 
@@ -187,15 +187,15 @@ def test_table_row_ranks_each_point_once(monkeypatch):
 
     for key, module in (("rank", support), ("rank_and_kernel", lie)):
         monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
-    monkeypatch.setattr(support, "fixed_slice_is_dense", lambda *args: False)
+    monkeypatch.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
     cfg = RunConfig(samples=6)
     report = run_table_row("table1/1a", cfg)
     rows = _checks_by_name(report)
     assert rows["gs_dimension_toral"]["verdict"] == "sampled-pass"
     assert rows["quotient_dim_estimate"]["verdict"] == "sampled-pass"
-    # one orbit-map matrix (dim g rows x_a.v, dim V columns) per later point
-    assert len(shapes["rank"]) == cfg.samples - 1 and set(shapes["rank"]) == {(13, 15)}
-    assert shapes["rank_and_kernel"] == [(15, 13)]
+    # one orbit-map matrix (dim V rows, columns x_a.v for the dim g basis
+    # elements) per point
+    assert shapes["rank"] == [] and shapes["rank_and_kernel"] == [(15, 13)] * cfg.samples
 
 
 @pytest.mark.parametrize("bound", [5, 10])
@@ -223,7 +223,7 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
 
     # a sample holding only the zero point of the adjoint sl2 module: g_x = sl2
     def zero_point(rep, ctx, *labels):
-        return StabiliserSample(rep, [[0] * rep.dim_v], [stabiliser(rep, [0] * rep.dim_v)])
+        return StabiliserSample(rep, [0] * rep.dim_v, stabiliser(rep, [0] * rep.dim_v))
 
     calls.clear()
     monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
