@@ -612,23 +612,25 @@ def fixed_slice_is_dense(r: Representation, t: Subspace, ctx: CheckContext, *lab
 
 @dataclass
 class StabiliserSample:
-    """Points of V from one stream and their exact stabilisers: v1 and
-    t = g_v1 now, the points of ``rest()`` and their stabilisers each once,
-    when first read.  ``proved``: t has the least dimension on V.  Then, if
-    t is abelian, so is every g_v of that dimension: on that open set of V,
-    v -> g_v is a morphism to the Grassmannian, abelian planes form a closed
-    set, and G.(S meet the set) is dense in it.
+    """``samples`` points of V from one stream and their exact stabilisers:
+    v1 and t = g_v1 now, the other points (each a ``draw()``) and their
+    stabilisers each once, when first read.  ``proved``: t has the least
+    dimension on V.  Then, if t is abelian, so is every g_v of that
+    dimension: on that open set of V, v -> g_v is a morphism to the
+    Grassmannian, abelian planes form a closed set, and G.(S meet the set)
+    is dense in it.
     """
 
     rep: Representation
     v1: list
     t: Subspace
     proved: bool = False
-    rest: Callable[[], list] = list
+    samples: int = 1
+    draw: Callable[[], list] | None = None
 
     @functools.cached_property
     def points(self) -> list:
-        return [self.v1] + self.rest()
+        return [self.v1] + [self.draw() for _ in range(self.samples - 1)]
 
     @functools.cached_property
     def pairs(self) -> list:
@@ -658,7 +660,7 @@ def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> Stabilis
     v1 = draw()
     t = stabiliser(r, v1)
     proved = ctx.samples > 1 and fixed_slice_is_dense(r, t, ctx, *labels)
-    return StabiliserSample(r, v1, t, proved, lambda: [draw() for _ in range(ctx.samples - 1)])
+    return StabiliserSample(r, v1, t, proved, ctx.samples, draw)
 
 
 def is_abelian(g: LieAlgebra, s: Subspace) -> bool:

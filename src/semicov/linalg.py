@@ -1,35 +1,28 @@
 """Exact linear algebra over the rationals (and over polynomial rings).
 
-Matrices store their entries as plain ``int``, ``fractions.Fraction``, or any
-ring element supporting ``+``, ``-``, ``*`` (polynomials).  Every routine here
-is exact: no floating point anywhere.  Rank and kernel computations require
-scalar (rational) entries; determinants, adjugates and characteristic
-polynomials also accept symbolic entries.  Rank, kernel, solve, span
-coordinates and scalar determinant share one fraction-free elimination on
-integer rows, and ``inverse`` is ``solve_all`` on the identity columns; a
-Fraction appears only when a pivot row is finally divided by its pivot.
-Rank eliminates the shorter of m and its transpose; rank and scalar det,
-which need only the echelon shape, pivot on the entry of least absolute
-value, while kernel, solve, span coordinates and inverse keep the first
-nonzero entry and so their canonical rows.
-The one other elimination, ``skew_rank``, ranks skew-symmetric matrices
-(Kirillov forms): no row-echelon order can use the symmetry, while each of
-its 2x2 pivot blocks removes two indices and updates only the upper
-triangle, about a quarter of the element operations.  It stores only the
-rows above the trailing zero block (V* in q = g x V*) and pivots into that
-block first, which keeps it zero; any pivot order keeps the Pfaffian
-division exact.  Symbolic determinants, adjugates and ``minor_skew``
-(every order, every ring) read one memoised minor table, ``_minors``;
-characteristic polynomials use the Faddeev-LeVerrier loop.
-``rank_mod_p`` ranks modulo a word-size prime: it can fall below the rank
-over Q, never above, so it proves only lower bounds on a rank (a full
-rank, say).  ``power`` is the one repeated-squaring loop, for matrices,
-polynomials and dual numbers.  ``block_diag`` is the one block-diagonal
-assembly: product algebras, catalog covariants.
+Entries are ``int``, ``fractions.Fraction`` or any ring element with ``+``,
+``-``, ``*`` (polynomials); no floating point anywhere.  Rank, kernel,
+solve, span coordinates, ``inverse`` (``solve_all`` on the identity) and
+scalar det share one fraction-free elimination of integer rows,
+``_eliminate``.  Rank eliminates the shorter of m and its transpose.  With
+nothing carried (rank, det, kernel) the pivot is the entry of least |x|;
+solve, span coordinates and inverse keep the first nonzero entry, reduce
+fully and divide by the pivot only at the end.  The kernel reduces forward
+only and solves each basis vector by fraction-free back-substitution.
+``skew_rank`` ranks skew-symmetric matrices (Kirillov forms) by 2x2 pivot
+blocks on the upper triangle above their zero V* block, Pfaffian divisions
+exact in any pivot order.  Symbolic det, ``adjugate`` and ``minor_skew``
+read one memoised minor table, ``_minors``; ``char_poly`` is
+Faddeev-LeVerrier.  ``rank_mod_p`` ranks modulo a word-size prime, each
+vector of the shorter side packed into one int, a row update one
+multiply-add; it can fall below the rank over Q, never above, so it proves
+only lower bounds (a full rank, say).  ``power`` is the one
+repeated-squaring loop and ``block_diag`` the one block-diagonal assembly.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -132,18 +125,7 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
             ocols = list(zip(*other.rows)) if other.rows else []
-            out = []
-            for r in self.rows:
-                row = []
-                for c in ocols:
-                    acc = 0
-                    for a, b in zip(r, c):
-                        if a == 0 or b == 0:
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
+            return Matrix([[_dot(r, c) for c in ocols] for r in self.rows])
         return Matrix([[a * other for a in r] for r in self.rows])
 
     def __rmul__(self, other):
@@ -158,15 +140,7 @@ class Matrix:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            for a, b in zip(r, vec):
-                if a == 0 or b == 0:
-                    continue
-                acc = acc + a * b
-            out.append(acc)
-        return out
+        return [_dot(r, vec) for r in self.rows]
 
     def transpose(self) -> "Matrix":
         return Matrix([list(c) for c in zip(*self.rows)]) if self.rows else Matrix([])
@@ -183,12 +157,7 @@ class Matrix:
         """tr(self * other) from the entries, without forming the product."""
         if self.nrows != other.ncols or self.ncols != other.nrows:
             raise ValueError("shape mismatch in trace of product")
-        acc = 0
-        for row, col in zip(self.rows, zip(*other.rows)):
-            for a, b in zip(row, col):
-                if a != 0 and b != 0:
-                    acc = acc + a * b
-        return acc
+        return sum(_dot(row, col) for row, col in zip(self.rows, zip(*other.rows)))
 
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "Matrix":
         return Matrix([[self.rows[i][j] for j in keep_cols] for i in keep_rows])
@@ -205,6 +174,15 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % (self.rows,)
+
+
+def _dot(r: Sequence, c: Sequence):
+    """sum r_i c_i over the pairs with both entries nonzero (any ring)."""
+    acc = 0
+    for a, b in zip(r, c):
+        if a != 0 and b != 0:
+            acc = acc + a * b
+    return acc
 
 
 def power(x, e: int, one):
@@ -258,22 +236,20 @@ def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> l
     """Fraction-free elimination (Bareiss 1968) of int ``rows`` in place over
     the first ``ncols`` columns; returns the pivot columns.
 
-    The one row operation is ``r_i <- (p/g0) r_i - (x/g0) r_piv`` with
-    ``g0 = gcd(p, x)``, after which the row is divided by the gcd of its
-    entries (the same row as with ``p`` and ``x`` themselves).  Rows with 0 in
-    the pivot column are skipped.  Forward only, rows end in echelon form and
-    ``factors`` (if given) collects ``(g, p/g0)`` for each operation and
-    ``(-1, 1)`` for each swap, so det(rows before) = det(rows after) * prod g
-    / prod (p/g0).  With ``full``, rows above each pivot are cleared too, and
-    each pivot row is then divided by its pivot: the unique reduced echelon
-    form, int wherever integral.  Later columns (a right-hand side, an
-    identity block) are carried along through the same row operations.
+    The one row operation is ``r_i <- (p/g0) r_i - (x/g0) r_piv``,
+    ``g0 = gcd(p, x)``, then the row is divided by the gcd of its entries.
+    Forward only, rows end in echelon form and ``factors`` (if given)
+    collects ``(g, p/g0)`` for each operation and ``(-1, 1)`` for each swap,
+    so det(rows before) = det(rows after) * prod g / prod (p/g0).  ``full``
+    serves the callers that carry a block (a right-hand side or identity,
+    through the same operations): ``solve_all``, so ``inverse``, and
+    ``SpanSolver``.  It clears the rows above each pivot too and divides each
+    pivot row by its pivot: the unique reduced form, int wherever integral.
 
     The pivot is the first nonzero entry at or below the current row, except
-    with nothing carried (rank, scalar det, ``rank_and_kernel``), where only
-    the echelon shape, or the unique reduced form, counts: there it is the
-    entry of least absolute value, the first among ties (a +-1 ends the
-    scan).  Either rule is deterministic.
+    where rows have only ``ncols`` entries (rank, scalar det, the forward
+    pass of ``rank_and_kernel``): there it is the entry of least absolute
+    value, the first among ties (a +-1 ends the scan).
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -339,20 +315,31 @@ def rank_mod_p(m: Matrix, p: int = WORD_PRIME) -> int:
     by Gaussian elimination over GF(p).  A lower bound on the rank over Q,
     and only that: a minor nonzero mod p is nonzero over Q, but p may divide
     every nonzero maximal minor (rows of multiples of p reduce to zero).  So
-    only a result of min(nrows, ncols), full rank, proves anything."""
-    rows = [[a % p for a in r] for r in int_rows(m.rows)[0]]
+    only a result of min(nrows, ncols), full rank, proves anything.
+
+    The k vectors of the shorter side are packed into one int each, w bits a
+    slot.  A row update adds a multiple of the pivot row reduced mod p, at
+    most k a row, so a slot stays below p + k p^2 < 2^w.
+    """
+    rows = int_rows(m.rows)[0]
+    rows = list(zip(*rows)) if m.nrows > m.ncols else rows
+    n = len(rows[0]) if rows else 0
+    w = 2 * p.bit_length() + len(rows).bit_length() + 1
+    mask = (1 << w) - 1
+    packed = [sum(a % p << w * j for j, a in enumerate(vec)) for vec in rows]
     r = 0
-    for c in range(m.ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is not None:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][c], -1, p)
-            rr = [a * inv % p for a in rows[r][c:]]
-            for ri in rows[r + 1:]:
-                x = ri[c]
-                if x:
-                    ri[c:] = [(a - x * b) % p for a, b in zip(ri[c:], rr)]
-            r += 1
+    for c in range(n):
+        xs = [(x >> w * c & mask) % p for x in packed[r:]]
+        piv = next((i for i, x in enumerate(xs) if x), None)
+        if piv is None:
+            continue
+        inv, top = pow(xs[piv], -1, p), packed[r + piv]
+        rr = sum((top >> w * j & mask) * inv % p << w * j for j in range(c, n))
+        packed[r + piv], xs[piv] = packed[r], xs[0]
+        for i, x in enumerate(xs[1:], r + 1):
+            if x:
+                packed[i] += (p - x) * rr
+        r += 1
     return r
 
 
@@ -417,20 +404,29 @@ def skew_rank(m: Matrix) -> int:
 def rank_and_kernel(m: Matrix) -> tuple[int, list[list]]:
     """Exact rank and a basis of the right kernel {x : m x = 0}.
 
-    Kernel vectors come out in the canonical reduced-echelon form: one vector
-    per free column, with entry 1 in that column's slot.  Deterministic.
+    One vector per free column, with entry 1 in that column's slot: the
+    unique reduced-echelon basis.  The rows are brought to echelon form only,
+    and each vector v is solved from the pivot rows left of its free column,
+    bottom up, on integers: at pivot c the dot product d of the row with the
+    entries set so far gives v_c = -d / g, g = gcd(d, row[c]), once the set
+    entries are scaled by row[c] / g.  Last, v is divided by its free entry.
     """
     rows = int_rows(m.rows)[0]
-    pivots = _eliminate(rows, m.ncols, True)
-    kernel = []
-    for fc in range(m.ncols):
-        if fc in pivots:
-            continue
-        v = [0] * m.ncols
+    pivots = _eliminate(rows, m.ncols, False)
+    echelon, kernel = list(zip(rows, pivots)), []
+    for fc in sorted(set(range(m.ncols)).difference(pivots)):
+        v, done = [0] * m.ncols, [fc]
         v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][fc]
-        kernel.append(v)
+        for row, pc in reversed(echelon[:bisect.bisect(pivots, fc)]):
+            d = sum(row[j] * v[j] for j in done)
+            if d:
+                g = math.gcd(d, row[pc])
+                v[pc], k = -d // g, row[pc] // g
+                for j in done:
+                    v[j] *= k
+                done.append(pc)
+        s = v[fc]
+        kernel.append(v if s == 1 else [a // s if a % s == 0 else Fraction(a, s) for a in v])
     return len(pivots), kernel
 
 

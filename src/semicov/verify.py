@@ -250,14 +250,14 @@ def _check_gs(cons: Construction, sample: StabiliserSample) -> dict:
                 return _row("gs_dimension_toral", "fail", witness=("non-abelian stabiliser", v))
         except ValueError:
             return _row("gs_dimension_toral", "fail", witness=("stabiliser not closed under bracket", v))
-    detail = "dim %d, abelian at all %d minimal-dimension samples" % (best, len(sample.points))
+    detail = "dim %d, abelian at all %d minimal-dimension samples" % (best, sample.samples)
     return _row("gs_dimension_toral", "sampled-pass", detail=detail)
 
 
 def _check_quotient_estimate(cons: Construction, sample: StabiliserSample) -> dict:
     # the orbit rank at v is dim g - dim g_v
     est = cons.module.dim_v - cons.algebra.dim + sample.minimal[0][1].dim
-    return _quotient_row(est, cons.expected.quotient_dim, "expected", " over %d samples" % len(sample.points))
+    return _quotient_row(est, cons.expected.quotient_dim, "expected", " over %d samples" % sample.samples)
 
 
 def _quotient_row(est: int, want: int, noun: str, tail: str = "") -> dict:
@@ -269,7 +269,8 @@ def _quotient_row(est: int, want: int, noun: str, tail: str = "") -> dict:
 
 def _check_independence(cons: Construction, sample: StabiliserSample) -> dict:
     want = len(cons.family)
-    for v in sample.points:
+    for k in range(sample.samples):
+        v = sample.points[k] if k else sample.v1  # the others are drawn only if v1 falls short
         r = independence_rank_at(cons.family, v)
         if r == want:
             detail = "values span rank %d at a sampled point" % want
@@ -296,7 +297,7 @@ def _check_kernel_span(cons: Construction, sample: StabiliserSample) -> dict:
         detail = "values do not span the stabiliser at minimal-dimension points"
         return _row("kernel_span", "fail", detail=detail, witness=rep_report.samples)
     detail = "values span the %d-dim stabiliser at all %d generic samples" % (
-        rep_report.generic_stab_dim, len(sample.points))
+        rep_report.generic_stab_dim, sample.samples)
     return _row("kernel_span", "sampled-pass", detail=detail)
 
 

@@ -9,10 +9,15 @@ integers, eliminates without fractions and divides by the pivot only at the
 end.  Both pick the first nonzero entry at or below the current row as the
 pivot, so they do the same row operations up to a nonzero scale per row and
 must agree on the pivots and on every pivot row.
+
+``rank_mod_p`` is the textbook rank over GF(p), one entry at a time with
+every entry reduced after each operation: the oracle for the packed
+modular rank of ``semicov.linalg``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from semicov.linalg import Matrix, det, normalize_scalar
@@ -65,6 +70,28 @@ def kernel(m: Matrix) -> list[list]:
             v[pc] = normalize_scalar(-rows[ri][fc])
         out.append(v)
     return out
+
+
+def rank_mod_p(rows: list[list], p: int) -> int:
+    """Rank over GF(p) of ``rows``, each first scaled by the lcm of its
+    denominators (as the library scales them)."""
+    m = []
+    for r in rows:
+        lcm = math.lcm(*(Fraction(a).denominator for a in r))
+        m.append([int(Fraction(a) * lcm) % p for a in r])
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def minor_skew(m: Matrix) -> Matrix:

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linalg_oracles import kernel as oracle_kernel, rref as oracle_rref
-from semicov.catalog import build_construction, get_entry, get_row
-from semicov.lie import action_matrix_at, stabiliser_sample
+from linalg_oracles import kernel as oracle_kernel, rank_mod_p as oracle_rank_mod_p, rref as oracle_rref
+from semicov.catalog import all_rows, build_construction, get_entry, get_row
+from semicov.lie import action_matrix_at, default_skew, so, sp, stabiliser_sample
 from semicov.linalg import (
     inverse,
     Matrix,
@@ -477,6 +477,68 @@ def test_stabilisers_match_fraction_oracle(entry, params):
     assert nonint > 0  # the kernels exercise the final division by the pivot
 
 
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every matrix that ``lie`` hands to ``rank_and_kernel``, with the result."""
+    import semicov.lie as lie
+
+    seen = []
+    inner = lie.rank_and_kernel
+
+    def spy(m):
+        seen.append((m, inner(m)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lie, "rank_and_kernel", spy)
+    return seen
+
+
+def _assert_oracle_kernels(seen) -> int:
+    """Each result is the oracle's rank and kernel, entry by entry and type
+    by type; returns the number of Fraction entries."""
+    nonint = 0
+    for m, (r, kern) in seen:
+        want = oracle_kernel(m)
+        assert r == m.ncols - len(want) and len(kern) == len(want), (m.nrows, m.ncols)
+        for got_v, want_v in zip(kern, want):
+            assert _same_entries(got_v, want_v), (m.nrows, m.ncols)
+        nonint += sum(type(a) is Fraction for vec in want for a in vec)
+    return nonint
+
+
+@pytest.mark.parametrize("row_id", [row.id for row in all_rows() if row.module_spec is not None])
+def test_table_kernels_match_fraction_oracle(kernels, row_id):
+    """The kernels of a table row's stabiliser sample at seed 0 (the orbit
+    map at v1, then the stacked rho(x), x in t, whose kernel is V^t, unless
+    v1 has the largest possible orbit rank) and the orbit maps at two more
+    points and a sparse one equal the oracle's."""
+    spec = get_row(row_id).module_spec
+    rep = spec.build(dict(spec.default_params))
+    kernels.clear()  # a fresh so or sp factor is built from a kernel too
+    sample = stabiliser_sample(rep, CheckContext(), "quotient", rep.label or "V")
+    dg, dv = rep.algebra.dim, rep.dim_v
+    assert sample.proved and len(kernels) == 1 + (dg - sample.t.dim != min(dg, dv))
+    _assert_oracle_kernels(kernels + [(m, rank_and_kernel(m)) for m in _orbit_matrices(row_id, 2)])
+
+
+@pytest.mark.parametrize("build, n, form", [
+    (so, 3, None), (so, 4, None), (so, 5, None), (so, 6, None),
+    (sp, 2, None), (sp, 4, None), (sp, 6, None),
+    (so, 4, [[3, 1, 0, 2], [1, 2, 1, 0], [0, 1, 4, 1], [2, 0, 1, 5]]),
+    (sp, 4, [[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 1], [0, -3, -1, 0]]),
+], ids=["so3", "so4", "so5", "so6", "sp2", "sp4", "sp6", "so4-custom", "sp4-custom"])
+def test_form_kernels_match_fraction_oracle(kernels, build, n, form):
+    """The kernel that gives so_n or sp_n its basis: n^2 unknowns, about half
+    of them free, the shape back-substitution serves least well.  A form of
+    None is the default form, passed explicitly so the algebra is built
+    afresh; the two other forms give Fraction kernel entries."""
+    custom = form is not None
+    form = Matrix(form) if custom else Matrix.identity(n) if build is so else default_skew(n)
+    build(n, form)
+    assert len(kernels) == 1
+    assert (_assert_oracle_kernels(kernels) > 0) == custom
+
+
 def test_core_entries_stay_within_hadamard_bound():
     """Each eliminated row is divided by its gcd, so it is the primitive form
     of a row of minors and no entry outgrows Hadamard's bound.  Without the
@@ -643,6 +705,32 @@ def test_rank_mod_p_calls_rows_of_multiples_of_p_not_full(data):
     assert _sym(Matrix(one)).rank() == n and r < n
     # the other rows' minors are below 102^4 < 2^30 - 35 (Hadamard)
     assert r == n - 1 or p != WORD_PRIME
+
+
+@pytest.mark.parametrize("p", [WORD_PRIME, 2, 3])
+def test_rank_mod_p_matches_a_plain_gf_p_rank(p):
+    """The packed rank equals the textbook GF(p) rank, and that of the
+    transpose, on 90 x 60 and 60 x 90 matrices with entries near p - 1 (so
+    each slot takes many large updates) in which some rows combine others,
+    and on one with Fraction rows.  Eliminated on the short side, each of
+    the 60 packed vectors takes up to 59 updates."""
+    rng = random.Random(p)
+    near = [p - 1, p - 2, 1 - p, 2 * p - 1, 0]
+    for trial in range(3):
+        base = rng.choice((30, 45, 60))  # independent rows over Q at most
+        rows = [[rng.choice(near) for _ in range(60)] for _ in range(base)]
+        while len(rows) < 90:
+            i, j = rng.sample(range(len(rows)), 2)
+            c = rng.randint(1, p - 1)
+            rows.append([c * a - b for a, b in zip(rows[i], rows[j])])
+        rng.shuffle(rows)
+        if trial == 2:
+            d = rng.choice((2, 5))
+            rows[0] = [normalize_scalar(Fraction(a, d)) for a in rows[0]]
+        m = Matrix(rows)
+        want = oracle_rank_mod_p(rows, p)
+        assert want <= base
+        assert rank_mod_p(m, p) == rank_mod_p(m.transpose(), p) == want, (trial, want)
 
 
 def test_rank_mod_p_proves_the_full_slice_rank_of_every_table_module(monkeypatch):
