@@ -9,6 +9,7 @@ metadata only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,8 +124,9 @@ def _sl6_three_ext2(params: dict) -> Representation:
     return direct_sum(r, r, r)
 
 
+@functools.cache
 def _sp6_phi2(g6: LieAlgebra) -> Representation:
-    """The 14-dimensional summand of the second exterior power of Sp_6."""
+    """The 14-dimensional summand of the second exterior power of Sp_6, built once."""
     r = _ext2(g6)
     pairs = list(itertools.combinations(range(6), 2))
     form_pairs = [(0, 3), (1, 4), (2, 5)]  # pairs with J(e_i, e_j) = 1

@@ -481,24 +481,20 @@ class KernelSpanReport:
 def kernel_span_check(
     family: Sequence[Covariant], sample: Sequence[tuple[list, Subspace]]
 ) -> KernelSpanReport:
-    """At each (point, stabiliser) pair of ``sample`` (as drawn by
-    ``lie.stabiliser_sample``): every F_i(v) lies in the stabiliser of v, and
-    at points where the stabiliser has its generic (minimal sampled)
-    dimension the values span it."""
-    samples = []
-    contained = True
-    witness = None
+    """At each (v, g_v) pair of ``sample`` (as drawn by
+    ``lie.stabiliser_sample``): every F_i(v) lies in g_v, F_i(v).v = 0, and
+    at points where g_v has its generic (minimal sampled) dimension the
+    values span it."""
+    samples, witness = [], None
     for v, stab in sample:
         vals = values_matrix_at(family, v)
         for j, F in enumerate(family):
-            if not stab.contains(vals.col(j)):
-                contained = False
-                if witness is None:
-                    witness = (F.name, v)
+            if witness is None and any(F.rep.act(vals.col(j), v)):
+                witness = (F.name, v)
         samples.append((stab.dim, rank(vals)))
     generic = min(d for d, _ in samples)
     spans = all(r == d for d, r in samples if d == generic)
-    return KernelSpanReport(contained, witness, samples, generic, spans)
+    return KernelSpanReport(witness is None, witness, samples, generic, spans)
 
 
 # -- lifts to the semidirect product ---------------------------------------

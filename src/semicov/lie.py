@@ -14,8 +14,8 @@ keeps per factor).
 A representation stores only the nonzero entries of its action matrices,
 and every builder writes those entries directly.  ``stabiliser_sample``,
 the one sampler of generic stabilisers (entries and table rows), proves t =
-g_v1 generic on its fixed-point slice (``fixed_slice_is_dense``) and draws
-the other points only when read.
+g_v1 generic by ``fixed_slice_is_dense`` at v1 itself (one exact rank of
+rho(t), one modular rank) and draws the other points only when read.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .linalg import (
     block_diag,
     int_rows,
     normalize_scalar,
+    product_rank_mod_p,
     rank,
     rank_and_kernel,
-    rank_mod_p,
     solve_all,
 )
 from .poly import CheckContext
@@ -570,8 +570,6 @@ class Subspace:
         return SpanSolver(self.vectors)
 
     def contains(self, v: Sequence) -> bool:
-        if not self.vectors:
-            return all(x == 0 for x in v)
         return self.solver.coords(v) is not None
 
 
@@ -586,15 +584,16 @@ def stabiliser(r: Representation, v: Sequence) -> Subspace:
     return Subspace(kern)
 
 
-def fixed_slice_is_dense(r: Representation, t: Subspace, ctx: CheckContext, *labels) -> bool:
+def fixed_slice_is_dense(r: Representation, v1: Sequence, t: Subspace) -> bool:
     """True when G.S is proved dense in V for S = V^t, t = g_v1, so that
     dim g_v >= dim t on all of V (every s in S has g_s containing t, and
-    {v : dim g_v >= dim t} is closed and G-stable).  G.S is dense if
-    G x S -> V has an onto differential at one s in S (Luna-Richardson,
-    Duke Math. J. 46 (1979) 487-496): at v1 when its orbit rank is
-    min(dim g, dim V), else by ``rank_mod_p`` of [x_a.s ; basis of S] at s
-    drawn from the stream of ``labels`` and "slice".  Premise: g acts as the
-    Lie algebra of a connected algebraic group, as on every catalog module.
+    {v : dim g_v >= dim t} is closed and G-stable).  G.S is dense if the
+    differential of G x S -> V at v1 in S, onto g.v1 + S, is onto V
+    (Luna-Richardson, Duke Math. J. 46 (1979) 487-496).  With A = rho(x)
+    stacked over a basis x of t, S = ker A, so that holds exactly when
+    rank A M = rank A, M = [rho_a v1]: rank A exact, rank A M mod p (a lower
+    bound), A's rows and M's columns scaled to integers.  Premise: g acts as
+    the Lie algebra of a connected algebraic group (every catalog module).
     """
     dg, dv = r.algebra.dim, r.dim_v
     if dg - t.dim == min(dg, dv):
@@ -604,10 +603,10 @@ def fixed_slice_is_dense(r: Representation, t: Subspace, ctx: CheckContext, *lab
         for a, xa in enumerate(x):
             for i, j, m in r.cells(a) if xa else ():
                 fixed[k * dv + i][j] += xa * m
-    basis = int_rows(rank_and_kernel(Matrix(fixed))[1])[0]
-    c = ctx.draw(len(basis), *labels, "slice")()
-    s = [sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(dv)]
-    return rank_mod_p(Matrix([r.act_basis(a, s) for a in range(dg)] + basis)) == dv
+    fixed = [row for row in int_rows(fixed)[0] if any(row)]
+    orbit = int_rows([r.act_basis(a, v1) for a in range(dg)])[0]  # the columns of M
+    left = [[(j, x) for j, x in enumerate(row) if x] for row in fixed]
+    return product_rank_mod_p(left, list(zip(*orbit))) == rank(Matrix(fixed))
 
 
 @dataclass
@@ -659,7 +658,7 @@ def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> Stabilis
     draw = ctx.draw(r.dim_v, *labels)
     v1 = draw()
     t = stabiliser(r, v1)
-    proved = ctx.samples > 1 and fixed_slice_is_dense(r, t, ctx, *labels)
+    proved = ctx.samples > 1 and fixed_slice_is_dense(r, v1, t)
     return StabiliserSample(r, v1, t, proved, ctx.samples, draw)
 
 

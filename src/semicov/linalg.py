@@ -13,11 +13,10 @@ only and solves each basis vector by fraction-free back-substitution.
 blocks on the upper triangle above their zero V* block, Pfaffian divisions
 exact in any pivot order.  Symbolic det, ``adjugate`` and ``minor_skew``
 read one memoised minor table, ``_minors``; ``char_poly`` is
-Faddeev-LeVerrier.  ``rank_mod_p`` ranks modulo a word-size prime, each
-vector of the shorter side packed into one int, a row update one
-multiply-add; it can fall below the rank over Q, never above, so it proves
-only lower bounds (a full rank, say).  ``power`` is the one
-repeated-squaring loop and ``block_diag`` the one block-diagonal assembly.
+Faddeev-LeVerrier.  ``product_rank_mod_p`` ranks L R modulo a word-size
+prime on packed rows (``rank_mod_p`` is its case L = 1), a lower bound on
+the rank over Q.  ``power`` is the one repeated-squaring loop and
+``block_diag`` the one block-diagonal assembly.
 """
 
 from __future__ import annotations
@@ -311,22 +310,26 @@ WORD_PRIME = 2**30 - 35  # the largest prime below 2**30
 
 
 def rank_mod_p(m: Matrix, p: int = WORD_PRIME) -> int:
-    """Rank modulo the prime p of m scaled to integer rows (``int_rows``),
-    by Gaussian elimination over GF(p).  A lower bound on the rank over Q,
-    and only that: a minor nonzero mod p is nonzero over Q, but p may divide
-    every nonzero maximal minor (rows of multiples of p reduce to zero).  So
-    only a result of min(nrows, ncols), full rank, proves anything.
-
-    The k vectors of the shorter side are packed into one int each, w bits a
-    slot.  A row update adds a multiple of the pivot row reduced mod p, at
-    most k a row, so a slot stays below p + k p^2 < 2^w.
-    """
+    """Rank mod p of m scaled to integer rows: ``product_rank_mod_p`` of the
+    identity and the shorter side of m.  Only a full rank, min(nrows, ncols),
+    proves anything (p may divide every nonzero maximal minor)."""
     rows = int_rows(m.rows)[0]
     rows = list(zip(*rows)) if m.nrows > m.ncols else rows
-    n = len(rows[0]) if rows else 0
-    w = 2 * p.bit_length() + len(rows).bit_length() + 1
+    return product_rank_mod_p([[(i, 1)] for i in range(len(rows))], rows, p)
+
+
+def product_rank_mod_p(left: Sequence, right: Sequence, p: int = WORD_PRIME) -> int:
+    """Rank mod p of L R, a lower bound on its rank over Q, for integer L
+    given by its sparse rows [(j, L_ij)] and R by its rows.  Each row of R is
+    packed into one int, w bits a slot; a row of L R is one multiply-add per
+    nonzero of L, and a row update one more by the pivot row reduced mod p.
+    With d = len(right) and k = len(left), a slot stays below (d + k) p^2,
+    so w = 2 bitlen(p) + bitlen(d + k) + 1 bits never carry over."""
+    n = len(right[0]) if right else 0
+    w = 2 * p.bit_length() + (len(right) + len(left)).bit_length() + 1
     mask = (1 << w) - 1
-    packed = [sum(a % p << w * j for j, a in enumerate(vec)) for vec in rows]
+    rows = [sum(a % p << w * j for j, a in enumerate(vec)) for vec in right]
+    packed = [sum(a % p * rows[j] for j, a in row) for row in left]
     r = 0
     for c in range(n):
         xs = [(x >> w * c & mask) % p for x in packed[r:]]

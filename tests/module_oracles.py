@@ -10,6 +10,11 @@ the slot action applied to every unit vector of V, and a subrepresentation
 solved one image at a time.  Tests compare them with
 ``Representation.action``.
 
+``fixed_slice_rank`` is the density rank of the fixed-point slice
+certificate computed the long way, with sympy over QQ and without
+``semicov.linalg``: t = g_v1 and V^t as nullspaces, then the rank of the
+orbit map at v1 stacked over a basis of V^t.
+
 ``quotient_dim_estimate`` is the sampled estimator that
 ``catalog.support.quotient_dim_estimate`` replaced by a read of
 ``lie.stabiliser_sample`` and its fixed-point slice certificate: an exact
@@ -20,6 +25,7 @@ stream, and dim V minus their maximum.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from semicov.catalog.support import MatrixPairModule
 from semicov.lie import Representation
@@ -105,6 +111,30 @@ def subrepresentation(r: Representation, vectors) -> list[Matrix]:
             raise ValueError("subspace is not invariant under basis element %d" % a)
         mats.append(Matrix.from_cols(cols))
     return mats
+
+
+def fixed_slice_rank(rep: Representation, v1) -> int:
+    """rank_QQ [rho_a v1 ; a basis of V^t], t = g_v1: dim V exactly when
+    g.v1 + V^t = V, the density that ``lie.fixed_slice_is_dense`` proves."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def dm(rows, ncols):
+        # sparse: only the nonzero entries, each a QQ element
+        cells = {i: {j: QQ(Fraction(x).numerator, Fraction(x).denominator) for j, x in enumerate(r) if x}
+                 for i, r in enumerate(rows)}
+        return DomainMatrix({i: r for i, r in cells.items() if r}, (len(rows), ncols), QQ)
+
+    dv = rep.dim_v
+    rho = [dm(m.rows, dv) for m in rep.action]
+    point = dm([[x] for x in v1], 1)
+    orbit = DomainMatrix.hstack(*(r * point for r in rho))  # dim V x dim g
+    zero = dm([[0] * dv] * dv, dv)
+    # rho(x) for each basis vector x of g_v1, stacked: its nullspace is V^t
+    fixed = [sum((r * x for r, x in zip(rho, row) if x), zero) for row in orbit.nullspace().to_list()]
+    # one row per basis vector of V^t (all of V when t = 0)
+    slice_basis = DomainMatrix.vstack(*fixed).nullspace() if fixed else DomainMatrix.eye(dv, QQ)
+    return DomainMatrix.vstack(orbit.transpose(), slice_basis).rank()
 
 
 def quotient_dim_estimate(rep: Representation, ctx: CheckContext) -> int:

@@ -2,22 +2,26 @@
 
 ``lie.stabiliser_sample`` computes t = g_v1 at the first point of an
 entry's ``("gs", entry_id)`` stream and proves it generic with
-``lie.fixed_slice_is_dense``, the certificate of the table rows.  The gs,
-quotient and rais rows then read t alone, independence reads the drawn
-points, and only ex-adjoint's kernel_span computes the other stabilisers.
+``lie.fixed_slice_is_dense`` at v1 itself, the certificate of the table
+rows.  The gs, quotient and rais rows then read t alone, independence reads
+the drawn points, and only ex-adjoint's kernel_span computes the other
+stabilisers.
 An abelian t gives the largest Kirillov rank by Rais' formula,
 2(dim g - dim t), and each index batch stops at its first point of that
 rank.  Covered here:
 
 * for the 11 entries at their defaults, ex6.1 at n=4 and ex6.3/iii at m=2,
-  seeds 0-2: the report equals that of a run with the certificate forced
-  false, which computes every stabiliser and ranks every Kirillov form as
-  before; 2(dim g - dim t) equals the largest rank of that run's unbounded
-  estimate.  The identity rows (kernel_phi, equivariance, the extras, the
+  seeds 0-2: the certificate holds, and the report equals that of a run
+  with the certificate forced false, which computes every stabiliser and
+  ranks every Kirillov form as before; 2(dim g - dim t) equals the largest
+  rank of that run's unbounded estimate.  The identity rows (kernel_phi, equivariance, the extras, the
   lift and Poisson rows) read no stabiliser, so both runs stub them, which
   keeps this test fast;
-* the work of the gs and index rows of ex6.1 at n=4, seed 0: two exact
-  kernels (t, then V^t), one modular rank and two Kirillov ranks;
+* the work of the gs and index rows of ex6.1 at n=4, seed 0: one exact
+  kernel (t), one exact rank (of rho(t)), one modular rank and two
+  Kirillov ranks;
+* the entry draws whose slice point once fell on a degenerate sub-slice
+  are proved at v1;
 * each broken premise: a non-abelian t, even one marked proved, gets no
   Rais bound and its gs row stays FAIL; a bound above every rank leaves
   ``index_estimate`` as it is unbounded.
@@ -43,7 +47,7 @@ IDS = [entry_id + "".join("-%s%d" % kv for kv in overrides) for entry_id, overri
 @pytest.fixture
 def work(monkeypatch):
     """Counts of the calls below, and every (bound, estimate) of ind q."""
-    counts = dict.fromkeys(("stabiliser", "rank_and_kernel", "rank_mod_p", "skew_rank"), 0)
+    counts = dict.fromkeys(("stabiliser", "rank_and_kernel", "rank", "product_rank_mod_p", "skew_rank"), 0)
 
     def counting(key, inner):
         def wrapper(*args):
@@ -51,8 +55,8 @@ def work(monkeypatch):
             return inner(*args)
         return wrapper
 
-    for key, module in (("stabiliser", lie), ("rank_and_kernel", lie), ("rank_mod_p", lie),
-                        ("skew_rank", semidirect)):
+    for key, module in (("stabiliser", lie), ("rank_and_kernel", lie), ("rank", lie),
+                        ("product_rank_mod_p", lie), ("skew_rank", semidirect)):
         monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
     inner = verify.index_estimate
     estimates = []
@@ -83,32 +87,43 @@ def test_certified_report_equals_the_fallback_report(monkeypatch, work, entry_id
         report, counts, [(bound, est)] = _run(entry_id, overrides, seed, work)
         sample = lie.stabiliser_sample(cons.module, CheckContext(seed=seed), "gs", entry_id)
         t = sample.t
-        # density holds at seed 0 everywhere; ex5.2 at seed 2 and ex6.2 and
-        # ex6.4 at seed 1 draw a slice point on a degenerate sub-slice
-        assert sample.proved or seed > 0, entry_id
-        if sample.proved:
-            assert sample.abelian and bound == 2 * (dim_g - t.dim)
-            assert counts["stabiliser"] == (20 if entry_id == "ex-adjoint" else 1)
-            assert 2 <= counts["skew_rank"] == len(est.ranks) <= est.drawn == 20
-        else:
-            assert bound is None and counts["stabiliser"] == counts["skew_rank"] == 20
+        assert sample.proved, (entry_id, seed)
+        assert sample.abelian and bound == 2 * (dim_g - t.dim)
+        assert counts["stabiliser"] == (20 if entry_id == "ex-adjoint" else 1)
+        assert 2 <= counts["skew_rank"] == len(est.ranks) <= est.drawn == 20
         with monkeypatch.context() as m:
             m.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
             fallback, counts, [(bound, est)] = _run(entry_id, overrides, seed, work)
         assert fallback == report, (entry_id, seed)
         # every stabiliser and every Kirillov form, each once, as before
-        assert counts["stabiliser"] == 20 and counts["rank_mod_p"] == 0
+        assert counts["stabiliser"] == 20 and counts["product_rank_mod_p"] == counts["rank"] == 0
         assert bound is None and counts["skew_rank"] == len(est.ranks) == 20
         # Rais: the largest rank of the unbounded estimate is 2(dim g - dim t)
-        assert est.max_rank == 2 * (dim_g - t.dim) or not sample.proved
+        assert est.max_rank == 2 * (dim_g - t.dim)
 
 
 def test_gs_and_index_work_of_ex61_n4_at_seed_0(work):
     report, counts, [(bound, est)] = _run("ex6.1", (("n", 4),), 0, work)
     assert all(c["verdict"] != "fail" for c in report["checks"])
-    # t and V^t; the density rank; one Kirillov form a batch
-    assert counts == {"stabiliser": 1, "rank_and_kernel": 2, "rank_mod_p": 1, "skew_rank": 2}
+    # t; rank A and the density rank mod p; one Kirillov form a batch
+    assert counts == {"stabiliser": 1, "rank_and_kernel": 1, "rank": 1, "product_rank_mod_p": 1,
+                      "skew_rank": 2}
     assert bound == est.max_rank == 2 * (15 - 2) and len(est.ranks) == 2  # sl4, t of dim 2
+
+
+@pytest.mark.parametrize("entry_id, seed", [
+    ("ex5.2", 2), ("ex5.3", 11), ("ex5.3/gl", 10), ("ex6.2", 1), ("ex6.2", 3), ("ex6.2", 21),
+    ("ex6.2", 25), ("ex6.4", 1),
+])
+def test_draws_once_on_a_degenerate_sub_slice_are_proved(entry_id, seed):
+    """The slice point, once drawn from the stream of ("gs", entry_id) on
+    the kernel basis of V^t, had a zero coefficient at these seeds, and
+    density failed though t was generic.  Tested at v1, each is proved, and
+    t has the entry's generic dimension l."""
+    entry = get_entry(entry_id)
+    cons = build_construction(entry, entry.resolve({}))
+    sample = lie.stabiliser_sample(cons.module, CheckContext(seed=seed), "gs", entry_id)
+    assert sample.proved and sample.t.dim == cons.expected.rank
 
 
 def test_a_non_abelian_stabiliser_gets_no_rais_bound(monkeypatch, work):

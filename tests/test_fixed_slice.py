@@ -5,17 +5,24 @@ of a generic stabiliser, which the entries read too
 (tests/test_entry_slice.py covers the entries).  With more than one sample
 it computes the stabiliser t of the first point v1 only, and proves that no
 other point ranks higher: G.S is dense for S = V^t
-(``lie.fixed_slice_is_dense``).  Covered here:
+(``lie.fixed_slice_is_dense``), tested at v1 itself, which lies in S.  With
+A = rho(t) stacked, the test is rank A M = rank A for the orbit map M at
+v1: rank A exact, rank A M modulo a prime.  Covered here:
 
 * on all 10 table-row modules, for seeds 0-29 at bounds 1, 3 and 10, the
   estimate equals that of the 20-rank estimator it replaced
   (``module_oracles.quotient_dim_estimate``), whether the certificate holds
   or the row falls back;
+* on the 10 table modules and 13 entry configurations at seed 0, the
+  certificate holds, and sympy over QQ confirms that the orbit map at v1
+  and a basis of V^t span V (``module_oracles.fixed_slice_rank``);
 * each broken premise makes the row fall back to the stabilisers of the
   remaining points of the same stream, t not recomputed, with the oracle's
-  estimate: slice coefficients forced to 0, v1 forced to 0, and one sample;
-* the work of a table row at seed 0: no ``rank``, two ``rank_and_kernel``
-  (orbit map at v1, then V^t), one ``rank_mod_p`` and two draws;
+  estimate: v1 forced to 0, the modular rank forced one short, and one
+  sample;
+* the work of a table row at seed 0: one ``rank_and_kernel`` (the orbit map
+  at v1), one exact ``rank`` (of A), one ``product_rank_mod_p`` and one
+  draw;
 * the points after v1 are drawn only when read, on a table module and on
   ex6.1 at n=4.
 """
@@ -47,8 +54,8 @@ def modules():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of the estimator's ranks, kernels, modular ranks and draws."""
-    counts = dict.fromkeys(("rank", "rank_and_kernel", "rank_mod_p", "draws"), 0)
+    """Counts of the estimator's exact ranks, kernels, modular ranks and draws."""
+    counts = dict.fromkeys(("rank", "rank_and_kernel", "product_rank_mod_p", "draws"), 0)
 
     def counting(key, inner):
         def wrapper(*args):
@@ -56,7 +63,8 @@ def work(monkeypatch):
             return inner(*args)
         return wrapper
 
-    for key, module in (("rank", support), ("rank_and_kernel", lie), ("rank_mod_p", lie)):
+    for key, module in (("rank", support), ("rank", lie), ("rank_and_kernel", lie),
+                        ("product_rank_mod_p", lie)):
         monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
     monkeypatch.setattr(poly, "rand_vector", counting("draws", poly.rand_vector))
     return counts
@@ -91,21 +99,58 @@ def test_estimate_matches_the_twenty_rank_oracle(modules, bound):
                 rep.label, seed)
 
 
-@pytest.mark.parametrize("stream", ["slice", "v1"])
-def test_a_zero_draw_falls_back_to_ranking_the_stream(modules, work, stream):
-    """s = 0 spans only S, and v1 = 0 has t = g and S = V^g, which holds no
-    dense orbit: density fails and the stabilisers of the other 19 points
-    are computed, after the kernels of t and V^t."""
+def test_a_zero_draw_falls_back_to_ranking_the_stream(modules, work):
+    """v1 = 0 has t = g and S = V^g, which holds no dense orbit: density
+    fails and the stabiliser of each of the other 19 points is computed,
+    after the kernel of t and the exact rank of A."""
     for rep, row in zip(modules, MODULE_ROWS):
-        labels = ("quotient", rep.label) + (("slice",) if stream == "slice" else ())
-        ctx = ZeroDraw(labels=labels)
+        ctx = ZeroDraw(labels=("quotient", rep.label))
         before = dict(work)
         est = quotient_dim_estimate(rep, ctx)
-        assert work["rank_and_kernel"] - before["rank_and_kernel"] == 2 + ctx.samples - 1
-        assert work["rank"] == before["rank"]
+        assert work["rank_and_kernel"] - before["rank_and_kernel"] == ctx.samples
+        assert work["rank"] - before["rank"] == 1
         assert est == oracle.quotient_dim_estimate(rep, ctx), rep.label
         spec = row.module_spec
         assert est == rep.dim_v - rep.algebra.dim + spec.expected(dict(spec.default_params))["gs"]
+
+
+def test_a_short_modular_rank_falls_back_to_ranking_the_stream(modules, work, monkeypatch):
+    """A modular rank one below rank A, as a prime dividing the minors could
+    give, is no proof: the sample is not proved, the stabilisers of the
+    other 19 points are computed, and the estimate is the oracle's.  The
+    row it feeds stays sampled, never an exact PASS."""
+    inner = lie.product_rank_mod_p
+    monkeypatch.setattr(lie, "product_rank_mod_p", lambda *args: inner(*args) - 1)
+    ctx = CheckContext()
+    for rep, row in zip(modules, MODULE_ROWS):
+        before = dict(work)
+        assert not lie.stabiliser_sample(rep, ctx, "quotient", rep.label).proved, rep.label
+        assert {k: work[k] - before[k] for k in work} == {
+            "rank": 1, "rank_and_kernel": 1, "product_rank_mod_p": 1, "draws": 1}, rep.label
+        est = quotient_dim_estimate(rep, ctx)
+        assert work["rank_and_kernel"] - before["rank_and_kernel"] == 1 + ctx.samples
+        assert est == oracle.quotient_dim_estimate(rep, ctx), rep.label
+        report = run_table_row(row.id, RunConfig())
+        assert {c["verdict"] for c in report["checks"][1:]} == {"sampled-pass"}, row.id
+
+
+def test_the_certificate_implies_density_over_qq(modules):
+    """A True from ``fixed_slice_is_dense`` at seed 0 means g.v1 + V^t = V,
+    which sympy confirms over QQ without ``semicov.linalg``: on the 10 table
+    modules and on the 13 entry configurations of tests/test_entry_slice.py."""
+    pytest.importorskip("sympy")
+    from semicov.catalog import all_entries, build_construction, get_entry
+
+    cases = [(rep, ("quotient", rep.label)) for rep in modules]
+    configs = [(e.id, {}) for e in all_entries()] + [("ex6.1", {"n": 4}), ("ex6.3/iii", {"m": 2})]
+    for entry_id, overrides in configs:
+        entry = get_entry(entry_id)
+        cases.append((build_construction(entry, entry.resolve(overrides)).module, ("gs", entry_id)))
+    assert len(cases) == 23
+    for rep, labels in cases:
+        sample = lie.stabiliser_sample(rep, CheckContext(), *labels)
+        assert sample.proved and lie.fixed_slice_is_dense(rep, sample.v1, sample.t), labels
+        assert oracle.fixed_slice_rank(rep, sample.v1) == rep.dim_v, labels
 
 
 def test_one_sample_needs_no_certificate(modules, work):
@@ -113,25 +158,25 @@ def test_one_sample_needs_no_certificate(modules, work):
     want = [oracle.quotient_dim_estimate(rep, ctx) for rep in modules]
     work.update(dict.fromkeys(work, 0))
     assert [quotient_dim_estimate(rep, ctx) for rep in modules] == want
-    assert work == {"rank": 0, "rank_and_kernel": 10, "rank_mod_p": 0, "draws": 10}
+    assert work == {"rank": 0, "rank_and_kernel": 10, "product_rank_mod_p": 0, "draws": 10}
 
 
 def test_table_row_work_count_at_seed_0(modules, work):
-    """At the default knobs the certificate holds on every module row at its
-    first draw, so no point after v1 is ranked.  (``modules`` builds the
+    """At the default knobs the certificate holds on every module row at v1,
+    so no point after v1 is ranked.  (``modules`` builds the
     classical algebras, whose bases are kernels, before anything is counted.)"""
     for row in MODULE_ROWS:
         counts = dict(work)
         report = run_table_row(row.id, RunConfig())
         assert all(c["verdict"] != "fail" for c in report["checks"]), row.id
         assert {k: work[k] - counts[k] for k in work} == {
-            "rank": 0, "rank_and_kernel": 2, "rank_mod_p": 1, "draws": 2}, row.id
+            "rank": 1, "rank_and_kernel": 1, "product_rank_mod_p": 1, "draws": 1}, row.id
 
 
 def test_points_after_v1_are_drawn_when_read(modules, work):
-    """The sampler draws v1 and the slice point; the other 19 points of the
-    stream are drawn when ``points`` is first read, once, and with v1 they
-    are the stream's first 20 draws."""
+    """The sampler draws v1 alone; the other 19 points of the stream are
+    drawn when ``points`` is first read, once, and with v1 they are the
+    stream's first 20 draws."""
     from semicov.catalog import build_construction, get_entry
 
     entry = get_entry("ex6.1")
@@ -140,7 +185,7 @@ def test_points_after_v1_are_drawn_when_read(modules, work):
     for rep, labels in ((modules[0], ("quotient", modules[0].label)), (ex61, ("gs", "ex6.1"))):
         work.update(dict.fromkeys(work, 0))
         sample = lie.stabiliser_sample(rep, ctx, *labels)
-        assert sample.proved and work["draws"] == 2, labels
+        assert sample.proved and work["draws"] == 1, labels
         draw = ctx.draw(rep.dim_v, *labels)
         stream = [draw() for _ in range(ctx.samples)]
         work["draws"] = 0

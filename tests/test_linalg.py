@@ -25,6 +25,7 @@ from semicov.linalg import (
     det,
     normalize_scalar,
     WORD_PRIME,
+    product_rank_mod_p,
     rank,
     rank_and_kernel,
     rank_mod_p,
@@ -508,17 +509,22 @@ def _assert_oracle_kernels(seen) -> int:
 
 @pytest.mark.parametrize("row_id", [row.id for row in all_rows() if row.module_spec is not None])
 def test_table_kernels_match_fraction_oracle(kernels, row_id):
-    """The kernels of a table row's stabiliser sample at seed 0 (the orbit
-    map at v1, then the stacked rho(x), x in t, whose kernel is V^t, unless
-    v1 has the largest possible orbit rank) and the orbit maps at two more
-    points and a sparse one equal the oracle's."""
+    """The kernel of a table row's stabiliser sample at seed 0 (the orbit
+    map at v1), the kernel of the stacked rho(x), x in t (V^t, which the
+    certificate no longer computes, so the test builds the matrix as the
+    certificate's rank A sees it) and the orbit maps at two more points and
+    a sparse one equal the oracle's."""
     spec = get_row(row_id).module_spec
     rep = spec.build(dict(spec.default_params))
     kernels.clear()  # a fresh so or sp factor is built from a kernel too
     sample = stabiliser_sample(rep, CheckContext(), "quotient", rep.label or "V")
-    dg, dv = rep.algebra.dim, rep.dim_v
-    assert sample.proved and len(kernels) == 1 + (dg - sample.t.dim != min(dg, dv))
-    _assert_oracle_kernels(kernels + [(m, rank_and_kernel(m)) for m in _orbit_matrices(row_id, 2)])
+    assert sample.proved and len(kernels) == 1
+    rho = rep.action
+    stacked = Matrix([[sum(xa * m.rows[i][j] for xa, m in zip(x, rho) if xa) for j in range(rep.dim_v)]
+                      for x in sample.t.vectors for i in range(rep.dim_v)])
+    seen = kernels + [(m, rank_and_kernel(m)) for m in [stacked] + _orbit_matrices(row_id, 2)]
+    _assert_oracle_kernels(seen)
+    assert len(seen[1][1][1]) > 0  # V^t holds v1 at least
 
 
 @pytest.mark.parametrize("build, n, form", [
@@ -734,28 +740,70 @@ def test_rank_mod_p_matches_a_plain_gf_p_rank(p):
 
 
 def test_rank_mod_p_proves_the_full_slice_rank_of_every_table_module(monkeypatch):
-    """At seed 0 the density matrix of each table row's fixed-point slice
-    has full column rank mod p; sympy confirms it over QQ on the two
-    smallest modules.  The certificate lives in ``lie``, which serves the
-    table rows' estimator and the entries' stabiliser sample alike."""
+    """At seed 0 the density product A M of each table row's certificate
+    (A = rho(t) stacked, M the orbit map at v1) has rank A mod p, the most
+    it can have; sympy confirms both ranks over QQ on the two smallest
+    modules.  The certificate lives in ``lie``, which serves the table rows'
+    estimator and the entries' stabiliser sample alike."""
     pytest.importorskip("sympy")
     import semicov.catalog.support as support
     import semicov.lie as lie
     from semicov.catalog import all_rows
 
-    seen = []
-    inner = lie.rank_mod_p
+    seen, exact = [], []
+    inner, inner_rank = lie.product_rank_mod_p, lie.rank
 
-    def spy(m, p=WORD_PRIME):
-        r = inner(m, p)
-        seen.append((m, r))
+    def spy(left, right, p=WORD_PRIME):
+        r = inner(left, right, p)
+        seen.append((left, right, r))
         return r
 
-    monkeypatch.setattr(lie, "rank_mod_p", spy)
+    def rank_spy(m):
+        exact.append((m, inner_rank(m)))
+        return exact[-1][1]
+
     specs = [row.module_spec for row in all_rows() if row.module_spec is not None]
-    for spec in specs:
-        support.quotient_dim_estimate(spec.build(dict(spec.default_params)), CheckContext())
-    assert len(seen) == len(specs) == 10
-    assert all(r == m.ncols for m, r in seen)
-    for m, r in sorted(seen, key=lambda mr: mr[0].ncols)[:2]:
-        assert _sym(m).rank() == r
+    reps = [spec.build(dict(spec.default_params)) for spec in specs]  # so and sp take a rank
+    monkeypatch.setattr(lie, "product_rank_mod_p", spy)
+    monkeypatch.setattr(lie, "rank", rank_spy)
+    for rep in reps:
+        support.quotient_dim_estimate(rep, CheckContext())
+    assert len(seen) == len(exact) == len(specs) == 10
+    products = []
+    for (left, right, r), (a, ra) in zip(seen, exact):
+        dense = [[0] * len(right) for _ in left]
+        for row, cells in zip(dense, left):
+            for j, x in cells:
+                row[j] = x
+        assert Matrix(dense) == a and 0 < r == ra
+        products.append((a, Matrix(dense) * Matrix(right), r))
+    for a, m, r in sorted(products, key=lambda amr: amr[1].nrows)[:2]:
+        assert _sym(a).rank() == _sym(m).rank() == r
+
+
+@pytest.mark.parametrize("p", [WORD_PRIME, 2, 3])
+def test_product_rank_mod_p_matches_a_plain_gf_p_rank(p):
+    """The packed rank of L R equals the textbook GF(p) rank of the product
+    taken over Z, with L sparse (60 columns, up to 40 nonzeros a row) and
+    both factors' entries near p - 1, so a slot of L R starts near 40 p^2
+    and each of its 90 rows takes many large updates: the slot width
+    2 bitlen(p) + bitlen(d + k) + 1 is needed in full."""
+    rng = random.Random(100 + p)
+    near = [p - 1, p - 2, 1 - p, 2 * p - 1]
+    for trial in range(3):
+        inner = rng.choice((20, 35, 60))  # the rank of R over Q at most
+        right = [[rng.choice(near + [0]) for _ in range(45)] for _ in range(inner)]
+        while len(right) < 60:
+            i, j = rng.sample(range(len(right)), 2)
+            c = rng.randint(1, p - 1)
+            right.append([c * a - b for a, b in zip(right[i], right[j])])
+        left = [sorted((j, rng.choice(near)) for j in rng.sample(range(60), rng.randint(0, 40)))
+                for _ in range(90)]
+        dense = [[0] * 60 for _ in left]
+        for row, cells in zip(dense, left):
+            for j, x in cells:
+                row[j] = x
+        want = oracle_rank_mod_p((Matrix(dense) * Matrix(right)).rows, p)
+        assert want <= inner
+        assert product_rank_mod_p(left, right, p) == want, (trial, want)
+        assert product_rank_mod_p([[(i, 1)] for i in range(60)], right, p) == rank_mod_p(Matrix(right), p)
