@@ -14,9 +14,9 @@ blocks on the upper triangle above their zero V* block, Pfaffian divisions
 exact in any pivot order.  Symbolic det, ``adjugate`` and ``minor_skew``
 read one memoised minor table, ``_minors``; ``char_poly`` is
 Faddeev-LeVerrier.  ``product_rank_mod_p`` ranks L R modulo a word-size
-prime on packed rows (``rank_mod_p`` is its case L = 1), a lower bound on
-the rank over Q.  ``power`` is the one repeated-squaring loop and
-``block_diag`` the one block-diagonal assembly.
+prime on packed rows, a lower bound on the rank over Q.  ``power`` is the
+one repeated-squaring loop and ``block_diag`` the one block-diagonal
+assembly.
 """
 
 from __future__ import annotations
@@ -307,15 +307,6 @@ def rank(m: Matrix) -> int:
 
 
 WORD_PRIME = 2**30 - 35  # the largest prime below 2**30
-
-
-def rank_mod_p(m: Matrix, p: int = WORD_PRIME) -> int:
-    """Rank mod p of m scaled to integer rows: ``product_rank_mod_p`` of the
-    identity and the shorter side of m.  Only a full rank, min(nrows, ncols),
-    proves anything (p may divide every nonzero maximal minor)."""
-    rows = int_rows(m.rows)[0]
-    rows = list(zip(*rows)) if m.nrows > m.ncols else rows
-    return product_rank_mod_p([[(i, 1)] for i in range(len(rows))], rows, p)
 
 
 def product_rank_mod_p(left: Sequence, right: Sequence, p: int = WORD_PRIME) -> int:

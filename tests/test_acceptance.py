@@ -9,10 +9,8 @@ regresses past its budget.
 
 from __future__ import annotations
 
-import gzip
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from semicov.catalog import (
     CheckContext,
@@ -56,11 +54,6 @@ def _extra(cons, name):
         if e.name == name:
             return e
     raise AssertionError("missing extra: %s" % name)
-
-
-# The default seed-0 report (RunConfig()), frozen from earlier sources: the
-# byte-for-byte oracle that refactors must keep.
-GOLDEN_SUITE = Path(__file__).parent / "data" / "suite-seed-0.json.gz"
 
 
 def _announce(num, ok, detail):
@@ -281,7 +274,7 @@ def test_acceptance_08_adjoint_family_spans_stabiliser():
                      "regular points (%.2fs < 30s)" % elapsed)
 
 
-def test_acceptance_09_structural_suite_over_all_targets():
+def test_acceptance_09_structural_suite_over_all_targets(bench_workloads):
     t0 = time.monotonic()
     report = run_suite(RunConfig())
     ok = not report.failed
@@ -300,7 +293,9 @@ def test_acceptance_09_structural_suite_over_all_targets():
             ok = ok and comp["status"] in ("match", "skipped")
     ok = ok and n_entries == 11
     ok = ok and len(report.entries) == 40
-    ok = ok and to_json(report).encode() == gzip.decompress(GOLDEN_SUITE.read_bytes())
+    # the default seed-0 report, frozen from earlier sources: the
+    # byte-for-byte oracle that refactors must keep
+    ok = ok and to_json(report).encode() == bench_workloads.read_golden("suite", 0)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 900.0
     _announce(9, ok, "structural sweep over all 11 constructions and 29 "

@@ -11,30 +11,14 @@ bytes.  The golden files are only read.  ``suite`` at seed 0 is compared in
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from semicov.verify import RunConfig, default_targets, run_suite, to_json
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-
-
-def _workloads():
-    """``bench/workloads.py``, which imports nothing of semicov."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
-
 
 @pytest.mark.parametrize("name", ["small-sweep", "ex6.1-n4", "wide-m2"])
-def test_workload_seed_0_matches_golden(name):
-    bench = _workloads()
-    wl = bench.WORKLOADS[name]
+def test_workload_seed_0_matches_golden(bench_workloads, name):
+    wl = bench_workloads.WORKLOADS[name]
     targets = wl.entries or tuple(t for t in default_targets() if t not in wl.exclude)
     cfg = RunConfig(
         entries=targets if (wl.entries or wl.exclude) else (),
@@ -43,6 +27,6 @@ def test_workload_seed_0_matches_golden(name):
         negative_controls=wl.negative_controls,
         jobs=1,
     )
-    want = bench.read_golden(name, 0)
+    want = bench_workloads.read_golden(name, 0)
     assert want is not None, name
     assert to_json(run_suite(cfg)).encode() == want

@@ -782,19 +782,12 @@ def test_exact_failure_witnesses_reevaluate():
         assert value in phi_at(F, v)
 
 
-def test_phi_expanded_once_per_covariant(monkeypatch):
+def test_phi_expanded_once_per_covariant(record):
     rep, F1, F2 = sl3_pair()
     q = SemidirectProduct(rep)
     R = random_covariant(rep, random.Random(8), "R")
     family = [F1, F2, formula_view(R)]
-    inner = covariants._phi_expansion
-    expanded = []
-
-    def counting(rep, comps):
-        expanded.append(len(comps))
-        return inner(rep, comps)
-
-    monkeypatch.setattr(covariants, "_phi_expansion", counting)
+    expanded = record("covariants._phi_expansion")["covariants._phi_expansion"]
     for F in family:
         assert kernel_phi_check(F, CheckContext("exact")).mode == "exact"
         assert lift_invariance_check(q, F, CheckContext("exact")).mode == "exact"
@@ -840,20 +833,12 @@ def test_phi_nonzero_on_negative_control():
     assert [p.terms for p in phi] == [{(2, 1): 1}, {}]  # (x^2 y, 0)
 
 
-def test_phi_forms_no_polynomial_product(monkeypatch):
+def test_phi_forms_no_polynomial_product(record):
     """The expansion shifts exponents: ``MultiPoly.__mul__`` is never called."""
     cons = build_construction(get_entry("ex6.1"), {"n": 4})
     for F in cons.family:
         F.components  # built by the formula, which does multiply
-    calls = []
-    inner = MultiPoly.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return inner(self, other)
-
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
-    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    calls = record("poly.MultiPoly.__mul__")["poly.MultiPoly.__mul__"]
     for F in cons.family:
         assert all(p.is_zero() for p in phi_polys(F))
     assert calls == []

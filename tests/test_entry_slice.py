@@ -32,7 +32,6 @@ from __future__ import annotations
 import pytest
 
 import semicov.lie as lie
-import semicov.semidirect as semidirect
 import semicov.verify as verify
 from semicov.catalog import all_entries, build_construction, get_entry
 from semicov.lie import StabiliserSample, stabiliser
@@ -45,37 +44,21 @@ IDS = [entry_id + "".join("-%s%d" % kv for kv in overrides) for entry_id, overri
 
 
 @pytest.fixture
-def work(monkeypatch):
-    """Counts of the calls below, and every (bound, estimate) of ind q."""
-    counts = dict.fromkeys(("stabiliser", "rank_and_kernel", "rank", "product_rank_mod_p", "skew_rank"), 0)
-
-    def counting(key, inner):
-        def wrapper(*args):
-            counts[key] += 1
-            return inner(*args)
-        return wrapper
-
-    for key, module in (("stabiliser", lie), ("rank_and_kernel", lie), ("rank", lie),
-                        ("product_rank_mod_p", lie), ("skew_rank", semidirect)):
-        monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
-    inner = verify.index_estimate
-    estimates = []
-
-    def recording(lie_alg, ctx, bound=None):
-        estimates.append((bound, inner(lie_alg, ctx, bound)))
-        return estimates[-1][1]
-
-    monkeypatch.setattr(verify, "index_estimate", recording)
-    return counts, estimates
+def work(record):
+    """Every call of the functions below."""
+    return record("lie.stabiliser", "linalg.rank_and_kernel", "linalg.rank", "linalg.product_rank_mod_p",
+                  "linalg.skew_rank", "semidirect.index_estimate")
 
 
 def _run(entry_id, overrides, seed, work):
-    counts, estimates = work
-    for key in counts:
-        counts[key] = 0
-    estimates.clear()
+    """The report, each count but index_estimate's, and each (dim, bound, estimate) of an index."""
+    for calls in work.values():
+        calls.clear()
     report = run_entry(entry_id, RunConfig(overrides=overrides, seed=seed))
-    return report, dict(counts), list(estimates)
+    *counted, estimates = work.values()
+    counts = {path.split(".")[-1]: len(calls) for path, calls in zip(work, counted)}
+    return report, counts, [(c.args[0].dim, c.args[2] if len(c.args) > 2 else None, c.result)
+                            for c in estimates]
 
 
 @pytest.mark.parametrize("entry_id, overrides", CONFIGS, ids=IDS)
@@ -84,29 +67,32 @@ def test_certified_report_equals_the_fallback_report(monkeypatch, work, entry_id
     cons = build_construction(get_entry(entry_id), get_entry(entry_id).resolve(dict(overrides)))
     dim_g = cons.algebra.dim
     for seed in range(3):
-        report, counts, [(bound, est)] = _run(entry_id, overrides, seed, work)
+        report, certified, [(_, bound, est)] = _run(entry_id, overrides, seed, work)
         sample = lie.stabiliser_sample(cons.module, CheckContext(seed=seed), "gs", entry_id)
         t = sample.t
         assert sample.proved, (entry_id, seed)
         assert sample.abelian and bound == 2 * (dim_g - t.dim)
-        assert counts["stabiliser"] == (20 if entry_id == "ex-adjoint" else 1)
-        assert 2 <= counts["skew_rank"] == len(est.ranks) <= est.drawn == 20
+        assert certified["stabiliser"] == (20 if entry_id == "ex-adjoint" else 1)
+        assert 2 <= certified["skew_rank"] == len(est.ranks) <= est.drawn == 20
         with monkeypatch.context() as m:
             m.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
-            fallback, counts, [(bound, est)] = _run(entry_id, overrides, seed, work)
+            fallback, counts, [(_, bound, est)] = _run(entry_id, overrides, seed, work)
         assert fallback == report, (entry_id, seed)
-        # every stabiliser and every Kirillov form, each once, as before
-        assert counts["stabiliser"] == 20 and counts["product_rank_mod_p"] == counts["rank"] == 0
+        # every stabiliser and every Kirillov form, each once, as before, and
+        # neither rank of the certificate (the other rows' ranks stay)
+        assert counts["stabiliser"] == 20 and counts["product_rank_mod_p"] == 0
+        assert certified["product_rank_mod_p"] == 1 and counts["rank"] == certified["rank"] - 1
         assert bound is None and counts["skew_rank"] == len(est.ranks) == 20
         # Rais: the largest rank of the unbounded estimate is 2(dim g - dim t)
         assert est.max_rank == 2 * (dim_g - t.dim)
 
 
 def test_gs_and_index_work_of_ex61_n4_at_seed_0(work):
-    report, counts, [(bound, est)] = _run("ex6.1", (("n", 4),), 0, work)
+    report, counts, [(_, bound, est)] = _run("ex6.1", (("n", 4),), 0, work)
     assert all(c["verdict"] != "fail" for c in report["checks"])
-    # t; rank A and the density rank mod p; one Kirillov form a batch
-    assert counts == {"stabiliser": 1, "rank_and_kernel": 1, "rank": 1, "product_rank_mod_p": 1,
+    # t; rank A and the density rank mod p; one Kirillov form a batch; and
+    # the independence and witness rows' ranks of the 15 x 2 family values
+    assert counts == {"stabiliser": 1, "rank_and_kernel": 1, "rank": 3, "product_rank_mod_p": 1,
                       "skew_rank": 2}
     assert bound == est.max_rank == 2 * (15 - 2) and len(est.ranks) == 2  # sl4, t of dim 2
 
@@ -136,7 +122,8 @@ def test_a_non_abelian_stabiliser_gets_no_rais_bound(monkeypatch, work):
 
     monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
     report, _, estimates = _run("ex-adjoint", (("n", 2),), 0, work)
-    assert [bound for bound, _ in estimates] == [None]
+    # ind q with no bound, then ind g_x inside sl2
+    assert [(dim, bound) for dim, bound, _ in estimates] == [(6, None), (3, None)]
     rows = {c["name"]: c for c in report["checks"]}
     assert rows["gs_dimension_toral"]["verdict"] == "fail"
     assert rows["gs_dimension_toral"]["witness"] == [0, 0, 0]

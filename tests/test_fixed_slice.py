@@ -35,9 +35,7 @@ from dataclasses import dataclass
 import pytest
 
 import module_oracles as oracle
-import semicov.catalog.support as support
 import semicov.lie as lie
-import semicov.poly as poly
 from semicov.catalog import all_rows, quotient_dim_estimate
 from semicov.poly import CheckContext
 from semicov.verify import RunConfig, run_table_row
@@ -53,21 +51,17 @@ def modules():
 
 
 @pytest.fixture
-def work(monkeypatch):
-    """Counts of the estimator's exact ranks, kernels, modular ranks and draws."""
-    counts = dict.fromkeys(("rank", "rank_and_kernel", "product_rank_mod_p", "draws"), 0)
+def work(record):
+    """The counts, so far, of the estimator's exact ranks, kernels, modular
+    ranks and draws."""
+    calls = record("linalg.rank", "linalg.rank_and_kernel", "linalg.product_rank_mod_p",
+                   "sampling.rand_vector")
+    return lambda: dict(zip(("rank", "rank_and_kernel", "product_rank_mod_p", "draws"),
+                            map(len, calls.values())))
 
-    def counting(key, inner):
-        def wrapper(*args):
-            counts[key] += 1
-            return inner(*args)
-        return wrapper
 
-    for key, module in (("rank", support), ("rank", lie), ("rank_and_kernel", lie),
-                        ("product_rank_mod_p", lie)):
-        monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
-    monkeypatch.setattr(poly, "rand_vector", counting("draws", poly.rand_vector))
-    return counts
+def _since(work, before: dict) -> dict:
+    return {key: n - before[key] for key, n in work().items()}
 
 
 @dataclass(frozen=True)
@@ -105,10 +99,10 @@ def test_a_zero_draw_falls_back_to_ranking_the_stream(modules, work):
     after the kernel of t and the exact rank of A."""
     for rep, row in zip(modules, MODULE_ROWS):
         ctx = ZeroDraw(labels=("quotient", rep.label))
-        before = dict(work)
+        before = work()
         est = quotient_dim_estimate(rep, ctx)
-        assert work["rank_and_kernel"] - before["rank_and_kernel"] == ctx.samples
-        assert work["rank"] - before["rank"] == 1
+        done = _since(work, before)
+        assert done["rank_and_kernel"] == ctx.samples and done["rank"] == 1
         assert est == oracle.quotient_dim_estimate(rep, ctx), rep.label
         spec = row.module_spec
         assert est == rep.dim_v - rep.algebra.dim + spec.expected(dict(spec.default_params))["gs"]
@@ -123,12 +117,12 @@ def test_a_short_modular_rank_falls_back_to_ranking_the_stream(modules, work, mo
     monkeypatch.setattr(lie, "product_rank_mod_p", lambda *args: inner(*args) - 1)
     ctx = CheckContext()
     for rep, row in zip(modules, MODULE_ROWS):
-        before = dict(work)
+        before = work()
         assert not lie.stabiliser_sample(rep, ctx, "quotient", rep.label).proved, rep.label
-        assert {k: work[k] - before[k] for k in work} == {
+        assert _since(work, before) == {
             "rank": 1, "rank_and_kernel": 1, "product_rank_mod_p": 1, "draws": 1}, rep.label
         est = quotient_dim_estimate(rep, ctx)
-        assert work["rank_and_kernel"] - before["rank_and_kernel"] == 1 + ctx.samples
+        assert _since(work, before)["rank_and_kernel"] == 1 + ctx.samples
         assert est == oracle.quotient_dim_estimate(rep, ctx), rep.label
         report = run_table_row(row.id, RunConfig())
         assert {c["verdict"] for c in report["checks"][1:]} == {"sampled-pass"}, row.id
@@ -156,20 +150,19 @@ def test_the_certificate_implies_density_over_qq(modules):
 def test_one_sample_needs_no_certificate(modules, work):
     ctx = CheckContext(samples=1)
     want = [oracle.quotient_dim_estimate(rep, ctx) for rep in modules]
-    work.update(dict.fromkeys(work, 0))
+    before = work()
     assert [quotient_dim_estimate(rep, ctx) for rep in modules] == want
-    assert work == {"rank": 0, "rank_and_kernel": 10, "product_rank_mod_p": 0, "draws": 10}
+    assert _since(work, before) == {"rank": 0, "rank_and_kernel": 10, "product_rank_mod_p": 0, "draws": 10}
 
 
 def test_table_row_work_count_at_seed_0(modules, work):
     """At the default knobs the certificate holds on every module row at v1,
-    so no point after v1 is ranked.  (``modules`` builds the
-    classical algebras, whose bases are kernels, before anything is counted.)"""
+    so no point after v1 is ranked."""
     for row in MODULE_ROWS:
-        counts = dict(work)
+        before = work()
         report = run_table_row(row.id, RunConfig())
         assert all(c["verdict"] != "fail" for c in report["checks"]), row.id
-        assert {k: work[k] - counts[k] for k in work} == {
+        assert _since(work, before) == {
             "rank": 1, "rank_and_kernel": 1, "product_rank_mod_p": 1, "draws": 1}, row.id
 
 
@@ -183,11 +176,11 @@ def test_points_after_v1_are_drawn_when_read(modules, work):
     ex61 = build_construction(entry, entry.resolve({"n": 4})).module
     ctx = CheckContext()
     for rep, labels in ((modules[0], ("quotient", modules[0].label)), (ex61, ("gs", "ex6.1"))):
-        work.update(dict.fromkeys(work, 0))
+        before = work()
         sample = lie.stabiliser_sample(rep, ctx, *labels)
-        assert sample.proved and work["draws"] == 1, labels
+        assert sample.proved and _since(work, before)["draws"] == 1, labels
         draw = ctx.draw(rep.dim_v, *labels)
         stream = [draw() for _ in range(ctx.samples)]
-        work["draws"] = 0
-        assert sample.points == stream and work["draws"] == ctx.samples - 1, labels
-        assert sample.points is sample.points and work["draws"] == ctx.samples - 1
+        before = work()
+        assert sample.points == stream and _since(work, before)["draws"] == ctx.samples - 1, labels
+        assert sample.points is sample.points and _since(work, before)["draws"] == ctx.samples - 1

@@ -28,7 +28,6 @@ from semicov.linalg import (
     product_rank_mod_p,
     rank,
     rank_and_kernel,
-    rank_mod_p,
     solve,
 )
 from semicov.poly import CheckContext, MultiPoly
@@ -479,19 +478,10 @@ def test_stabilisers_match_fraction_oracle(entry, params):
 
 
 @pytest.fixture
-def kernels(monkeypatch):
-    """Every matrix that ``lie`` hands to ``rank_and_kernel``, with the result."""
-    import semicov.lie as lie
-
-    seen = []
-    inner = lie.rank_and_kernel
-
-    def spy(m):
-        seen.append((m, inner(m)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(lie, "rank_and_kernel", spy)
-    return seen
+def kernels(record):
+    """Every matrix handed to ``rank_and_kernel`` from here on, with the result."""
+    calls = record("linalg.rank_and_kernel")["linalg.rank_and_kernel"]
+    return lambda: [(c.args[0], c.result) for c in calls]
 
 
 def _assert_oracle_kernels(seen) -> int:
@@ -516,13 +506,12 @@ def test_table_kernels_match_fraction_oracle(kernels, row_id):
     a sparse one equal the oracle's."""
     spec = get_row(row_id).module_spec
     rep = spec.build(dict(spec.default_params))
-    kernels.clear()  # a fresh so or sp factor is built from a kernel too
     sample = stabiliser_sample(rep, CheckContext(), "quotient", rep.label or "V")
-    assert sample.proved and len(kernels) == 1
+    assert sample.proved and len(kernels()) == 1
     rho = rep.action
     stacked = Matrix([[sum(xa * m.rows[i][j] for xa, m in zip(x, rho) if xa) for j in range(rep.dim_v)]
                       for x in sample.t.vectors for i in range(rep.dim_v)])
-    seen = kernels + [(m, rank_and_kernel(m)) for m in [stacked] + _orbit_matrices(row_id, 2)]
+    seen = kernels() + [(m, rank_and_kernel(m)) for m in [stacked] + _orbit_matrices(row_id, 2)]
     _assert_oracle_kernels(seen)
     assert len(seen[1][1][1]) > 0  # V^t holds v1 at least
 
@@ -541,8 +530,8 @@ def test_form_kernels_match_fraction_oracle(kernels, build, n, form):
     custom = form is not None
     form = Matrix(form) if custom else Matrix.identity(n) if build is so else default_skew(n)
     build(n, form)
-    assert len(kernels) == 1
-    assert (_assert_oracle_kernels(kernels) > 0) == custom
+    assert len(kernels()) == 1
+    assert (_assert_oracle_kernels(kernels()) > 0) == custom
 
 
 def test_core_entries_stay_within_hadamard_bound():
@@ -636,29 +625,27 @@ def test_det_matches_sympy_with_pivot_ties():
             assert (d == 0) == (trial >= 2)
 
 
-def test_rank_eliminates_the_short_side(monkeypatch):
+def test_rank_eliminates_the_short_side(record):
     """rank of the 45 x 35 orbit matrix of an sl6 table row hands the core
     its 35 columns as rows, not its 45 rows."""
-    import semicov.linalg as linalg
-
-    seen = []
-    inner = linalg._eliminate
-
-    def spy(rows, ncols, full, factors=None):
-        seen.append((len(rows), ncols, full))
-        return inner(rows, ncols, full, factors)
-
-    monkeypatch.setattr(linalg, "_eliminate", spy)
     m = _orbit_matrices("table1/2", 1)[0]
     assert (m.nrows, m.ncols) == (45, 35)
+    calls = record("linalg._eliminate")["linalg._eliminate"]
     assert rank(m) == 34
-    assert seen == [(35, 45, False)]
+    assert [(len(c.args[0]), c.args[1], c.args[2]) for c in calls] == [(35, 45, False)]
+
+
+def _rank_mod_p(m: Matrix, p: int = WORD_PRIME) -> int:
+    """The rank of m mod p: ``product_rank_mod_p`` of 1 and m's shorter side in integer rows."""
+    rows = int_rows(m.rows)[0]
+    rows = [list(col) for col in zip(*rows)] if m.nrows > m.ncols else rows
+    return product_rank_mod_p([[(i, 1)] for i in range(len(rows))], rows, p)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_rank_mod_p_is_a_lower_bound_on_the_sympy_rank(data):
-    """rank_mod_p never exceeds the rank over QQ, at the word-size prime and
+    """The rank mod p never exceeds the rank over QQ, at the word-size prime and
     at small primes that divide many minors, so it never calls a
     rank-deficient matrix full.  Shapes run from tall to wide, with zero
     rows, rows that repeat a combination of earlier rows (a deficient
@@ -676,14 +663,14 @@ def test_rank_mod_p_is_a_lower_bound_on_the_sympy_rank(data):
     m = Matrix(rows)
     qq = _sym(m).rank()
     for p in (WORD_PRIME, 2, 3, 7):
-        r = rank_mod_p(m, p)
+        r = _rank_mod_p(m, p)
         assert r <= qq
         if r == min(nrows, ncols):
             assert qq == r
     if min(nrows, ncols) <= 4:
         # scaled rows have entries of at most 9 * 6, so every minor of order
         # at most 4 is below (2 * 54)^4 < p (Hadamard): the ranks agree
-        assert rank_mod_p(m) == qq
+        assert _rank_mod_p(m) == qq
 
 
 @settings(max_examples=60, deadline=None)
@@ -703,11 +690,11 @@ def test_rank_mod_p_calls_rows_of_multiples_of_p_not_full(data):
                                      min_size=extra, max_size=extra))
     for shape in (tall, [list(c) for c in zip(*tall)]):  # tall and wide
         scaled = Matrix([[p * x for x in r] for r in shape])
-        assert _sym(scaled).rank() == n and rank_mod_p(scaled, p) == 0
+        assert _sym(scaled).rank() == n and _rank_mod_p(scaled, p) == 0
     one = [list(r) for r in rows]
     i = data.draw(st.integers(0, n - 1))
     one[i] = [p * x for x in one[i]]
-    r = rank_mod_p(Matrix(one), p)
+    r = _rank_mod_p(Matrix(one), p)
     assert _sym(Matrix(one)).rank() == n and r < n
     # the other rows' minors are below 102^4 < 2^30 - 35 (Hadamard)
     assert r == n - 1 or p != WORD_PRIME
@@ -736,10 +723,10 @@ def test_rank_mod_p_matches_a_plain_gf_p_rank(p):
         m = Matrix(rows)
         want = oracle_rank_mod_p(rows, p)
         assert want <= base
-        assert rank_mod_p(m, p) == rank_mod_p(m.transpose(), p) == want, (trial, want)
+        assert _rank_mod_p(m, p) == _rank_mod_p(m.transpose(), p) == want, (trial, want)
 
 
-def test_rank_mod_p_proves_the_full_slice_rank_of_every_table_module(monkeypatch):
+def test_rank_mod_p_proves_the_full_slice_rank_of_every_table_module(record):
     """At seed 0 the density product A M of each table row's certificate
     (A = rho(t) stacked, M the orbit map at v1) has rank A mod p, the most
     it can have; sympy confirms both ranks over QQ on the two smallest
@@ -747,27 +734,14 @@ def test_rank_mod_p_proves_the_full_slice_rank_of_every_table_module(monkeypatch
     estimator and the entries' stabiliser sample alike."""
     pytest.importorskip("sympy")
     import semicov.catalog.support as support
-    import semicov.lie as lie
-    from semicov.catalog import all_rows
-
-    seen, exact = [], []
-    inner, inner_rank = lie.product_rank_mod_p, lie.rank
-
-    def spy(left, right, p=WORD_PRIME):
-        r = inner(left, right, p)
-        seen.append((left, right, r))
-        return r
-
-    def rank_spy(m):
-        exact.append((m, inner_rank(m)))
-        return exact[-1][1]
 
     specs = [row.module_spec for row in all_rows() if row.module_spec is not None]
-    reps = [spec.build(dict(spec.default_params)) for spec in specs]  # so and sp take a rank
-    monkeypatch.setattr(lie, "product_rank_mod_p", spy)
-    monkeypatch.setattr(lie, "rank", rank_spy)
+    reps = [spec.build(dict(spec.default_params)) for spec in specs]
+    calls = record("linalg.product_rank_mod_p", "linalg.rank")
     for rep in reps:
         support.quotient_dim_estimate(rep, CheckContext())
+    seen = [(c.args[0], c.args[1], c.result) for c in calls["linalg.product_rank_mod_p"]]
+    exact = [(c.args[0], c.result) for c in calls["linalg.rank"]]
     assert len(seen) == len(exact) == len(specs) == 10
     products = []
     for (left, right, r), (a, ra) in zip(seen, exact):
@@ -806,4 +780,4 @@ def test_product_rank_mod_p_matches_a_plain_gf_p_rank(p):
         want = oracle_rank_mod_p((Matrix(dense) * Matrix(right)).rows, p)
         assert want <= inner
         assert product_rank_mod_p(left, right, p) == want, (trial, want)
-        assert product_rank_mod_p([[(i, 1)] for i in range(60)], right, p) == rank_mod_p(Matrix(right), p)
+        assert product_rank_mod_p([[(i, 1)] for i in range(60)], right, p) == oracle_rank_mod_p(right, p)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from semicov import covariants, verify
+from semicov import verify
 from semicov.catalog import build_construction, get_entry
 from semicov.covariants import Covariant, equivariance_check
 from semicov.lie import LieAlgebra, Representation, product, sl, so, sp
@@ -161,17 +161,9 @@ def _full_scan_witness(cons, ctx):
     return None
 
 
-def _count_certificates(monkeypatch) -> list:
-    """The scope of each ``generating_subset`` call from here on."""
-    calls, orig = [], LieAlgebra.generating_subset
-    monkeypatch.setattr(LieAlgebra, "generating_subset",
-                        lambda g, indices: calls.append(tuple(indices)) or orig(g, indices))
-    return calls
-
-
 @pytest.mark.parametrize("entry,overrides,family", [("ex6.1", (), 2), ("ex6.3/iii", (("m", 2),), 3)])
-def test_scope_is_certified_once_per_entry(monkeypatch, entry, overrides, family):
-    certified = _count_certificates(monkeypatch)
+def test_scope_is_certified_once_per_entry(record, entry, overrides, family):
+    certified = record("lie.LieAlgebra.generating_subset")["lie.LieAlgebra.generating_subset"]
     report = run_entry(entry, RunConfig(entries=(entry,), overrides=overrides))
     assert _row(report, "jacobi")["verdict"] == "pass"
     row = _row(report, "equivariance_scope")
@@ -180,7 +172,7 @@ def test_scope_is_certified_once_per_entry(monkeypatch, entry, overrides, family
 
 
 @pytest.mark.parametrize("mode", ["auto", "sampled"])
-def test_broken_jacobi_falls_back_to_the_full_scan(monkeypatch, mode):
+def test_broken_jacobi_falls_back_to_the_full_scan(monkeypatch, record, mode):
     cons = build_construction(get_entry("ex-adjoint"), {})
     g, rep = cons.module.algebra, cons.module
     gens = g.generating_subset(range(g.dim))
@@ -196,7 +188,7 @@ def test_broken_jacobi_falls_back_to_the_full_scan(monkeypatch, mode):
     ctx = RunConfig(mode=mode).ctx
     # the generators alone see nothing wrong: only the premise stops a PASS
     assert all(equivariance_check(F, gens, ctx).is_zero for F in cons.family)
-    certified = _count_certificates(monkeypatch)
+    certified = record("lie.LieAlgebra.generating_subset")["lie.LieAlgebra.generating_subset"]
     report = _run(monkeypatch, cons, mode=mode)
     assert _row(report, "jacobi")["verdict"] == "fail"
     assert certified == []  # no certificate without its premise
@@ -233,25 +225,18 @@ def test_failing_covariant_keeps_the_full_scan_witness(monkeypatch, mode):
         assert gens_only.verdict == "proved_nonzero"
 
 
-def test_equivariance_row_work_count_on_ex61_n4(monkeypatch):
+def test_equivariance_row_work_count_on_ex61_n4(record):
     """Exact ex6.1 at n=4: 4 generators of sl_4 x 15 components x 2
     covariants, against 15 directions each for the full scan (450 calls)."""
-    calls: dict = {}
-    row = [None]
-    orig_row, orig_along = verify._identity_row, covariants.derivative_along
-
-    def identity_row(name, *args):
-        row[0] = name
-        return orig_row(name, *args)
-
-    def along(p, rows):
-        calls[row[0]] = calls.get(row[0], 0) + 1
-        return orig_along(p, rows)
-
-    monkeypatch.setattr(verify, "_identity_row", identity_row)
-    monkeypatch.setattr(covariants, "derivative_along", along)
+    record("verify._identity_row", "poly.derivative_along")
     cfg = RunConfig(entries=("ex6.1",), overrides=(("n", 4),), mode="exact")
     report = run_entry("ex6.1", cfg)
     res = _row(report, "equivariance_scope")
     assert res["verdict"] == "pass" and res["detail"] == "2 covariants; exact; scope: full"
+    calls, row = {}, None  # the derivatives taken in each identity row, by the row begun last
+    for path, call in record.log:
+        if path == "verify._identity_row":
+            row = call.args[0]
+        else:
+            calls[row] = calls.get(row, 0) + 1
     assert 0 < calls["equivariance_scope"] <= 120, calls

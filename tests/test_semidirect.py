@@ -102,25 +102,15 @@ def test_rais_consistency():
         assert rep.stab_abelian
 
 
-def test_rais_consistency_takes_the_index_estimate(monkeypatch):
+def test_rais_consistency_takes_the_index_estimate(monkeypatch, record):
     import semicov.lie as lie
-    import semicov.semidirect as semidirect
 
     q = q_adjoint_sl2()
     ctx = CheckContext(samples=4, bound=5)
     est = index_estimate(q.lie, ctx)
     # g_x at the regular point 2E + 3F - H is a Cartan line; at the zero point it is sl2
     regular, zero = stabiliser(q.rep, [2, 3, -1]), stabiliser(q.rep, [0, 0, 0])
-    inner, inner_sub = semidirect.index_estimate, semidirect.subalgebra
-    calls, built = [], []
-
-    def recording(lie_alg, ctx, bound=None):
-        calls.append((lie_alg.dim, ctx.samples, ctx.bound))
-        return inner(lie_alg, ctx, bound)
-
-    def building(g, s, name=""):
-        built.append(s.dim)
-        return inner_sub(g, s, name)
+    calls = record("semidirect.index_estimate", "lie.subalgebra")
 
     def no_stabiliser(rep, v):
         raise AssertionError("rais_consistency must read the stabiliser it is given")
@@ -128,20 +118,20 @@ def test_rais_consistency_takes_the_index_estimate(monkeypatch):
     def no_abelian_test(g, s):
         raise AssertionError("rais_consistency must read the abelian flag it is given")
 
-    monkeypatch.setattr(semidirect, "index_estimate", recording)
-    monkeypatch.setattr(semidirect, "subalgebra", building)
     monkeypatch.setattr(lie, "stabiliser", no_stabiliser)
     monkeypatch.setattr(lie, "is_abelian", no_abelian_test)
     rep = rais_consistency(q, regular, True, est, ctx)
     # g_x is abelian, so ind g_x = dim g_x with no subalgebra and no estimate
-    assert calls == [] and built == []
+    assert record.log == []
     assert rep.stab_dim == rep.stab_index == 1 and rep.stab_abelian
     assert rep.index_q == est.index == 2 and rep.consistent
     assert rep.stabilised == est.stabilised
     # at the zero point g_x = sl2: the subalgebra is built, and its index
     # (its rank, 1) is sampled inside it over ctx.samples points under ctx.bound
     rep = rais_consistency(q, zero, False, est, ctx)
-    assert calls == [(3, 4, 5)] and built == [3]
+    estimates = [(c.args[0].dim, c.args[1].samples, c.args[1].bound)
+                 for c in calls["semidirect.index_estimate"]]
+    assert estimates == [(3, 4, 5)] and [c.args[1].dim for c in calls["lie.subalgebra"]] == [3]
     assert rep.stab_dim == 3 and rep.stab_index == 1 and not rep.stab_abelian
     assert not rep.consistent  # the zero point is not generic
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -205,26 +204,11 @@ def test_non_skew_input_raises(rows):
         skew_rank(Matrix(rows))
 
 
-def test_index_estimate_makes_no_row_echelon_rank(monkeypatch):
+def test_index_estimate_makes_no_row_echelon_rank(record):
     """ex6.1 at n=4: the 20 Kirillov ranks of the index estimate all go to
     ``skew_rank``; ``rank`` and its row-echelon core are never called."""
-    import semicov.semidirect as semidirect
-
-    calls = []
-
-    def spy(name, inner):
-        def counting(*args):
-            calls.append(name)
-            return inner(*args)
-        return counting
-
-    for name in ("rank", "_eliminate"):
-        inner = getattr(linalg, name)
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("semicov") and getattr(module, name, None) is inner:
-                monkeypatch.setattr(module, name, spy(name, inner))
-    monkeypatch.setattr(semidirect, "skew_rank", spy("skew_rank", skew_rank))
     q = SemidirectProduct(build_construction(get_entry("ex6.1"), {"n": 4}).module)
+    record("linalg.rank", "linalg._eliminate", "linalg.skew_rank")
     est = index_estimate(q.lie, CheckContext())
-    assert calls == ["skew_rank"] * 20
+    assert [path for path, _ in record.log] == ["linalg.skew_rank"] * 20
     assert (est.index, est.max_rank, est.stabilised) == (5, 26, True)

@@ -19,7 +19,6 @@ from fractions import Fraction
 import pytest
 
 import module_oracles as oracle
-import semicov.linalg as linalg
 from semicov.catalog.support import SKEW, SYM, MatrixPairModule, left_right_fields
 from semicov.lie import (
     Representation,
@@ -189,18 +188,11 @@ def test_matrix_pair_module_calls_fields_once_per_basis_element():
     assert len(calls) == g.dim < g.dim * mod.dim_v
 
 
-def test_sparse_builders_construct_no_matrix(monkeypatch):
+def test_sparse_builders_construct_no_matrix(record):
     g = product(sl(3), sl(2))
     r = defining(sl(3))
     rd = dual(r)
-    built = []
-    init = Matrix.__init__
-
-    def counting_init(self, rows):
-        built.append(len(rows))
-        init(self, rows)
-
-    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    built = record("linalg.Matrix.__init__")["linalg.Matrix.__init__"]
     tensor(r, rd)
     direct_sum(r, rd)
     dual(rd)
@@ -210,21 +202,10 @@ def test_sparse_builders_construct_no_matrix(monkeypatch):
     assert built == []
 
 
-def test_subrepresentation_runs_one_elimination(monkeypatch):
+def test_subrepresentation_runs_one_elimination(record):
     """One elimination solves every image; no per-image solve, and no
     Matrix but the one of the spanning vectors."""
     r, vectors = _phi2_sp6()
-    calls = []
-
-    def counted(name, inner):
-        def call(*a, **k):
-            calls.append(name)
-            return inner(*a, **k)
-
-        return call
-
-    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", linalg._eliminate))
-    monkeypatch.setattr(linalg.SpanSolver, "coords", counted("coords", linalg.SpanSolver.coords))
-    monkeypatch.setattr(Matrix, "__init__", counted("matrix", Matrix.__init__))
+    record("linalg._eliminate", "linalg.SpanSolver.coords", "linalg.Matrix.__init__")
     subrepresentation(r, vectors)
-    assert sorted(calls) == ["eliminate", "matrix"]
+    assert sorted(path for path, _ in record.log) == ["linalg.Matrix.__init__", "linalg._eliminate"]

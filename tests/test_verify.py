@@ -146,47 +146,29 @@ def test_jobs_pool_matches_serial_bytes():
     assert to_json(run_suite(RunConfig(entries=targets, jobs=2))) == serial
 
 
-def test_gs_row_computes_each_stabiliser_once(monkeypatch):
-    import semicov.lie as lie
-
-    inner = lie.stabiliser
-    points = []
-
-    def counting(rep, v):
-        points.append(tuple(v))
-        return inner(rep, v)
-
-    monkeypatch.setattr(lie, "stabiliser", counting)
+def test_gs_row_computes_each_stabiliser_once(record):
+    calls = record("lie.stabiliser")["lie.stabiliser"]
     cfg = RunConfig(samples=7)
     rows = _checks_by_name(run_entry("ex-adjoint", cfg))
     # ex-adjoint runs every row that reads the sample
     for name in ("gs_dimension_toral", "quotient_dim_estimate", "independence_generic",
                  "kernel_span", "rais_consistency"):
         assert rows[name]["verdict"] == "sampled-pass", name
+    points = [tuple(c.args[1]) for c in calls]
     assert len(points) == cfg.samples == len(set(points))
     # without kernel_span, the proved stabiliser of the first point is the only one
-    points.clear()
+    calls.clear()
     assert _checks_by_name(run_entry("ex5.2", cfg))["gs_dimension_toral"]["verdict"] == "sampled-pass"
-    assert len(points) == 1
+    assert len(calls) == 1
 
 
-def test_table_row_ranks_each_point_once(monkeypatch):
+def test_table_row_ranks_each_point_once(monkeypatch, record):
     """gs and quotient read one estimate.  With the fixed-point slice
     certificate refused, the row ranks each sampled point once, by the
     kernel that gives its stabiliser, and makes no other rank."""
-    import semicov.catalog.support as support
     import semicov.lie as lie
 
-    shapes = {"rank": [], "rank_and_kernel": []}
-
-    def counting(key, inner):
-        def wrapper(m):
-            shapes[key].append((m.nrows, m.ncols))
-            return inner(m)
-        return wrapper
-
-    for key, module in (("rank", support), ("rank_and_kernel", lie)):
-        monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
+    calls = record("linalg.rank", "linalg.rank_and_kernel")
     monkeypatch.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
     cfg = RunConfig(samples=6)
     report = run_table_row("table1/1a", cfg)
@@ -195,31 +177,23 @@ def test_table_row_ranks_each_point_once(monkeypatch):
     assert rows["quotient_dim_estimate"]["verdict"] == "sampled-pass"
     # one orbit-map matrix (dim V rows, columns x_a.v for the dim g basis
     # elements) per point
-    assert shapes["rank"] == [] and shapes["rank_and_kernel"] == [(15, 13)] * cfg.samples
+    shapes = [(c.args[0].nrows, c.args[0].ncols) for c in calls["linalg.rank_and_kernel"]]
+    assert calls["linalg.rank"] == [] and shapes == [(15, 13)] * cfg.samples
 
 
 @pytest.mark.parametrize("bound", [5, 10])
-def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
-    import semicov.semidirect as semidirect
+def test_rais_row_reuses_index_and_honours_bound(monkeypatch, record, bound):
     import semicov.verify as verify
     from semicov.lie import StabiliserSample, stabiliser
 
-    inner = semidirect.index_estimate
-    calls = []
-
-    def recording(lie, ctx, bound=None):
-        calls.append((lie.dim, ctx.bound))
-        return inner(lie, ctx, bound)
-
-    monkeypatch.setattr(semidirect, "index_estimate", recording)
-    monkeypatch.setattr(verify, "index_estimate", recording)
+    calls = record("semidirect.index_estimate")["semidirect.index_estimate"]
     report = run_entry("ex5.2", RunConfig(bound=bound))
     rows = _checks_by_name(report)
     assert rows["index_stabilized"]["verdict"] == "sampled-pass"
     assert rows["rais_consistency"]["verdict"] == "sampled-pass"
     # one estimate of ind q, shared by both rows; g_x is abelian, so its
     # index is its dimension and is not estimated
-    assert len(calls) == 1 and calls[0][1] == bound
+    assert [c.args[1].bound for c in calls] == [bound]
 
     # a sample holding only the zero point of the adjoint sl2 module: g_x = sl2
     def zero_point(rep, ctx, *labels):
@@ -229,28 +203,20 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, bound):
     monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
     rows = _checks_by_name(run_entry("ex-adjoint", RunConfig(overrides=(("n", 2),), bound=bound)))
     # ind q, then the index of the 3-dimensional non-abelian stabiliser
-    assert calls == [(6, bound), (3, bound)]
+    assert [(c.args[0].dim, c.args[1].bound) for c in calls] == [(6, bound), (3, bound)]
     witness = rows["rais_consistency"]["witness"]
     assert witness["stab_dim"] == 3 and witness["stab_index"] == 1
     assert rows["rais_consistency"]["verdict"] == "fail"  # the zero point is not generic
 
 
 @pytest.mark.parametrize("samples", [20, 7])
-def test_kirillov_even_reads_the_index_sample(monkeypatch, samples):
+def test_kirillov_even_reads_the_index_sample(record, samples):
     """The row checks every form the index estimate ranked and counts every
     point it drew.  ex5.2's generic stabiliser is proved abelian, so each
     batch stops at its first point of the Rais rank: one form a batch."""
-    import semicov.semidirect as semidirect
-
-    inner = semidirect.skew_rank
-    ranked = []  # (order, rank) of every skew form ranked
-
-    def counting(m):
-        ranked.append((m.nrows, inner(m)))
-        return ranked[-1][1]
-
-    monkeypatch.setattr(semidirect, "skew_rank", counting)
+    calls = record("linalg.skew_rank")["linalg.skew_rank"]
     report = run_entry("ex5.2", RunConfig(samples=samples))
+    ranked = [(c.args[0].nrows, c.result) for c in calls]  # (order, rank) of every skew form ranked
     names = [c["name"] for c in report["checks"]]
     assert names.index("kirillov_even") + 1 == names.index("index_stabilized")
     row = _checks_by_name(report)["kirillov_even"]
@@ -263,22 +229,10 @@ def test_kirillov_even_reads_the_index_sample(monkeypatch, samples):
     assert len(forms) == 2 and all(r % 2 == 0 for r in forms)
 
 
-def test_samples_and_bound_reach_every_sampled_row(monkeypatch):
+def test_samples_and_bound_reach_every_sampled_row(record):
     import re
-    import sys
 
-    import semicov.sampling as sampling
-
-    inner = sampling.rand_vector
-    bounds = []
-
-    def recording(rng, n, bound):
-        bounds.append(bound)
-        return inner(rng, n, bound)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("semicov") and getattr(module, "rand_vector", None) is inner:
-            monkeypatch.setattr(module, "rand_vector", recording)
+    draws = record("sampling.rand_vector")["sampling.rand_vector"]
     entries = ("ex5.1", "ex5.3", "ex6.2", "ex6.3/iii", "ex6.4")
     cfg = RunConfig(entries=entries, mode="sampled", samples=50, bound=7)
     counted = {}
@@ -298,7 +252,7 @@ def test_samples_and_bound_reach_every_sampled_row(monkeypatch):
                          ("ex6.4", "minor_identity")):
         assert (entry, extra) in counted
     assert counted and all(n == 50 for n in counted.values()), counted
-    assert bounds and set(bounds) == {7}
+    assert draws and {c.args[2] for c in draws} == {7}
 
 
 def test_kirillov_even_fails_on_an_odd_rank_with_its_point():
