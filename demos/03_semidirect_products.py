@@ -47,7 +47,8 @@ def main() -> None:
     moved = coadjoint_unipotent(q, zeta, eta)
     print("eta.xi after the unipotent move:", moved.xi)
     print("module part is untouched:", moved.v == eta.v)
-    print("Kirillov rank at eta:", kirillov_rank(q, eta), "(even, as it must be)")
+    print("Kirillov rank at eta:", kirillov_rank(q.lie, eta.combined()),
+          "(even, as it must be)")
 
     print()
     print("== index consistency against the module side ==")

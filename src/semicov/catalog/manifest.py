@@ -1,23 +1,24 @@
-"""Frozen expected values, shipped as package data and parsed at startup.
+"""Frozen expected values, shipped as package data and read at startup.
 
 The manifest pins the numerology of every instantiation the test suite
 exercises.  Each construction audit compares the values computed by the
 library against the corresponding manifest line, so a regression in either
 the construction code or the catalog data is caught by the other side.
 
-Grammar (one record per line, ``#`` comments, shlex quoting)::
+``data/catalog.json`` is a JSON array with one record per line::
 
-    check <entry-id> [<param>=<int> ...] | key=value ...
-    table <row-id>   [<param>=<int> ...] | key=value ...
+    {"kind": "check", "target": <entry-id>, "params": {<param>: <int>}, "values": {...}}
+    {"kind": "table", "target": <row-id>,   "params": {<param>: <int>}, "values": {...}}
 
-``check`` values: dim_v, l, q, degrees (comma-separated), audit
+``check`` values: dim_v, l, q, degrees (a list of ints), audit
 (equality|surplus), quotient_dim.  ``table`` values: dim_v, gs and
 optionally quotient_dim.
 """
 from __future__ import annotations
 
-import shlex
+import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 __all__ = ["ManifestLine", "load_manifest", "find_line"]
@@ -31,61 +32,18 @@ class ManifestLine:
     values: dict
 
 
-def _parse_pairs(tokens: list[str]) -> dict:
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError("malformed manifest token %r" % tok)
-        key, _, raw = tok.partition("=")
-        out[key] = raw
-    return out
-
-
-def _parse_line(line: str, lineno: int) -> ManifestLine:
-    tokens = shlex.split(line, comments=True)
-    if len(tokens) < 2 or "|" not in tokens:
-        raise ValueError("manifest line %d: expected `kind id ... | ...`" % lineno)
-    kind, target = tokens[0], tokens[1]
-    if kind not in ("check", "table"):
-        raise ValueError("manifest line %d: unknown record kind %r" % (lineno, kind))
-    split = tokens.index("|")
-    params = _parse_pairs(tokens[2:split])
-    values = _parse_pairs(tokens[split + 1 :])
-    typed = {}
-    for key, raw in values.items():
-        if key == "degrees":
-            typed[key] = tuple(int(x) for x in raw.split(",")) if raw else ()
-        elif key == "audit":
-            typed[key] = raw
-        else:
-            typed[key] = int(raw)
-    return ManifestLine(
-        kind=kind,
-        target=target,
-        params=tuple(sorted((k, int(v)) for k, v in params.items())),
-        values=typed,
-    )
-
-
-def parse_manifest(text: str) -> list[ManifestLine]:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append(_parse_line(stripped, lineno))
-    return lines
-
-
-_CACHE: list[ManifestLine] | None = None
-
-
+@cache
 def load_manifest() -> list[ManifestLine]:
-    global _CACHE
-    if _CACHE is None:
-        text = resources.files("semicov").joinpath("data/catalog.manifest").read_text()
-        _CACHE = parse_manifest(text)
-    return _CACHE
+    records = json.loads(resources.files("semicov").joinpath("data/catalog.json").read_text())
+    return [
+        ManifestLine(
+            kind=rec["kind"],
+            target=rec["target"],
+            params=tuple(sorted(rec["params"].items())),
+            values={k: tuple(v) if k == "degrees" else v for k, v in rec["values"].items()},
+        )
+        for rec in records
+    ]
 
 
 def find_line(kind: str, target: str, params: dict) -> ManifestLine | None:

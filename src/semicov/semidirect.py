@@ -3,13 +3,13 @@
 The combined basis is the g-basis followed by the dual basis of V*.  Points
 of the dual space q* = g* + V are stored as (xi, v) coordinate pairs.  The
 index of q is estimated from the rank of the Kirillov form at random integer
-points, by the skew elimination ``linalg.skew_rank`` (the rank is always
-even, and two disjoint sample batches must agree for the estimate to count
-as stabilised).  V* is abelian, so each form is zero on V* x V*: only its
-dim g rows are eliminated, with pivots taken in V* first; a batch stops at
-a proved maximal rank (Rais' formula).  The estimators read their seed,
-sample count and bound from a ``poly.CheckContext``, as every sampled row
-does.
+points, each ranked by ``kirillov_rank``, the skew elimination
+``linalg.skew_rank`` (the rank is always even, and two disjoint sample
+batches must agree for the estimate to count as stabilised).  V* is
+abelian, so each form is zero on V* x V*: only its dim g rows are
+eliminated, with pivots taken in V* first; a batch stops at a proved
+maximal rank (Rais' formula).  The estimators read their seed, sample
+count and bound from a ``poly.CheckContext``, as every sampled row does.
 """
 
 from __future__ import annotations
@@ -93,11 +93,9 @@ def kirillov_form(lie: LieAlgebra, eta_combined: Sequence) -> Matrix:
     return m
 
 
-def kirillov_rank(q: SemidirectProduct, eta: DualPoint) -> int:
-    r = skew_rank(kirillov_form(q.lie, eta.combined()))
-    if r % 2:
-        raise AssertionError("Kirillov form rank must be even")
-    return r
+def kirillov_rank(lie: LieAlgebra, eta_combined: Sequence) -> int:
+    """The rank of ``kirillov_form(lie, eta_combined)``, by ``skew_rank``."""
+    return skew_rank(kirillov_form(lie, eta_combined))
 
 
 @dataclass
@@ -129,7 +127,7 @@ def index_estimate(
         draw = ctx.draw(lie.dim, "kirillov", "batch%d" % batch)
         for _ in range(per_batch):
             eta = draw()
-            r = skew_rank(kirillov_form(lie, eta))
+            r = kirillov_rank(lie, eta)
             ranks.append((eta, r))
             best[batch] = max(best[batch], r)
             if bound is not None and r >= bound:

@@ -469,6 +469,36 @@ def test_manifest_check_lines_match_fresh_constructions():
         assert exp.quotient_dim == line.values["quotient_dim"], line.target
 
 
+def test_manifest_records_follow_the_schema():
+    """Each record is a ``check`` of an entry or a ``table`` of a row with a
+    module, at that target's own parameters, with the documented value keys
+    and types.  No two records share (kind, target, params), and every entry
+    and every module row has a record at its defaults."""
+    params = {("check", e.id): e.resolve() for e in all_entries()}
+    params.update({("table", r.id): r.module_spec.default_params
+                   for r in all_rows() if r.module_spec is not None})
+    required = {"check": {"dim_v", "l", "q", "degrees", "audit", "quotient_dim"},
+                "table": {"dim_v", "gs"}}
+    optional = {"check": set(), "table": {"quotient_dim"}}
+    keys = []
+    for line in load_manifest():
+        assert (line.kind, line.target) in params, line
+        assert {k for k, _ in line.params} == set(params[line.kind, line.target]), line
+        assert all(type(v) is int for _, v in line.params), line
+        assert required[line.kind] <= set(line.values) <= required[line.kind] | optional[line.kind], line
+        for key, value in line.values.items():
+            if key == "degrees":
+                assert type(value) is tuple and all(type(d) is int for d in value), line
+            elif key == "audit":
+                assert value in ("equality", "surplus"), line
+            else:
+                assert type(value) is int, line
+        keys.append((line.kind, line.target, line.params))
+    assert len(keys) == len(set(keys)) == 38
+    defaults = {(kind, target, tuple(sorted(p.items()))) for (kind, target), p in params.items()}
+    assert defaults <= set(keys)
+
+
 def test_find_line_round_trip():
     line = find_line("check", "ex6.3/iii", {"m": 2})
     assert line is not None

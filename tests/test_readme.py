@@ -5,19 +5,25 @@ README's "Command line" block are read from the file and run through
 ``cli.main``, with ``--out`` sent to a temporary directory.  Each must exit
 0 without raising, so a documented example cannot crash unnoticed.  The
 full-suite and ``--m 2`` lines are covered, with their reports, by
-``test_acceptance_09`` and ``test_acceptance_06``.
+``test_acceptance_09`` and ``test_acceptance_06``.  The ```python block of
+the "Library" section runs in a fresh interpreter with ``src`` on the path,
+and must exit 0 too.
 """
 
 from __future__ import annotations
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from semicov import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _command_lines() -> list[list[str]]:
@@ -40,3 +46,12 @@ def test_readme_command_line_exits_0(argv, tmp_path, capsys):
         argv = argv[:i] + [str(tmp_path / argv[i])] + argv[i + 1 :]
     assert cli.main(argv) == 0
     capsys.readouterr()
+
+
+def test_readme_python_block_exits_0(tmp_path):
+    code = README.read_text().split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert "index_estimate" in code
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "semicov"
-GATE = 5437
+GATE = 5393
 
 
 def test_src_lines_within_gate():

@@ -23,6 +23,8 @@ Covered here:
   tests/test_entry_slice.py count the rest of the work); the rais row
   reuses the index_stabilized estimate, takes ind g_x = dim g_x for an
   abelian g_x and passes --bound to the estimate of a non-abelian one;
+  every index estimate ranks its Kirillov forms through
+  semidirect.kirillov_rank;
 * RunConfig settles the targets once (canonical ids, each once, the
   default suite when none is named) and rejects an override no entry
   target takes, table rows keeping their pinned parameters; run_suite
@@ -181,10 +183,17 @@ def test_table_row_ranks_each_point_once(monkeypatch, record):
     assert calls["linalg.rank"] == [] and shapes == [(15, 13)] * cfg.samples
 
 
+def _zero_point_sample(rep, ctx, *labels):
+    """A stand-in for ``lie.stabiliser_sample`` holding only the zero point
+    of ``rep``: on the adjoint sl2 module g_x = sl2, which is not abelian."""
+    from semicov.lie import StabiliserSample, stabiliser
+
+    return StabiliserSample(rep, [0] * rep.dim_v, stabiliser(rep, [0] * rep.dim_v))
+
+
 @pytest.mark.parametrize("bound", [5, 10])
 def test_rais_row_reuses_index_and_honours_bound(monkeypatch, record, bound):
     import semicov.verify as verify
-    from semicov.lie import StabiliserSample, stabiliser
 
     calls = record("semidirect.index_estimate")["semidirect.index_estimate"]
     report = run_entry("ex5.2", RunConfig(bound=bound))
@@ -195,12 +204,8 @@ def test_rais_row_reuses_index_and_honours_bound(monkeypatch, record, bound):
     # index is its dimension and is not estimated
     assert [c.args[1].bound for c in calls] == [bound]
 
-    # a sample holding only the zero point of the adjoint sl2 module: g_x = sl2
-    def zero_point(rep, ctx, *labels):
-        return StabiliserSample(rep, [0] * rep.dim_v, stabiliser(rep, [0] * rep.dim_v))
-
     calls.clear()
-    monkeypatch.setattr(verify, "stabiliser_sample", zero_point)
+    monkeypatch.setattr(verify, "stabiliser_sample", _zero_point_sample)
     rows = _checks_by_name(run_entry("ex-adjoint", RunConfig(overrides=(("n", 2),), bound=bound)))
     # ind q, then the index of the 3-dimensional non-abelian stabiliser
     assert [(c.args[0].dim, c.args[1].bound) for c in calls] == [(6, bound), (3, bound)]
@@ -227,6 +232,22 @@ def test_kirillov_even_reads_the_index_sample(record, samples):
     dim_q = max(n for n, _ in ranked)
     forms = [r for n, r in ranked if n == dim_q]
     assert len(forms) == 2 and all(r % 2 == 0 for r in forms)
+
+
+def test_every_kirillov_form_is_ranked_by_kirillov_rank(monkeypatch, record):
+    """``semidirect.kirillov_rank`` is the one path to ``skew_rank``: each
+    index estimate ranks each of its points through it, once, the estimate
+    of a non-abelian g_x in ``rais_consistency`` included."""
+    import semicov.verify as verify
+
+    calls = record("semidirect.kirillov_rank", "linalg.skew_rank", "semidirect.index_estimate")
+    run_entry("ex6.1", RunConfig(overrides=(("n", 4),)))
+    monkeypatch.setattr(verify, "stabiliser_sample", _zero_point_sample)
+    run_entry("ex-adjoint", RunConfig(overrides=(("n", 2),)))
+    estimates = calls["semidirect.index_estimate"]
+    assert [c.args[0].dim for c in estimates] == [31, 6, 3]  # ind q twice, then ind sl2
+    ranked = sum(len(c.result.ranks) for c in estimates)
+    assert len(calls["semidirect.kirillov_rank"]) == len(calls["linalg.skew_rank"]) == ranked > 0
 
 
 def test_samples_and_bound_reach_every_sampled_row(record):
