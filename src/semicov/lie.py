@@ -31,11 +31,13 @@ from .linalg import (
     SpanSolver,
     block_diag,
     int_rows,
+    nonzeros,
     normalize_scalar,
     product_rank_mod_p,
     rank,
     rank_and_kernel,
     solve_all,
+    sparse_dot,
 )
 from .poly import CheckContext
 
@@ -141,9 +143,8 @@ class LieAlgebra:
     def bracket_coords(self, x: Sequence, y: Sequence) -> list:
         """[x, y] for coordinate vectors x, y."""
         out = [0] * self.dim
-        nz_x = [(a, xa) for a, xa in enumerate(x) if xa != 0]
-        nz_y = [(b, yb) for b, yb in enumerate(y) if yb != 0]
-        for a, xa in nz_x:
+        nz_y = nonzeros(y)
+        for a, xa in nonzeros(x):
             for b, yb in nz_y:
                 entry = self.bracket_basis(a, b)
                 for c, v in entry.items():
@@ -277,6 +278,8 @@ def _nonzero_rows(cells, n: int) -> list:
     rows and entries sorted by index.  ``cells`` is the Matrix itself, or
     its (i, j, x) triples with each (i, j) at most once."""
     if isinstance(cells, Matrix):
+        if cells.nrows <= n and cells.ncols <= n:
+            return [(i, nz) for i, nz in enumerate(map(nonzeros, cells.rows)) if nz]
         cells = ((i, j, x) for i, r in enumerate(cells.rows) for j, x in enumerate(r))
     rows: dict = {}
     for i, j, x in cells:
@@ -284,7 +287,7 @@ def _nonzero_rows(cells, n: int) -> list:
             raise ValueError("cell (%d, %d) outside a %d x %d action" % (i, j, n, n))
         if x != 0:
             rows.setdefault(i, []).append((j, x))
-    return [(i, sorted(rows[i], key=lambda e: e[0])) for i in sorted(rows)]
+    return [(i, sorted(rows[i])) for i in sorted(rows)]
 
 
 @functools.cache
@@ -410,21 +413,11 @@ class Representation:
         """The nonzero entries of rho_a as (i, j, entry) triples."""
         return [(i, j, x) for i, row in self.nonzero_rows[a] for j, x in row]
 
-    def _row_values(self, a: int, v: Sequence):
-        """(i, (rho_a v)_i) over the nonzero rows i of rho_a."""
-        for i, row in self.nonzero_rows[a]:
-            acc = 0
-            for j, m in row:
-                b = v[j]
-                if b != 0:
-                    acc = acc + m * b
-            yield i, acc
-
     def act_basis(self, a: int, v: Sequence) -> list:
         """rho_a(v), the same values as ``self.action[a].apply(v)``."""
         out = [0] * self.dim_v
-        for i, w in self._row_values(a, v):
-            out[i] = w
+        for i, row in self.nonzero_rows[a]:
+            out[i] = sparse_dot(v, row)
         return out
 
     def act(self, x: Sequence, v: Sequence) -> list:
@@ -432,8 +425,8 @@ class Representation:
         for a, xa in enumerate(x):
             if xa == 0:
                 continue
-            for i, w in self._row_values(a, v):
-                out[i] = out[i] + xa * w
+            for i, row in self.nonzero_rows[a]:
+                out[i] = out[i] + xa * sparse_dot(v, row)
         return [normalize_scalar(o) for o in out]
 
 
@@ -605,7 +598,7 @@ def fixed_slice_is_dense(r: Representation, v1: Sequence, t: Subspace) -> bool:
                 fixed[k * dv + i][j] += xa * m
     fixed = [row for row in int_rows(fixed)[0] if any(row)]
     orbit = int_rows([r.act_basis(a, v1) for a in range(dg)])[0]  # the columns of M
-    left = [[(j, x) for j, x in enumerate(row) if x] for row in fixed]
+    left = [nonzeros(row) for row in fixed]
     return product_rank_mod_p(left, list(zip(*orbit))) == rank(Matrix(fixed))
 
 

@@ -16,7 +16,10 @@ read one memoised minor table, ``_minors``; ``char_poly`` is
 Faddeev-LeVerrier.  ``product_rank_mod_p`` ranks L R modulo a word-size
 prime on packed rows, a lower bound on the rank over Q.  ``power`` is the
 one repeated-squaring loop and ``block_diag`` the one block-diagonal
-assembly.
+assembly.  A matrix product scans each column for its nonzeros once
+(``nonzeros``); ``sparse_dot`` adds r_i c_i over them in ascending i, so a
+polynomial entry keeps its term order.  ``int_rows`` copies a row with no
+Fraction as it is.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def normalize_scalar(x):
@@ -123,8 +126,11 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            ocols = list(zip(*other.rows)) if other.rows else []
-            return Matrix([[_dot(r, c) for c in ocols] for r in self.rows])
+            cols = [nonzeros(c) for c in zip(*other.rows)]
+            out = Matrix.__new__(Matrix)
+            out.rows = [[sparse_dot(r, nz) for nz in cols] for r in self.rows]
+            out.nrows, out.ncols = self.nrows, len(cols) if self.rows else 0
+            return out
         return Matrix([[a * other for a in r] for r in self.rows])
 
     def __rmul__(self, other):
@@ -139,7 +145,8 @@ class Matrix:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [_dot(r, vec) for r in self.rows]
+        nz = nonzeros(vec)
+        return [sparse_dot(r, nz) for r in self.rows]
 
     def transpose(self) -> "Matrix":
         return Matrix([list(c) for c in zip(*self.rows)]) if self.rows else Matrix([])
@@ -156,7 +163,7 @@ class Matrix:
         """tr(self * other) from the entries, without forming the product."""
         if self.nrows != other.ncols or self.ncols != other.nrows:
             raise ValueError("shape mismatch in trace of product")
-        return sum(_dot(row, col) for row, col in zip(self.rows, zip(*other.rows)))
+        return sum(sparse_dot(row, nonzeros(col)) for row, col in zip(self.rows, zip(*other.rows)))
 
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "Matrix":
         return Matrix([[self.rows[i][j] for j in keep_cols] for i in keep_rows])
@@ -175,13 +182,22 @@ class Matrix:
         return "Matrix(%r)" % (self.rows,)
 
 
-def _dot(r: Sequence, c: Sequence):
-    """sum r_i c_i over the pairs with both entries nonzero (any ring)."""
-    acc = 0
-    for a, b in zip(r, c):
-        if a != 0 and b != 0:
-            acc = acc + a * b
-    return acc
+def nonzeros(c: Sequence) -> list:
+    """The (i, c_i) with c_i nonzero, ascending i: a column scanned once."""
+    return [(i, b) for i, b in enumerate(c) if b != 0]
+
+
+def sparse_dot(r: Sequence, nz: Iterable):
+    """sum r_i c_i over the pairs (i, c_i) of nz with r_i nonzero, in their
+    order; int 0 if there are none.  The sum starts at the first product,
+    equal in value and type to int 0 plus it in every ring used here (int,
+    Fraction, MultiPoly, dual numbers)."""
+    acc = None
+    for i, b in nz:
+        a = r[i]
+        if a != 0:
+            acc = a * b if acc is None else acc + a * b
+    return 0 if acc is None else acc
 
 
 def power(x, e: int, one):
@@ -216,7 +232,8 @@ def block_diag(blocks: Sequence[Matrix | None], sizes: Sequence[int] | None = No
 
 
 def int_rows(rows):
-    """Scale each row by the lcm of its denominators so all entries are ints.
+    """Scale each row by the lcm of its denominators so all entries are ints;
+    a row with no Fraction is copied as it is.
 
     A scaled row has the same reduced echelon form.  Also returns the product
     of the scales, which a determinant divides back out.
@@ -224,6 +241,9 @@ def int_rows(rows):
     out = []
     scale = 1
     for r in rows:
+        if Fraction not in map(type, r):
+            out.append(list(r))
+            continue
         lcm = math.lcm(*[a.denominator for a in r if type(a) is Fraction])
         out.append([a.numerator * (lcm // a.denominator) if type(a) is Fraction else a * lcm
                     for a in r])
@@ -274,7 +294,7 @@ def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> l
             if factors is not None:
                 factors.append((-1, 1))
         rr = rows[r]
-        p = rr[c]
+        p, tail = rr[c], rr[c:]
         for i in range(nrows) if full else range(r + 1, nrows):
             ri = rows[i]
             x = ri[c]
@@ -283,7 +303,7 @@ def _eliminate(rows: list[list[int]], ncols: int, full: bool, factors=None) -> l
             start = pivots[i] if i < r else c
             g0 = math.gcd(p, x)
             pg, xg = p // g0, x // g0
-            new = [pg * a - xg * b for a, b in zip(ri[start:], rr[start:])]
+            new = [pg * a - xg * b for a, b in zip(ri[start:], tail if i > r else rr[start:])]
             g = math.gcd(*new)
             if g > 1:
                 new = [a // g for a in new]
@@ -468,9 +488,7 @@ class SpanSolver:
         self.transform = [row[self.m :] for row in rows]  # reduced = transform @ basis
         # Nonzeros only: column j of transform, and each basis vector off the
         # pivots.  At a pivot the residual below vanishes by construction.
-        self._tcols = [
-            [(i, t[j]) for i, t in enumerate(self.transform) if t[j] != 0] for j in range(self.k)
-        ]
+        self._tcols = [nonzeros(c) for c in zip(*self.transform)]
         on_pivot = set(self.pivots)
         self._free = [i for i in range(self.m) if i not in on_pivot]
         self._off_pivot = [

@@ -20,6 +20,8 @@ Every derivative is one kernel, sum_j d_j(p) field_j along a vector field
 of polynomials or scalars (linear x.v, polynomial phi(F), constant e_i for
 ``partial(i)``): ``partials_table(p)`` once per polynomial, ``field_moves``
 once per field, and ``derivative_along``, one int add per pair of terms.
+``evaluate`` forms each monomial in the point's ring, then multiplies it by
+its coefficient once.
 
 Every identity check (``poly_is_zero``, the ``covariants`` checks and the
 catalog's extra rows) runs through ``identity_check``, which decides it
@@ -275,11 +277,11 @@ class MultiPoly:
             raise ValueError("point of wrong length")
         acc = 0
         for e, c in self.packed.items():
-            t = c
+            m = 1
             for x, k in zip(point, unpack(e, self.num_vars)):
                 if k:
-                    t = t * x**k
-            acc = acc + t
+                    m = m * (x if k == 1 else x**k)
+            acc = acc + c * m
         return normalize_scalar(acc)
 
     def substitute(self, images: Sequence, num_vars_out: int) -> "MultiPoly":

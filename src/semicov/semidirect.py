@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lie import LieAlgebra, Representation, Subspace, subalgebra
-from .linalg import Matrix, normalize_scalar, rank, skew_rank  # noqa: F401 (rank: re-export)
+from .linalg import Matrix, nonzeros, normalize_scalar, rank, skew_rank, sparse_dot  # noqa: F401 (rank: re-export)
 from .poly import CheckContext
 
 
@@ -57,15 +57,7 @@ class SemidirectProduct:
 
 def moment_map(q: SemidirectProduct, v: Sequence, zeta: Sequence) -> list:
     """mu(v, zeta) in g*: a |-> <zeta, a . v>."""
-    out = []
-    for a in range(q.dim_g):
-        av = q.rep.act_basis(a, v)
-        acc = 0
-        for z, w in zip(zeta, av):
-            if z != 0 and w != 0:
-                acc = acc + z * w
-        out.append(normalize_scalar(acc))
-    return out
+    return [normalize_scalar(sparse_dot(zeta, nonzeros(q.rep.act_basis(a, v)))) for a in range(q.dim_g)]
 
 
 def coadjoint_unipotent(q: SemidirectProduct, zeta: Sequence, eta: DualPoint) -> DualPoint:
@@ -81,12 +73,7 @@ def kirillov_form(lie: LieAlgebra, eta_combined: Sequence) -> Matrix:
     n = lie.dim
     m = Matrix.zeros(n, n)
     for (a, b), entry in lie.brackets.items():
-        acc = 0
-        for c, coeff in entry.items():
-            e = eta_combined[c]
-            if e != 0 and coeff != 0:
-                acc = acc + coeff * e
-        acc = normalize_scalar(acc)
+        acc = normalize_scalar(sparse_dot(eta_combined, entry.items()))
         if acc != 0:
             m.rows[a][b] = acc
             m.rows[b][a] = -acc

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from linalg_oracles import kernel as oracle_kernel, rank_mod_p as oracle_rank_mod_p, rref as oracle_rref
 from semicov.catalog import all_rows, build_construction, get_entry, get_row
+from semicov.covariants import _Dual
 from semicov.lie import action_matrix_at, default_skew, so, sp, stabiliser_sample
 from semicov.linalg import (
     inverse,
@@ -393,6 +394,109 @@ def test_trace_product_from_entries():
     assert Matrix.zeros(2, 2).trace_product(Matrix.identity(2)) == 0
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3).trace_product(Matrix.zeros(2, 3))
+
+
+def _typed(x):
+    """A value with its type, a polynomial's terms in their stored order and
+    a dual number's two parts."""
+    if isinstance(x, MultiPoly):
+        return "poly", [(k, type(c), c) for k, c in x.packed.items()]
+    if isinstance(x, _Dual):
+        return "dual", _typed(x.a), _typed(x.b)
+    return type(x), x
+
+
+def _naive_product(x: Matrix, y: Matrix) -> list:
+    """Row i by column j, a triple loop over k ascending that adds a * b from
+    int 0 where both factors are nonzero."""
+    out = []
+    for i in range(x.nrows):
+        row = []
+        for j in range(y.ncols):
+            acc = 0
+            for k in range(x.ncols):
+                a, b = x.rows[i][k], y.rows[k][j]
+                if a != 0 and b != 0:
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_product_matches_a_naive_triple_loop():
+    """Matrix products, and matrix-vector products, equal the triple loop entry
+    by entry with types: ints, Fractions, polynomials (same term order) and
+    dual numbers; zero rows and columns, non-square shapes, 1 x 1 and empty
+    sides.  The product shares no row with its factors."""
+    rng = random.Random(35)
+    xs = MultiPoly.variables(3)
+    cells = {
+        "int": [0, 0, 1, -1, 2, 7],
+        "fraction": [0, 0, 3, Fraction(-2, 3), Fraction(5, 4)],
+        "poly": [0, 0, 2, Fraction(1, 3), xs[0], xs[1] * xs[2] - Fraction(1, 2), xs[2] ** 2 + xs[0]],
+        "dual": [0, 0, -2, Fraction(1, 2), _Dual(3, -1), _Dual(Fraction(2, 3), 5), _Dual(0, 1)],
+    }
+    shapes = [(1, 1, 1), (2, 3, 4), (4, 1, 3), (3, 3, 3), (1, 5, 1), (5, 2, 1)]
+    for kind, cell in cells.items():
+        for n, k, m in shapes:
+            for _ in range(4):
+                x = Matrix([[rng.choice(cell) for _ in range(k)] for _ in range(n)])
+                y = Matrix([[rng.choice(cell) for _ in range(m)] for _ in range(k)])
+                x.rows[rng.randrange(n)] = [0] * k
+                for row in y.rows:
+                    row[rng.randrange(m)] = 0
+                before = [list(r) for r in x.rows], [list(r) for r in y.rows]
+                got, want = x * y, _naive_product(x, y)
+                assert (got.nrows, got.ncols) == (n, m), kind
+                assert [[_typed(a) for a in r] for r in got.rows] == [[_typed(a) for a in r] for r in want]
+                for j in range(m):
+                    col = [r[j] for r in y.rows]
+                    assert [_typed(a) for a in x.apply(col)] == [_typed(r[j]) for r in want]
+                for r in got.rows:
+                    r[:] = ["mutated"] * m
+                assert ([list(r) for r in x.rows], [list(r) for r in y.rows]) == before
+    for x, y, shape in ((Matrix([[], []]), Matrix([]), (2, 0)), (Matrix([]), Matrix([]), (0, 0))):
+        got = x * y
+        assert (got.nrows, got.ncols, got.rows) == shape + ([[]] * shape[0],)
+
+
+_ALIAS_CASES = {
+    "int": [[2, 4, -6, 1], [1, 0, 3, 0], [3, 4, -3, 1]],
+    "mixed": [[Fraction(1, 2), 4, -6, 1], [1, 0, 3, 0], [Fraction(3, 2), 4, Fraction(-3, 1), 1]],
+    "fraction": [[Fraction(1, 2), Fraction(4, 3), Fraction(-6, 5), Fraction(1, 3)],
+                 [Fraction(1, 3), Fraction(0), Fraction(3, 7), Fraction(0)],
+                 [Fraction(5, 6), Fraction(4, 3), Fraction(3, 35), Fraction(1, 3)]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ALIAS_CASES))
+def test_int_rows_and_eliminations_leave_the_caller_rows(kind):
+    """int_rows returns fresh rows with the values and scale of scaling every
+    row by its lcm; rank, rank_and_kernel and scalar det, which eliminate in
+    place, leave the caller's rows as they were (wide, tall and square)."""
+    sympy = pytest.importorskip("sympy")
+    rows = _ALIAS_CASES[kind]
+    want, scale = [], 1
+    for r in rows:
+        lcm = math.lcm(*[a.denominator for a in r if type(a) is Fraction])
+        want.append([a.numerator * (lcm // a.denominator) if type(a) is Fraction else a * lcm for a in r])
+        scale *= lcm
+    got, got_scale = int_rows(rows)
+    assert got == want and got_scale == scale
+    assert all(type(a) is int for r in got for a in r)
+    assert not any(g is r for g, r in zip(got, rows))
+    for r in got:
+        r[0] = "mutated"
+    assert rows == _ALIAS_CASES[kind] and rows[0][0] != "mutated"
+    for m in (Matrix(rows), Matrix(rows).transpose(), Matrix([r[:3] for r in rows])):
+        before = [[(type(a), a) for a in r] for r in m.rows]
+        ids = [id(r) for r in m.rows]
+        assert rank(m) == sympy.Matrix(m.rows).rank()
+        assert rank_and_kernel(m)[0] == rank(m)
+        if m.nrows == m.ncols:
+            assert det(m) == sympy.Matrix(m.rows).det()
+        assert [[(type(a), a) for a in r] for r in m.rows] == before
+        assert [id(r) for r in m.rows] == ids
 
 
 # Normalised scalars, as the library builds them: ints, and Fractions only

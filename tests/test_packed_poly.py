@@ -18,6 +18,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from poly_oracles import TuplePoly
+from semicov.covariants import _Dual
 from semicov.poly import FIELD_MASK, MultiPoly, pack, unpack
 
 coeffs = st.one_of(
@@ -45,6 +46,11 @@ def to_sympy(p, syms) -> sympy.Poly:
         sympy.Integer(0),
     )
     return sympy.Poly(expr, *syms, domain="QQ")
+
+
+def _typed(x):
+    """A scalar with its type, or a dual number's two parts with theirs."""
+    return (_typed(x.a), _typed(x.b)) if isinstance(x, _Dual) else (type(x), x)
 
 
 def same(p: MultiPoly, oracle: TuplePoly) -> bool:
@@ -94,6 +100,13 @@ def test_queries_and_calculus_match_oracle_and_sympy(data, draw):
     value = p.evaluate(point)
     assert type(value) is type(o.evaluate(point)) and value == o.evaluate(point)
     assert value == sp.eval(dict(zip(syms, [sympy.Rational(x.numerator, x.denominator) for x in point])))
+    # Fraction coefficients at int, Fraction and dual-number points: the value
+    # and its types are the oracle's term-by-term evaluation
+    eps = draw.draw(st.lists(coeffs, min_size=n, max_size=n))
+    ints, fracs = [int(x) for x in point], [Fraction(x) + Fraction(1, 7) for x in point]
+    for q, oq in ((p, o), (p * Fraction(2, 3), o * Fraction(2, 3))):
+        for at in (ints, fracs, [_Dual(x, e) for x, e in zip(point, eps)]):
+            assert _typed(q.evaluate(at)) == _typed(oq.evaluate(at))
     got, want = p.coefficients_in_last_var(), o.coefficients_in_last_var()
     assert len(got) == len(want) and all(same(g, w) for g, w in zip(got, want))
 
