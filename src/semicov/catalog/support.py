@@ -1,10 +1,10 @@
 """Shared builders for catalog constructions.
 
 Every module of the catalog is a tuple of matrix slots acted on by
-multiplication.  ``MatrixPairModule`` lays out the slots' coordinates and
-reads the action entries off one call of the (linear) matrix-level action
-per basis element, on the slots of the coordinate variables; covariants
-become matrix formulas over the same coordinate ring.  A slot is one of
+multiplication.  ``MatrixPairModule`` reads rho off one call of the action,
+bilinear in the acting matrix and the slots, on S = sum_a y_a e_a and the
+slots of the coordinate variables x: rho_a[i, j] is the coefficient of y_a
+x_j in image entry i.  Covariants are matrix formulas in x.  A slot is one of
 
 * ``(rows, cols)``: a full matrix, coordinates its row-major entries;
 * ``(SYM, n)``: a symmetric n x n matrix, coordinates the upper triangle
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ..lie import LieAlgebra, Representation, stabiliser_sample
-from ..linalg import Matrix
+from ..linalg import Matrix, nonzeros
 from ..linalg import rank  # noqa: F401 (re-export; the benchmark's tracer patches it)
 from ..poly import CheckContext, MultiPoly
 
@@ -80,13 +80,12 @@ def _slot(shape) -> tuple[int, int, int, list[tuple[int, int]]]:
 
 class MatrixPairModule:
     """Module of a tuple of matrix slots (module docstring) acted on by
-    ``fields``: a callable (s, mats) -> list of image matrices, where s is the
-    acting basis matrix of the algebra.  Each image must again lie in its
-    slot's kind, and be linear in the slots.  ``decode`` and ``encode``
-    convert between coordinates, in any ring, and the slot matrices.
-
-    One call per basis element on the slots of the variables x gives rho:
-    image entry i is sum_j rho[i, j] x_j; one not linear in x raises ValueError.
+    ``fields``: a callable (s, mats) -> list of image matrices, bilinear in
+    s, an element of the algebra as a matrix, and the slots; each image lies
+    again in its slot's kind.  One call, in the ring of y and x, gives rho
+    (module docstring); a term other than c y_a x_j raises ValueError.
+    ``decode`` and ``encode`` convert between coordinates, in any ring, and
+    the slot matrices.
     """
 
     def __init__(
@@ -98,12 +97,19 @@ class MatrixPairModule:
     ):
         self._slots = [_slot(shape) for shape in shapes]
         self.dim_v = sum(len(cells) for *_, cells in self._slots)
-        slots = self.decode(MultiPoly.variables(self.dim_v))
-        cells = [
-            [(i, j, c) for i, e in enumerate(self.encode(fields(s, slots))) for j, c in _linear_terms(e)]
-            for s in algebra.basis
-        ]
-        self.rep = Representation(algebra, cells=cells, dim_v=self.dim_v, label=label)
+        dg, n = algebra.dim, algebra.dim + self.dim_v
+        s = Matrix.zeros(algebra.matrix_size, algebra.matrix_size)  # S = sum_a y_a e_a
+        for m, y in zip(algebra.basis, MultiPoly.variables(n)):
+            for i, r in enumerate(m.rows):
+                for k, x in nonzeros(r):
+                    s.rows[i][k] = s.rows[i][k] + y * x
+        rows: list = [[] for _ in range(dg)]  # rho_a's nonzero rows, i ascending
+        for i, e in enumerate(self.encode(fields(s, self.decode(MultiPoly.variables(n)[dg:])))):
+            for a, j, c in (MultiPoly.zero(n) + e).bilinear_terms(dg):  # a scalar e as a polynomial
+                if not rows[a] or rows[a][-1][0] != i:
+                    rows[a].append((i, []))
+                rows[a][-1][1].append((j, c))
+        self.rep = Representation(algebra, rows, self.dim_v, label=label)
 
     def decode(self, coords: Sequence) -> list[Matrix]:
         out = []
@@ -120,15 +126,6 @@ class MatrixPairModule:
 
     def encode(self, mats: Sequence[Matrix]) -> list:
         return [m.rows[i][j] for m, (*_, cells) in zip(mats, self._slots) for i, j in cells]
-
-
-def _linear_terms(e) -> list:
-    """(j, c) for the terms c x_j of an image entry: 0, or linear in x."""
-    if isinstance(e, MultiPoly) and e.is_homogeneous(1):
-        return [(t.index(1), c) for t, c in e.terms.items()]
-    if e == 0:
-        return []
-    raise ValueError("fields must be linear in the slots; got image entry %s" % e)
 
 
 def quotient_dim_estimate(rep: Representation, ctx: CheckContext = CheckContext()) -> int:

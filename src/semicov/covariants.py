@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .lie import Representation, Subspace
+from .lie import Representation
 from .linalg import Matrix, normalize_scalar, power, rank, solve
 from .poly import (  # noqa: F401 (re-export)
     CheckContext, MultiPoly, ZeroCheck, check_degree, derivative_along, field_moves, identity_check,
@@ -478,20 +478,18 @@ class KernelSpanReport:
     spans_generically: bool
 
 
-def kernel_span_check(
-    family: Sequence[Covariant], sample: Sequence[tuple[list, Subspace]]
-) -> KernelSpanReport:
-    """At each (v, g_v) pair of ``sample`` (as drawn by
-    ``lie.stabiliser_sample``): every F_i(v) lies in g_v, F_i(v).v = 0, and
-    at points where g_v has its generic (minimal sampled) dimension the
-    values span it."""
+def kernel_span_check(family: Sequence[Covariant], sample: Sequence[tuple[list, int]]) -> KernelSpanReport:
+    """At each (v, d) of ``sample``, points of ``lie.stabiliser_sample`` with
+    d = dim g_v (or a lower bound for it): every F_i(v) lies in g_v, i.e.
+    F_i(v).v = 0, and at the points of least d the values have rank d, so
+    span g_v where it has the generic dimension."""
     samples, witness = [], None
-    for v, stab in sample:
+    for v, dim in sample:
         vals = values_matrix_at(family, v)
         for j, F in enumerate(family):
             if witness is None and any(F.rep.act(vals.col(j), v)):
                 witness = (F.name, v)
-        samples.append((stab.dim, rank(vals)))
+        samples.append((dim, rank(vals)))
     generic = min(d for d, _ in samples)
     spans = all(r == d for d, r in samples if d == generic)
     return KernelSpanReport(witness is None, witness, samples, generic, spans)
@@ -695,19 +693,26 @@ def invariant_check(
     """Check that a polynomial on V is an algebra invariant.
 
     The derivative of the polynomial along each basis vector field
-    v -> x.v must vanish: exactly termwise, or at sampled points via
-    dual-number evaluation along the field direction.
+    v -> x.v must vanish: exactly termwise, along Lie generators of g when
+    rep is a representation (the jacobi row proves it of every catalog
+    module), or at sampled points via dual-number evaluation.
     """
-    nv = rep.dim_v
+    nv, dg = rep.dim_v, rep.algebra.dim
     deg = poly.degree()
 
     def polys():
         table, vs = partials_table(poly), MultiPoly.variables(nv)
-        for a in range(rep.algebra.dim):
-            yield None, derivative_along(table, field_moves(rep.act_basis(a, vs)))
+
+        def along(a):
+            return derivative_along(table, field_moves(rep.act_basis(a, vs)))
+
+        # the directions that kill poly form a subalgebra, so Lie generators
+        # of g decide; a failure scans every direction for the first witness
+        if any(not along(a).is_zero() for a in rep.algebra.generating_subset(range(dg))):
+            yield from ((None, along(a)) for a in range(dg))
 
     def residual(v):
-        for a in range(rep.algebra.dim):
+        for a in range(dg):
             val = poly.evaluate(_dual_point(v, rep.act_basis(a, v)))
             d = val.b if isinstance(val, _Dual) else 0
             if d != 0:

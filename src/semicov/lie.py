@@ -11,11 +11,12 @@ certifies, by exact bracket closure and with no cache, a set of basis
 elements that generates the subalgebra they span, trying the algebra's seeds
 first (on sl_n the n root vectors E_(i,i+1) and E_(n,1), which a product
 keeps per factor).
-A representation stores only the nonzero entries of its action matrices,
-and every builder writes those entries directly.  ``stabiliser_sample``,
-the one sampler of generic stabilisers (entries and table rows), proves t =
-g_v1 generic by ``fixed_slice_is_dense`` at v1 itself (one exact rank of
-rho(t), one modular rank) and draws the other points only when read.
+A representation stores only the sorted nonzero rows of its action
+matrices; each builder writes them directly, a derived module from its operand's.
+``stabiliser_sample``, the one sampler of generic stabilisers (entries and
+table rows), proves t = g_v1 generic by ``fixed_slice_is_dense`` at v1
+itself (one exact rank of rho(t), one modular rank, on the orbit columns
+that gave t) and draws the other points only when read.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class LieAlgebra:
         size = mats[0].nrows if mats else 0
         solver = SpanSolver([m.vec() for m in mats]) if mats else None
         # nonzero entries of each basis matrix, by row and as (i, j, value)
-        by_row = [dict(_nonzero_rows(m, size)) for m in mats]
+        by_row = [dict(_matrix_rows(m)) for m in mats]
         entries = [[(i, j, x) for i, r in rows.items() for j, x in r] for rows in by_row]
         brackets: dict = {}
         for a in range(dim):
@@ -273,21 +274,17 @@ class LieAlgebra:
         return range(f.basis_offset, f.basis_offset + f.algebra.dim)
 
 
-def _nonzero_rows(cells, n: int) -> list:
-    """The nonzero entries of an n x n matrix as rows (i, [(j, x), ...]),
-    rows and entries sorted by index.  ``cells`` is the Matrix itself, or
-    its (i, j, x) triples with each (i, j) at most once."""
-    if isinstance(cells, Matrix):
-        if cells.nrows <= n and cells.ncols <= n:
-            return [(i, nz) for i, nz in enumerate(map(nonzeros, cells.rows)) if nz]
-        cells = ((i, j, x) for i, r in enumerate(cells.rows) for j, x in enumerate(r))
+def _matrix_rows(m: Matrix) -> list:
+    """The nonzero rows of m, as ``Representation`` stores them."""
+    return [(i, nz) for i, nz in enumerate(map(nonzeros, m.rows)) if nz]
+
+
+def _by_row(cells) -> list:
+    """Sorted rows of nonzero (i, j, x) cells, ascending j for each i."""
     rows: dict = {}
     for i, j, x in cells:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError("cell (%d, %d) outside a %d x %d action" % (i, j, n, n))
-        if x != 0:
-            rows.setdefault(i, []).append((j, x))
-    return [(i, sorted(rows[i])) for i in sorted(rows)]
+        rows.setdefault(i, []).append((j, x))
+    return sorted(rows.items())
 
 
 @functools.cache
@@ -384,19 +381,18 @@ def product(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
 class Representation:
     """A module of ``algebra`` on V = Q^dim_v, stored sparsely.
 
-    ``cells`` holds, per basis element, the nonzero entries of rho_a as
-    (i, j, entry) triples with each (i, j) at most once, or the Matrix of
-    rho_a itself.  ``nonzero_rows[a]`` holds the nonzero rows of rho_a as
-    (i, [(j, entry), ...]), rows and entries sorted by index; every action
-    on a vector reads it, and nothing mutates it.  ``action`` is a dense
-    view for tests and oracles, rebuilt on every access.
+    ``nonzero_rows[a]`` holds the nonzero rows of rho_a as (i, [(j, entry),
+    ...]), rows and entries sorted by index, taken as given: modules may
+    share rows, and nothing mutates them.  Every action on a vector reads
+    them.  ``action`` is a dense view for tests and oracles, rebuilt on
+    every access.
     """
 
-    def __init__(self, algebra: LieAlgebra, cells: Sequence, dim_v: int, label: str = ""):
-        if len(cells) != algebra.dim:
+    def __init__(self, algebra: LieAlgebra, nonzero_rows: Sequence, dim_v: int, label: str = ""):
+        if len(nonzero_rows) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
         self.algebra, self.dim_v, self.label = algebra, dim_v, label
-        self.nonzero_rows = [_nonzero_rows(c, dim_v) for c in cells]
+        self.nonzero_rows = list(nonzero_rows)
 
     def __repr__(self):
         return "Representation(%s on %s, dim=%d)" % (self.label or "V", self.algebra.name, self.dim_v)
@@ -404,14 +400,11 @@ class Representation:
     @property
     def action(self) -> list[Matrix]:
         mats = [Matrix.zeros(self.dim_v, self.dim_v) for _ in self.nonzero_rows]
-        for a, m in enumerate(mats):
-            for i, j, x in self.cells(a):
-                m.rows[i][j] = x
+        for m, nz in zip(mats, self.nonzero_rows):
+            for i, row in nz:
+                for j, x in row:
+                    m.rows[i][j] = x
         return mats
-
-    def cells(self, a: int) -> list:
-        """The nonzero entries of rho_a as (i, j, entry) triples."""
-        return [(i, j, x) for i, row in self.nonzero_rows[a] for j, x in row]
 
     def act_basis(self, a: int, v: Sequence) -> list:
         """rho_a(v), the same values as ``self.action[a].apply(v)``."""
@@ -422,9 +415,7 @@ class Representation:
 
     def act(self, x: Sequence, v: Sequence) -> list:
         out = [0] * self.dim_v
-        for a, xa in enumerate(x):
-            if xa == 0:
-                continue
+        for a, xa in nonzeros(x):
             for i, row in self.nonzero_rows[a]:
                 out[i] = out[i] + xa * sparse_dot(v, row)
         return [normalize_scalar(o) for o in out]
@@ -434,20 +425,21 @@ def defining(g: LieAlgebra) -> Representation:
     """The matrix realisation itself, acting on column coordinates."""
     if g.basis is None:
         raise ValueError("algebra has no matrix realisation")
-    return Representation(g, g.basis, g.matrix_size, label="defining(%s)" % g.name)
+    return Representation(g, [_matrix_rows(m) for m in g.basis], g.matrix_size, label="defining(%s)" % g.name)
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
     """ad(e_a) e_b = [e_a, e_b], read from the bracket table."""
     n = g.dim
-    cells = [[(c, b, v) for b in range(n) for c, v in g.bracket_basis(a, b).items()] for a in range(n)]
-    return Representation(g, cells=cells, dim_v=n, label="ad(%s)" % g.name)
+    rows = [_by_row((c, b, v) for b in range(n) for c, v in g.bracket_basis(a, b).items() if v != 0)
+            for a in range(n)]
+    return Representation(g, rows, n, label="ad(%s)" % g.name)
 
 
 def dual(r: Representation) -> Representation:
     """rho*_a = -rho_a^t."""
-    cells = [[(j, i, -x) for i, j, x in r.cells(a)] for a in range(r.algebra.dim)]
-    return Representation(r.algebra, cells=cells, dim_v=r.dim_v, label="dual(%s)" % (r.label or "V"))
+    rows = [_by_row((j, i, -x) for i, row in nz for j, x in row) for nz in r.nonzero_rows]
+    return Representation(r.algebra, rows, r.dim_v, label="dual(%s)" % (r.label or "V"))
 
 
 def direct_sum(*reps: Representation) -> Representation:
@@ -455,12 +447,10 @@ def direct_sum(*reps: Representation) -> Representation:
     if any(r.algebra is not alg for r in reps):
         raise ValueError("direct sum needs modules over one algebra")
     offsets = list(itertools.accumulate((r.dim_v for r in reps), initial=0))
-    cells = [
-        [(o + i, o + j, x) for r, o in zip(reps, offsets) for i, j, x in r.cells(a)]
-        for a in range(alg.dim)
-    ]
+    rows = [[(o + i, [(o + j, x) for j, x in row] if o else row) for r, o in zip(reps, offsets)
+             for i, row in r.nonzero_rows[a]] for a in range(alg.dim)]
     label = " + ".join(r.label or "V" for r in reps)
-    return Representation(alg, cells=cells, dim_v=offsets[-1], label=label)
+    return Representation(alg, rows, offsets[-1], label=label)
 
 
 def tensor(r1: Representation, r2: Representation) -> Representation:
@@ -468,16 +458,17 @@ def tensor(r1: Representation, r2: Representation) -> Representation:
     if r1.algebra is not r2.algebra:
         raise ValueError("tensor product needs modules over one algebra")
     n1, n2 = r1.dim_v, r2.dim_v
-    cells = []
-    for a in range(r1.algebra.dim):
-        m = {(i * n2 + k, j * n2 + k): x for i, j, x in r1.cells(a) for k in range(n2)}
-        for k, l, y in r2.cells(a):
-            for i in range(n1):
-                ij = (i * n2 + k, i * n2 + l)
-                m[ij] = m[ij] + y if ij in m else y
-        cells.append([(i, j, x) for (i, j), x in m.items()])
+    rows = []
+    for nz1, nz2 in zip(r1.nonzero_rows, r2.nonzero_rows):
+        m = {(i * n2 + k, j * n2 + k): x for i, row in nz1 for j, x in row for k in range(n2)}
+        for k, row in nz2:
+            for l, y in row:
+                for i in range(n1):
+                    ij = (i * n2 + k, i * n2 + l)
+                    m[ij] = m[ij] + y if ij in m else y
+        rows.append(_by_row((i, j, x) for (i, j), x in sorted(m.items()) if x != 0))
     label = "(%s)x(%s)" % (r1.label or "V", r2.label or "W")
-    return Representation(r1.algebra, cells=cells, dim_v=n1 * n2, label=label)
+    return Representation(r1.algebra, rows, n1 * n2, label=label)
 
 
 def sym_power(r: Representation, d: int) -> Representation:
@@ -496,11 +487,9 @@ def _power(r: Representation, d: int, skew: bool) -> Representation:
     pick = itertools.combinations if skew else itertools.combinations_with_replacement
     basis = list(pick(range(r.dim_v), d))
     index = {b: i for i, b in enumerate(basis)}
-    cells = []
-    for a in range(r.algebra.dim):
-        by_col: dict = {}  # column ik of rho_a: its nonzero (j, rho_a[j, ik]), by j
-        for j, ik, c in r.cells(a):
-            by_col.setdefault(ik, []).append((j, c))
+    rows = []
+    for nz in r.nonzero_rows:
+        by_col = dict(_by_row((ik, j, c) for j, row in nz for ik, c in row))  # rho_a's columns
         m: dict = {}
         for col, mono in enumerate(basis):
             for k, ik in enumerate(mono):
@@ -508,18 +497,14 @@ def _power(r: Representation, d: int, skew: bool) -> Representation:
                 for j, c in by_col.get(ik, ()):
                     if skew and j in others:
                         continue
-                    sign = 1
-                    if skew:
-                        # sign of the sort permutation: j moves past the
-                        # entries strictly between its old and new positions
-                        for o in others:
-                            if (o > j) != (o > ik):
-                                sign = -sign
+                    # a wedge takes the sign of the sort: j moves past the
+                    # entries strictly between its old and new positions
+                    sign = -1 if skew and sum((o > j) != (o > ik) for o in others) % 2 else 1
                     ij = (index[tuple(sorted(mono[:k] + (j,) + mono[k + 1 :]))], col)
                     m[ij] = normalize_scalar(m.get(ij, 0) + sign * c)
-        cells.append([(i, j, x) for (i, j), x in m.items()])
+        rows.append(_by_row((i, j, x) for (i, j), x in sorted(m.items()) if x != 0))
     label = "%s^%d(%s)" % ("L" if skew else "S", d, r.label or "V")
-    return Representation(r.algebra, cells=cells, dim_v=len(basis), label=label)
+    return Representation(r.algebra, rows, len(basis), label=label)
 
 
 def subrepresentation(r: Representation, vectors: Sequence[Sequence], label: str = "") -> Representation:
@@ -531,13 +516,11 @@ def subrepresentation(r: Representation, vectors: Sequence[Sequence], label: str
     found, coords = solve_all(Matrix.from_cols(vectors), images)
     if found < k:
         raise ValueError("basis vectors are linearly dependent")
-    cells = []
-    for a in range(r.algebra.dim):
-        cols = coords[a * k : (a + 1) * k]
-        if None in cols:
-            raise ValueError("subspace is not invariant under basis element %d" % a)
-        cells.append([(i, j, x) for j, col in enumerate(cols) for i, x in enumerate(col)])
-    return Representation(r.algebra, cells=cells, dim_v=k, label=label or "sub(%s)" % (r.label or "V"))
+    if None in coords:
+        raise ValueError("subspace is not invariant under basis element %d" % (coords.index(None) // k))
+    rows = [_by_row((i, j, x) for j, col in enumerate(coords[a * k : (a + 1) * k]) for i, x in nonzeros(col))
+            for a in range(r.algebra.dim)]
+    return Representation(r.algebra, rows, k, label=label or "sub(%s)" % (r.label or "V"))
 
 
 def lift_factor(prod: LieAlgebra, idx: int, rep: Representation) -> Representation:
@@ -546,8 +529,8 @@ def lift_factor(prod: LieAlgebra, idx: int, rep: Representation) -> Representati
     if rep.algebra.dim != f.algebra.dim:
         raise ValueError("module does not match the chosen factor")
     own = prod.factor_basis_range(idx)
-    cells = [rep.cells(a - f.basis_offset) if a in own else [] for a in range(prod.dim)]
-    return Representation(prod, cells=cells, dim_v=rep.dim_v, label="%s@%s" % (rep.label or "V", f.name))
+    rows = [rep.nonzero_rows[a - f.basis_offset] if a in own else [] for a in range(prod.dim)]
+    return Representation(prod, rows, rep.dim_v, label="%s@%s" % (rep.label or "V", f.name))
 
 
 @dataclass
@@ -566,27 +549,23 @@ class Subspace:
         return self.solver.coords(v) is not None
 
 
-def action_matrix_at(r: Representation, v: Sequence) -> Matrix:
-    """Columns rho_a(v): the differential of the orbit map at v."""
-    return Matrix.from_cols([r.act_basis(a, v) for a in range(r.algebra.dim)])
-
-
-def stabiliser(r: Representation, v: Sequence) -> Subspace:
-    """Exact annihilator {x in g : x . v = 0}."""
-    _, kern = rank_and_kernel(action_matrix_at(r, v))
+def stabiliser(r: Representation, v: Sequence, orbit: list | None = None) -> Subspace:
+    """Exact annihilator {x in g : x . v = 0}: the kernel of the orbit map's
+    differential at v, whose columns rho_a(v) are ``orbit`` if given."""
+    _, kern = rank_and_kernel(Matrix.from_cols(orbit or [r.act_basis(a, v) for a in range(r.algebra.dim)]))
     return Subspace(kern)
 
 
-def fixed_slice_is_dense(r: Representation, v1: Sequence, t: Subspace) -> bool:
+def fixed_slice_is_dense(r: Representation, orbit: list, t: Subspace) -> bool:
     """True when G.S is proved dense in V for S = V^t, t = g_v1, so that
     dim g_v >= dim t on all of V (every s in S has g_s containing t, and
     {v : dim g_v >= dim t} is closed and G-stable).  G.S is dense if the
     differential of G x S -> V at v1 in S, onto g.v1 + S, is onto V
     (Luna-Richardson, Duke Math. J. 46 (1979) 487-496).  With A = rho(x)
     stacked over a basis x of t, S = ker A, so that holds exactly when
-    rank A M = rank A, M = [rho_a v1]: rank A exact, rank A M mod p (a lower
-    bound), A's rows and M's columns scaled to integers.  Premise: g acts as
-    the Lie algebra of a connected algebraic group (every catalog module).
+    rank A M = rank A, M = [rho_a v1] = ``orbit``: rank A exact, rank A M mod
+    p (a lower bound), A's rows and M's columns scaled to integers.  Premise: g
+    acts as the Lie algebra of a connected algebraic group (every catalog module).
     """
     dg, dv = r.algebra.dim, r.dim_v
     if dg - t.dim == min(dg, dv):
@@ -594,12 +573,12 @@ def fixed_slice_is_dense(r: Representation, v1: Sequence, t: Subspace) -> bool:
     fixed = [[0] * dv for _ in range(t.dim * dv)]  # rho(x), x in t, stacked
     for k, x in enumerate(int_rows(t.vectors)[0]):
         for a, xa in enumerate(x):
-            for i, j, m in r.cells(a) if xa else ():
-                fixed[k * dv + i][j] += xa * m
+            for i, row in r.nonzero_rows[a] if xa else ():
+                for j, m in row:
+                    fixed[k * dv + i][j] += xa * m
     fixed = [row for row in int_rows(fixed)[0] if any(row)]
-    orbit = int_rows([r.act_basis(a, v1) for a in range(dg)])[0]  # the columns of M
     left = [nonzeros(row) for row in fixed]
-    return product_rank_mod_p(left, list(zip(*orbit))) == rank(Matrix(fixed))
+    return product_rank_mod_p(left, list(zip(*int_rows(orbit)[0]))) == rank(Matrix(fixed))
 
 
 @dataclass
@@ -650,8 +629,9 @@ def stabiliser_sample(r: Representation, ctx: CheckContext, *labels) -> Stabilis
     """
     draw = ctx.draw(r.dim_v, *labels)
     v1 = draw()
-    t = stabiliser(r, v1)
-    proved = ctx.samples > 1 and fixed_slice_is_dense(r, v1, t)
+    orbit = [r.act_basis(a, v1) for a in range(r.algebra.dim)]
+    t = stabiliser(r, v1, orbit)
+    proved = ctx.samples > 1 and fixed_slice_is_dense(r, orbit, t)
     return StabiliserSample(r, v1, t, proved, ctx.samples, draw)
 
 

@@ -318,6 +318,18 @@ class MultiPoly:
         top = max(buckets) if buckets else -1
         return [_wrap(nv, buckets.get(i, {})) for i in range(top + 1)]
 
+    def bilinear_terms(self, left: int) -> list:
+        """(a, j, c) for the terms c v_a v_(left+j), ascending (a, j), of a
+        polynomial bilinear in v_0..v_(left-1) and the rest; else ValueError."""
+        out = []
+        for key in sorted(self.packed, reverse=True):  # ascending (a, j)
+            e = unpack(key, self.num_vars)
+            a, j = e.find(1, 0, left), e.find(1, left)  # at degree 2, the only two
+            if key & FIELD_MASK != 2 or a < 0 or j < 0:
+                raise ValueError("not bilinear in the first %d variables and the rest: %s" % (left, self))
+            out.append((a, j - left, self.packed[key]))
+        return out
+
     # -- display ----------------------------------------------------------
 
     def __repr__(self):

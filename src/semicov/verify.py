@@ -290,7 +290,10 @@ def _check_witness_exact(cons: Construction) -> dict:
 
 
 def _check_kernel_span(cons: Construction, sample: StabiliserSample) -> dict:
-    rep_report = kernel_span_check(cons.family, sample.pairs)
+    # proved: dim g_v >= dim t, equal at v1, so values of rank dim t everywhere fix the outcome
+    rep_report = sample.proved and kernel_span_check(cons.family, [(v, sample.t.dim) for v in sample.points])
+    if not (rep_report and rep_report.contained and rep_report.spans_generically):
+        rep_report = kernel_span_check(cons.family, [(v, s.dim) for v, s in sample.pairs])
     if not rep_report.contained:
         return _row("kernel_span", "fail", detail="value outside the stabiliser", witness=rep_report.witness)
     if not rep_report.spans_generically:

@@ -10,6 +10,12 @@ the slot action applied to every unit vector of V, and a subrepresentation
 solved one image at a time.  Tests compare them with
 ``Representation.action``.
 
+``matrix_pair_rows`` is the slot-module build that ``MatrixPairModule``
+replaced by one bilinear evaluation: one call of ``fields`` per basis
+element, on the slots of the coordinate variables, each image entry read
+as a linear form in them.  ``rows_of`` gives the nonzero rows of dense
+matrices, as ``Representation.nonzero_rows`` holds them.
+
 ``fixed_slice_rank`` is the density rank of the fixed-point slice
 certificate computed the long way, with sympy over QQ and without
 ``semicov.linalg``: t = g_v1 and V^t as nullspaces, then the rank of the
@@ -30,7 +36,7 @@ from fractions import Fraction
 from semicov.catalog.support import MatrixPairModule
 from semicov.lie import Representation
 from semicov.linalg import Matrix, SpanSolver, block_diag, normalize_scalar, rank
-from semicov.poly import CheckContext
+from semicov.poly import CheckContext, MultiPoly
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -98,6 +104,32 @@ def matrix_pair_action(mod: MatrixPairModule, fields) -> list[Matrix]:
         Matrix.from_cols([mod.encode(fields(s, mod.decode(u))) for u in units])
         for s in mod.rep.algebra.basis
     ]
+
+
+def matrix_pair_rows(mod: MatrixPairModule, fields) -> list:
+    """The nonzero rows of each rho_a, one ``fields`` call per basis element:
+    image entry i is sum_j rho_a[i, j] x_j, and one not linear in x raises."""
+    slots = mod.decode(MultiPoly.variables(mod.dim_v))
+    out = []
+    for s in mod.rep.algebra.basis:
+        rows = []
+        for i, e in enumerate(mod.encode(fields(s, slots))):
+            if isinstance(e, MultiPoly) and e.is_homogeneous(1):
+                row = sorted((t.index(1), c) for t, c in e.terms.items())
+            elif e == 0:
+                row = []
+            else:
+                raise ValueError("fields must be linear in the slots; got image entry %s" % e)
+            if row:
+                rows.append((i, row))
+        out.append(rows)
+    return out
+
+
+def rows_of(mats: list[Matrix]) -> list:
+    """The nonzero rows (i, [(j, x), ...]) of each matrix, x != 0."""
+    return [[(i, [(j, x) for j, x in enumerate(r) if x != 0]) for i, r in enumerate(m.rows) if any(x != 0 for x in r)]
+            for m in mats]
 
 
 def subrepresentation(r: Representation, vectors) -> list[Matrix]:

@@ -307,12 +307,12 @@ def test_sl3_kernel_and_equivariance():
 
 def test_kernel_span_sl3():
     _, F1, F2 = sl3_pair()
-    sample = stabiliser_sample(F1.rep, CheckContext(samples=5), "kernel-span").pairs
+    sample = [(v, s.dim) for v, s in stabiliser_sample(F1.rep, CheckContext(samples=5), "kernel-span").pairs]
     report = kernel_span_check([F1, F2], sample)
     assert report.contained
     assert report.generic_stab_dim == 2
     assert report.spans_generically
-    assert [d for d, _ in report.samples] == [s.dim for _, s in sample]
+    assert [d for d, _ in report.samples] == [d for _, d in sample]
     # a value outside the stabiliser is reported with the covariant's name
     h = [0] * 8
     h[6] = 1
@@ -1024,3 +1024,15 @@ def test_poisson_pair_at_matches_coords_off_the_kernel(entry):
                 assert poisson_pair_at(q, F, G, xi, v) == want
                 nonzero += want != 0
     assert nonzero > 0
+
+
+def test_invariants_are_differentiated_along_generators(record):
+    """ex5.3 at n=4, k=2: s(gl(4)^2), of dim 31, has 13 Lie generators, so
+    the exact invariant_degrees row takes 13 derivatives of each of its 4
+    invariants, not 31."""
+    cons = build_construction(get_entry("ex5.3"), {"n": 4, "k": 2})
+    extra = next(x for x in cons.extras if x.name == "invariant_degrees")
+    assert len(cons.algebra.generating_subset(range(cons.algebra.dim))) == 13
+    calls = record("poly.derivative_along")["poly.derivative_along"]
+    assert extra.run(CheckContext("exact")).is_zero
+    assert len(calls) == 4 * 13

@@ -3,9 +3,10 @@
 ``lie.stabiliser_sample`` computes t = g_v1 at the first point of an
 entry's ``("gs", entry_id)`` stream and proves it generic with
 ``lie.fixed_slice_is_dense`` at v1 itself, the certificate of the table
-rows.  The gs, quotient and rais rows then read t alone, independence reads
-the drawn points, and only ex-adjoint's kernel_span computes the other
-stabilisers.
+rows.  The gs, quotient and rais rows then read t alone, independence and
+ex-adjoint's kernel_span read the drawn points, and no other stabiliser is
+computed: kernel_span's values, of rank dim t at every point, span every
+stabiliser of the generic dimension.
 An abelian t gives the largest Kirillov rank by Rais' formula,
 2(dim g - dim t), and each index batch stops at its first point of that
 rank.  Covered here:
@@ -72,7 +73,7 @@ def test_certified_report_equals_the_fallback_report(monkeypatch, work, entry_id
         t = sample.t
         assert sample.proved, (entry_id, seed)
         assert sample.abelian and bound == 2 * (dim_g - t.dim)
-        assert certified["stabiliser"] == (20 if entry_id == "ex-adjoint" else 1)
+        assert certified["stabiliser"] == 1
         assert 2 <= certified["skew_rank"] == len(est.ranks) <= est.drawn == 20
         with monkeypatch.context() as m:
             m.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
@@ -140,3 +141,25 @@ def test_a_bound_above_every_rank_ranks_every_point(samples):
     want = index_estimate(q.lie, ctx)
     got = index_estimate(q.lie, ctx, q.dim + 1)
     assert got == want and len(got.ranks) == got.drawn == 2 * max(1, samples // 2)
+
+
+def test_a_rank_shortfall_in_kernel_span_falls_back_to_every_stabiliser(monkeypatch, work):
+    """ex-adjoint's kernel_span reads the proof only when the values have
+    rank dim t at every point.  A shortfall, faked at one later point, sends
+    it back to the exact stabilisers of every point, and its row prints the
+    bytes of a run whose certificate is refused."""
+    import semicov.covariants as covariants
+
+    cons = build_construction(get_entry("ex-adjoint"), {})
+    sample = lie.stabiliser_sample(cons.module, CheckContext(), "gs", "ex-adjoint")
+    short = covariants.values_matrix_at(cons.family, sample.points[7])
+    rank = covariants.rank
+    monkeypatch.setattr(covariants, "rank", lambda m: rank(m) - (m == short))
+    report, counts, _ = _run("ex-adjoint", (), 0, work)
+    assert counts["stabiliser"] == 20 and counts["product_rank_mod_p"] == 1
+    row = next(c for c in report["checks"] if c["name"] == "kernel_span")
+    assert row["verdict"] == "fail" and row["witness"][7][1] == sample.t.dim - 1
+    monkeypatch.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
+    fallback, counts, _ = _run("ex-adjoint", (), 0, work)
+    assert counts["product_rank_mod_p"] == 0
+    assert next(c for c in fallback["checks"] if c["name"] == "kernel_span") == row

@@ -21,9 +21,11 @@ import pytest
 from semicov import cli, verify
 from semicov.catalog import build_construction, get_entry, get_row, rows_for_entry
 from semicov.catalog.families import Control
-from semicov.covariants import equivariance_check, independence_rank_at, kernel_phi_check
-from semicov.lie import StabiliserSample, Subspace, defining, is_abelian, sl, stabiliser, stabiliser_sample
-from semicov.poly import CheckContext
+from semicov.covariants import equivariance_check, independence_rank_at, invariant_check, kernel_phi_check
+from semicov.lie import (
+    StabiliserSample, Subspace, adjoint_rep, defining, is_abelian, sl, stabiliser, stabiliser_sample,
+)
+from semicov.poly import CheckContext, MultiPoly, derivative_along, field_moves, identity_check, partials_table
 from semicov.verify import Report, RunConfig, run_entry, run_table_row, to_text
 
 CTX = CheckContext()
@@ -209,3 +211,23 @@ def test_every_fail_branch_reports_fail_with_its_detail(case, monkeypatch, capsy
     row, detail = case(monkeypatch, capsys)
     assert row["verdict"] == "fail", row
     assert detail in json.dumps(row), row
+
+
+def test_an_invariant_fail_names_the_first_failing_direction():
+    """The exact invariant check differentiates along Lie generators of g
+    (on sl3: e_0, e_3, e_4); on a failure it scans every direction, so the
+    witness is that of the first failing direction, here e_2, which is no
+    generator.  The oracle is the scan of every direction in order."""
+    rep = adjoint_rep(sl(3))
+    vs = MultiPoly.variables(8)
+    p = vs[2] * vs[2]
+    table = partials_table(p)
+    along = [derivative_along(table, field_moves(rep.act_basis(a, vs))) for a in range(8)]
+    assert rep.algebra.generating_subset(range(8)) == (0, 3, 4)
+    assert [a for a in range(8) if not along[a].is_zero()][:2] == [2, 3]
+
+    def scan(a):
+        return identity_check(CTX, 8, 2, lambda: [(None, along[a])], None, None)
+
+    got = invariant_check(rep, p, "x2^2", CTX)
+    assert got.verdict == "proved_nonzero" and got.witness == scan(2).witness != scan(3).witness

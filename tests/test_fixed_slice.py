@@ -143,7 +143,8 @@ def test_the_certificate_implies_density_over_qq(modules):
     assert len(cases) == 23
     for rep, labels in cases:
         sample = lie.stabiliser_sample(rep, CheckContext(), *labels)
-        assert sample.proved and lie.fixed_slice_is_dense(rep, sample.v1, sample.t), labels
+        orbit = [rep.act_basis(a, sample.v1) for a in range(rep.algebra.dim)]
+        assert sample.proved and lie.fixed_slice_is_dense(rep, orbit, sample.t), labels
         assert oracle.fixed_slice_rank(rep, sample.v1) == rep.dim_v, labels
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from linalg_oracles import kernel as oracle_kernel, rank_mod_p as oracle_rank_mod_p, rref as oracle_rref
 from semicov.catalog import all_rows, build_construction, get_entry, get_row
 from semicov.covariants import _Dual
-from semicov.lie import action_matrix_at, default_skew, so, sp, stabiliser_sample
+from semicov.lie import default_skew, so, sp, stabiliser_sample
 from semicov.linalg import (
     inverse,
     Matrix,
@@ -249,6 +249,11 @@ def test_inverse_small_and_fl_path():
         inverse(Matrix([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         inverse(Matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def _orbit_matrix(rep, v) -> Matrix:
+    """The columns rho_a(v): the differential of the orbit map at v."""
+    return Matrix.from_cols([rep.act_basis(a, v) for a in range(rep.algebra.dim)])
 
 
 def _sym(m: Matrix):
@@ -573,7 +578,7 @@ def test_stabilisers_match_fraction_oracle(entry, params):
     rep = build_construction(get_entry(entry), params).module
     nonint = 0
     for v, stab in stabiliser_sample(rep, CheckContext(seed=7, samples=10), "oracle").pairs:
-        want = oracle_kernel(action_matrix_at(rep, v))
+        want = oracle_kernel(_orbit_matrix(rep, v))
         assert len(stab.vectors) == len(want) > 0
         for got_v, want_v in zip(stab.vectors, want):
             assert _same_entries(got_v, want_v)
@@ -682,7 +687,7 @@ def _orbit_matrices(row_id: str, generic: int) -> list[Matrix]:
     draw = CheckContext(seed=3).draw(rep.dim_v, "oracle", row_id)
     points = [draw() for _ in range(generic)]
     points.append([int(i in (0, rep.dim_v - 1)) for i in range(rep.dim_v)])
-    return [action_matrix_at(rep, v) for v in points]
+    return [_orbit_matrix(rep, v) for v in points]
 
 
 @pytest.mark.parametrize(
@@ -737,6 +742,27 @@ def test_rank_eliminates_the_short_side(record):
     calls = record("linalg._eliminate")["linalg._eliminate"]
     assert rank(m) == 34
     assert [(len(c.args[0]), c.args[1], c.args[2]) for c in calls] == [(35, 45, False)]
+
+
+@pytest.mark.parametrize("nrows, given", [(96, True), (64, False)])
+def test_rank_keeps_a_tall_stack_with_long_columns_as_given(record, nrows, given):
+    """A tall, rank-deficient stack like the stacked rho(t) of the density
+    certificate (192 x 48 at ex6.3/iii, m=3, from a basis of t with 80-bit
+    entries): 20 dependent rows times 24 columns of 80-bit entries.  Past
+    64 rows the core gets the rows as given, at 64 the transpose; the rank
+    is sympy's either way."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(48)
+    left = [[rng.randint(-3, 3) for _ in range(20)] for _ in range(nrows)]
+    right = [[rng.randint(-2**80, 2**80) for _ in range(24)] for _ in range(20)]
+    m = Matrix(left) * Matrix(right)
+    calls = record("linalg._eliminate")["linalg._eliminate"]
+    want = DomainMatrix.from_Matrix(_sym(m)).convert_to(sympy.QQ).rank()
+    assert rank(m) == want == 20
+    shape = (nrows, 24) if given else (24, nrows)
+    assert [(len(c.args[0]), c.args[1], c.args[2]) for c in calls] == [(*shape, False)]
 
 
 def _rank_mod_p(m: Matrix, p: int = WORD_PRIME) -> int:

@@ -177,11 +177,11 @@ def test_broken_jacobi_falls_back_to_the_full_scan(monkeypatch, record, mode):
     g, rep = cons.module.algebra, cons.module
     gens = g.generating_subset(range(g.dim))
     b = next(a for a in range(g.dim) if a not in gens)
-    cells = [rep.cells(a) for a in range(g.dim)]
-    entries = {(i, j): x for i, j, x in cells[b]}
-    entries[0, 0] = entries.get((0, 0), 0) + 1
-    cells[b] = [(i, j, x) for (i, j), x in entries.items()]
-    broken = Representation(g, cells, rep.dim_v, label=rep.label)
+    rho_b = rep.action[b]
+    rho_b.rows[0][0] += 1
+    rows = list(rep.nonzero_rows)
+    rows[b] = [(i, [(j, x) for j, x in enumerate(r) if x]) for i, r in enumerate(rho_b.rows) if any(r)]
+    broken = Representation(g, rows, rep.dim_v, label=rep.label)
     for F in cons.family:
         F.rep = broken
     cons = replace(cons, module=broken)

@@ -148,7 +148,7 @@ def test_jobs_pool_matches_serial_bytes():
     assert to_json(run_suite(RunConfig(entries=targets, jobs=2))) == serial
 
 
-def test_gs_row_computes_each_stabiliser_once(record):
+def test_gs_row_computes_each_stabiliser_once(monkeypatch, record):
     calls = record("lie.stabiliser")["lie.stabiliser"]
     cfg = RunConfig(samples=7)
     rows = _checks_by_name(run_entry("ex-adjoint", cfg))
@@ -156,12 +156,20 @@ def test_gs_row_computes_each_stabiliser_once(record):
     for name in ("gs_dimension_toral", "quotient_dim_estimate", "independence_generic",
                  "kernel_span", "rais_consistency"):
         assert rows[name]["verdict"] == "sampled-pass", name
-    points = [tuple(c.args[1]) for c in calls]
-    assert len(points) == cfg.samples == len(set(points))
-    # without kernel_span, the proved stabiliser of the first point is the only one
+    # the proved stabiliser of the first point is the only one: kernel_span
+    # reads the proof, and ex5.2 has no kernel_span row
+    assert len(calls) == 1
     calls.clear()
     assert _checks_by_name(run_entry("ex5.2", cfg))["gs_dimension_toral"]["verdict"] == "sampled-pass"
     assert len(calls) == 1
+    # without the proof, ex-adjoint's kernel_span computes each point's stabiliser once
+    import semicov.lie as lie
+
+    calls.clear()
+    monkeypatch.setattr(lie, "fixed_slice_is_dense", lambda *args: False)
+    assert _checks_by_name(run_entry("ex-adjoint", cfg)) == rows
+    points = [tuple(c.args[1]) for c in calls]
+    assert len(points) == cfg.samples == len(set(points))
 
 
 def test_table_row_ranks_each_point_once(monkeypatch, record):
